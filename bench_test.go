@@ -241,7 +241,7 @@ func ablationRun(b *testing.B, timing sim.Timing, blocking bool, noCompaction bo
 	}
 	pol := sim.NewRegMutexPolicy(machine)
 	pol.Blocking = blocking
-	d, err := sim.NewDevice(machine, timing, res.Kernel, pol, w.Input(k, 42))
+	d, err := sim.New(sim.DeviceSpec{Config: machine, Timing: timing, Kernel: res.Kernel}, sim.WithPolicy(pol), sim.WithGlobal(w.Input(k, 42)))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -350,7 +350,7 @@ func BenchmarkSimulatedCycles(b *testing.B) {
 	var total int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d, err := sim.NewDevice(machine, sim.DefaultTiming(), pre, nil, w.Input(k, 42))
+		d, err := sim.New(sim.DeviceSpec{Config: machine, Timing: sim.DefaultTiming(), Kernel: pre}, sim.WithGlobal(w.Input(k, 42)))
 		if err != nil {
 			b.Fatal(err)
 		}

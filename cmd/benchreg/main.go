@@ -13,9 +13,8 @@
 //	benchreg -compare -threshold 0.05 old.json new.json
 //
 // Without -spec the load phase runs the legacy spec — the pre-pipeline
-// 4-seed storm synthesized from -jobs (a deprecated shim kept so old
-// invocations and old -compare baselines still measure the same
-// traffic).
+// 4-seed storm, 64 requests (24 with -quick), kept so old -compare
+// baselines still measure the same traffic.
 package main
 
 import (
@@ -38,7 +37,6 @@ func main() {
 	compress := flag.Float64("compress", 0, "divide schedule arrival offsets by this factor (0 or 1 = real time)")
 	loadOnly := flag.Bool("load-only", false, "skip the simulator matrix; run only the load (and -router) phases and assert per-SLO-class histograms are present and nonzero (with -sweep: run only the sweep phase)")
 	sweep := flag.String("sweep", "", "saturation sweep spec (YAML-subset or JSON): drive its offered-load ladder against a fresh loopback daemon (or, with -router, a 3-instance router fleet) and record the knee in the saturation section; fails when no knee is found")
-	jobs := flag.Int("jobs", 0, "deprecated shim: legacy load-phase request count, synthesized into the builtin legacy spec (0 = mode default; ignored with -spec/-replay)")
 	par := flag.Int("par", 0, "SM-stepping workers inside each simulation (0 = GOMAXPROCS, 1 = serial; cycle counts identical at any value)")
 	router := flag.Bool("router", false, "add the fleet phase: the schedule through a gpusimrouter over 3 instances with one killed mid-load")
 	compare := flag.Bool("compare", false, "compare two trajectory files: benchreg -compare old.json new.json")
@@ -88,7 +86,6 @@ func main() {
 
 	o := benchreg.Options{
 		Quick:    *quick,
-		Jobs:     *jobs,
 		Par:      *par,
 		Fleet:    *router,
 		Compress: *compress,

@@ -17,13 +17,11 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 	"time"
 
 	"regmutex/internal/harness"
-	"regmutex/internal/hypo"
 	"regmutex/internal/obs"
 	"regmutex/internal/runpool"
 )
@@ -37,7 +35,6 @@ func main() {
 	jobs := flag.Int("j", 0, "simulations to run concurrently (0 = all cores, 1 = serial)")
 	par := flag.Int("par", 0, "SM-stepping workers inside each simulation (0 = GOMAXPROCS, 1 = serial; results identical at any value)")
 	auditOn := flag.Bool("audit", false, "attach the invariant auditor to every simulation")
-	hypoOn := flag.Bool("hypo", false, "route the fig9 sweeps through the hypothesis engine (internal/hypo); numbers match the legacy path")
 	traceOut := flag.String("trace", "", "write every simulation's events to one Chrome trace-event JSON file")
 	metricsDir := flag.String("metrics", "", "write metrics.json and metrics.csv into this directory")
 	flag.Parse()
@@ -83,13 +80,7 @@ func main() {
 		if *exp != "all" && *exp != name {
 			continue
 		}
-		var n int
-		var err error
-		if *hypoOn && (name == "fig9a" || name == "fig9b") {
-			n, err = runFig9Hypo(name == "fig9b", o, out)
-		} else {
-			n, err = harness.RunExperiment(name, o, out)
-		}
+		n, err := harness.RunExperiment(name, o, out)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "paperbench: %s: %v\n", name, err)
 			os.Exit(1)
@@ -135,18 +126,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "paperbench: %d row(s) failed with ERR\n", failedRows)
 		os.Exit(1)
 	}
-}
-
-// runFig9Hypo regenerates one Figure 9 sweep through the hypothesis
-// engine (hypo.Fig9Rows) and prints it with the same renderer as the
-// legacy path; the memo keys are shared, so the numbers match.
-func runFig9Hypo(half bool, o harness.Options, w io.Writer) (int, error) {
-	rows, err := hypo.Fig9Rows(o, half)
-	if err != nil {
-		return 0, err
-	}
-	harness.PrintFig9(w, rows, half)
-	return harness.CountCmpErrs(rows), nil
 }
 
 // writeFile creates path and streams write into it.

@@ -14,8 +14,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"log/slog"
-	"net"
-	"net/http"
 	"os"
 	"runtime"
 	"strings"
@@ -25,7 +23,6 @@ import (
 	"regmutex/internal/obs"
 	"regmutex/internal/occupancy"
 	"regmutex/internal/saturate"
-	"regmutex/internal/service"
 	"regmutex/internal/sim"
 	"regmutex/internal/workloads"
 	"regmutex/internal/workspec"
@@ -141,16 +138,12 @@ type Options struct {
 	Workloads []string
 	Policies  []string
 	// Spec drives the load (and fleet) phases. Nil synthesizes the
-	// legacy spec — the pre-pipeline 4-seed bfs/static storm — from
-	// Jobs and Quick, keeping old CLI invocations and old -compare
-	// baselines meaningful.
+	// legacy spec — the pre-pipeline 4-seed bfs/static storm, sized by
+	// Quick — keeping old -compare baselines meaningful.
 	Spec *workspec.Spec
 	// Schedule overrides Spec with an already-compiled schedule — the
 	// trace-replay path (cmd/benchreg -replay).
 	Schedule *workspec.Schedule
-	// Jobs is the legacy-shim request count (0 = mode default); only
-	// consulted when Spec and Schedule are nil.
-	Jobs int
 	// Compress divides every schedule arrival offset (workspec
 	// RunnerOptions.Compress): replay time-compressed traces or slow
 	// specs without editing them.
@@ -204,30 +197,15 @@ func (o Options) matrix() (workloadNames, policies []string, scale, sms int) {
 	return workloadNames, policies, 2, 4
 }
 
-func (o Options) jobs() int {
-	if o.Jobs > 0 {
-		return o.Jobs
-	}
-	if o.Quick {
-		return 24
-	}
-	return 64
-}
-
 // schedule resolves the load-phase schedule: an explicit Schedule, a
-// compiled Spec, or the legacy shim synthesized from the old CLI
-// surface (Jobs + mode defaults).
+// compiled Spec, or the legacy spec at the mode's size.
 func (o Options) schedule() (*workspec.Schedule, error) {
 	if o.Schedule != nil {
 		return o.Schedule, nil
 	}
 	spec := o.Spec
 	if spec == nil {
-		scale, sms := 4, 4
-		if o.Quick {
-			scale, sms = 8, 2
-		}
-		spec = workspec.Legacy(o.jobs(), scale, sms, o.Quick)
+		spec = workspec.Legacy(o.Quick)
 	}
 	return workspec.Compile(spec)
 }
@@ -343,22 +321,15 @@ func runSimPhase(workloadNames, policies []string, scale, sms, par int) ([]SimPo
 // hit rate included); the LoadPoint carries the per-SLO-class
 // breakdown under the spec's identity.
 func runServicePhase(sched *workspec.Schedule, o Options) (*ServicePoint, *LoadPoint, error) {
-	svc, err := service.New(service.Config{Workers: 4, QueueDepth: len(sched.Items) + 8, Par: o.Par})
+	var lb loopback
+	defer lb.close()
+	svc, url, _, err := lb.instance(4, len(sched.Items)+8, o.Par)
 	if err != nil {
 		return nil, nil, err
 	}
-	defer svc.Close()
-	svc.Start()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, nil, err
-	}
-	server := &http.Server{Handler: service.Handler(svc)}
-	go server.Serve(ln)
-	defer server.Close()
 
 	rr, err := workspec.Run(context.Background(), sched, workspec.RunnerOptions{
-		BaseURL:  "http://" + ln.Addr().String(),
+		BaseURL:  url,
 		Compress: o.Compress,
 		Logger:   o.Logger,
 	})

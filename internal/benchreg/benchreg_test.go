@@ -251,7 +251,6 @@ func TestRunQuickEndToEnd(t *testing.T) {
 		Quick:     true,
 		Workloads: []string{"bfs"},
 		Policies:  []string{"static"},
-		Jobs:      8,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -267,16 +266,16 @@ func TestRunQuickEndToEnd(t *testing.T) {
 		t.Fatalf("degenerate sim cell: %+v", cell)
 	}
 	svc := res.Service
-	if svc == nil || svc.Jobs != 8 || svc.JobsPerSec <= 0 {
+	if svc == nil || svc.Jobs != 24 || svc.JobsPerSec <= 0 {
 		t.Fatalf("degenerate service phase: %+v", svc)
 	}
 	if svc.Spec != "legacy-quick" || svc.SpecID == "" {
 		t.Fatalf("service point not stamped with the legacy spec identity: %+v", svc)
 	}
-	if svc.Latency.Count != 8 || svc.Latency.P99 <= 0 || svc.Latency.P50 > svc.Latency.Max {
+	if svc.Latency.Count != 24 || svc.Latency.P99 <= 0 || svc.Latency.P50 > svc.Latency.Max {
 		t.Fatalf("incoherent latency summary: %+v", svc.Latency)
 	}
-	// 8 jobs over a 4-seed pool: duplicates must have coalesced.
+	// 24 jobs over a 4-seed pool: duplicates must have coalesced.
 	if svc.MemoHitRate < 0.25 {
 		t.Fatalf("memo hit rate %.2f implausibly low for duplicated load", svc.MemoHitRate)
 	}
@@ -285,7 +284,7 @@ func TestRunQuickEndToEnd(t *testing.T) {
 		t.Fatalf("load section missing or misstamped: %+v", load)
 	}
 	lc, ok := load.Classes["legacy"]
-	if !ok || lc.Jobs != 8 || lc.Latency.Count != 8 || lc.Latency.Max <= 0 {
+	if !ok || lc.Jobs != 24 || lc.Latency.Count != 24 || lc.Latency.Max <= 0 {
 		t.Fatalf("legacy SLO class missing or empty: %+v", load.Classes)
 	}
 	// Round-trip through disk and self-compare: no regression vs self.

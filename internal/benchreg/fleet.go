@@ -3,12 +3,7 @@ package benchreg
 import (
 	"context"
 	"fmt"
-	"net"
-	"net/http"
-	"time"
 
-	"regmutex/internal/cluster"
-	"regmutex/internal/service"
 	"regmutex/internal/workspec"
 )
 
@@ -42,64 +37,35 @@ type FleetPoint struct {
 func runFleetPhase(sched *workspec.Schedule, o Options) (*FleetPoint, error) {
 	const nInstances = 3
 	jobs := len(sched.Items)
-	type inst struct {
-		svc    *service.Service
-		server *http.Server
-		ln     net.Listener
-	}
-	var fleet []*inst
+	var lb loopback
+	defer lb.close()
 	var urls []string
+	var killFirst func()
 	for i := 0; i < nInstances; i++ {
-		svc, err := service.New(service.Config{Workers: 2, QueueDepth: jobs + 8, Par: o.Par})
+		_, url, stop, err := lb.instance(2, jobs+8, o.Par)
 		if err != nil {
 			return nil, err
 		}
-		svc.Start()
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			svc.Close()
-			return nil, err
+		if i == 0 {
+			killFirst = stop
 		}
-		in := &inst{svc: svc, ln: ln, server: &http.Server{Handler: service.Handler(svc)}}
-		go in.server.Serve(ln)
-		defer in.server.Close()
-		defer in.svc.Close()
-		fleet = append(fleet, in)
-		urls = append(urls, "http://"+ln.Addr().String())
+		urls = append(urls, url)
 	}
-
-	r, err := cluster.New(cluster.Config{
-		Instances:        urls,
-		ProbeInterval:    100 * time.Millisecond,
-		BreakerThreshold: 2,
-		BreakerCooldown:  500 * time.Millisecond,
-		Retry:            cluster.RetryPolicy{MaxAttempts: 3, BaseDelay: 10 * time.Millisecond, MaxDelay: 250 * time.Millisecond},
-		Seed:             1,
-	})
+	r, rurl, err := lb.router(urls)
 	if err != nil {
 		return nil, err
 	}
-	defer r.Close()
-	r.Start()
-	rln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	rserver := &http.Server{Handler: cluster.Handler(r)}
-	go rserver.Serve(rln)
-	defer rserver.Close()
 
 	killAt := jobs / 3
 	rr, err := workspec.Run(context.Background(), sched, workspec.RunnerOptions{
-		BaseURL:  "http://" + rln.Addr().String(),
+		BaseURL:  rurl,
 		Compress: o.Compress,
 		Logger:   o.Logger,
 		OnSubmit: func(i int) {
 			if i == killAt {
 				// One instance dies under load: its in-flight jobs must fail
 				// over and the rest of the storm route around it.
-				fleet[0].server.Close()
-				fleet[0].svc.Close()
+				killFirst()
 			}
 		},
 	})

@@ -3,13 +3,8 @@ package benchreg
 import (
 	"context"
 	"fmt"
-	"net"
-	"net/http"
-	"time"
 
-	"regmutex/internal/cluster"
 	"regmutex/internal/saturate"
-	"regmutex/internal/service"
 )
 
 // SaturationPoint is the trajectory's saturation section: the knee —
@@ -41,68 +36,30 @@ type SaturationPoint struct {
 // routing overhead and cross-instance memo affinity.
 func runSweepPhase(spec *saturate.SweepSpec, o Options) (*SaturationPoint, error) {
 	target := "daemon"
+	var lb loopback
+	defer lb.close()
 	var baseURL string
-	var shutdown []func()
-	defer func() {
-		for i := len(shutdown) - 1; i >= 0; i-- {
-			shutdown[i]()
-		}
-	}()
-
-	bootInstance := func(workers int) (string, error) {
-		svc, err := service.New(service.Config{Workers: workers, QueueDepth: 4096, Par: o.Par})
-		if err != nil {
-			return "", err
-		}
-		svc.Start()
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			svc.Close()
-			return "", err
-		}
-		server := &http.Server{Handler: service.Handler(svc)}
-		go server.Serve(ln)
-		shutdown = append(shutdown, func() { server.Close(); svc.Close() })
-		return "http://" + ln.Addr().String(), nil
-	}
-
 	if o.Fleet {
 		target = "router-fleet-3"
 		var urls []string
 		for i := 0; i < 3; i++ {
-			u, err := bootInstance(2)
+			_, url, _, err := lb.instance(2, 4096, o.Par)
 			if err != nil {
 				return nil, err
 			}
-			urls = append(urls, u)
+			urls = append(urls, url)
 		}
-		r, err := cluster.New(cluster.Config{
-			Instances:        urls,
-			ProbeInterval:    100 * time.Millisecond,
-			BreakerThreshold: 2,
-			BreakerCooldown:  500 * time.Millisecond,
-			Retry:            cluster.RetryPolicy{MaxAttempts: 3, BaseDelay: 10 * time.Millisecond, MaxDelay: 250 * time.Millisecond},
-			Seed:             1,
-		})
+		_, url, err := lb.router(urls)
 		if err != nil {
 			return nil, err
 		}
-		r.Start()
-		rln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			r.Close()
-			return nil, err
-		}
-		rserver := &http.Server{Handler: cluster.Handler(r)}
-		go rserver.Serve(rln)
-		shutdown = append(shutdown, func() { rserver.Close(); r.Close() })
-		baseURL = "http://" + rln.Addr().String()
+		baseURL = url
 	} else {
-		u, err := bootInstance(4)
+		_, url, _, err := lb.instance(4, 4096, o.Par)
 		if err != nil {
 			return nil, err
 		}
-		baseURL = u
+		baseURL = url
 	}
 
 	rep, err := saturate.Sweep(context.Background(), spec, saturate.Options{

@@ -166,9 +166,9 @@ func Handler(r *Router, opts ...HandlerOption) http.Handler {
 }
 
 func handleSubmit(r *Router, w http.ResponseWriter, req *http.Request) {
-	var sr service.SubmitRequest
-	if err := json.NewDecoder(req.Body).Decode(&sr); err != nil {
-		writeError(w, &service.ErrorBody{Code: service.CodeBadRequest, Message: "bad JSON: " + err.Error()})
+	sr, body := service.DecodeSubmit(w, req)
+	if body != nil {
+		writeError(w, body)
 		return
 	}
 	// A client-sent X-Trace-Context stitches our spans into its trace;

@@ -26,6 +26,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"regmutex/internal/jsonl"
 	"regmutex/internal/obs"
 	"regmutex/internal/service"
 )
@@ -112,6 +113,41 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// journalRecord is one line of the router's failover-replay journal:
+// an "accept" per admitted job, an "assign" per instance placement, a
+// "finish" per terminal state. Re-routing an accepted job with no
+// finish record is safe because the end state dedups by fingerprint: if
+// the original instance completed the job, affinity routing sends the
+// replay to the same instance and the memo answers from cache; if the
+// instance died, the replay is a fresh simulation elsewhere.
+type journalRecord struct {
+	Op       string                 `json:"op"` // "accept" | "assign" | "finish"
+	ID       string                 `json:"id"`
+	FP       string                 `json:"fp,omitempty"` // hex fingerprint (accept)
+	Req      *service.SubmitRequest `json:"req,omitempty"`
+	Instance string                 `json:"instance,omitempty"` // assign only
+	RemoteID string                 `json:"remote_id,omitempty"`
+	End      string                 `json:"state,omitempty"` // finish only
+}
+
+// pendingJobs folds the record list into accepted-but-unfinished jobs in
+// acceptance order — the replay set.
+func pendingJobs(records []journalRecord) []journalRecord {
+	finished := make(map[string]bool)
+	for _, rec := range records {
+		if rec.Op == "finish" {
+			finished[rec.ID] = true
+		}
+	}
+	var out []journalRecord
+	for _, rec := range records {
+		if rec.Op == "accept" && !finished[rec.ID] && rec.Req != nil {
+			out = append(out, rec)
+		}
+	}
+	return out
+}
+
 // Router routes jobs across gpusimd instances and survives their
 // failures. Build with New, call Start, serve Handler.
 type Router struct {
@@ -119,7 +155,7 @@ type Router struct {
 	insts       []*instance
 	client      *client
 	probeClient *http.Client
-	journal     *journal
+	journal     *jsonl.Log[journalRecord]
 	metrics     *obs.Registry
 	spans       *obs.SpanRecorder
 	log         *slog.Logger
@@ -149,9 +185,9 @@ func New(cfg Config) (*Router, error) {
 		log = obs.NopLogger()
 	}
 	log = log.With("subsystem", "cluster")
-	jn, records, err := openJournal(cfg.JournalPath, !cfg.JournalNoSync, log)
+	jn, records, err := jsonl.Open[journalRecord](cfg.JournalPath, !cfg.JournalNoSync, log)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("router journal %w", err)
 	}
 	r := &Router{
 		cfg:         cfg,
@@ -304,12 +340,12 @@ func (r *Router) Submit(req service.SubmitRequest) (*Job, *service.ErrorBody) {
 	j := newJob(id, req)
 	r.jobs[id] = j
 	r.mu.Unlock()
-	if err := r.journal.append(journalRecord{Op: "accept", ID: id,
+	if err := r.journal.Append(journalRecord{Op: "accept", ID: id,
 		FP: fmt.Sprintf("%016x", j.FP), Req: &req}); err != nil {
 		r.mu.Lock()
 		delete(r.jobs, id)
 		r.mu.Unlock()
-		return nil, &service.ErrorBody{Code: service.CodeInternal, Message: err.Error()}
+		return nil, service.JournalError(err)
 	}
 	r.metrics.Counter("cluster.jobs_accepted").Inc()
 	r.launch(j)
@@ -320,7 +356,7 @@ func (r *Router) Submit(req service.SubmitRequest) (*Job, *service.ErrorBody) {
 // job's root route span (accept to terminal, every failover included).
 func (r *Router) finish(j *Job) {
 	state := j.State()
-	r.journal.append(journalRecord{Op: "finish", ID: j.ID, End: state})
+	r.journal.Append(journalRecord{Op: "finish", ID: j.ID, End: state})
 	r.metrics.Histogram("cluster.route_e2e_seconds").Observe(j.age().Seconds())
 	v0 := j.View()
 	note := state
@@ -550,7 +586,7 @@ func (r *Router) attemptOn(ctx context.Context, in *instance, j *Job) (view *ser
 	}
 	j.assign(in.name, accepted.ID)
 	j.setState(service.StateRunning, nil, nil)
-	r.journal.append(journalRecord{Op: "assign", ID: j.ID, Instance: in.name, RemoteID: accepted.ID})
+	r.journal.Append(journalRecord{Op: "assign", ID: j.ID, Instance: in.name, RemoteID: accepted.ID})
 
 	if err := r.followEvents(ctx, in, accepted.ID, j); err != nil {
 		if j.isCanceled() {
@@ -773,5 +809,5 @@ func (r *Router) Close() {
 	default:
 		close(r.stop)
 	}
-	r.journal.close()
+	r.journal.Close()
 }

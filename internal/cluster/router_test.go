@@ -2,18 +2,21 @@ package cluster
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"regmutex/internal/cluster/chaos"
+	"regmutex/internal/jsonl"
 	"regmutex/internal/service"
 )
 
@@ -668,6 +671,93 @@ func TestJournalFailoverReplay(t *testing.T) {
 		t.Fatalf("successor reused the replayed job ID %s", j2.ID)
 	}
 	waitRouterJob(t, j2, 90*time.Second)
+}
+
+// TestRouterJournalCrashRestartAppendRestart: a router restarted over
+// a torn journal tail must append its own records on a fresh line, or
+// the restart after that refuses the journal as mid-file corruption.
+func TestRouterJournalCrashRestartAppendRestart(t *testing.T) {
+	jpath := t.TempDir() + "/router.jsonl"
+	fleet := startFleet(t, []chaos.Schedule{chaos.Clean}, 0)
+	cfg := testRouterConfig(fleetURLs(fleet))
+	cfg.JournalPath = jpath
+	run := func(req service.SubmitRequest) {
+		t.Helper()
+		r, err := New(cfg)
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		defer r.Close()
+		r.Start()
+		j, body := r.Submit(req)
+		if body != nil {
+			t.Fatal(body)
+		}
+		if v := waitRouterJob(t, j, 90*time.Second); v.State != service.StateDone {
+			t.Fatalf("job %s state = %q", j.ID, v.State)
+		}
+	}
+	run(service.SubmitRequest{Workload: "bfs", Policy: "static", Scale: 8, SMs: 2})
+	f, err := os.OpenFile(jpath, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"op":"accept","id":"r0000`); err != nil { // crash mid-append
+		t.Fatal(err)
+	}
+	f.Close()
+	run(service.SubmitRequest{Workload: "bfs", Policy: "static", Scale: 16, SMs: 1})
+
+	r3, err := New(cfg)
+	if err != nil {
+		t.Fatalf("second restart: %v", err)
+	}
+	r3.Close()
+	data, err := os.ReadFile(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, torn, err := jsonl.Read[journalRecord](bytes.NewReader(data))
+	if err != nil || torn != 0 {
+		t.Fatalf("journal after restarts: torn=%d err=%v", torn, err)
+	}
+	var accepts []string
+	for _, rec := range recs {
+		if rec.Op == "accept" {
+			accepts = append(accepts, rec.ID)
+		}
+	}
+	if len(accepts) != 2 {
+		t.Fatalf("accept records %v, want one per submitted job", accepts)
+	}
+}
+
+// TestRouterRefusesOversizedBody: the router admits exactly the bodies
+// an instance would, so an oversized submission is a typed 413 at the
+// fleet's front door rather than a journal record no restart can replay.
+func TestRouterRefusesOversizedBody(t *testing.T) {
+	r, err := New(Config{Instances: []string{"http://127.0.0.1:1"}, JournalPath: t.TempDir() + "/router.jsonl"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	ts := httptest.NewServer(Handler(r))
+	defer ts.Close()
+	body := fmt.Sprintf(`{"workload":"bfs","client":%q}`, strings.Repeat("a", service.MaxSubmitBytes))
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var got struct {
+		Error *service.ErrorBody `json:"error"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil || got.Error == nil {
+		t.Fatalf("no error body (%v)", err)
+	}
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || got.Error.Code != service.CodeTooLarge {
+		t.Fatalf("status %d code %q, want 413 %s", resp.StatusCode, got.Error.Code, service.CodeTooLarge)
+	}
 }
 
 // TestRouterDrainRejectsAndCompletes: a draining router 503s new

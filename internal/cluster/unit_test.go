@@ -284,17 +284,16 @@ func TestRouterJournalTornTailAndReplaySet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jn, records, err := openJournal(path, true, logger)
+	r, err := New(Config{Instances: []string{"http://127.0.0.1:1"}, JournalPath: path, Logger: logger})
 	if err != nil {
-		t.Fatalf("openJournal on torn tail: %v", err)
+		t.Fatalf("New on torn tail: %v", err)
 	}
-	defer jn.close()
+	defer r.Close()
 	if !strings.Contains(logs.String(), "torn final record") {
 		t.Fatalf("no structured torn-record warning:\n%s", logs.String())
 	}
-	pending := pendingJobs(records)
-	if len(pending) != 1 || pending[0].ID != "r000002" {
-		t.Fatalf("pending = %+v, want exactly the unfinished r000002", pending)
+	if len(r.replays) != 1 || r.replays[0].ID != "r000002" {
+		t.Fatalf("replays = %+v, want exactly the unfinished r000002", r.replays)
 	}
 }
 
@@ -304,8 +303,8 @@ func TestRouterJournalMidFileCorruptionRefuses(t *testing.T) {
 	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err := openJournal(path, true, obs.NopLogger())
+	_, err := New(Config{Instances: []string{"http://127.0.0.1:1"}, JournalPath: path})
 	if err == nil || !strings.Contains(err.Error(), "corrupt record at line 2") {
-		t.Fatalf("openJournal = %v, want corrupt-record error naming line 2", err)
+		t.Fatalf("New = %v, want corrupt-record error naming line 2", err)
 	}
 }

@@ -65,7 +65,7 @@ func runInjected(t *testing.T, k *isa.Kernel, pol sim.Policy, plan Plan, input [
 	timing := sim.DefaultTiming()
 	timing.MaxCycles = 2_000_000
 	mem := append([]uint64(nil), input...)
-	d, err := sim.NewDevice(testCfg(), timing, k, Inject(pol, plan), mem)
+	d, err := sim.New(sim.DeviceSpec{Config: testCfg(), Timing: timing, Kernel: k}, sim.WithPolicy(Inject(pol, plan)), sim.WithGlobal(mem))
 	if err != nil {
 		t.Fatalf("device: %v", err)
 	}

@@ -269,8 +269,8 @@ type CmpResult struct {
 	TechErr map[string]error
 }
 
-// SetTechErr records one technique column's failure on the row.
-func (r *CmpResult) SetTechErr(col string, err error) {
+// setTechErr records one technique column's failure on the row.
+func (r *CmpResult) setTechErr(col string, err error) {
 	if r.TechErr == nil {
 		r.TechErr = map[string]error{}
 	}
@@ -331,23 +331,23 @@ func compareTechniques(o Options, refCfg, runCfg occupancy.Config, set []*worklo
 		r.Baseline = ref.Cycles
 		if p.hasNoTech {
 			if noSt, err := p.noTech.Wait(); err != nil {
-				r.SetTechErr("none", err)
+				r.setTechErr("none", err)
 			} else {
 				r.NoTech = noSt.Cycles
 			}
 		}
 		if rmSt, _, err := p.rm.Wait(); err != nil {
-			r.SetTechErr("regmutex", err)
+			r.setTechErr("regmutex", err)
 		} else {
 			r.RegMutex = rmSt.Cycles
 		}
 		if owfSt, err := p.owf.Wait(); err != nil {
-			r.SetTechErr("owf", err)
+			r.setTechErr("owf", err)
 		} else {
 			r.OWF = owfSt.Cycles
 		}
 		if rfvSt, err := p.rfv.Wait(); err != nil {
-			r.SetTechErr("rfv", err)
+			r.setTechErr("rfv", err)
 		} else {
 			r.RFV = rfvSt.Cycles
 		}

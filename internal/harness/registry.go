@@ -78,7 +78,7 @@ var experimentOrder = []experiment{
 			return 0, err
 		}
 		PrintFig9(w, rows, false)
-		return CountCmpErrs(rows), nil
+		return countCmpErrs(rows), nil
 	}},
 	{"fig9b", func(o Options, w io.Writer) (int, error) {
 		rows, err := Fig9b(o)
@@ -86,7 +86,7 @@ var experimentOrder = []experiment{
 			return 0, err
 		}
 		PrintFig9(w, rows, true)
-		return CountCmpErrs(rows), nil
+		return countCmpErrs(rows), nil
 	}},
 	{"fig10", func(o Options, w io.Writer) (int, error) {
 		rows, err := EsSweep(o)
@@ -164,9 +164,9 @@ func countAppErrs(rows []AppResult) int {
 	return n
 }
 
-// CountCmpErrs counts the ERR cells in a comparison sweep: whole-row
+// countCmpErrs counts the ERR cells in a comparison sweep: whole-row
 // failures plus per-technique column failures.
-func CountCmpErrs(rows []CmpResult) int {
+func countCmpErrs(rows []CmpResult) int {
 	n := 0
 	for _, r := range rows {
 		if r.Err != nil {

@@ -2,11 +2,13 @@ package hypo
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"sort"
 	"testing"
 
+	"regmutex/internal/harness"
 	"regmutex/internal/runpool"
 )
 
@@ -112,5 +114,27 @@ func TestExampleReportsDeterministic(t *testing.T) {
 	againMD, _ := render(RunOptions{Jobs: 8})
 	if !bytes.Equal(serialMD, againMD) {
 		t.Error("FINDINGS.md differs across repeated runs")
+	}
+}
+
+// TestRunUnknownWorkloadSurfacesError covers the engine's spec-level
+// error path (a workload validation would normally catch; expand-time
+// lookup still fails typed).
+func TestRunUnknownWorkloadSurfacesError(t *testing.T) {
+	s, err := Parse([]byte(validPareto))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Matrix.Workloads = []string{"not-a-workload"} // bypasses Validate on purpose
+	if _, err := Run(s, RunOptions{Jobs: 1}); err == nil {
+		t.Fatal("Run accepted an unknown workload")
+	}
+	// And SubmitNamed rejects unknown policies with the typed error.
+	s.Matrix.Workloads = []string{"bfs"}
+	s.Matrix.Policies = []string{"banana"}
+	_, err = Run(s, RunOptions{Jobs: 1})
+	var nf *harness.NotFoundError
+	if !errors.As(err, &nf) || nf.Kind != "policy" {
+		t.Fatalf("err = %v, want *harness.NotFoundError{Kind: policy}", err)
 	}
 }

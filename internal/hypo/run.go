@@ -24,12 +24,6 @@ type RunOptions struct {
 	// Par is each simulation's intra-run parallelism (results are
 	// byte-identical at any value).
 	Par int
-	// Audit/AuditSet mirror harness.Options: attach the invariant auditor
-	// to every simulation. The auditor never changes Stats, but it is part
-	// of the memo key, so matching the caller's setting keeps cells
-	// shareable with figure sweeps run under the same flag.
-	Audit    bool
-	AuditSet bool
 }
 
 // SeedRun is one (cell, seed) simulation's measured metrics.
@@ -40,8 +34,6 @@ type SeedRun struct {
 	// Err is the typed failure class ("deadlock", "livelock", ...) —
 	// stable vocabulary, so reports stay deterministic even on failure.
 	Err string `json:"err,omitempty"`
-
-	err error // the real error, for in-process consumers (Fig9Rows)
 }
 
 // Agg summarizes one metric across a cell's seeds, computed from an obs
@@ -158,7 +150,6 @@ func Run(spec *Spec, ro RunOptions) (*Result, error) {
 			o := harness.Options{
 				Scale: c.Scale, Seed: seed, SeedSet: true,
 				Timing: timing, Par: ro.Par, Pool: pool,
-				Audit: ro.Audit, AuditSet: ro.AuditSet,
 			}
 			fut, err := harness.SubmitNamed(o, cfg, w, k, c.Policy)
 			if err != nil {
@@ -186,7 +177,6 @@ func Run(spec *Spec, ro RunOptions) (*Result, error) {
 			sr := SeedRun{Seed: seed}
 			if err != nil {
 				sr.Err = harness.ErrKind(err)
-				sr.err = err
 				cr.Failed++
 				res.FailedRuns++
 			} else {

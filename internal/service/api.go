@@ -9,10 +9,12 @@
 package service
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"sort"
 
+	"regmutex/internal/jsonl"
 	"regmutex/internal/sim"
 )
 
@@ -160,7 +162,18 @@ const (
 	CodeSimFailed         = "sim_failed"
 	CodeCanceled          = "canceled"
 	CodeInternal          = "internal"
+	CodeTooLarge          = "too_large"
 )
+
+// JournalError is the typed refusal for a submission whose accept
+// record could not be journaled: too_large when the record is longer
+// than a JSONL line may be, internal otherwise.
+func JournalError(err error) *ErrorBody {
+	if errors.Is(err, jsonl.ErrTooLong) {
+		return &ErrorBody{Code: CodeTooLarge, Message: err.Error()}
+	}
+	return &ErrorBody{Code: CodeInternal, Message: err.Error()}
+}
 
 // ErrorBody is the typed error payload: a stable machine-readable Code,
 // an optional failure Kind (the harness ErrKind taxonomy: deadlock,

@@ -2,6 +2,7 @@ package service
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net"
@@ -10,6 +11,7 @@ import (
 	"strconv"
 	"time"
 
+	"regmutex/internal/jsonl"
 	"regmutex/internal/obs"
 )
 
@@ -167,11 +169,35 @@ func Handler(s *Service, opts ...HandlerOption) http.Handler {
 	return mux
 }
 
+// MaxSubmitBytes caps a POST /v1/jobs body. An accepted request is
+// journaled as one JSONL line, and re-encoding can grow a JSON string
+// six-fold (a raw byte becomes a \u00XX escape), so the cap keeps every
+// admitted request replayable under jsonl.MaxLine.
+const MaxSubmitBytes = jsonl.MaxLine / 8
+
+// DecodeSubmit reads a POST /v1/jobs body, refusing one larger than
+// MaxSubmitBytes with too_large and malformed JSON with bad_request.
+// The router decodes its submissions through it too, so both tiers
+// admit exactly the same bodies.
+func DecodeSubmit(w http.ResponseWriter, r *http.Request) (SubmitRequest, *ErrorBody) {
+	var req SubmitRequest
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxSubmitBytes)).Decode(&req)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		return req, &ErrorBody{Code: CodeTooLarge,
+			Message: fmt.Sprintf("request body exceeds %d bytes", MaxSubmitBytes)}
+	case err != nil:
+		return req, &ErrorBody{Code: CodeBadRequest, Message: "bad JSON: " + err.Error()}
+	}
+	return req, nil
+}
+
 func handleSubmit(s *Service, w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
-	var req SubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, &ErrorBody{Code: CodeBadRequest, Message: "bad JSON: " + err.Error()})
+	req, body := DecodeSubmit(w, r)
+	if body != nil {
+		writeError(w, body)
 		return
 	}
 	if req.Client == "" {
@@ -294,6 +320,8 @@ func HTTPStatus(code string) int {
 		return http.StatusServiceUnavailable
 	case CodeNotFound:
 		return http.StatusNotFound
+	case CodeTooLarge:
+		return http.StatusRequestEntityTooLarge
 	default:
 		return http.StatusInternalServerError
 	}

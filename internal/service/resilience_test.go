@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"regmutex/internal/jsonl"
 	"regmutex/internal/obs"
 )
 
@@ -59,6 +60,84 @@ func TestJournalTornTailReplay(t *testing.T) {
 	s2.Start()
 	if v := waitDone(t, s2, j.ID, 2*time.Minute); v.State != StateDone {
 		t.Fatalf("replayed job state = %q (%+v)", v.State, v.Error)
+	}
+}
+
+// TestJournalCrashRestartAppendRestart: the restart after a torn tail
+// must append on a fresh line. Were the torn fragment kept, the first
+// new record would be glued onto it, and the restart after that would
+// refuse the journal as mid-file corruption.
+func TestJournalCrashRestartAppendRestart(t *testing.T) {
+	path := t.TempDir() + "/journal.jsonl"
+	s1, err := New(Config{Workers: 1, JournalPath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, body := s1.Submit(SubmitRequest{Workload: "bfs", Policy: "static", Scale: 8, SMs: 2})
+	if body != nil {
+		t.Fatalf("submit: %v", body)
+	}
+	s1.Close()
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"op":"accept","id":"j9999`); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	s2, err := New(Config{Workers: 1, JournalPath: path})
+	if err != nil {
+		t.Fatalf("restart over torn tail: %v", err)
+	}
+	s2.Start()
+	if v := waitDone(t, s2, a.ID, 2*time.Minute); v.State != StateDone {
+		t.Fatalf("replayed job state = %q (%+v)", v.State, v.Error)
+	}
+	b, body := s2.Submit(SubmitRequest{Workload: "bfs", Policy: "static", Scale: 16, SMs: 1})
+	if body != nil {
+		t.Fatalf("submit after restart: %v", body)
+	}
+	if v := waitDone(t, s2, b.ID, 2*time.Minute); v.State != StateDone {
+		t.Fatalf("new job state = %q (%+v)", v.State, v.Error)
+	}
+	s2.Close()
+
+	s3, err := New(Config{Workers: 1, JournalPath: path})
+	if err != nil {
+		t.Fatalf("second restart: %v", err)
+	}
+	defer s3.Close()
+	if got := s3.QueueLen(); got != 0 {
+		t.Fatalf("second restart replayed %d jobs, want 0 (both finished)", got)
+	}
+}
+
+// TestOversizedSubmitKeepsJournalReplayable: a request whose accept
+// record would exceed the JSONL line cap is refused with too_large
+// instead of being journaled, so the daemon can still restart.
+func TestOversizedSubmitKeepsJournalReplayable(t *testing.T) {
+	path := t.TempDir() + "/journal.jsonl"
+	s1, err := New(Config{Workers: 1, JournalPath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	huge := SubmitRequest{Workload: "bfs", Policy: "static", Client: strings.Repeat("a", jsonl.MaxLine)}
+	if _, body := s1.Submit(huge); body == nil || body.Code != CodeTooLarge {
+		t.Fatalf("Submit(oversized) = %+v, want %s", body, CodeTooLarge)
+	}
+	if _, body := s1.Submit(SubmitRequest{Workload: "bfs", Policy: "static"}); body != nil {
+		t.Fatalf("submit after refusal: %v", body)
+	}
+	s1.Close()
+	s2, err := New(Config{Workers: 1, JournalPath: path})
+	if err != nil {
+		t.Fatalf("restart after oversized submit: %v", err)
+	}
+	defer s2.Close()
+	if got := s2.QueueLen(); got != 1 {
+		t.Fatalf("replayed queue length = %d, want 1 (the admitted job)", got)
 	}
 }
 

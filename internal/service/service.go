@@ -14,6 +14,7 @@ import (
 	"regmutex/internal/core"
 	"regmutex/internal/harness"
 	"regmutex/internal/isa"
+	"regmutex/internal/jsonl"
 	"regmutex/internal/obs"
 	"regmutex/internal/occupancy"
 	"regmutex/internal/runpool"
@@ -98,7 +99,7 @@ type Service struct {
 	pool    *runpool.Pool
 	queue   *jobQueue
 	limiter *rateLimiter
-	journal *journal
+	journal *jsonl.Log[journalRecord]
 	metrics *obs.Registry
 	spans   *obs.SpanRecorder
 
@@ -114,9 +115,37 @@ type Service struct {
 	started  bool
 }
 
+// journalRecord is one line of the service's crash-safety journal: one
+// "accept" per admitted job and one "finish" per terminal state.
+type journalRecord struct {
+	Op  string         `json:"op"` // "accept" | "finish"
+	ID  string         `json:"id"`
+	Req *SubmitRequest `json:"req,omitempty"`   // accept only
+	End string         `json:"state,omitempty"` // finish only
+}
+
+// pendingJobs folds a record list into the accepted-but-unfinished set,
+// preserving acceptance order.
+func pendingJobs(records []journalRecord) []journalRecord {
+	finished := make(map[string]bool)
+	for _, rec := range records {
+		if rec.Op == "finish" {
+			finished[rec.ID] = true
+		}
+	}
+	var out []journalRecord
+	for _, rec := range records {
+		if rec.Op == "accept" && !finished[rec.ID] && rec.Req != nil {
+			out = append(out, rec)
+		}
+	}
+	return out
+}
+
 // New builds a Service and replays the journal (if configured): jobs
 // that were accepted but never finished — crash or shutdown victims —
-// are re-queued. Executors don't run until Start, so tests can inspect
+// are re-queued. Client-canceled and completed jobs have finish records
+// and stay dead. Executors don't run until Start, so tests can inspect
 // the replayed queue deterministically.
 func New(cfg Config) (*Service, error) {
 	cfg = cfg.withDefaults()
@@ -124,9 +153,10 @@ func New(cfg Config) (*Service, error) {
 	if jlog == nil {
 		jlog = obs.NopLogger()
 	}
-	jn, records, err := openJournal(cfg.JournalPath, !cfg.JournalNoSync, jlog)
+	jn, records, err := jsonl.Open[journalRecord](cfg.JournalPath, !cfg.JournalNoSync,
+		jlog.With("subsystem", "journal"))
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("journal %w", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Service{
@@ -238,9 +268,9 @@ func (s *Service) Submit(req SubmitRequest) (*Job, *ErrorBody) {
 	s.jobs[id] = j
 	s.mu.Unlock()
 
-	if err := s.journal.append(journalRecord{Op: "accept", ID: id, Req: &req}); err != nil {
+	if err := s.journal.Append(journalRecord{Op: "accept", ID: id, Req: &req}); err != nil {
 		s.forget(id)
-		return nil, &ErrorBody{Code: CodeInternal, Message: err.Error()}
+		return nil, JournalError(err)
 	}
 	if !s.queue.push(j) {
 		s.metrics.Counter("service.rejected_queue_full").Inc()
@@ -408,7 +438,7 @@ func (s *Service) Cancel(id string) (*Job, bool) {
 // telemetry: lifecycle spans into the queue-wait/run/e2e histograms and
 // one structured finish log with the measured durations.
 func (s *Service) finishRecord(j *Job) {
-	s.journal.append(journalRecord{Op: "finish", ID: j.ID, End: j.State()})
+	s.journal.Append(journalRecord{Op: "finish", ID: j.ID, End: j.State()})
 	queueWait, run, e2e := j.spans()
 	if e2e <= 0 {
 		return // rollback of a never-admitted job: nothing to measure
@@ -732,5 +762,5 @@ func (s *Service) Close() {
 	s.cancel()
 	s.queue.close()
 	s.wg.Wait()
-	s.journal.close()
+	s.journal.Close()
 }

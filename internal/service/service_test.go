@@ -144,6 +144,7 @@ func TestRejectsMalformedRequests(t *testing.T) {
 		{"unknown kind", `{"kind":"dance"}`, 400, CodeBadRequest},
 		{"kasm parse error", `{"kasm":"not assembly at all"}`, 400, CodeParseError},
 		{"kasm lint", fmt.Sprintf(`{"kasm":%q}`, wastefulKasm), 422, CodeLintRejected},
+		{"oversized body", fmt.Sprintf(`{"workload":"bfs","client":%q}`, strings.Repeat("a", MaxSubmitBytes)), 413, CodeTooLarge},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

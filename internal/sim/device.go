@@ -53,20 +53,8 @@ type Device struct {
 	// for performance runs.
 	Audit AuditHook
 
-	// Listener, when non-nil, receives allocation events.
-	//
-	// Deprecated: attach an Observer with New(spec, WithObserver(...))
-	// instead; the field remains for old callers and is delivered the
-	// same events as Observer.OnEvent.
-	Listener func(ev Event)
-
-	// Sampler, when non-nil, receives a utilisation snapshot roughly
-	// every SampleInterval cycles.
-	//
-	// Deprecated: attach an Observer with New(spec, WithObserver(...))
-	// instead; the field remains for old callers and is delivered the
-	// same samples as Observer.OnCycleSample.
-	Sampler        func(Sample)
+	// SampleInterval spaces the utilisation samples delivered to the
+	// attached Observer's OnCycleSample (see WithSampleInterval).
 	SampleInterval int64
 	nextSample     int64
 
@@ -100,19 +88,8 @@ type Event struct {
 	Data  int
 }
 
-// NewDevice builds a device for the kernel under the given policy.
-// The caller provides global memory contents (the workload input).
-//
-// Deprecated: use New(DeviceSpec{...}, WithPolicy(pol), WithGlobal(global))
-// — the spec/options form attaches observers and auditors before the
-// initial CTA wave and does not grow a positional nil-heavy signature.
-func NewDevice(cfg occupancy.Config, timing Timing, k *isa.Kernel, pol Policy, global []uint64) (*Device, error) {
-	return New(DeviceSpec{Config: cfg, Timing: timing, Kernel: k},
-		WithPolicy(pol), WithGlobal(global))
-}
-
-// fail latches the first unrecoverable machine error; Run (or NewDevice,
-// for launch-time failures) surfaces it to the caller. It is only called
+// fail latches the first unrecoverable machine error; Run (or New, for
+// launch-time failures) surfaces it to the caller. It is only called
 // from barrier-serialized paths (CTA launch/retire), never from inside a
 // worker's step.
 func (d *Device) fail(err error) {
@@ -122,9 +99,6 @@ func (d *Device) fail(err error) {
 }
 
 func (d *Device) emit(ev Event) {
-	if d.Listener != nil {
-		d.Listener(ev)
-	}
 	if d.obs != nil {
 		d.obs.OnEvent(ev)
 	}
@@ -429,14 +403,8 @@ func (d *Device) RunContext(ctx context.Context) (Stats, error) {
 			prev = cur
 			nextEpoch = d.now + epoch
 		}
-		if (d.Sampler != nil || d.obs != nil) && d.now >= d.nextSample {
-			s := d.sample()
-			if d.Sampler != nil {
-				d.Sampler(s)
-			}
-			if d.obs != nil {
-				d.obs.OnCycleSample(s)
-			}
+		if d.obs != nil && d.now >= d.nextSample {
+			d.obs.OnCycleSample(d.sample())
 			if d.SampleInterval <= 0 {
 				d.SampleInterval = 256
 			}

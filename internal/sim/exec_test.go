@@ -30,7 +30,7 @@ func runScalar(t *testing.T, emit func(b *isa.Builder)) uint64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewDevice(cfg, DefaultTiming(), pre, nil, nil)
+	d, err := New(DeviceSpec{Config: cfg, Timing: DefaultTiming(), Kernel: pre})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestSpecialRegisters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewDevice(cfg, DefaultTiming(), pre, nil, nil)
+	d, err := New(DeviceSpec{Config: cfg, Timing: DefaultTiming(), Kernel: pre})
 	if err != nil {
 		t.Fatal(err)
 	}

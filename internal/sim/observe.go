@@ -202,10 +202,9 @@ func MultiObserver(obs ...Observer) Observer {
 	return multiObserver(live)
 }
 
-// observing reports whether any event consumer (new Observer or legacy
-// Listener) is attached; policies consult it before building events on
-// hot failure paths.
-func (d *Device) observing() bool { return d.obs != nil || d.Listener != nil }
+// observing reports whether an Observer is attached; policies consult
+// it before building events on hot failure paths.
+func (d *Device) observing() bool { return d.obs != nil }
 
 // Breakdown returns the device-wide stall attribution accumulated so
 // far (per-SM breakdowns summed).

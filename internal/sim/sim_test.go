@@ -21,7 +21,7 @@ func run(t *testing.T, cfg occupancy.Config, k *isa.Kernel, pol Policy, global [
 	if err != nil {
 		t.Fatalf("prepare: %v", err)
 	}
-	d, err := NewDevice(cfg, DefaultTiming(), prepared, pol, global)
+	d, err := New(DeviceSpec{Config: cfg, Timing: DefaultTiming(), Kernel: prepared}, WithPolicy(pol), WithGlobal(global))
 	if err != nil {
 		t.Fatalf("device: %v", err)
 	}
@@ -250,7 +250,7 @@ func TestRegMutexMatchesStaticFunctionally(t *testing.T) {
 	if res.Disabled() {
 		t.Fatalf("expected transform: %s", res.Split.Reason)
 	}
-	d, err := NewDevice(cfg, DefaultTiming(), res.Kernel, NewRegMutexPolicy(cfg), g2)
+	d, err := New(DeviceSpec{Config: cfg, Timing: DefaultTiming(), Kernel: res.Kernel}, WithPolicy(NewRegMutexPolicy(cfg)), WithGlobal(g2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestRegMutexImprovesRegisterLimitedKernel(t *testing.T) {
 		t.Fatalf("occupancy did not improve: %d -> %d",
 			res.BaselineOcc.WarpsPerSM, res.RegMutexOcc.WarpsPerSM)
 	}
-	d, err := NewDevice(cfg, DefaultTiming(), res.Kernel, NewRegMutexPolicy(cfg), nil)
+	d, err := New(DeviceSpec{Config: cfg, Timing: DefaultTiming(), Kernel: res.Kernel}, WithPolicy(NewRegMutexPolicy(cfg)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +335,7 @@ func TestPairedPolicyRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewDevice(cfg, DefaultTiming(), res.Kernel, NewPairedPolicy(cfg), nil)
+	d, err := New(DeviceSpec{Config: cfg, Timing: DefaultTiming(), Kernel: res.Kernel}, WithPolicy(NewPairedPolicy(cfg)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,7 +455,7 @@ func TestDeadlockDetection(t *testing.T) {
 		t.Fatal(err)
 	}
 	prepared.BaseSet, prepared.ExtSet = 18, 6
-	d, err := NewDevice(cfg, DefaultTiming(), prepared, NewRegMutexPolicy(cfg), nil)
+	d, err := New(DeviceSpec{Config: cfg, Timing: DefaultTiming(), Kernel: prepared}, WithPolicy(NewRegMutexPolicy(cfg)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -477,13 +477,13 @@ func TestDeviceSampler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewDevice(cfg, DefaultTiming(), res.Kernel, NewRegMutexPolicy(cfg), nil)
+	var samples []Sample
+	d, err := New(DeviceSpec{Config: cfg, Timing: DefaultTiming(), Kernel: res.Kernel},
+		WithPolicy(NewRegMutexPolicy(cfg)), WithSampleInterval(128),
+		WithObserver(ObserverFuncs{Sample: func(s Sample) { samples = append(samples, s) }}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var samples []Sample
-	d.SampleInterval = 128
-	d.Sampler = func(s Sample) { samples = append(samples, s) }
 	st, err := d.Run()
 	if err != nil {
 		t.Fatal(err)

@@ -326,7 +326,7 @@ func (sm *SM) takeSlot() int {
 		}
 	}
 	// Residency accounting should prevent this; latch a typed error the
-	// device surfaces from Run (or NewDevice) instead of panicking.
+	// device surfaces from Run (or New) instead of panicking.
 	sm.dev.fail(fmt.Errorf("sim: SM%d: %w with %d warps resident", sm.id, ErrNoWarpSlot, len(sm.warps)))
 	return -1
 }

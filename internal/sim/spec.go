@@ -18,8 +18,7 @@ type DeviceSpec struct {
 
 // buildOptions collects New's optional knobs before construction, so
 // observers and auditors are attached before the initial CTA wave (and
-// therefore see its cycle-0 launch events — the old post-construction
-// Listener field missed them).
+// therefore see its cycle-0 launch events).
 type buildOptions struct {
 	policy      Policy
 	global      []uint64
@@ -56,8 +55,8 @@ func WithObserver(o Observer) Option {
 func WithAudit(h AuditHook) Option { return func(b *buildOptions) { b.audit = h } }
 
 // WithSampleInterval sets how often (in cycles) utilisation samples are
-// delivered to Observer.OnCycleSample (and the legacy Sampler). Zero or
-// omitted selects the default of 256.
+// delivered to Observer.OnCycleSample. Zero or omitted selects the
+// default of 256.
 func WithSampleInterval(n int64) Option { return func(b *buildOptions) { b.sampleEvery = n } }
 
 // WithParallelism sets the worker count for the parallel-across-SMs
@@ -67,8 +66,7 @@ func WithSampleInterval(n int64) Option { return func(b *buildOptions) { b.sampl
 // at every value.
 func WithParallelism(n int) Option { return func(b *buildOptions) { b.par = n } }
 
-// New builds a device from the spec and options. This is the canonical
-// constructor; NewDevice is the deprecated positional shim over it.
+// New builds a device from the spec and options.
 func New(spec DeviceSpec, opts ...Option) (*Device, error) {
 	var b buildOptions
 	for _, opt := range opts {

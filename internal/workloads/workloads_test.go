@@ -145,7 +145,7 @@ func TestWorkloadsRunAndMatch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			d1, err := sim.NewDevice(cfgRun, sim.DefaultTiming(), pre, sim.NewStaticPolicy(cfgRun), append([]uint64(nil), input...))
+			d1, err := sim.New(sim.DeviceSpec{Config: cfgRun, Timing: sim.DefaultTiming(), Kernel: pre}, sim.WithPolicy(sim.NewStaticPolicy(cfgRun)), sim.WithGlobal(append([]uint64(nil), input...)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -167,7 +167,7 @@ func TestWorkloadsRunAndMatch(t *testing.T) {
 			}
 			runCfg := target
 			runCfg.NumSMs = 2
-			d2, err := sim.NewDevice(runCfg, sim.DefaultTiming(), res.Kernel, sim.NewRegMutexPolicy(runCfg), append([]uint64(nil), input...))
+			d2, err := sim.New(sim.DeviceSpec{Config: runCfg, Timing: sim.DefaultTiming(), Kernel: res.Kernel}, sim.WithPolicy(sim.NewRegMutexPolicy(runCfg)), sim.WithGlobal(append([]uint64(nil), input...)))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"regmutex/internal/jsonl"
 	"regmutex/internal/service"
 )
 
@@ -108,31 +109,11 @@ func (t *TraceWriter) Close() error {
 // is tolerated and skipped; corruption anywhere else is an error naming
 // the line.
 func ReadTrace(r io.Reader) ([]TraceRecord, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
-	var out []TraceRecord
-	var torn bool
-	line := 0
-	for sc.Scan() {
-		line++
-		text := sc.Text()
-		if len(text) == 0 {
-			continue
-		}
-		if torn {
-			return nil, fmt.Errorf("workspec trace: line %d: corrupt record mid-file", line-1)
-		}
-		var rec TraceRecord
-		if err := json.Unmarshal([]byte(text), &rec); err != nil {
-			torn = true // only acceptable as the final line
-			continue
-		}
-		out = append(out, rec)
-	}
-	if err := sc.Err(); err != nil {
+	recs, _, err := jsonl.Read[TraceRecord](r)
+	if err != nil {
 		return nil, fmt.Errorf("workspec trace: %w", err)
 	}
-	return out, nil
+	return recs, nil
 }
 
 // ReadTraceFile loads a JSONL trace from disk.

@@ -387,10 +387,16 @@ func TestReadTraceTornAndCorrupt(t *testing.T) {
 	if len(recs) != 2 {
 		t.Fatalf("got %d records, want 2", len(recs))
 	}
-	// The same garbage mid-file is corruption, named by line.
-	_, err = ReadTrace(strings.NewReader(valid + "{garbage}\n" + valid))
-	if err == nil || !strings.Contains(err.Error(), "line 2") {
-		t.Fatalf("mid-file corruption not reported: %v", err)
+	// The same garbage mid-file is corruption, named by its own line
+	// even when blank lines follow it.
+	for _, corrupt := range []string{
+		valid + "{garbage}\n" + valid,
+		valid + "GARBAGE\n\n" + valid,
+	} {
+		_, err = ReadTrace(strings.NewReader(corrupt))
+		if err == nil || !strings.Contains(err.Error(), "line 2") {
+			t.Fatalf("mid-file corruption not reported as line 2: %v", err)
+		}
 	}
 	// Offsets must not go backwards after normalization.
 	back := `{"at_ms":100,"req":{"workload":"bfs"}}` + "\n" + `{"at_ms":50,"req":{"workload":"bfs"}}` + "\n"
@@ -441,21 +447,21 @@ func TestExampleSpecsParse(t *testing.T) {
 }
 
 // TestLegacyFileMatchesBuiltin pins examples/workloads/legacy-quick.yaml
-// to workspec.Legacy — the builtin the -jobs shim synthesizes — so the
+// to workspec.Legacy — the builtin benchreg runs without -spec — so the
 // committed file and the code path cannot drift apart.
 func TestLegacyFileMatchesBuiltin(t *testing.T) {
 	fromFile, err := ParseFile("../../examples/workloads/legacy-quick.yaml")
 	if err != nil {
 		t.Fatal(err)
 	}
-	builtin := Legacy(24, 8, 2, true)
+	builtin := Legacy(true)
 	if !reflect.DeepEqual(fromFile, builtin) {
 		t.Fatalf("example file and builtin legacy spec drifted:\n file    %+v\n builtin %+v", fromFile, builtin)
 	}
 	if fromFile.Identity() != builtin.Identity() {
 		t.Fatalf("identities differ: %s vs %s", fromFile.Identity(), builtin.Identity())
 	}
-	if full := Legacy(64, 4, 4, false); full.Name != "legacy" || full.TotalRequests() != 64 {
+	if full := Legacy(false); full.Name != "legacy" || full.TotalRequests() != 64 {
 		t.Fatalf("full-mode legacy spec wrong: %+v", full)
 	}
 }

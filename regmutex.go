@@ -272,15 +272,6 @@ func RenderTimeline(w io.Writer, events []TraceEvent, width int) {
 	obs.RenderTimeline(w, events, width)
 }
 
-// NewDevice builds a device for the kernel under the given policy; pass a
-// nil policy for the static baseline and nil global memory for a
-// zero-filled heap sized by the kernel.
-//
-// Deprecated: use New with a DeviceSpec and options.
-func NewDevice(cfg Config, t Timing, k *Kernel, pol Policy, global []uint64) (*Device, error) {
-	return sim.NewDevice(cfg, t, k, pol, global)
-}
-
 // NewMultiDevice co-schedules CTAs of several dissimilar kernels on the
 // same SMs. Per paper section IV, RegMutex does not support this mode:
 // kernels must carry no extended set (use Prepare, not Transform), and
