@@ -74,7 +74,7 @@ serve-smoke:
 # double-counted.
 chaos-smoke:
 	$(GO) test -race -count=1 -timeout 300s \
-		-run 'TestChaosMatrix|TestChaosKillInstanceMidJob|TestDrainReroutesWithoutDroppingInFlight|TestJournalFailoverReplay|TestRouterJournalCrashRestartAppendRestart' \
+		-run 'TestChaosMatrix|TestChaosKillInstanceMidJob|TestDrainReroutesWithoutDroppingInFlight|TestJournalFailoverReplay|TestRouterJournalCrashRestartAppendRestart|TestRouterJournalIDsNotReusedAfterRestart' \
 		./internal/cluster/
 
 # Compile a tiny seeded workload spec (two cohorts, two SLO classes)

@@ -21,15 +21,12 @@ package main
 
 import (
 	"bufio"
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"log/slog"
-	"net"
 	"net/http"
 	"os"
-	"os/signal"
 	"strings"
 	"syscall"
 	"time"
@@ -134,52 +131,12 @@ func serve(o options, addr string, drainWait time.Duration, ready chan<- string)
 		return err
 	}
 	svc.Start()
-
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		svc.Close()
-		return err
-	}
-	server := &http.Server{Handler: service.Handler(svc,
-		service.WithAccessLog(o.logger),
-		service.WithPprof(o.pprof))}
-	errc := make(chan error, 1)
-	go func() { errc <- server.Serve(ln) }()
-	o.logger.Info("listening",
-		"addr", ln.Addr().String(),
+	h := service.Handler(svc, service.WithAccessLog(o.logger), service.WithPprof(o.pprof))
+	return service.Serve(o.logger, addr, h, svc, drainWait, ready,
 		"workers", o.cfg.Workers,
 		"queue", o.cfg.QueueDepth,
 		"memo", o.cfg.MemoLimit,
 		"pprof", o.pprof)
-	if ready != nil {
-		ready <- ln.Addr().String()
-	}
-
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)
-	select {
-	case err := <-errc:
-		svc.Close()
-		return err
-	case sig := <-sigc:
-		o.logger.Info("draining", "signal", sig.String(), "max_wait", drainWait.String())
-	}
-
-	// Drain: accepted jobs finish, new submissions see 503. The HTTP
-	// server keeps answering so clients can collect their results, then
-	// shuts down once the service is idle.
-	drainCtx, cancel := context.WithTimeout(context.Background(), drainWait)
-	defer cancel()
-	drainErr := svc.Drain(drainCtx)
-	shutCtx, cancel2 := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel2()
-	server.Shutdown(shutCtx)
-	if drainErr != nil {
-		svc.Close() // journalled unfinished jobs replay on restart
-		return drainErr
-	}
-	o.logger.Info("drained cleanly")
-	return nil
 }
 
 // runSelftest boots the daemon on a loopback port, drives one job

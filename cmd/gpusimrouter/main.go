@@ -24,7 +24,6 @@ package main
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -33,7 +32,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"os/signal"
 	"strings"
 	"syscall"
 	"time"
@@ -134,44 +132,9 @@ func serve(o options, addr string, drainWait time.Duration, ready chan<- string)
 		return err
 	}
 	r.Start()
-
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		r.Close()
-		return err
-	}
-	server := &http.Server{Handler: cluster.Handler(r, cluster.WithAccessLog(o.logger))}
-	errc := make(chan error, 1)
-	go func() { errc <- server.Serve(ln) }()
-	o.logger.Info("listening",
-		"addr", ln.Addr().String(),
+	h := cluster.Handler(r, service.WithAccessLog(o.logger))
+	return service.Serve(o.logger, addr, h, r, drainWait, ready,
 		"instances", len(o.cfg.Instances))
-	if ready != nil {
-		ready <- ln.Addr().String()
-	}
-
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)
-	select {
-	case err := <-errc:
-		r.Close()
-		return err
-	case sig := <-sigc:
-		o.logger.Info("draining", "signal", sig.String(), "max_wait", drainWait.String())
-	}
-
-	drainCtx, cancel := context.WithTimeout(context.Background(), drainWait)
-	defer cancel()
-	drainErr := r.Drain(drainCtx)
-	shutCtx, cancel2 := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel2()
-	server.Shutdown(shutCtx)
-	if drainErr != nil {
-		r.Close() // journalled unfinished jobs replay on the next start
-		return drainErr
-	}
-	o.logger.Info("drained cleanly")
-	return nil
 }
 
 // fleetInstance is one in-process gpusimd the selftest boots.

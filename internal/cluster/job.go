@@ -3,42 +3,28 @@ package cluster
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"regmutex/internal/service"
 )
 
-// Job is one submission accepted by the router. It mirrors the instance
-// job's lifecycle (queued -> running -> done|failed|canceled) one level
-// up, with its own event buffer so a client streaming from the router
-// sees a stable, resumable sequence no matter how many instance
-// failovers happen underneath.
+// Job is one submission accepted by the router: the instance job's
+// lifecycle (service.Lifecycle — state, outcome, and its own event log,
+// so a client streaming from the router sees a stable, resumable
+// sequence no matter how many instance failovers happen underneath)
+// plus where the job is placed.
 type Job struct {
-	ID  string
-	Req service.SubmitRequest
-	FP  uint64
+	*service.Lifecycle
+	FP uint64
 
-	// trace / parentSpan tie the routing spans to the client's
-	// distributed trace (the router job ID when none was supplied);
 	// routeSpan is the root span every attempt/backoff/failover span of
 	// this job parents under.
-	trace      string
-	parentSpan string
-	routeSpan  string
+	routeSpan string
 
-	mu         sync.Mutex
-	state      string
-	instance   string // current / final placement (name)
-	remoteID   string // job ID on that instance
-	attempts   int    // instances tried
-	coalesced  bool   // served by router-side single-flight or remote memo
-	err        *service.ErrorBody
-	result     *service.JobResult
-	acceptedAt time.Time
-	events     []service.Event
-	changed    chan struct{}
-	done       chan struct{}
-	canceled   bool
+	mu       sync.Mutex
+	instance string // current / final placement (name)
+	remoteID string // job ID on that instance
+	attempts int    // instances tried
+	canceled bool
 }
 
 // JobView is the router's JSON shape for a job.
@@ -55,65 +41,7 @@ type JobView struct {
 }
 
 func newJob(id string, req service.SubmitRequest) *Job {
-	j := &Job{
-		ID:         id,
-		Req:        req,
-		FP:         req.Fingerprint(),
-		trace:      req.TraceID,
-		parentSpan: req.TraceParent,
-		state:      service.StateQueued,
-		acceptedAt: time.Now(),
-		changed:    make(chan struct{}),
-		done:       make(chan struct{}),
-	}
-	if j.trace == "" {
-		j.trace = id
-	}
-	j.events = append(j.events, service.Event{Seq: 0, Type: "state", State: service.StateQueued})
-	return j
-}
-
-func terminal(state string) bool {
-	return state == service.StateDone || state == service.StateFailed || state == service.StateCanceled
-}
-
-// publish appends an event (re-sequenced into this job's buffer) and
-// wakes every watcher.
-func (j *Job) publish(ev service.Event) {
-	j.mu.Lock()
-	ev.Seq = len(j.events)
-	j.events = append(j.events, ev)
-	close(j.changed)
-	j.changed = make(chan struct{})
-	j.mu.Unlock()
-}
-
-// setState transitions the job; terminal states are sticky.
-func (j *Job) setState(state string, err *service.ErrorBody, result *service.JobResult) bool {
-	j.mu.Lock()
-	if terminal(j.state) {
-		j.mu.Unlock()
-		return false
-	}
-	j.state = state
-	if err != nil {
-		j.err = err
-	}
-	if result != nil {
-		j.result = result
-	}
-	ev := service.Event{Seq: len(j.events), Type: "state", State: state}
-	if err != nil {
-		ev.Msg = err.Message
-	}
-	j.events = append(j.events, ev)
-	close(j.changed)
-	j.changed = make(chan struct{})
-	if terminal(state) {
-		close(j.done)
-	}
-	j.mu.Unlock()
-	return true
+	return &Job{Lifecycle: service.NewLifecycle(id, req), FP: req.Fingerprint()}
 }
 
 // assign records a placement attempt and publishes it as a log event so
@@ -124,20 +52,14 @@ func (j *Job) assign(instance, remoteID string) {
 	j.attempts++
 	n := j.attempts
 	j.mu.Unlock()
-	j.publish(service.Event{Type: "log",
+	j.Publish(service.Event{Type: "log",
 		Msg: fmt.Sprintf("routed to %s as %s (attempt %d)", instance, remoteID, n)})
 }
 
-func (j *Job) placement() (instance, remoteID string) {
+func (j *Job) placement() (instance, remoteID string, attempts int) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.instance, j.remoteID
-}
-
-func (j *Job) setCoalesced() {
-	j.mu.Lock()
-	j.coalesced = true
-	j.mu.Unlock()
+	return j.instance, j.remoteID, j.attempts
 }
 
 // markCanceled flags client intent; the routing goroutine observes it
@@ -154,54 +76,19 @@ func (j *Job) isCanceled() bool {
 	return j.canceled
 }
 
-// State returns the job's current state.
-func (j *Job) State() string {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.state
-}
-
-// Done is closed when the job reaches a terminal state.
-func (j *Job) Done() <-chan struct{} { return j.done }
-
-// Result returns the terminal result and error (nil while running).
-func (j *Job) Result() (*service.JobResult, *service.ErrorBody) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.result, j.err
-}
-
 // View snapshots the job for JSON serving.
 func (j *Job) View() JobView {
-	j.mu.Lock()
-	defer j.mu.Unlock()
+	instance, remoteID, attempts := j.placement()
+	st := j.Status()
 	return JobView{
 		ID:          j.ID,
-		State:       j.state,
+		State:       st.State,
 		Fingerprint: fmt.Sprintf("%016x", j.FP),
-		Instance:    j.instance,
-		RemoteID:    j.remoteID,
-		Attempts:    j.attempts,
-		Coalesced:   j.coalesced,
-		Error:       j.err,
-		Result:      j.result,
+		Instance:    instance,
+		RemoteID:    remoteID,
+		Attempts:    attempts,
+		Coalesced:   st.Coalesced,
+		Error:       st.Err,
+		Result:      st.Result,
 	}
 }
-
-// EventsSince returns every event with Seq >= since plus the broadcast
-// channel — the same long-poll primitive the instance jobs use, so the
-// router's SSE handler can share the resume semantics.
-func (j *Job) EventsSince(since int) ([]service.Event, <-chan struct{}) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	var out []service.Event
-	if since < len(j.events) {
-		out = append(out, j.events[since:]...)
-	}
-	return out, j.changed
-}
-
-func (j *Job) age() time.Duration { return time.Since(j.acceptedAt) }
-
-// Trace returns the job's trace ID.
-func (j *Job) Trace() string { return j.trace }

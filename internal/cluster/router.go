@@ -113,41 +113,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// journalRecord is one line of the router's failover-replay journal:
-// an "accept" per admitted job, an "assign" per instance placement, a
-// "finish" per terminal state. Re-routing an accepted job with no
-// finish record is safe because the end state dedups by fingerprint: if
-// the original instance completed the job, affinity routing sends the
-// replay to the same instance and the memo answers from cache; if the
-// instance died, the replay is a fresh simulation elsewhere.
-type journalRecord struct {
-	Op       string                 `json:"op"` // "accept" | "assign" | "finish"
-	ID       string                 `json:"id"`
-	FP       string                 `json:"fp,omitempty"` // hex fingerprint (accept)
-	Req      *service.SubmitRequest `json:"req,omitempty"`
-	Instance string                 `json:"instance,omitempty"` // assign only
-	RemoteID string                 `json:"remote_id,omitempty"`
-	End      string                 `json:"state,omitempty"` // finish only
-}
-
-// pendingJobs folds the record list into accepted-but-unfinished jobs in
-// acceptance order — the replay set.
-func pendingJobs(records []journalRecord) []journalRecord {
-	finished := make(map[string]bool)
-	for _, rec := range records {
-		if rec.Op == "finish" {
-			finished[rec.ID] = true
-		}
-	}
-	var out []journalRecord
-	for _, rec := range records {
-		if rec.Op == "accept" && !finished[rec.ID] && rec.Req != nil {
-			out = append(out, rec)
-		}
-	}
-	return out
-}
-
 // Router routes jobs across gpusimd instances and survives their
 // failures. Build with New, call Start, serve Handler.
 type Router struct {
@@ -155,16 +120,23 @@ type Router struct {
 	insts       []*instance
 	client      *client
 	probeClient *http.Client
-	journal     *jsonl.Log[journalRecord]
-	metrics     *obs.Registry
-	spans       *obs.SpanRecorder
-	log         *slog.Logger
+	// journal is the failover-replay journal: an "accept" per admitted
+	// job, an "assign" per instance placement, a "finish" per terminal
+	// state. Re-routing an accepted job with no finish record is safe
+	// because the end state dedups by fingerprint: if the original
+	// instance completed the job, affinity routing sends the replay to
+	// the same instance and the memo answers from cache; if the instance
+	// died, the replay is a fresh simulation elsewhere.
+	journal *jsonl.Log[service.JournalRecord]
+	metrics *obs.Registry
+	spans   *obs.SpanRecorder
+	log     *slog.Logger
+
+	jobs *service.JobTable[*Job]
 
 	mu      sync.Mutex
-	jobs    map[string]*Job
 	flights map[uint64]*Job // fingerprint -> live primary (single-flight)
-	nextID  int64
-	replays []*Job // journal-replayed jobs launched by Start
+	replays []*Job          // journal-replayed jobs launched by Start
 
 	draining atomic.Bool
 	stop     chan struct{}
@@ -185,7 +157,7 @@ func New(cfg Config) (*Router, error) {
 		log = obs.NopLogger()
 	}
 	log = log.With("subsystem", "cluster")
-	jn, records, err := jsonl.Open[journalRecord](cfg.JournalPath, !cfg.JournalNoSync, log)
+	jn, records, err := jsonl.Open[service.JournalRecord](cfg.JournalPath, !cfg.JournalNoSync, log)
 	if err != nil {
 		return nil, fmt.Errorf("router journal %w", err)
 	}
@@ -196,7 +168,7 @@ func New(cfg Config) (*Router, error) {
 		metrics:     obs.NewRegistry(),
 		spans:       obs.NewSpanRecorder(cfg.SpanCap, "r"),
 		log:         log,
-		jobs:        make(map[string]*Job),
+		jobs:        service.NewJobTable[*Job]("r"),
 		flights:     make(map[uint64]*Job),
 		stop:        make(chan struct{}),
 	}
@@ -233,29 +205,15 @@ func New(cfg Config) (*Router, error) {
 		r.metrics.Counter(name)
 	}
 	r.metrics.Histogram("cluster.route_e2e_seconds")
-	for _, rec := range pendingJobs(records) {
-		j := r.trackReplayed(rec.ID, *rec.Req)
-		r.replays = append(r.replays, j)
+	r.replays = r.jobs.Replay(records, func(rec service.JournalRecord, _ int64) *Job {
+		return newJob(rec.ID, *rec.Req)
+	})
+	for _, j := range r.replays {
+		if _, dup := r.flights[j.FP]; !dup {
+			r.flights[j.FP] = j
+		}
 	}
 	return r, nil
-}
-
-// trackReplayed registers a journal-replayed job under its original ID
-// and bumps nextID past it.
-func (r *Router) trackReplayed(id string, req service.SubmitRequest) *Job {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.nextID++
-	var n int64
-	if _, err := fmt.Sscanf(id, "r%d", &n); err == nil && n >= r.nextID {
-		r.nextID = n + 1
-	}
-	j := newJob(id, req)
-	r.jobs[id] = j
-	if _, dup := r.flights[j.FP]; !dup {
-		r.flights[j.FP] = j
-	}
-	return j
 }
 
 // Start performs an initial synchronous probe round (so the first
@@ -290,7 +248,7 @@ func (r *Router) launch(j *Job) {
 	j.routeSpan = r.spans.NextID() // before any goroutine can read it
 	r.mu.Lock()
 	primary, dup := r.flights[j.FP]
-	if !dup || primary == j || terminal(primary.State()) {
+	if !dup || primary == j || service.Terminal(primary.State()) {
 		r.flights[j.FP] = j
 		dup = false
 	}
@@ -298,17 +256,17 @@ func (r *Router) launch(j *Job) {
 	r.wg.Add(1)
 	if dup {
 		r.metrics.Counter("cluster.jobs_coalesced").Inc()
-		j.setCoalesced()
+		j.SetCoalesced()
 		go func() {
 			defer r.wg.Done()
 			select {
 			case <-primary.Done():
-				res, errB := primary.Result()
+				st := primary.Status()
 				var moved bool
-				if errB != nil {
-					moved = j.setState(service.StateFailed, errB, nil)
+				if st.Err != nil {
+					moved = j.SetState(service.StateFailed, st.Err, nil)
 				} else {
-					moved = j.setState(service.StateDone, nil, res)
+					moved = j.SetState(service.StateDone, nil, st.Result)
 				}
 				if moved {
 					r.finish(j)
@@ -334,17 +292,10 @@ func (r *Router) Submit(req service.SubmitRequest) (*Job, *service.ErrorBody) {
 		return nil, &service.ErrorBody{Code: service.CodeDraining, RetryAfterSec: 10,
 			Message: "router is draining"}
 	}
-	r.mu.Lock()
-	r.nextID++
-	id := fmt.Sprintf("r%06d", r.nextID)
-	j := newJob(id, req)
-	r.jobs[id] = j
-	r.mu.Unlock()
-	if err := r.journal.Append(journalRecord{Op: "accept", ID: id,
+	j := r.jobs.Mint(func(id string, _ int64) *Job { return newJob(id, req) })
+	if err := r.journal.Append(service.JournalRecord{Op: "accept", ID: j.ID,
 		FP: fmt.Sprintf("%016x", j.FP), Req: &req}); err != nil {
-		r.mu.Lock()
-		delete(r.jobs, id)
-		r.mu.Unlock()
+		r.jobs.Forget(j.ID)
 		return nil, service.JournalError(err)
 	}
 	r.metrics.Counter("cluster.jobs_accepted").Inc()
@@ -356,8 +307,9 @@ func (r *Router) Submit(req service.SubmitRequest) (*Job, *service.ErrorBody) {
 // job's root route span (accept to terminal, every failover included).
 func (r *Router) finish(j *Job) {
 	state := j.State()
-	r.journal.Append(journalRecord{Op: "finish", ID: j.ID, End: state})
-	r.metrics.Histogram("cluster.route_e2e_seconds").Observe(j.age().Seconds())
+	r.journal.Append(service.JournalRecord{Op: "finish", ID: j.ID, End: state})
+	accepted, _, _ := j.Times()
+	r.metrics.Histogram("cluster.route_e2e_seconds").Observe(time.Since(accepted).Seconds())
 	v0 := j.View()
 	note := state
 	if v0.Instance != "" {
@@ -367,14 +319,14 @@ func (r *Router) finish(j *Job) {
 		note += " coalesced"
 	}
 	r.spans.Record(obs.Span{
-		Trace:  j.trace,
+		Trace:  j.Trace(),
 		ID:     j.routeSpan,
-		Parent: j.parentSpan,
+		Parent: j.Req.TraceParent,
 		Stage:  obs.StageRoute,
 		Proc:   "router",
 		Class:  j.Req.SLOClass,
 		Note:   note,
-		Start:  j.acceptedAt,
+		Start:  accepted,
 		End:    time.Now(),
 	})
 	switch state {
@@ -390,9 +342,8 @@ func (r *Router) finish(j *Job) {
 		delete(r.flights, j.FP)
 	}
 	r.mu.Unlock()
-	v := j.View()
 	r.log.Info("job finished", "job", j.ID, "state", state,
-		"instance", v.Instance, "attempts", v.Attempts, "coalesced", v.Coalesced)
+		"instance", v0.Instance, "attempts", v0.Attempts, "coalesced", v0.Coalesced)
 }
 
 // route drives one primary job to a terminal state: pick an instance,
@@ -409,7 +360,7 @@ func (r *Router) route(j *Job) {
 	var lastErr *attemptError
 	for {
 		if j.isCanceled() {
-			if j.setState(service.StateCanceled,
+			if j.SetState(service.StateCanceled,
 				&service.ErrorBody{Code: service.CodeCanceled, Message: "canceled by client"}, nil) {
 				r.finish(j)
 			}
@@ -435,18 +386,18 @@ func (r *Router) route(j *Job) {
 		case outcomeDone:
 			in.breaker.success()
 			if view.Coalesced {
-				j.setCoalesced()
+				j.SetCoalesced()
 			}
 			var moved bool
 			if view.State == service.StateDone {
-				moved = j.setState(service.StateDone, nil, view.Result)
+				moved = j.SetState(service.StateDone, nil, view.Result)
 			} else {
 				body := view.Error
 				if body == nil {
 					body = &service.ErrorBody{Code: service.CodeSimFailed,
 						Message: fmt.Sprintf("instance %s reported state %q", in.name, view.State)}
 				}
-				moved = j.setState(service.StateFailed, body, nil)
+				moved = j.SetState(service.StateFailed, body, nil)
 			}
 			if moved {
 				r.finish(j)
@@ -458,12 +409,12 @@ func (r *Router) route(j *Job) {
 			if body == nil {
 				body = &service.ErrorBody{Code: service.CodeBadRequest, Message: ae.Error()}
 			}
-			if j.setState(service.StateFailed, body, nil) {
+			if j.SetState(service.StateFailed, body, nil) {
 				r.finish(j)
 			}
 			return
 		case outcomeCanceled:
-			if j.setState(service.StateCanceled,
+			if j.SetState(service.StateCanceled,
 				&service.ErrorBody{Code: service.CodeCanceled, Message: "canceled by client"}, nil) {
 				r.finish(j)
 			}
@@ -481,7 +432,7 @@ func (r *Router) route(j *Job) {
 			r.metrics.Counter("cluster.failovers").Inc()
 			now := time.Now()
 			r.spans.Record(obs.Span{
-				Trace:  j.trace,
+				Trace:  j.Trace(),
 				Parent: j.routeSpan,
 				Stage:  obs.StageFailover,
 				Proc:   "router",
@@ -499,15 +450,11 @@ func (r *Router) route(j *Job) {
 	if lastErr != nil {
 		msg += ": last error: " + lastErr.Error()
 	}
-	if j.setState(service.StateFailed,
-		&service.ErrorBody{Code: CodeUnavailable, Message: msg}, nil) {
+	if j.SetState(service.StateFailed,
+		&service.ErrorBody{Code: service.CodeUnavailable, Message: msg}, nil) {
 		r.finish(j)
 	}
 }
-
-// CodeUnavailable is the router's terminal error code when every
-// placement attempt failed — the fleet-level analogue of a 503.
-const CodeUnavailable = "cluster_unavailable"
 
 // pickFor returns the best routable instance for a fingerprint,
 // excluding instances already tried (and failed) for this job.
@@ -549,14 +496,14 @@ func (r *Router) attemptOn(ctx context.Context, in *instance, j *Job) (view *ser
 	// its backoff sleeps with it.
 	attemptID := r.spans.NextID()
 	t0 := time.Now()
-	ctx = obs.WithTraceContext(ctx, j.trace, attemptID)
+	ctx = obs.WithTraceContext(ctx, j.Trace(), attemptID)
 	defer func() {
 		note := in.name
 		if aerr != nil {
 			note += ": " + aerr.Error()
 		}
 		r.spans.Record(obs.Span{
-			Trace:  j.trace,
+			Trace:  j.Trace(),
 			ID:     attemptID,
 			Parent: j.routeSpan,
 			Stage:  obs.StageAttempt,
@@ -585,8 +532,8 @@ func (r *Router) attemptOn(ctx context.Context, in *instance, j *Job) (view *ser
 		}
 	}
 	j.assign(in.name, accepted.ID)
-	j.setState(service.StateRunning, nil, nil)
-	r.journal.Append(journalRecord{Op: "assign", ID: j.ID, Instance: in.name, RemoteID: accepted.ID})
+	j.SetState(service.StateRunning, nil, nil)
+	r.journal.Append(service.JournalRecord{Op: "assign", ID: j.ID, Instance: in.name, RemoteID: accepted.ID})
 
 	if err := r.followEvents(ctx, in, accepted.ID, j); err != nil {
 		if j.isCanceled() {
@@ -599,7 +546,7 @@ func (r *Router) attemptOn(ctx context.Context, in *instance, j *Job) (view *ser
 	if ae := r.client.do(ctx, "GET", in.base+"/v1/jobs/"+accepted.ID, nil, &final); ae != nil {
 		return nil, outcomeInstanceFailure, ae
 	}
-	if !terminal(final.State) {
+	if !service.Terminal(final.State) {
 		// The stream said terminal but the view disagrees — treat as an
 		// instance fault rather than trusting a half-written answer.
 		return nil, outcomeInstanceFailure,
@@ -615,20 +562,18 @@ func (r *Router) cancelRemote(in *instance, remoteID string) {
 	r.client.attempt(ctx, "DELETE", in.base+"/v1/jobs/"+remoteID, nil, nil)
 }
 
-// Job looks a router job up by ID.
+// Job looks a router job up by ID (nil when unknown).
 func (r *Router) Job(id string) *Job {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.jobs[id]
+	j, _ := r.jobs.Get(id)
+	return j
 }
 
 // Jobs snapshots every tracked job.
 func (r *Router) Jobs() []JobView {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]JobView, 0, len(r.jobs))
-	for _, j := range r.jobs {
-		out = append(out, j.View())
+	all := r.jobs.All()
+	out := make([]JobView, len(all))
+	for i, j := range all {
+		out[i] = j.View()
 	}
 	return out
 }
@@ -642,12 +587,12 @@ func (r *Router) Cancel(id string) (*Job, bool) {
 		return nil, false
 	}
 	j.markCanceled()
-	if in, remote := j.placement(); remote != "" {
+	if in, remote, _ := j.placement(); remote != "" {
 		if inst := r.instanceByName(in); inst != nil {
 			r.cancelRemote(inst, remote)
 		}
 	}
-	if j.setState(service.StateCanceled,
+	if j.SetState(service.StateCanceled,
 		&service.ErrorBody{Code: service.CodeCanceled, Message: "canceled by client"}, nil) {
 		r.finish(j)
 	}
@@ -772,31 +717,7 @@ func (r *Router) Draining() bool { return r.draining.Load() }
 // an error and leaves the journal for the next router to replay.
 func (r *Router) Drain(ctx context.Context) error {
 	r.draining.Store(true)
-	tick := time.NewTicker(5 * time.Millisecond)
-	defer tick.Stop()
-	for {
-		if r.unfinished() == 0 {
-			r.Close()
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			return fmt.Errorf("router drain: %w (%d job(s) unfinished)", ctx.Err(), r.unfinished())
-		case <-tick.C:
-		}
-	}
-}
-
-func (r *Router) unfinished() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := 0
-	for _, j := range r.jobs {
-		if !terminal(j.State()) {
-			n++
-		}
-	}
-	return n
+	return r.jobs.Drain(ctx, r.Close)
 }
 
 // Close stops the probe loop and closes the journal. Routing goroutines

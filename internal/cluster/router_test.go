@@ -633,7 +633,7 @@ func TestJournalFailoverReplay(t *testing.T) {
 	// Give routing a moment to fail against the dead instance, then
 	// crash the router with the job unfinished.
 	time.Sleep(50 * time.Millisecond)
-	if terminal(j1.State()) {
+	if service.Terminal(j1.State()) {
 		t.Fatalf("job unexpectedly terminal against a dead fleet: %s", j1.State())
 	}
 	r1.Close()
@@ -717,7 +717,7 @@ func TestRouterJournalCrashRestartAppendRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, torn, err := jsonl.Read[journalRecord](bytes.NewReader(data))
+	recs, torn, err := jsonl.Read[service.JournalRecord](bytes.NewReader(data))
 	if err != nil || torn != 0 {
 		t.Fatalf("journal after restarts: torn=%d err=%v", torn, err)
 	}
@@ -729,6 +729,64 @@ func TestRouterJournalCrashRestartAppendRestart(t *testing.T) {
 	}
 	if len(accepts) != 2 {
 		t.Fatalf("accept records %v, want one per submitted job", accepts)
+	}
+}
+
+// TestRouterJournalIDsNotReusedAfterRestart: router IDs are never
+// reused across restarts. After a restart with nothing pending, a new
+// job must not take the finished job's ID — or a crash before it
+// finishes would let the old finish record hide it from the replay.
+func TestRouterJournalIDsNotReusedAfterRestart(t *testing.T) {
+	jpath := t.TempDir() + "/router.jsonl"
+	fleet := startFleet(t, []chaos.Schedule{chaos.Clean}, 0)
+	cfg := testRouterConfig(fleetURLs(fleet))
+	cfg.JournalPath = jpath
+	req := service.SubmitRequest{Workload: "bfs", Policy: "static", Scale: 8, SMs: 2}
+
+	r1, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r1.Start()
+	a, body := r1.Submit(req)
+	if body != nil {
+		t.Fatal(body)
+	}
+	if v := waitRouterJob(t, a, 90*time.Second); v.State != service.StateDone {
+		t.Fatalf("first job state = %q", v.State)
+	}
+	r1.Close()
+
+	// The second router never starts routing (its only instance is a
+	// closed port), so its job is accepted and journaled but unfinished
+	// when it "crashes".
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadCfg := testRouterConfig([]string{"http://" + ln.Addr().String()})
+	ln.Close()
+	deadCfg.JournalPath = jpath
+	r2, err := New(deadCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, body := r2.Submit(req)
+	if body != nil {
+		t.Fatal(body)
+	}
+	r2.Close()
+
+	if a.ID != "r000001" || b.ID != "r000002" {
+		t.Fatalf("IDs across a restart = %s, %s; want r000001, r000002", a.ID, b.ID)
+	}
+	r3, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r3.Close()
+	if len(r3.replays) != 1 || r3.replays[0].ID != b.ID {
+		t.Fatalf("replays = %d job(s), want exactly the unfinished %s", len(r3.replays), b.ID)
 	}
 }
 

@@ -111,9 +111,9 @@ func (r *Router) streamOnce(ctx context.Context, in *instance, remoteID string, 
 				// Forward progress into the router job's buffer; the
 				// publish re-sequences, so router watchers see their own
 				// monotonic IDs regardless of failovers underneath.
-				j.publish(ev)
+				j.Publish(ev)
 			case "state":
-				if terminal(ev.State) {
+				if service.Terminal(ev.State) {
 					return true, nil
 				}
 			}

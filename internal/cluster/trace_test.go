@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -113,6 +114,98 @@ func TestReadyzNamesOpenBreakers(t *testing.T) {
 	r.Cancel(j.ID) // stop the routing loop from burning its full JobTimeout
 }
 
+// lockedBuffer is a goroutine-safe access-log sink: the HTTP server
+// writes from handler goroutines while the test reads.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestRouterRequestIDAndMetrics: the router serves its API through the
+// instance's telemetry middleware, so it echoes an inbound X-Request-Id,
+// mints one otherwise, logs each in its access-log line, and exposes the
+// instance's http.* series. The middleware's request ID does not become
+// the trace: a submit without headers is traced under the router job ID.
+func TestRouterRequestIDAndMetrics(t *testing.T) {
+	fleet := startFleet(t, []chaos.Schedule{chaos.Clean}, 0)
+	r := startRouter(t, testRouterConfig(fleetURLs(fleet)))
+	var logs lockedBuffer
+	logger, err := obs.NewLogger(&logs, obs.LogJSON, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(Handler(r, service.WithAccessLog(logger)))
+	defer ts.Close()
+
+	req, _ := http.NewRequest("GET", ts.URL+"/healthz", nil)
+	req.Header.Set("X-Request-Id", "caller-supplied-9")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if got := resp.Header.Get("X-Request-Id"); got != "caller-supplied-9" {
+		t.Fatalf("X-Request-Id = %q, want the inbound value", got)
+	}
+
+	resp, err = http.Post(ts.URL+"/v1/jobs?wait=1", "application/json",
+		strings.NewReader(`{"workload":"bfs","policy":"static","scale":8,"sms":2}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var view JobView
+	json.NewDecoder(resp.Body).Decode(&view)
+	resp.Body.Close()
+	minted := resp.Header.Get("X-Request-Id")
+	if minted == "" || minted == "caller-supplied-9" {
+		t.Fatalf("submit X-Request-Id = %q, want a freshly minted ID", minted)
+	}
+	if view.State != service.StateDone {
+		t.Fatalf("job state %q (error %+v)", view.State, view.Error)
+	}
+	if got := r.Job(view.ID).Trace(); got != view.ID {
+		t.Fatalf("trace of a header-less submit = %q, want the router job ID %s", got, view.ID)
+	}
+	out := logs.String()
+	for _, id := range []string{"caller-supplied-9", minted} {
+		if !strings.Contains(out, `"request_id":"`+id+`"`) {
+			t.Errorf("access log missing request_id %q:\n%s", id, out)
+		}
+	}
+
+	resp, err = http.Get(ts.URL + "/metrics?format=prometheus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	for _, want := range []string{
+		"# TYPE http_latency_v1_jobs_submit histogram",
+		`http_latency_v1_jobs_submit_count{name="http.latency.v1_jobs_submit"} 1`,
+		"# TYPE http_in_flight gauge",
+		`cluster_jobs_done{name="cluster.jobs_done"} 1`,
+	} {
+		if !strings.Contains(string(body), want) {
+			t.Errorf("router prometheus exposition missing %q", want)
+		}
+	}
+	if t.Failed() {
+		t.Logf("exposition:\n%s", body)
+	}
+}
+
 // TestFleetTraceGolden is the span-layer end-to-end gate: a 2-instance
 // fleet where every instance resets the first two /v1/jobs exchanges, so
 // the one client job fails over (with retries and backoff) before it
@@ -167,14 +260,37 @@ func TestFleetTraceGolden(t *testing.T) {
 		}
 	}
 
-	// The raw merged spans carry the whole retry tree.
-	resp, err = http.Get(ts.URL + "/v1/traces/" + trace + "?format=spans")
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The raw merged spans carry the whole retry tree. The instance
+	// records its stream span when its SSE handler returns, which can
+	// be after the router's ?wait=1 reply, so poll (bounded) until all
+	// four instance stages have landed.
+	instanceStages := []string{obs.StageAccept, obs.StageQueue, obs.StageRun, obs.StageStream}
 	var spans []obs.Span
-	json.NewDecoder(resp.Body).Decode(&spans)
-	resp.Body.Close()
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		spans = nil
+		resp, err = http.Get(ts.URL + "/v1/traces/" + trace + "?format=spans")
+		if err != nil {
+			t.Fatal(err)
+		}
+		json.NewDecoder(resp.Body).Decode(&spans)
+		resp.Body.Close()
+		seen := map[string]bool{}
+		for _, sp := range spans {
+			seen[sp.Stage] = true
+		}
+		missing := ""
+		for _, stage := range instanceStages {
+			if !seen[stage] {
+				missing = stage
+			}
+		}
+		if missing == "" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("missing instance %s span after 10s: %+v", missing, spans)
+		}
+	}
 	count := map[string]int{}
 	var route obs.Span
 	var stageSum time.Duration
@@ -195,11 +311,6 @@ func TestFleetTraceGolden(t *testing.T) {
 	}
 	if count[obs.StageAttempt] < 2 || count[obs.StageFailover] < 1 || count[obs.StageBackoff] < 1 {
 		t.Fatalf("retry tree incomplete: %+v", count)
-	}
-	for _, stage := range []string{obs.StageAccept, obs.StageQueue, obs.StageRun, obs.StageStream} {
-		if count[stage] == 0 {
-			t.Fatalf("missing instance %s span: %+v", stage, count)
-		}
 	}
 
 	// Conservation: the instance stages fit inside the route span, and

@@ -266,7 +266,7 @@ func TestRouterJournalTornTailAndReplaySet(t *testing.T) {
 	path := t.TempDir() + "/router.jsonl"
 	req := &service.SubmitRequest{Workload: "bfs", Policy: "static"}
 	var buf bytes.Buffer
-	for _, rec := range []journalRecord{
+	for _, rec := range []service.JournalRecord{
 		{Op: "accept", ID: "r000001", FP: "01", Req: req},
 		{Op: "accept", ID: "r000002", FP: "02", Req: req},
 		{Op: "assign", ID: "r000001", Instance: "a:1", RemoteID: "j000001"},

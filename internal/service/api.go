@@ -163,6 +163,9 @@ const (
 	CodeCanceled          = "canceled"
 	CodeInternal          = "internal"
 	CodeTooLarge          = "too_large"
+	// CodeUnavailable is the router's terminal code when every placement
+	// attempt failed — the fleet-level analogue of a 503.
+	CodeUnavailable = "cluster_unavailable"
 )
 
 // JournalError is the typed refusal for a submission whose accept

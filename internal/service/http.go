@@ -15,7 +15,8 @@ import (
 	"regmutex/internal/obs"
 )
 
-// HandlerOption tunes the HTTP surface built by Handler.
+// HandlerOption tunes the HTTP surface NewMux builds — the same options
+// for gpusimd's Handler and the router's cluster.Handler.
 type HandlerOption func(*handlerConfig)
 
 type handlerConfig struct {
@@ -47,6 +48,63 @@ func WithSSEKeepalive(d time.Duration) HandlerOption {
 	}
 }
 
+// Mux is the HTTP surface both tiers serve the job API on: every route
+// runs through the telemetry middleware over one registry, and the SSE
+// and /metrics handlers are shared, so gpusimd and gpusimrouter speak
+// the same wire format and expose the same http.* series. Options
+// (access log, pprof, SSE keepalive) apply to either tier alike.
+type Mux struct {
+	mux       *http.ServeMux
+	in        *instrument
+	keepalive time.Duration
+}
+
+// NewMux builds an empty surface whose middleware records into reg.
+func NewMux(reg *obs.Registry, opts ...HandlerOption) *Mux {
+	cfg := handlerConfig{log: obs.NopLogger(), keepalive: 15 * time.Second}
+	for _, o := range opts {
+		o(&cfg)
+	}
+	m := &Mux{mux: http.NewServeMux(), in: newInstrument(reg, cfg.log), keepalive: cfg.keepalive}
+	if cfg.pprof {
+		m.mux.HandleFunc("/debug/pprof/", pprof.Index)
+		m.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+		m.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+		m.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+		m.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	}
+	return m
+}
+
+func (m *Mux) ServeHTTP(w http.ResponseWriter, r *http.Request) { m.mux.ServeHTTP(w, r) }
+
+// Route mounts h at pattern behind the middleware; its latency and
+// request series carry the route label.
+func (m *Mux) Route(pattern, route string, h http.HandlerFunc) {
+	m.mux.HandleFunc(pattern, m.in.wrap(route, h))
+}
+
+// RouteMetrics mounts GET /metrics over the middleware's registry
+// (?format=csv|prometheus, JSON by default), calling refresh before
+// every snapshot so scrape-time gauges are current.
+func (m *Mux) RouteMetrics(refresh func()) {
+	reg := m.in.reg
+	m.Route("GET /metrics", "metrics", func(w http.ResponseWriter, r *http.Request) {
+		refresh()
+		switch r.URL.Query().Get("format") {
+		case "csv":
+			w.Header().Set("Content-Type", "text/csv")
+			reg.Snapshot().WriteCSV(w)
+		case "prometheus":
+			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+			reg.WritePrometheus(w)
+		default:
+			w.Header().Set("Content-Type", "application/json")
+			reg.Snapshot().WriteJSON(w)
+		}
+	})
+}
+
 // Handler builds the gpusimd HTTP surface over s:
 //
 //	POST   /v1/jobs             submit (202; ?wait=1 blocks for the result,
@@ -73,39 +131,45 @@ func WithSSEKeepalive(d time.Duration) HandlerOption {
 // in-flight and status-class series land in s.Metrics(), and each
 // request emits one structured access-log line.
 func Handler(s *Service, opts ...HandlerOption) http.Handler {
-	cfg := handlerConfig{log: obs.NopLogger(), keepalive: 15 * time.Second}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	in := newInstrument(s.Metrics(), cfg.log)
-	mux := http.NewServeMux()
-	handle := func(pattern, route string, h http.HandlerFunc) {
-		mux.HandleFunc(pattern, in.wrap(route, h))
-	}
-	handle("POST /v1/jobs", "v1_jobs_submit", func(w http.ResponseWriter, r *http.Request) { handleSubmit(s, w, r) })
-	handle("GET /v1/jobs", "v1_jobs_list", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, s.Jobs())
+	m := NewMux(s.Metrics(), opts...)
+	m.Route("POST /v1/jobs", "v1_jobs_submit", func(w http.ResponseWriter, r *http.Request) { handleSubmit(s, w, r) })
+	m.Route("GET /v1/jobs", "v1_jobs_list", func(w http.ResponseWriter, r *http.Request) {
+		WriteJSON(w, http.StatusOK, s.Jobs())
 	})
-	handle("GET /v1/jobs/{id}", "v1_jobs_get", func(w http.ResponseWriter, r *http.Request) {
+	m.Route("GET /v1/jobs/{id}", "v1_jobs_get", func(w http.ResponseWriter, r *http.Request) {
 		j := s.Job(r.PathValue("id"))
 		if j == nil {
-			writeError(w, &ErrorBody{Code: CodeNotFound, Message: "no such job"})
+			WriteError(w, ErrNoSuchJob)
 			return
 		}
-		writeJSON(w, http.StatusOK, j.View())
+		WriteJSON(w, http.StatusOK, j.View())
 	})
-	handle("DELETE /v1/jobs/{id}", "v1_jobs_cancel", func(w http.ResponseWriter, r *http.Request) {
+	m.Route("DELETE /v1/jobs/{id}", "v1_jobs_cancel", func(w http.ResponseWriter, r *http.Request) {
 		j, ok := s.Cancel(r.PathValue("id"))
 		if !ok {
-			writeError(w, &ErrorBody{Code: CodeNotFound, Message: "no such job"})
+			WriteError(w, ErrNoSuchJob)
 			return
 		}
-		writeJSON(w, http.StatusOK, j.View())
+		WriteJSON(w, http.StatusOK, j.View())
 	})
-	handle("GET /v1/jobs/{id}/events", "v1_jobs_events", func(w http.ResponseWriter, r *http.Request) {
-		handleEvents(s, w, r, cfg.keepalive)
+	m.Route("GET /v1/jobs/{id}/events", "v1_jobs_events", func(w http.ResponseWriter, r *http.Request) {
+		j := s.Job(r.PathValue("id"))
+		if j == nil {
+			WriteError(w, ErrNoSuchJob)
+			return
+		}
+		m.ServeEvents(w, r, j.Lifecycle, func(attached time.Time) {
+			// Stream stage: the delivery tail from job finish (or
+			// stream attach, if the watcher arrived later) to the
+			// final flush of the terminal frame.
+			_, _, finished := j.Times()
+			if attached.After(finished) {
+				finished = attached
+			}
+			s.recordSpan(j, obs.StageStream, finished, time.Now(), "sse")
+		})
 	})
-	handle("GET /v1/spans", "v1_spans", func(w http.ResponseWriter, r *http.Request) {
+	m.Route("GET /v1/spans", "v1_spans", func(w http.ResponseWriter, r *http.Request) {
 		// The fleet-trace exporter's per-instance feed: lifecycle spans,
 		// optionally filtered to one trace (?trace=ID). Always a JSON
 		// array (empty when the ring holds nothing for the trace).
@@ -113,9 +177,9 @@ func Handler(s *Service, opts ...HandlerOption) http.Handler {
 		if spans == nil {
 			spans = []obs.Span{}
 		}
-		writeJSON(w, http.StatusOK, spans)
+		WriteJSON(w, http.StatusOK, spans)
 	})
-	handle("GET /healthz", "healthz", func(w http.ResponseWriter, r *http.Request) {
+	m.Route("GET /healthz", "healthz", func(w http.ResponseWriter, r *http.Request) {
 		// Liveness: the process is up and answering — 200 even while
 		// draining, with a body that says which. Load balancers that must
 		// stop routing use /readyz.
@@ -123,11 +187,11 @@ func Handler(s *Service, opts ...HandlerOption) http.Handler {
 		if s.Draining() {
 			status = "draining"
 		}
-		writeJSON(w, http.StatusOK, map[string]any{
+		WriteJSON(w, http.StatusOK, map[string]any{
 			"status": status, "queued": s.QueueLen(),
 		})
 	})
-	handle("GET /readyz", "readyz", func(w http.ResponseWriter, r *http.Request) {
+	m.Route("GET /readyz", "readyz", func(w http.ResponseWriter, r *http.Request) {
 		// The body doubles as the fleet router's load probe: queue depth,
 		// running jobs, and memo size feed its weighted instance scoring,
 		// so readiness and load travel in one request.
@@ -140,33 +204,13 @@ func Handler(s *Service, opts ...HandlerOption) http.Handler {
 		if s.Draining() {
 			body["status"] = "draining"
 			w.Header().Set("Retry-After", "10")
-			writeJSON(w, http.StatusServiceUnavailable, body)
+			WriteJSON(w, http.StatusServiceUnavailable, body)
 			return
 		}
-		writeJSON(w, http.StatusOK, body)
+		WriteJSON(w, http.StatusOK, body)
 	})
-	handle("GET /metrics", "metrics", func(w http.ResponseWriter, r *http.Request) {
-		s.RefreshGauges()
-		switch r.URL.Query().Get("format") {
-		case "csv":
-			w.Header().Set("Content-Type", "text/csv")
-			s.Metrics().Snapshot().WriteCSV(w)
-		case "prometheus":
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			s.Metrics().WritePrometheus(w)
-		default:
-			w.Header().Set("Content-Type", "application/json")
-			s.Metrics().Snapshot().WriteJSON(w)
-		}
-	})
-	if cfg.pprof {
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	}
-	return mux
+	m.RouteMetrics(s.RefreshGauges)
+	return m
 }
 
 // MaxSubmitBytes caps a POST /v1/jobs body. An accepted request is
@@ -197,7 +241,7 @@ func handleSubmit(s *Service, w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	req, body := DecodeSubmit(w, r)
 	if body != nil {
-		writeError(w, body)
+		WriteError(w, body)
 		return
 	}
 	if req.Client == "" {
@@ -219,7 +263,7 @@ func handleSubmit(s *Service, w http.ResponseWriter, r *http.Request) {
 	}
 	j, body := s.Submit(req)
 	if body != nil {
-		writeError(w, body)
+		WriteError(w, body)
 		return
 	}
 	s.recordSpan(j, obs.StageAccept, t0, time.Now(), "")
@@ -227,7 +271,7 @@ func handleSubmit(s *Service, w http.ResponseWriter, r *http.Request) {
 		"job", j.ID, "kind", j.Kind, "client", req.Client,
 		"request_id", RequestID(r.Context()), "trace", j.Trace())
 	if r.URL.Query().Get("wait") == "" {
-		writeJSON(w, http.StatusAccepted, j.View())
+		WriteJSON(w, http.StatusAccepted, j.View())
 		return
 	}
 	// Synchronous mode: the client's connection owns the job — hanging
@@ -236,24 +280,25 @@ func handleSubmit(s *Service, w http.ResponseWriter, r *http.Request) {
 	select {
 	case <-j.Done():
 		view := j.View()
-		_, _, finished := j.spanTimes()
+		_, _, finished := j.Times()
 		s.recordSpan(j, obs.StageStream, finished, time.Now(), "wait")
-		writeJSON(w, http.StatusOK, view)
+		WriteJSON(w, http.StatusOK, view)
 	case <-r.Context().Done():
 		s.Cancel(j.ID)
 	}
 }
 
-func handleEvents(s *Service, w http.ResponseWriter, r *http.Request, keepalive time.Duration) {
-	t0 := time.Now()
-	j := s.Job(r.PathValue("id"))
-	if j == nil {
-		writeError(w, &ErrorBody{Code: CodeNotFound, Message: "no such job"})
-		return
-	}
+// ServeEvents streams a job's event log as Server-Sent Events: one
+// `id:`/`event:`/`data:` frame per event, resuming just past a
+// Last-Event-ID header (or from ?since=N), with ": ping" comment frames
+// on the keepalive interval while idle. The stream ends after the
+// terminal state frame is flushed; onTerminal (may be nil) then gets
+// the time the watcher attached.
+func (m *Mux) ServeEvents(w http.ResponseWriter, r *http.Request, l *Lifecycle, onTerminal func(attached time.Time)) {
+	attached := time.Now()
 	flusher, ok := w.(http.Flusher)
 	if !ok || !canFlush(w) {
-		writeError(w, &ErrorBody{Code: CodeInternal, Message: "streaming unsupported"})
+		WriteError(w, &ErrorBody{Code: CodeInternal, Message: "streaming unsupported"})
 		return
 	}
 	w.Header().Set("Content-Type", "text/event-stream")
@@ -269,25 +314,19 @@ func handleEvents(s *Service, w http.ResponseWriter, r *http.Request, keepalive 
 			since = n + 1
 		}
 	}
-	ping := time.NewTicker(keepalive)
+	ping := time.NewTicker(m.keepalive)
 	defer ping.Stop()
 	for {
-		events, changed := j.EventsSince(since)
+		events, changed := l.EventsSince(since)
 		for _, ev := range events {
 			data, _ := json.Marshal(ev)
 			fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Type, data)
 			since = ev.Seq + 1
-			if ev.Type == "state" && terminal(ev.State) {
+			if ev.Type == "state" && Terminal(ev.State) {
 				flusher.Flush()
-				// Stream stage: the delivery tail from job finish (or
-				// stream attach, if the watcher arrived later) to the
-				// final flush of the terminal frame.
-				_, _, finished := j.spanTimes()
-				start := finished
-				if t0.After(start) {
-					start = t0
+				if onTerminal != nil {
+					onTerminal(attached)
 				}
-				s.recordSpan(j, obs.StageStream, start, time.Now(), "sse")
 				return
 			}
 		}
@@ -305,9 +344,7 @@ func handleEvents(s *Service, w http.ResponseWriter, r *http.Request, keepalive 
 	}
 }
 
-// HTTPStatus maps an ErrorBody code to its HTTP status. Exported so the
-// cluster router's HTTP layer answers with exactly the statuses an
-// instance would.
+// HTTPStatus maps an ErrorBody code to its HTTP status, for both tiers.
 func HTTPStatus(code string) int {
 	switch code {
 	case CodeBadRequest, CodeParseError, CodeUnknownWorkload, CodeUnknownPolicy, CodeUnknownExperiment:
@@ -316,7 +353,7 @@ func HTTPStatus(code string) int {
 		return http.StatusUnprocessableEntity
 	case CodeQueueFull, CodeRateLimited:
 		return http.StatusTooManyRequests
-	case CodeDraining:
+	case CodeDraining, CodeUnavailable:
 		return http.StatusServiceUnavailable
 	case CodeNotFound:
 		return http.StatusNotFound
@@ -327,14 +364,20 @@ func HTTPStatus(code string) int {
 	}
 }
 
-func writeError(w http.ResponseWriter, body *ErrorBody) {
+// ErrNoSuchJob is the 404 body for an unknown job ID.
+var ErrNoSuchJob = &ErrorBody{Code: CodeNotFound, Message: "no such job"}
+
+// WriteError answers with body's status (HTTPStatus), its Retry-After
+// hint, and {"error": body}.
+func WriteError(w http.ResponseWriter, body *ErrorBody) {
 	if body.RetryAfterSec > 0 {
 		w.Header().Set("Retry-After", strconv.Itoa(body.RetryAfterSec))
 	}
-	writeJSON(w, HTTPStatus(body.Code), map[string]*ErrorBody{"error": body})
+	WriteJSON(w, HTTPStatus(body.Code), map[string]*ErrorBody{"error": body})
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON answers with status and v as JSON.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(v)

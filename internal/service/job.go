@@ -6,196 +6,205 @@ import (
 	"time"
 )
 
-// Job is one accepted submission. All mutable state is guarded by mu;
-// the event buffer is append-only and broadcast by closing and replacing
-// the changed channel, so any number of SSE watchers can wait for news
-// without the job tracking them individually.
-type Job struct {
-	ID       string
-	Kind     string
-	Req      SubmitRequest
-	Priority int
-	seq      int64 // queue tiebreaker (FIFO within a priority level)
+// Lifecycle is the job state machine both tiers share: gpusimd's Job
+// and the router's cluster.Job embed it. It carries the submission, the
+// state (queued -> running -> done|failed|canceled, terminal states
+// sticky), the outcome, the accepted/started/finished span anchors, and
+// the resumable event log behind GET /v1/jobs/{id}/events. All mutable
+// state is guarded by mu; the event buffer is append-only and broadcast
+// by closing and replacing the changed channel, so any number of SSE
+// watchers can wait for news without the job tracking them individually.
+type Lifecycle struct {
+	ID  string
+	Req SubmitRequest // Req.TraceID is the job's trace (its own ID when the client sent none)
 
-	// trace / parentSpan tie the job's lifecycle spans to the
-	// distributed trace that submitted it (the job's own ID when the
-	// client sent no trace context).
-	trace      string
-	parentSpan string
-
-	cancel context.CancelFunc // cancels this job's interest in its sims
-
-	mu        sync.Mutex
-	state     string
-	coalesced bool
-	// Lifecycle span anchors: accepted at admission (or journal replay),
-	// started when an executor picks the job up, finished at the terminal
-	// transition. The service folds the spans into the queue-wait / run /
-	// end-to-end histograms.
+	mu         sync.Mutex
+	state      string
+	coalesced  bool
+	err        *ErrorBody
+	result     *JobResult
 	acceptedAt time.Time
 	startedAt  time.Time
 	finishedAt time.Time
-	err       *ErrorBody
-	result    *JobResult
-	events    []Event
-	changed   chan struct{} // closed on every publish, then replaced
-	done      chan struct{} // closed once the job reaches a terminal state
+	events     []Event
+	changed    chan struct{} // closed on every publish, then replaced
+	done       chan struct{} // closed once the job reaches a terminal state
 }
 
-func newJob(id string, req SubmitRequest, seq int64) *Job {
-	kind := req.Kind
-	if kind == "" {
-		if req.Experiment != "" {
-			kind = "experiment"
-		} else {
-			kind = "run"
-		}
+// NewLifecycle starts a job's lifecycle: queued, accepted now, with the
+// queued state as event 0.
+func NewLifecycle(id string, req SubmitRequest) *Lifecycle {
+	if req.TraceID == "" {
+		req.TraceID = id
 	}
-	j := &Job{
+	return &Lifecycle{
 		ID:         id,
-		Kind:       kind,
 		Req:        req,
-		Priority:   req.Priority,
-		trace:      req.TraceID,
-		parentSpan: req.TraceParent,
-		seq:        seq,
 		state:      StateQueued,
 		acceptedAt: time.Now(),
+		events:     []Event{{Seq: 0, Type: "state", State: StateQueued}},
 		changed:    make(chan struct{}),
 		done:       make(chan struct{}),
 	}
-	if j.trace == "" {
-		j.trace = id
-	}
-	j.events = append(j.events, Event{Seq: 0, Type: "state", State: StateQueued})
-	return j
 }
 
-func terminal(state string) bool {
+// Terminal reports whether state is one a job never leaves.
+func Terminal(state string) bool {
 	return state == StateDone || state == StateFailed || state == StateCanceled
 }
 
-// publish appends an event and wakes every watcher.
-func (j *Job) publish(ev Event) {
-	j.mu.Lock()
-	ev.Seq = len(j.events)
-	j.events = append(j.events, ev)
-	close(j.changed)
-	j.changed = make(chan struct{})
-	j.mu.Unlock()
+// Publish appends an event, re-sequenced into this job's log, and wakes
+// every watcher.
+func (l *Lifecycle) Publish(ev Event) {
+	l.mu.Lock()
+	l.appendLocked(ev)
+	l.mu.Unlock()
 }
 
-// setState transitions the job, publishing a state event. Terminal
+func (l *Lifecycle) appendLocked(ev Event) {
+	ev.Seq = len(l.events)
+	l.events = append(l.events, ev)
+	close(l.changed)
+	l.changed = make(chan struct{})
+}
+
+// SetState transitions the job, publishing a state event. Terminal
 // states are sticky: once done/failed/canceled the job never moves
-// again (a late cancel on a finished job is a no-op).
-func (j *Job) setState(state string, err *ErrorBody, result *JobResult) bool {
-	j.mu.Lock()
-	if terminal(j.state) {
-		j.mu.Unlock()
+// again (a late cancel on a finished job is a no-op), and SetState
+// reports whether the transition happened.
+func (l *Lifecycle) SetState(state string, err *ErrorBody, result *JobResult) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if Terminal(l.state) {
 		return false
 	}
-	j.state = state
+	l.state = state
 	if state == StateRunning {
-		j.startedAt = time.Now()
+		l.startedAt = time.Now()
 	}
 	if err != nil {
-		j.err = err
+		l.err = err
 	}
 	if result != nil {
-		j.result = result
+		l.result = result
 	}
-	ev := Event{Seq: len(j.events), Type: "state", State: state}
+	ev := Event{Type: "state", State: state}
 	if err != nil {
 		ev.Msg = err.Message
 	}
-	j.events = append(j.events, ev)
-	close(j.changed)
-	j.changed = make(chan struct{})
-	if terminal(state) {
-		j.finishedAt = time.Now()
-		close(j.done)
+	l.appendLocked(ev)
+	if Terminal(state) {
+		l.finishedAt = time.Now()
+		close(l.done)
 	}
-	j.mu.Unlock()
 	return true
+}
+
+// SetCoalesced marks the job as served (at least partly) by dedup.
+func (l *Lifecycle) SetCoalesced() {
+	l.mu.Lock()
+	l.coalesced = true
+	l.mu.Unlock()
+}
+
+// State returns the job's current state.
+func (l *Lifecycle) State() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.state
+}
+
+// Done is closed when the job reaches a terminal state.
+func (l *Lifecycle) Done() <-chan struct{} { return l.done }
+
+// Status is a consistent snapshot of a job's outward state, the common
+// part of both tiers' JobView.
+type Status struct {
+	State     string
+	Coalesced bool
+	Err       *ErrorBody
+	Result    *JobResult
+}
+
+// Status snapshots the job's state and outcome.
+func (l *Lifecycle) Status() Status {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return Status{State: l.state, Coalesced: l.coalesced, Err: l.err, Result: l.result}
+}
+
+// Times snapshots the lifecycle span anchors: accepted at admission (or
+// journal replay), started when work began, finished at the terminal
+// transition. Unreached anchors are zero.
+func (l *Lifecycle) Times() (accepted, started, finished time.Time) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.acceptedAt, l.startedAt, l.finishedAt
+}
+
+// Trace returns the job's trace ID (the client's X-Trace-Context, the
+// request ID, or the job's own ID — first one present wins).
+func (l *Lifecycle) Trace() string { return l.Req.TraceID }
+
+// EventsSince returns every event with Seq >= since plus a channel that
+// is closed the next time anything is published — the SSE long-poll
+// primitive. Callers loop: drain events, then wait on the channel.
+func (l *Lifecycle) EventsSince(since int) ([]Event, <-chan struct{}) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var out []Event
+	if since < len(l.events) {
+		out = append(out, l.events[since:]...)
+	}
+	return out, l.changed
+}
+
+// Job is one accepted gpusimd submission: the shared Lifecycle plus the
+// executor's scheduling state.
+type Job struct {
+	*Lifecycle
+	Kind     string
+	Priority int
+	seq      int64 // queue tiebreaker (FIFO within a priority level)
+
+	cancel context.CancelFunc // cancels this job's interest in its sims; guarded by mu
+}
+
+func newJob(id string, req SubmitRequest, seq int64) *Job {
+	return &Job{
+		Lifecycle: NewLifecycle(id, req),
+		Kind:      req.ResolvedKind(),
+		Priority:  req.Priority,
+		seq:       seq,
+	}
 }
 
 // spans reports the job's queue-wait, run, and end-to-end durations.
 // A job canceled while queued never ran: its run span is zero and its
 // queue wait ends at the terminal transition.
 func (j *Job) spans() (queueWait, run, e2e time.Duration) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.finishedAt.IsZero() {
+	accepted, started, finished := j.Times()
+	if finished.IsZero() {
 		return 0, 0, 0
 	}
-	e2e = j.finishedAt.Sub(j.acceptedAt)
-	if j.startedAt.IsZero() {
+	e2e = finished.Sub(accepted)
+	if started.IsZero() {
 		return e2e, 0, e2e
 	}
-	return j.startedAt.Sub(j.acceptedAt), j.finishedAt.Sub(j.startedAt), e2e
+	return started.Sub(accepted), finished.Sub(started), e2e
 }
-
-// Trace returns the job's trace ID (the client's X-Trace-Context, the
-// request ID, or the job's own ID — first one present wins).
-func (j *Job) Trace() string { return j.trace }
-
-// spanTimes snapshots the lifecycle anchors for span recording. Always
-// the job's OWN anchors: a coalesced follower's queue wait runs from
-// its own acceptedAt, never the leader's.
-func (j *Job) spanTimes() (accepted, started, finished time.Time) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.acceptedAt, j.startedAt, j.finishedAt
-}
-
-// age is how long the job has existed (queue-age gauge input).
-func (j *Job) age(now time.Time) time.Duration {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return now.Sub(j.acceptedAt)
-}
-
-func (j *Job) setCoalesced() {
-	j.mu.Lock()
-	j.coalesced = true
-	j.mu.Unlock()
-}
-
-// State returns the job's current state.
-func (j *Job) State() string {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.state
-}
-
-// Done is closed when the job reaches a terminal state.
-func (j *Job) Done() <-chan struct{} { return j.done }
 
 // View snapshots the job for JSON serving.
 func (j *Job) View() JobView {
-	j.mu.Lock()
-	defer j.mu.Unlock()
+	st := j.Status()
 	return JobView{
 		ID:        j.ID,
 		Kind:      j.Kind,
-		State:     j.state,
-		Coalesced: j.coalesced,
+		State:     st.State,
+		Coalesced: st.Coalesced,
 		Priority:  j.Priority,
 		Client:    j.Req.Client,
-		Error:     j.err,
-		Result:    j.result,
+		Error:     st.Err,
+		Result:    st.Result,
 	}
-}
-
-// EventsSince returns every event with Seq >= since plus a channel that
-// is closed the next time anything is published — the SSE long-poll
-// primitive. Callers loop: drain events, then wait on the channel.
-func (j *Job) EventsSince(since int) ([]Event, <-chan struct{}) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	var out []Event
-	if since < len(j.events) {
-		out = append(out, j.events[since:]...)
-	}
-	return out, j.changed
 }

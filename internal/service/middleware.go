@@ -28,9 +28,9 @@ func RequestID(ctx context.Context) string {
 	return id
 }
 
-// instrument is the HTTP telemetry middleware state: one per Handler,
-// sharing the service registry so /metrics exposes the HTTP series next
-// to the sim and job series.
+// instrument is the HTTP telemetry middleware state: one per Mux,
+// sharing the tier's registry so /metrics exposes the HTTP series next
+// to the sim, job and routing series.
 type instrument struct {
 	reg    *obs.Registry
 	log    *slog.Logger
@@ -42,15 +42,9 @@ func newInstrument(reg *obs.Registry, log *slog.Logger) *instrument {
 	var b [4]byte
 	rand.Read(b[:])
 	in := &instrument{reg: reg, log: log.With("subsystem", "http"), prefix: hex.EncodeToString(b[:])}
-	// Pre-register the per-route series so a scrape sees the full shape
-	// (zero-valued) before the first request arrives.
-	for _, route := range []string{
-		"v1_jobs_submit", "v1_jobs_list", "v1_jobs_get", "v1_jobs_cancel",
-		"v1_jobs_events", "v1_spans", "healthz", "readyz", "metrics",
-	} {
-		reg.Histogram("http.latency." + route)
-		reg.Counter("http.requests." + route)
-	}
+	// The per-route series are created by wrap as each route is mounted,
+	// so a scrape sees the full shape (zero-valued) before the first
+	// request arrives; the status classes are registered here.
 	for _, class := range []string{"2xx", "3xx", "4xx", "5xx"} {
 		reg.Counter("http.status." + class)
 	}

@@ -114,6 +114,79 @@ func TestJournalCrashRestartAppendRestart(t *testing.T) {
 	}
 }
 
+// TestJournalIDsNotReusedAfterRestart: IDs are never reused across
+// restarts. A job that finished before a restart keeps its ID in the
+// journal (accept + finish), so a restart with nothing pending must
+// still mint past it; reusing it would let the old finish record
+// swallow the new job when a crash forces the next replay.
+func TestJournalIDsNotReusedAfterRestart(t *testing.T) {
+	path := t.TempDir() + "/journal.jsonl"
+	req := SubmitRequest{Workload: "bfs", Policy: "static", Scale: 8, SMs: 2}
+	s1, err := New(Config{Workers: 1, JournalPath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1.Start()
+	a, body := s1.Submit(req)
+	if body != nil {
+		t.Fatalf("submit: %v", body)
+	}
+	if v := waitDone(t, s1, a.ID, 2*time.Minute); v.State != StateDone {
+		t.Fatalf("first job state = %q (%+v)", v.State, v.Error)
+	}
+	s1.Close()
+
+	s2, err := New(Config{Workers: 1, JournalPath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, body := s2.Submit(req)
+	if body != nil {
+		t.Fatalf("submit after restart: %v", body)
+	}
+	s2.Close() // crash before the executors ever run it
+
+	if a.ID != "j000001" || b.ID != "j000002" {
+		t.Fatalf("IDs across a restart = %s, %s; want j000001, j000002", a.ID, b.ID)
+	}
+	s3, err := New(Config{Workers: 1, JournalPath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s3.Close()
+	if got := s3.QueueLen(); got != 1 {
+		t.Fatalf("replayed queue length = %d, want 1 (the accepted, unfinished %s)", got, b.ID)
+	}
+	if s3.Job(b.ID) == nil {
+		t.Fatalf("replay lost job %s", b.ID)
+	}
+}
+
+// TestPendingJobsFold: the replay fold keeps accepted-but-unfinished
+// records in acceptance order, ignores router assign records, and
+// reports the highest journaled job number — finished jobs included.
+func TestPendingJobsFold(t *testing.T) {
+	req := &SubmitRequest{Workload: "bfs", Policy: "static"}
+	pending, last := pendingJobs([]JournalRecord{
+		{Op: "accept", ID: "r000001", FP: "01", Req: req},
+		{Op: "accept", ID: "r000003", FP: "02", Req: req},
+		{Op: "accept", ID: "r000002", FP: "03", Req: req},
+		{Op: "assign", ID: "r000001", Instance: "a:1", RemoteID: "j000001"},
+		{Op: "finish", ID: "r000003", End: StateDone},
+		{Op: "accept", ID: "r000004"}, // no request: not replayable
+	}, "r")
+	var ids []string
+	for _, rec := range pending {
+		ids = append(ids, rec.ID)
+	}
+	if strings.Join(ids, ",") != "r000001,r000002" || last != 4 {
+		t.Fatalf("pending %v, last %d; want [r000001 r000002], 4", ids, last)
+	}
+	if _, last := pendingJobs([]JournalRecord{{Op: "accept", ID: "r000009", Req: req}}, "j"); last != 0 {
+		t.Fatalf("last = %d for IDs under another prefix, want 0", last)
+	}
+}
+
 // TestOversizedSubmitKeepsJournalReplayable: a request whose accept
 // record would exceed the JSONL line cap is refused with too_large
 // instead of being journaled, so the daemon can still restart.

@@ -99,47 +99,19 @@ type Service struct {
 	pool    *runpool.Pool
 	queue   *jobQueue
 	limiter *rateLimiter
-	journal *jsonl.Log[journalRecord]
+	journal *jsonl.Log[JournalRecord]
 	metrics *obs.Registry
 	spans   *obs.SpanRecorder
 
 	ctx    context.Context // root: canceled by Close, kills running sims
 	cancel context.CancelFunc
 
-	mu     sync.Mutex
-	jobs   map[string]*Job
-	nextID int64
+	jobs *JobTable[*Job]
 
+	mu       sync.Mutex // guards started
+	started  bool
 	draining atomic.Bool
 	wg       sync.WaitGroup
-	started  bool
-}
-
-// journalRecord is one line of the service's crash-safety journal: one
-// "accept" per admitted job and one "finish" per terminal state.
-type journalRecord struct {
-	Op  string         `json:"op"` // "accept" | "finish"
-	ID  string         `json:"id"`
-	Req *SubmitRequest `json:"req,omitempty"`   // accept only
-	End string         `json:"state,omitempty"` // finish only
-}
-
-// pendingJobs folds a record list into the accepted-but-unfinished set,
-// preserving acceptance order.
-func pendingJobs(records []journalRecord) []journalRecord {
-	finished := make(map[string]bool)
-	for _, rec := range records {
-		if rec.Op == "finish" {
-			finished[rec.ID] = true
-		}
-	}
-	var out []journalRecord
-	for _, rec := range records {
-		if rec.Op == "accept" && !finished[rec.ID] && rec.Req != nil {
-			out = append(out, rec)
-		}
-	}
-	return out
 }
 
 // New builds a Service and replays the journal (if configured): jobs
@@ -153,7 +125,7 @@ func New(cfg Config) (*Service, error) {
 	if jlog == nil {
 		jlog = obs.NopLogger()
 	}
-	jn, records, err := jsonl.Open[journalRecord](cfg.JournalPath, !cfg.JournalNoSync,
+	jn, records, err := jsonl.Open[JournalRecord](cfg.JournalPath, !cfg.JournalNoSync,
 		jlog.With("subsystem", "journal"))
 	if err != nil {
 		return nil, fmt.Errorf("journal %w", err)
@@ -169,7 +141,7 @@ func New(cfg Config) (*Service, error) {
 		spans:   obs.NewSpanRecorder(cfg.SpanCap, cfg.SpanProc),
 		ctx:     ctx,
 		cancel:  cancel,
-		jobs:    make(map[string]*Job),
+		jobs:    NewJobTable[*Job]("j"),
 	}
 	// Pre-register the admission/lifecycle series so the first scrape
 	// already exposes the full shape, zero-valued.
@@ -189,12 +161,14 @@ func New(cfg Config) (*Service, error) {
 	s.metrics.Gauge("service.queue_depth")
 	s.metrics.Gauge("service.queue_oldest_age_seconds")
 	s.metrics.Gauge("service.memo_hit_rate")
-	for _, rec := range pendingJobs(records) {
-		j := s.track(rec.ID, *rec.Req)
+	replayed := s.jobs.Replay(records, func(rec JournalRecord, n int64) *Job {
+		return newJob(rec.ID, *rec.Req, n)
+	})
+	for _, j := range replayed {
 		if !s.queue.push(j) {
 			// Replay overflow: more pending jobs than the queue holds.
 			// Fail loudly rather than silently dropping accepted work.
-			j.setState(StateFailed, &ErrorBody{Code: CodeInternal,
+			j.SetState(StateFailed, &ErrorBody{Code: CodeInternal,
 				Message: "journal replay overflowed the queue"}, nil)
 			s.finishRecord(j)
 			continue
@@ -227,21 +201,6 @@ func (s *Service) Start() {
 	}
 }
 
-// track registers a job under an explicit ID (journal replay) and bumps
-// nextID past it so fresh IDs never collide.
-func (s *Service) track(id string, req SubmitRequest) *Job {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.nextID++
-	var n int64
-	if _, err := fmt.Sscanf(id, "j%d", &n); err == nil && n >= s.nextID {
-		s.nextID = n + 1
-	}
-	j := newJob(id, req, s.nextID)
-	s.jobs[id] = j
-	return j
-}
-
 // Submit validates and admits one request. The returned ErrorBody is nil
 // on success; its Code tells the HTTP layer which status to send.
 func (s *Service) Submit(req SubmitRequest) (*Job, *ErrorBody) {
@@ -261,20 +220,14 @@ func (s *Service) Submit(req SubmitRequest) (*Job, *ErrorBody) {
 		return nil, body
 	}
 
-	s.mu.Lock()
-	s.nextID++
-	id := fmt.Sprintf("j%06d", s.nextID)
-	j := newJob(id, req, s.nextID)
-	s.jobs[id] = j
-	s.mu.Unlock()
-
-	if err := s.journal.Append(journalRecord{Op: "accept", ID: id, Req: &req}); err != nil {
-		s.forget(id)
+	j := s.jobs.Mint(func(id string, n int64) *Job { return newJob(id, req, n) })
+	if err := s.journal.Append(JournalRecord{Op: "accept", ID: j.ID, Req: &req}); err != nil {
+		s.jobs.Forget(j.ID)
 		return nil, JournalError(err)
 	}
 	if !s.queue.push(j) {
 		s.metrics.Counter("service.rejected_queue_full").Inc()
-		s.forget(id)
+		s.jobs.Forget(j.ID)
 		s.finishRecord(j) // balance the accept record
 		return nil, &ErrorBody{Code: CodeQueueFull, RetryAfterSec: 1,
 			Message: fmt.Sprintf("queue full (%d jobs waiting)", s.queue.len())}
@@ -295,25 +248,11 @@ func (s *Service) logger() *slog.Logger {
 	return s.cfg.Logger
 }
 
-func (s *Service) forget(id string) {
-	s.mu.Lock()
-	delete(s.jobs, id)
-	s.mu.Unlock()
-}
-
 // validate rejects malformed requests before they consume a queue slot.
 // Kasm sources are assembled, structurally validated, and linted here so
 // a bad kernel costs the client one 4xx, not a simulation.
 func (s *Service) validate(req *SubmitRequest) *ErrorBody {
-	kind := req.Kind
-	if kind == "" {
-		if req.Experiment != "" {
-			kind = "experiment"
-		} else {
-			kind = "run"
-		}
-	}
-	switch kind {
+	switch kind := req.ResolvedKind(); kind {
 	case "experiment":
 		if !harness.IsExperiment(req.Experiment) {
 			return &ErrorBody{Code: CodeUnknownExperiment,
@@ -394,20 +333,18 @@ func resolvePolicies(req *SubmitRequest) []string {
 	return harness.PolicyNames
 }
 
-// Job looks a job up by ID.
+// Job looks a job up by ID (nil when unknown).
 func (s *Service) Job(id string) *Job {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.jobs[id]
+	j, _ := s.jobs.Get(id)
+	return j
 }
 
 // Jobs snapshots every tracked job's view.
 func (s *Service) Jobs() []JobView {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]JobView, 0, len(s.jobs))
-	for _, j := range s.jobs {
-		out = append(out, j.View())
+	all := s.jobs.All()
+	out := make([]JobView, len(all))
+	for i, j := range all {
+		out[i] = j.View()
 	}
 	return out
 }
@@ -427,7 +364,7 @@ func (s *Service) Cancel(id string) (*Job, bool) {
 	j.mu.Unlock()
 	if cancel != nil {
 		cancel() // executor observes the cancellation and finishes the job
-	} else if j.setState(StateCanceled, &ErrorBody{Code: CodeCanceled, Message: "canceled while queued"}, nil) {
+	} else if j.SetState(StateCanceled, &ErrorBody{Code: CodeCanceled, Message: "canceled while queued"}, nil) {
 		s.metrics.Counter("service.jobs_canceled").Inc()
 		s.finishRecord(j)
 	}
@@ -438,7 +375,7 @@ func (s *Service) Cancel(id string) (*Job, bool) {
 // telemetry: lifecycle spans into the queue-wait/run/e2e histograms and
 // one structured finish log with the measured durations.
 func (s *Service) finishRecord(j *Job) {
-	s.journal.Append(journalRecord{Op: "finish", ID: j.ID, End: j.State()})
+	s.journal.Append(JournalRecord{Op: "finish", ID: j.ID, End: j.State()})
 	queueWait, run, e2e := j.spans()
 	if e2e <= 0 {
 		return // rollback of a never-admitted job: nothing to measure
@@ -450,7 +387,7 @@ func (s *Service) finishRecord(j *Job) {
 	s.metrics.Histogram("job.queue_wait_seconds").Observe(queueWait.Seconds())
 	s.metrics.Histogram("job.run_seconds").Observe(run.Seconds())
 	s.metrics.Histogram("job.e2e_seconds").Observe(e2e.Seconds())
-	accepted, started, finished := j.spanTimes()
+	accepted, started, finished := j.Times()
 	queueEnd := started
 	if started.IsZero() {
 		queueEnd = finished // canceled while queued: wait ends at the terminal transition
@@ -474,15 +411,12 @@ func (s *Service) RefreshGauges() {
 	s.metrics.Gauge("service.queue_depth").Set(float64(s.queue.len()))
 	now := time.Now()
 	var oldest time.Duration
-	s.mu.Lock()
-	for _, j := range s.jobs {
+	for _, j := range s.jobs.All() {
 		if j.State() == StateQueued {
-			if age := j.age(now); age > oldest {
-				oldest = age
-			}
+			accepted, _, _ := j.Times()
+			oldest = max(oldest, now.Sub(accepted))
 		}
 	}
-	s.mu.Unlock()
 	s.metrics.Gauge("service.queue_oldest_age_seconds").Set(oldest.Seconds())
 	hits, misses := s.pool.CacheStats()
 	if total := hits + misses; total > 0 {
@@ -494,7 +428,7 @@ func (s *Service) RefreshGauges() {
 // canceled) is the one path that leaves a job unterminated — no finish
 // record is written, so a journalled job is re-queued on restart.
 func (s *Service) execute(j *Job) {
-	if terminal(j.State()) {
+	if Terminal(j.State()) {
 		return // canceled while queued
 	}
 	jctx, cancel := context.WithCancel(s.ctx)
@@ -502,7 +436,7 @@ func (s *Service) execute(j *Job) {
 	j.mu.Lock()
 	j.cancel = cancel
 	j.mu.Unlock()
-	j.setState(StateRunning, nil, nil)
+	j.SetState(StateRunning, nil, nil)
 	s.metrics.Gauge("service.queue_depth").Set(float64(s.queue.len()))
 
 	var result *JobResult
@@ -519,17 +453,17 @@ func (s *Service) execute(j *Job) {
 		// the journal so a restart replays it.
 		return
 	case jctx.Err() != nil:
-		j.setState(StateCanceled, &ErrorBody{Code: CodeCanceled, Message: "canceled by client"}, nil)
+		j.SetState(StateCanceled, &ErrorBody{Code: CodeCanceled, Message: "canceled by client"}, nil)
 		s.metrics.Counter("service.jobs_canceled").Inc()
 	case body != nil:
-		j.setState(StateFailed, body, nil)
+		j.SetState(StateFailed, body, nil)
 		s.metrics.Counter("service.jobs_failed").Inc()
 	default:
 		if result.MemoHits > 0 {
-			j.setCoalesced()
+			j.SetCoalesced()
 			s.metrics.Counter("service.jobs_coalesced").Inc()
 		}
-		j.setState(StateDone, nil, result)
+		j.SetState(StateDone, nil, result)
 		s.metrics.Counter("service.jobs_done").Inc()
 	}
 	s.finishRecord(j)
@@ -600,7 +534,7 @@ func (s *Service) runJob(ctx context.Context, j *Job) (*JobResult, *ErrorBody) {
 			opts := []sim.Option{
 				sim.WithSampleInterval(int64(sampleInterval)),
 				sim.WithObserver(sim.ObserverFuncs{
-					Sample: func(smp sim.Sample) { j.publish(sampleEvent(policy, smp)) },
+					Sample: func(smp sim.Sample) { j.Publish(sampleEvent(policy, smp)) },
 				}),
 			}
 			return opts, func(st sim.Stats) {
@@ -676,8 +610,8 @@ func (s *Service) recordSpan(j *Job, stage string, start, end time.Time, note st
 		return
 	}
 	s.spans.Record(obs.Span{
-		Trace:  j.trace,
-		Parent: j.parentSpan,
+		Trace:  j.Trace(),
+		Parent: j.Req.TraceParent,
 		Stage:  stage,
 		Proc:   s.cfg.SpanProc,
 		Class:  j.Req.SLOClass,
@@ -701,10 +635,8 @@ func (s *Service) QueueLen() int { return s.queue.len() }
 // Running reports how many jobs are currently executing — a /readyz load
 // hint for the fleet router's in-flight scorer.
 func (s *Service) Running() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	n := 0
-	for _, j := range s.jobs {
+	for _, j := range s.jobs.All() {
 		if j.State() == StateRunning {
 			n++
 		}
@@ -725,33 +657,7 @@ func (s *Service) Draining() bool { return s.draining.Load() }
 // on restart).
 func (s *Service) Drain(ctx context.Context) error {
 	s.draining.Store(true)
-	tick := time.NewTicker(5 * time.Millisecond)
-	defer tick.Stop()
-	for {
-		if s.idle() {
-			s.Close()
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			return fmt.Errorf("drain: %w (%d job(s) unfinished)", ctx.Err(), s.unfinished())
-		case <-tick.C:
-		}
-	}
-}
-
-func (s *Service) idle() bool { return s.unfinished() == 0 }
-
-func (s *Service) unfinished() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for _, j := range s.jobs {
-		if !terminal(j.State()) {
-			n++
-		}
-	}
-	return n
+	return s.jobs.Drain(ctx, s.Close)
 }
 
 // Close hard-stops the service: cancel running simulations, stop the

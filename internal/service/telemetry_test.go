@@ -304,7 +304,7 @@ func benchMiddleware(b *testing.B, instrumented bool) {
 	} else {
 		mux := http.NewServeMux()
 		mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-			writeJSON(w, http.StatusOK, map[string]any{"status": "ok"})
+			WriteJSON(w, http.StatusOK, map[string]any{"status": "ok"})
 		})
 		h = mux
 	}
