@@ -52,12 +52,12 @@ microbench:
 quick:
 	$(GO) run ./cmd/paperbench -quick
 
-# Capture a Chrome trace of one regmutex run and schema-check the JSON;
-# proves the gputrace -> Perfetto pipeline end to end.
+# Capture a Chrome trace of one audited regmutex run and schema-check
+# the JSON; proves the gpusim -> Perfetto pipeline end to end.
 obs-smoke:
-	$(GO) run ./cmd/gputrace -workload bfs -policy regmutex -trace /tmp/gputrace-smoke.json
-	$(GO) run ./cmd/gputrace -validate /tmp/gputrace-smoke.json
-	rm -f /tmp/gputrace-smoke.json
+	$(GO) run ./cmd/gpusim -w bfs -policy regmutex -scale 8 -sms 1 -audit -trace /tmp/gpusim-smoke.json
+	$(GO) run ./cmd/gpusim -validate /tmp/gpusim-smoke.json
+	rm -f /tmp/gpusim-smoke.json
 
 # Boot the gpusimd daemon on a loopback port, submit a job over real
 # HTTP, stream its SSE events to completion, check the telemetry

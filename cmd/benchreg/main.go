@@ -5,10 +5,11 @@
 //
 //	benchreg                      # full matrix -> BENCH_<date>.json
 //	benchreg -quick -out b.json   # CI-sized smoke run
-//	benchreg -spec examples/workloads/bursty-mix.yaml -router
+//	benchreg -spec examples/workloads/bursty-mix.yaml -load-only
 //	benchreg -replay trace.jsonl -compress 10 -load-only
 //	benchreg -sweep examples/sweeps/sweep-smoke.yaml -load-only -quick
 //	benchreg -sweep examples/sweeps/sweep-fleet.yaml -router
+//	benchreg -sweep sweep.yaml -load-only -url http://127.0.0.1:8080
 //	benchreg -compare old.json new.json   # exit 1 on >10% regression
 //	benchreg -compare -threshold 0.05 old.json new.json
 //
@@ -35,10 +36,11 @@ func main() {
 	spec := flag.String("spec", "", "workload spec (YAML-subset or JSON) driving the load phase (default: the legacy builtin)")
 	replay := flag.String("replay", "", "replay a recorded JSONL trace (gpusimd -record) as the load phase instead of a spec")
 	compress := flag.Float64("compress", 0, "divide schedule arrival offsets by this factor (0 or 1 = real time)")
-	loadOnly := flag.Bool("load-only", false, "skip the simulator matrix; run only the load (and -router) phases and assert per-SLO-class histograms are present and nonzero (with -sweep: run only the sweep phase)")
-	sweep := flag.String("sweep", "", "saturation sweep spec (YAML-subset or JSON): drive its offered-load ladder against a fresh loopback daemon (or, with -router, a 3-instance router fleet) and record the knee in the saturation section; fails when no knee is found")
+	loadOnly := flag.Bool("load-only", false, "skip the simulator matrix; run only the load phase and assert per-SLO-class histograms are present and nonzero (with -sweep: run only the sweep phase)")
+	sweep := flag.String("sweep", "", "saturation sweep spec (YAML-subset or JSON): drive its offered-load ladder against a fresh loopback daemon (or -router / -url), print the per-stage report and record the knee in the saturation section; fails when no knee is found")
 	par := flag.Int("par", 0, "SM-stepping workers inside each simulation (0 = GOMAXPROCS, 1 = serial; cycle counts identical at any value)")
-	router := flag.Bool("router", false, "add the fleet phase: the schedule through a gpusimrouter over 3 instances with one killed mid-load")
+	router := flag.Bool("router", false, "with -sweep: drive the ladder through a gpusimrouter over 3 loopback instances")
+	url := flag.String("url", "", "with -sweep: drive the ladder against this running gpusimd daemon or gpusimrouter")
 	compare := flag.Bool("compare", false, "compare two trajectory files: benchreg -compare old.json new.json")
 	threshold := flag.Float64("threshold", 0.10, "regression threshold as a fraction (0.10 = 10%)")
 	logFormat := flag.String("log-format", obs.LogText, "structured log format: text|json")
@@ -88,6 +90,7 @@ func main() {
 		Quick:    *quick,
 		Par:      *par,
 		Fleet:    *router,
+		URL:      *url,
 		Compress: *compress,
 		LoadOnly: *loadOnly,
 		Logger:   logger,
@@ -134,6 +137,7 @@ func main() {
 		if res.Saturation == nil {
 			fail(1, "sweep ran but produced no saturation section")
 		}
+		res.Saturation.Report.WriteReport(os.Stdout)
 		if !res.Saturation.KneeFound {
 			fail(1, "sweep %s found no knee across %d steps: raise ladder.steps or ladder.factor so the target actually saturates",
 				res.Saturation.Spec, len(res.Saturation.Steps))
@@ -156,10 +160,6 @@ func main() {
 		}
 	} else {
 		fmt.Printf("benchreg: wrote %s\n", path)
-	}
-	if res.Fleet != nil {
-		fmt.Printf("benchreg: fleet (1 of %d instances killed mid-load): %d jobs, p99 %.1fms, memo hit rate %.0f%%, %d failover(s), %d retrie(s)\n",
-			res.Fleet.Instances, res.Fleet.Jobs, res.Fleet.Latency.P99, 100*res.Fleet.MemoHitRate, res.Fleet.Failovers, res.Fleet.Retries)
 	}
 	if sat := res.Saturation; sat != nil {
 		fmt.Printf("benchreg: saturation (%s): knee at %.1f offered jobs/sec -> %.1f goodput jobs/sec, p99 %.1fms (rule %s fired at step %d of %d)\n",

@@ -9,6 +9,8 @@
 //	gpusim kernel.kasm -policy regmutex    # assembly file input
 //	gpusim -w sad -policy all              # compare every policy
 //	gpusim -w bfs -policy all -trace t.json -metrics out/   # observability
+//	gpusim -w bfs -policy regmutex -scale 8 -sms 1 -timeline  # Fig 2-style lanes
+//	gpusim -validate t.json                # schema-check an exported trace
 //
 // The exit status is 0 only when every requested policy ran to
 // completion: a row that renders as ERR(<kind>) (deadlock, livelock,
@@ -40,12 +42,26 @@ func main() {
 	sms := flag.Int("sms", 0, "override SM count")
 	seed := flag.Uint64("seed", 42, "input seed")
 	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON file (open in ui.perfetto.dev)")
-	timeline := flag.Bool("timeline", false, "print an occupancy / SRP-holders timeline")
+	timeline := flag.Bool("timeline", false, "print each policy's issue/stall timeline before its row")
 	metricsDir := flag.String("metrics", "", "write metrics.json and metrics.csv into this directory")
 	jobs := flag.Int("j", 0, "policies to simulate concurrently with -policy all (0 = all cores, 1 = serial)")
 	par := flag.Int("par", 0, "SM-stepping workers inside each simulation (0 = GOMAXPROCS, 1 = serial; results identical at any value)")
 	auditOn := flag.Bool("audit", false, "attach the invariant auditor (aborts on the first broken machine invariant)")
+	validate := flag.String("validate", "", "schema-check an existing Chrome trace JSON file and exit")
 	flag.Parse()
+
+	if *validate != "" {
+		f, err := os.Open(*validate)
+		if err != nil {
+			fatal(err)
+		}
+		defer f.Close()
+		if err := obs.ValidateChromeTrace(f); err != nil {
+			fatal(err)
+		}
+		fmt.Printf("%s: valid Chrome trace-event JSON\n", *validate)
+		return
+	}
 
 	machine := occupancy.GTX480()
 	if *half {
@@ -88,6 +104,15 @@ func main() {
 	if *traceOut != "" {
 		trace = obs.NewTrace(0)
 	}
+	// Each policy's timeline renders from a trace of its own, so one
+	// policy's events never crowd another's out of the ring.
+	var timelines map[string]*obs.Trace
+	if *timeline {
+		timelines = make(map[string]*obs.Trace, len(names))
+		for _, name := range names {
+			timelines[name] = obs.NewTrace(0)
+		}
+	}
 	var metrics *obs.Registry
 	if *metricsDir != "" {
 		metrics = obs.NewRegistry()
@@ -106,19 +131,21 @@ func main() {
 		Seed:     *seed,
 		Policies: names,
 		Audit:    *auditOn,
-		Timeline: *timeline,
 		Pool:     runpool.New(*jobs),
 		Par:      *par,
 		Observe: func(name string) ([]sim.Option, func(sim.Stats)) {
 			var opts []sim.Option
-			var col *obs.Collector
-			if trace != nil {
-				col = obs.NewCollector(trace)
-				col.Proc = kname + "/" + name
-				opts = append(opts, sim.WithObserver(col))
+			var cols []*obs.Collector
+			for _, t := range []*obs.Trace{trace, timelines[name]} {
+				if t != nil {
+					col := obs.NewCollector(t)
+					col.Proc = kname + "/" + name
+					cols = append(cols, col)
+					opts = append(opts, sim.WithObserver(col))
+				}
 			}
 			return opts, func(st sim.Stats) {
-				if col != nil {
+				for _, col := range cols {
 					col.Flush(st.Cycles)
 				}
 				obs.RecordStats(metrics, kname+"/"+name, st)
@@ -128,18 +155,18 @@ func main() {
 	rows, _ := harness.RunPolicies(context.Background(), spec)
 	var beforeRow func(harness.PolicyRow)
 	if *timeline {
-		beforeRow = func(r harness.PolicyRow) { printTimeline(machine, r.Policy, r.Samples) }
+		beforeRow = func(r harness.PolicyRow) { obs.RenderTimeline(os.Stdout, timelines[r.Policy].Events(), 0) }
 	}
 	failed := harness.RenderReport(os.Stdout, machine, rows, beforeRow)
 	if trace != nil {
-		if err := writeTrace(*traceOut, trace); err != nil {
+		if err := obs.WriteTraceFile(*traceOut, trace); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("wrote %d trace events to %s (%d overwritten); open in ui.perfetto.dev\n",
 			trace.Len(), *traceOut, trace.Dropped())
 	}
 	if metrics != nil {
-		if err := writeMetrics(*metricsDir, metrics); err != nil {
+		if err := obs.WriteMetricsDir(*metricsDir, metrics.Snapshot()); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("wrote metrics.json and metrics.csv to %s\n", *metricsDir)
@@ -148,89 +175,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "gpusim: %d of %d polic(y/ies) failed\n", failed, len(rows))
 		os.Exit(1)
 	}
-}
-
-// writeTrace exports the ring buffer as Chrome trace-event JSON.
-func writeTrace(path string, trace *obs.Trace) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := obs.WriteChromeTrace(f, trace.Events()); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// writeMetrics snapshots the registry into dir/metrics.{json,csv}.
-func writeMetrics(dir string, metrics *obs.Registry) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	report := metrics.Snapshot()
-	for name, write := range map[string]func(*os.File) error{
-		"metrics.json": func(f *os.File) error { return report.WriteJSON(f) },
-		"metrics.csv":  func(f *os.File) error { return report.WriteCSV(f) },
-	} {
-		f, err := os.Create(dir + "/" + name)
-		if err != nil {
-			return err
-		}
-		if err := write(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// printTimeline renders occupancy (and SRP holders, when the policy has
-// any) over time as sparklines.
-func printTimeline(machine occupancy.Config, name string, samples []sim.Sample) {
-	if len(samples) == 0 {
-		return
-	}
-	ramp := []rune("▁▂▃▄▅▆▇█")
-	const width = 72
-	row := func(label string, get func(sim.Sample) int, max int) {
-		if max == 0 {
-			return
-		}
-		out := make([]rune, 0, width)
-		for b := 0; b < width; b++ {
-			lo := b * len(samples) / width
-			hi := (b + 1) * len(samples) / width
-			if hi <= lo {
-				hi = lo + 1
-			}
-			peak := 0
-			for i := lo; i < hi && i < len(samples); i++ {
-				if v := get(samples[i]); v > peak {
-					peak = v
-				}
-			}
-			idx := peak * (len(ramp) - 1) / max
-			if idx >= len(ramp) {
-				idx = len(ramp) - 1
-			}
-			out = append(out, ramp[idx])
-		}
-		fmt.Printf("  %-12s %s (max %d)\n", label, string(out), max)
-	}
-	fmt.Printf("timeline (%s, %d samples over %d cycles):\n", name, len(samples), samples[len(samples)-1].Cycle)
-	maxWarps := machine.NumSMs * machine.MaxWarpsPerSM
-	row("warps", func(s sim.Sample) int { return s.ResidentWarps }, maxWarps)
-	maxHeld := 0
-	for _, s := range samples {
-		if s.HeldSections > maxHeld {
-			maxHeld = s.HeldSections
-		}
-	}
-	row("SRP held", func(s sim.Sample) int { return s.HeldSections }, maxHeld)
 }
 
 func fatal(err error) {

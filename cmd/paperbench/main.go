@@ -88,8 +88,10 @@ func main() {
 		failedRows += n
 		ran++
 	}
+	// The footer carries wall-clock time, so it goes to stderr: stdout
+	// stays byte-identical across runs and can be diffed as-is.
 	hits, misses := pool.CacheStats()
-	fmt.Fprintf(out, "\n[%d experiment(s), scale %d, %s; %d worker(s), %d simulated + %d cached]\n",
+	fmt.Fprintf(os.Stderr, "\n[%d experiment(s), scale %d, %s; %d worker(s), %d simulated + %d cached]\n",
 		ran, o.Scale, time.Since(start).Round(time.Millisecond), pool.Workers(), misses, hits)
 
 	fail := func(name string, err error) {
@@ -97,27 +99,15 @@ func main() {
 		os.Exit(1)
 	}
 	if o.Trace != nil {
-		if err := writeFile(*traceOut, func(f *os.File) error {
-			return obs.WriteChromeTrace(f, o.Trace.Events())
-		}); err != nil {
+		if err := obs.WriteTraceFile(*traceOut, o.Trace); err != nil {
 			fail("trace", err)
 		}
 		fmt.Fprintf(out, "wrote %d trace events to %s (%d overwritten); open in ui.perfetto.dev\n",
 			o.Trace.Len(), *traceOut, o.Trace.Dropped())
 	}
 	if o.Metrics != nil {
-		if err := os.MkdirAll(*metricsDir, 0o755); err != nil {
-			fail("metrics", err)
-		}
 		report := o.Metrics.Snapshot()
-		if err := writeFile(*metricsDir+"/metrics.json", func(f *os.File) error {
-			return report.WriteJSON(f)
-		}); err != nil {
-			fail("metrics", err)
-		}
-		if err := writeFile(*metricsDir+"/metrics.csv", func(f *os.File) error {
-			return report.WriteCSV(f)
-		}); err != nil {
+		if err := obs.WriteMetricsDir(*metricsDir, report); err != nil {
 			fail("metrics", err)
 		}
 		fmt.Fprintf(out, "wrote %d metrics to %s/metrics.{json,csv}\n", len(report.Metrics), *metricsDir)
@@ -126,17 +116,4 @@ func main() {
 		fmt.Fprintf(os.Stderr, "paperbench: %d row(s) failed with ERR\n", failedRows)
 		os.Exit(1)
 	}
-}
-
-// writeFile creates path and streams write into it.
-func writeFile(path string, write func(*os.File) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -48,10 +48,6 @@ type Result struct {
 	// Older points (pre-spec pipeline) lack it; Compare warns and
 	// skips rather than failing.
 	Load *LoadPoint `json:"load,omitempty"`
-	// Fleet is the optional router load phase (-router); Compare only
-	// considers it when both trajectory points carry one with matching
-	// spec identity.
-	Fleet *FleetPoint `json:"fleet,omitempty"`
 	// Saturation is the optional saturation-sweep section (-sweep): the
 	// knee of the offered-load ladder. Older points lack it; Compare
 	// warns and skips.
@@ -137,7 +133,7 @@ type Options struct {
 	// Workloads and Policies override the matrix (nil = mode default).
 	Workloads []string
 	Policies  []string
-	// Spec drives the load (and fleet) phases. Nil synthesizes the
+	// Spec drives the load phase. Nil synthesizes the
 	// legacy spec — the pre-pipeline 4-seed bfs/static storm, sized by
 	// Quick — keeping old -compare baselines meaningful.
 	Spec *workspec.Spec
@@ -148,19 +144,22 @@ type Options struct {
 	// RunnerOptions.Compress): replay time-compressed traces or slow
 	// specs without editing them.
 	Compress float64
-	// LoadOnly skips the simulator matrix: only the load (and, with
-	// Fleet, router) phases run. The spec smoke gate uses it.
+	// LoadOnly skips the simulator matrix: only the load phase runs.
+	// The spec smoke gate uses it.
 	LoadOnly bool
 	// Par is each simulation's intra-run parallelism
 	// (sim.WithParallelism): 0 = GOMAXPROCS, 1 = serial. Simulated
 	// cycle counts are identical at every value; only the wall-clock
 	// (and hence cycles_per_sec) responds to it.
 	Par int
-	// Fleet adds the router load phase: the same schedule through a
-	// gpusimrouter over three instances with one killed mid-storm. With
-	// SweepSpec set it also retargets the sweep phase at a 3-instance
-	// router fleet instead of a single daemon.
+	// Fleet drives the sweep phase through a gpusimrouter over three
+	// loopback instances instead of a single daemon. It requires
+	// SweepSpec.
 	Fleet bool
+	// URL drives the sweep phase against an already running gpusimd
+	// daemon or gpusimrouter instead of a loopback target. It requires
+	// SweepSpec and excludes Fleet.
+	URL string
 	// SweepSpec adds the saturation-sweep phase (benchreg -sweep): the
 	// spec's offered-load ladder against a fresh loopback target. When
 	// combined with LoadOnly, the sweep replaces the load phase entirely
@@ -175,6 +174,18 @@ func (o Options) logger() *slog.Logger {
 		return obs.NopLogger()
 	}
 	return o.Logger.With("component", "benchreg")
+}
+
+// sweepTarget names what the sweep phase drives, as recorded in
+// SaturationPoint.Target.
+func (o Options) sweepTarget() string {
+	switch {
+	case o.URL != "":
+		return o.URL
+	case o.Fleet:
+		return "router-fleet-3"
+	}
+	return "daemon"
 }
 
 func (o Options) matrix() (workloadNames, policies []string, scale, sms int) {
@@ -212,6 +223,12 @@ func (o Options) schedule() (*workspec.Schedule, error) {
 
 // Run executes the phases and assembles the trajectory point.
 func Run(o Options) (*Result, error) {
+	if o.SweepSpec == nil && (o.Fleet || o.URL != "") {
+		return nil, fmt.Errorf("benchreg options: Fleet and URL retarget the sweep phase and need a SweepSpec")
+	}
+	if o.Fleet && o.URL != "" {
+		return nil, fmt.Errorf("benchreg options: Fleet and URL are mutually exclusive")
+	}
 	res := &Result{
 		SchemaVersion: SchemaVersion,
 		Date:          time.Now().UTC().Format("2006-01-02"),
@@ -230,7 +247,7 @@ func Run(o Options) (*Result, error) {
 	}
 
 	// With LoadOnly + SweepSpec the sweep IS the load: skip the regular
-	// load/fleet phases so the smoke gate measures only the ladder.
+	// load phase so the smoke gate measures only the ladder.
 	sweepOnly := o.LoadOnly && o.SweepSpec != nil
 	if !sweepOnly {
 		sched, err := o.schedule()
@@ -243,23 +260,10 @@ func Run(o Options) (*Result, error) {
 			return nil, err
 		}
 		res.Service, res.Load = svc, load
-
-		if o.Fleet {
-			log.Info("fleet phase", "spec", sched.SpecName, "jobs", len(sched.Items), "instances", 3)
-			fleet, err := runFleetPhase(sched, o)
-			if err != nil {
-				return nil, err
-			}
-			res.Fleet = fleet
-		}
 	}
 
 	if o.SweepSpec != nil {
-		target := "daemon"
-		if o.Fleet {
-			target = "router-fleet-3"
-		}
-		log.Info("sweep phase", "sweep", o.SweepSpec.Name, "steps", o.SweepSpec.Ladder.Steps, "target", target)
+		log.Info("sweep phase", "sweep", o.SweepSpec.Name, "steps", o.SweepSpec.Ladder.Steps, "target", o.sweepTarget())
 		sat, err := runSweepPhase(o.SweepSpec, o)
 		if err != nil {
 			return nil, err
@@ -323,7 +327,7 @@ func runSimPhase(workloadNames, policies []string, scale, sms, par int) ([]SimPo
 func runServicePhase(sched *workspec.Schedule, o Options) (*ServicePoint, *LoadPoint, error) {
 	var lb loopback
 	defer lb.close()
-	svc, url, _, err := lb.instance(4, len(sched.Items)+8, o.Par)
+	svc, url, err := lb.instance(4, len(sched.Items)+8, o.Par)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -432,7 +436,7 @@ func specsComparable(oldID, newID, newName string) bool {
 // dropping, latency metrics by rising. Cells present in old but missing
 // from new count as regressions — a benchmark silently vanishing must
 // not pass. Additive schema growth is forward-compatible: a section the
-// older point predates, or a load/fleet section produced by a different
+// older point predates, or a load section produced by a different
 // workload spec, is reported in warnings and skipped, never failed.
 // The error is reserved for structurally incomparable files (schema or
 // mode mismatch).
@@ -538,20 +542,6 @@ func Compare(old, new_ *Result, threshold float64) (regs, warns []string, err er
 		}
 	}
 
-	// The fleet phase is opt-in (-router), so its absence on either side
-	// is not a regression — only compare when both points carry one that
-	// measured the same spec.
-	if old.Fleet != nil && new_.Fleet != nil {
-		if !specsComparable(old.Fleet.SpecID, new_.Fleet.SpecID, new_.Fleet.Spec) {
-			warns = append(warns, fmt.Sprintf(
-				"fleet sections measured different workload specs (old %s vs new %s); not compared",
-				specLabel(old.Fleet.Spec, old.Fleet.SpecID), specLabel(new_.Fleet.Spec, new_.Fleet.SpecID)))
-		} else {
-			lowerIsWorse("fleet jobs_per_sec", old.Fleet.JobsPerSec, new_.Fleet.JobsPerSec)
-			higherIsWorse("fleet latency_p99_ms", old.Fleet.Latency.P99, new_.Fleet.Latency.P99)
-			lowerIsWorse("fleet memo_hit_rate", old.Fleet.MemoHitRate, new_.Fleet.MemoHitRate)
-		}
-	}
 	return regs, warns, nil
 }
 

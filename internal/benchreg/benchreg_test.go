@@ -1,11 +1,13 @@
 package benchreg
 
 import (
+	"net/http/httptest"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"regmutex/internal/saturate"
+	"regmutex/internal/service"
 	"regmutex/internal/workspec"
 )
 
@@ -404,9 +406,10 @@ func TestCompareSaturationSection(t *testing.T) {
 }
 
 // TestRunSweepPhaseEndToEnd runs the sweep-smoke shape: LoadOnly +
-// SweepSpec replaces the load phase with the saturation ladder against
-// a live loopback daemon, and the knee must be found. The model knobs
-// are pinned slow (one server, few cycles/sec) so the top rungs always
+// SweepSpec replaces the load phase with the saturation ladder, and the
+// knee must be found — against the loopback daemon Run boots, and
+// against an externally booted daemon named by URL. The model knobs are
+// pinned slow (one server, few cycles/sec) so the top rungs always
 // overrun capacity regardless of the calibrated workload cost.
 func TestRunSweepPhaseEndToEnd(t *testing.T) {
 	if testing.Short() {
@@ -423,29 +426,69 @@ func TestRunSweepPhaseEndToEnd(t *testing.T) {
 		Ladder: saturate.Ladder{StartRatePerSec: 4, Factor: 4, Steps: 3, SettleSec: 0.2, MeasureSec: 1},
 		Model:  saturate.Model{Servers: 1, CyclesPerSec: 50_000},
 	}).WithDefaults()
-	res, err := Run(Options{LoadOnly: true, SweepSpec: spec, Compress: 20})
+
+	svc, err := service.New(service.Config{Workers: 2, QueueDepth: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Load != nil || res.Service != nil {
-		t.Fatal("sweep-only run still produced a load phase")
+	svc.Start()
+	defer svc.Close()
+	ext := httptest.NewServer(service.Handler(svc))
+	defer ext.Close()
+
+	for _, tc := range []struct {
+		name, url, target string
+	}{
+		{"loopback", "", "daemon"},
+		{"external", ext.URL, ext.URL},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := Run(Options{LoadOnly: true, SweepSpec: spec, URL: tc.url, Compress: 20})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Load != nil || res.Service != nil {
+				t.Fatal("sweep-only run still produced a load phase")
+			}
+			sat := res.Saturation
+			if sat == nil {
+				t.Fatal("no saturation section")
+			}
+			if sat.Target != tc.target || sat.Spec != "bench-sweep" || sat.SpecID == "" {
+				t.Fatalf("saturation point misstamped: %+v", sat)
+			}
+			if !sat.KneeFound {
+				t.Fatalf("no knee across the ladder: %+v", sat.Steps)
+			}
+			if sat.KneeOfferedPerSec <= 0 || sat.KneeP99Ms <= 0 || len(sat.Steps) != 3 {
+				t.Fatalf("degenerate knee: %+v", sat)
+			}
+			for _, s := range sat.Steps {
+				if s.Classes["interactive"] == nil || s.Classes["interactive"].Count == 0 {
+					t.Fatalf("step %d missing per-class breakdown", s.Step)
+				}
+			}
+		})
 	}
-	sat := res.Saturation
-	if sat == nil {
-		t.Fatal("no saturation section")
-	}
-	if sat.Target != "daemon" || sat.Spec != "bench-sweep" || sat.SpecID == "" {
-		t.Fatalf("saturation point misstamped: %+v", sat)
-	}
-	if !sat.KneeFound {
-		t.Fatalf("no knee across the ladder: %+v", sat.Steps)
-	}
-	if sat.KneeOfferedPerSec <= 0 || sat.KneeP99Ms <= 0 || len(sat.Steps) != 3 {
-		t.Fatalf("degenerate knee: %+v", sat)
-	}
-	for _, s := range sat.Steps {
-		if s.Classes["interactive"] == nil || s.Classes["interactive"].Count == 0 {
-			t.Fatalf("step %d missing per-class breakdown", s.Step)
-		}
+}
+
+// TestRunRejectsRetargetWithoutSweep: Fleet and URL only retarget the
+// sweep phase, so Run refuses them without a SweepSpec (and together)
+// before booting anything.
+func TestRunRejectsRetargetWithoutSweep(t *testing.T) {
+	spec := &saturate.SweepSpec{Name: "unused"}
+	for _, tc := range []struct {
+		name string
+		o    Options
+	}{
+		{"fleet without sweep", Options{LoadOnly: true, Fleet: true}},
+		{"url without sweep", Options{LoadOnly: true, URL: "http://127.0.0.1:1"}},
+		{"fleet and url", Options{LoadOnly: true, Fleet: true, URL: "http://127.0.0.1:1", SweepSpec: spec}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if res, err := Run(tc.o); err == nil {
+				t.Fatalf("Run accepted %+v: %+v", tc.o, res)
+			}
+		})
 	}
 }

@@ -9,9 +9,9 @@ import (
 	"regmutex/internal/service"
 )
 
-// loopback boots the in-process targets the load, fleet and sweep
-// phases drive: gpusimd instances and gpusimrouters, each served on its
-// own 127.0.0.1 listener. close stops everything in reverse boot order.
+// loopback boots the in-process targets the load and sweep phases
+// drive: gpusimd instances and gpusimrouters, each served on its own
+// 127.0.0.1 listener. close stops everything in reverse boot order.
 type loopback struct {
 	stops []func()
 }
@@ -22,40 +22,38 @@ func (lb *loopback) close() {
 	}
 }
 
-// serve starts h on a fresh loopback listener. It returns the base URL
-// and a stop func that closes the server and then the backend; on error
-// the backend is closed at once.
-func (lb *loopback) serve(h http.Handler, closeBackend func()) (string, func(), error) {
+// serve starts h on a fresh loopback listener and returns its base URL.
+// close stops the server and then the backend; on error the backend is
+// closed at once.
+func (lb *loopback) serve(h http.Handler, closeBackend func()) (string, error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		closeBackend()
-		return "", nil, err
+		return "", err
 	}
 	server := &http.Server{Handler: h}
 	go server.Serve(ln)
-	stop := func() {
+	lb.stops = append(lb.stops, func() {
 		server.Close()
 		closeBackend()
-	}
-	lb.stops = append(lb.stops, stop)
-	return "http://" + ln.Addr().String(), stop, nil
+	})
+	return "http://" + ln.Addr().String(), nil
 }
 
 // instance boots a started gpusimd service with the given executor
 // count and queue depth.
-func (lb *loopback) instance(workers, queueDepth, par int) (*service.Service, string, func(), error) {
+func (lb *loopback) instance(workers, queueDepth, par int) (*service.Service, string, error) {
 	svc, err := service.New(service.Config{Workers: workers, QueueDepth: queueDepth, Par: par})
 	if err != nil {
-		return nil, "", nil, err
+		return nil, "", err
 	}
 	svc.Start()
-	url, stop, err := lb.serve(service.Handler(svc), svc.Close)
-	return svc, url, stop, err
+	url, err := lb.serve(service.Handler(svc), svc.Close)
+	return svc, url, err
 }
 
-// router boots a started gpusimrouter over the instance URLs, with the
-// breaker and retry settings every fleet phase shares.
-func (lb *loopback) router(urls []string) (*cluster.Router, string, error) {
+// router boots a started gpusimrouter over the instance URLs.
+func (lb *loopback) router(urls []string) (string, error) {
 	r, err := cluster.New(cluster.Config{
 		Instances:        urls,
 		ProbeInterval:    100 * time.Millisecond,
@@ -65,9 +63,8 @@ func (lb *loopback) router(urls []string) (*cluster.Router, string, error) {
 		Seed:             1,
 	})
 	if err != nil {
-		return nil, "", err
+		return "", err
 	}
 	r.Start()
-	url, _, err := lb.serve(cluster.Handler(r), r.Close)
-	return r, url, err
+	return lb.serve(cluster.Handler(r), r.Close)
 }

@@ -18,8 +18,8 @@ type SaturationPoint struct {
 	Spec   string `json:"spec"`
 	SpecID string `json:"spec_id"`
 	Seed   uint64 `json:"seed"`
-	// Target records what the ladder was driven against
-	// ("daemon" or "router-fleet-3").
+	// Target records what the ladder was driven against: "daemon",
+	// "router-fleet-3", or the base URL of an external target.
 	Target            string                `json:"target"`
 	KneeFound         bool                  `json:"knee_found"`
 	KneeStep          int                   `json:"knee_step"`
@@ -28,34 +28,38 @@ type SaturationPoint struct {
 	KneeGoodputPerSec float64               `json:"knee_goodput_per_sec,omitempty"`
 	KneeP99Ms         float64               `json:"knee_p99_ms,omitempty"`
 	Steps             []saturate.StepResult `json:"steps"`
+	// Report is the analyzer's full report, kept for its text rendering
+	// (per-class per-stage latency); the trajectory file omits it.
+	Report *saturate.Report `json:"-"`
 }
 
-// runSweepPhase drives the saturation ladder against a fresh loopback
-// target: a single gpusimd daemon by default, or — with Options.Fleet —
-// a gpusimrouter over three healthy instances, so the knee prices in
-// routing overhead and cross-instance memo affinity.
+// runSweepPhase drives the saturation ladder against Options.URL when
+// set, and otherwise against a fresh loopback target: a single gpusimd
+// daemon by default, or — with Options.Fleet — a gpusimrouter over
+// three healthy instances, so the knee prices in routing overhead and
+// cross-instance memo affinity.
 func runSweepPhase(spec *saturate.SweepSpec, o Options) (*SaturationPoint, error) {
-	target := "daemon"
 	var lb loopback
 	defer lb.close()
-	var baseURL string
-	if o.Fleet {
-		target = "router-fleet-3"
+	baseURL := o.URL
+	switch {
+	case baseURL != "":
+	case o.Fleet:
 		var urls []string
 		for i := 0; i < 3; i++ {
-			_, url, _, err := lb.instance(2, 4096, o.Par)
+			_, url, err := lb.instance(2, 4096, o.Par)
 			if err != nil {
 				return nil, err
 			}
 			urls = append(urls, url)
 		}
-		_, url, err := lb.router(urls)
+		url, err := lb.router(urls)
 		if err != nil {
 			return nil, err
 		}
 		baseURL = url
-	} else {
-		_, url, _, err := lb.instance(4, 4096, o.Par)
+	default:
+		_, url, err := lb.instance(4, 4096, o.Par)
 		if err != nil {
 			return nil, err
 		}
@@ -70,7 +74,7 @@ func runSweepPhase(spec *saturate.SweepSpec, o Options) (*SaturationPoint, error
 	if err != nil {
 		return nil, fmt.Errorf("benchreg sweep phase: %w", err)
 	}
-	return saturationPoint(rep, target), nil
+	return saturationPoint(rep, o.sweepTarget()), nil
 }
 
 func saturationPoint(rep *saturate.Report, target string) *SaturationPoint {
@@ -85,6 +89,7 @@ func saturationPoint(rep *saturate.Report, target string) *SaturationPoint {
 		KneeOfferedPerSec: rep.KneeOfferedPerSec,
 		KneeGoodputPerSec: rep.KneeGoodputPerSec,
 		Steps:             rep.Steps,
+		Report:            rep,
 	}
 	if rep.KneeFound && rep.KneeStep >= 0 && rep.KneeStep < len(rep.Steps) {
 		sp.KneeP99Ms = float64(rep.Steps[rep.KneeStep].P99Us) / 1000

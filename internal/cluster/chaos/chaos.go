@@ -159,16 +159,6 @@ func New(backendURL string, schedule Schedule, latency time.Duration) (*Proxy, e
 // URL returns the proxy's base URL — what the router is configured with.
 func (p *Proxy) URL() string { return "http://" + p.ln.Addr().String() }
 
-// SetSchedule swaps the fault schedule (e.g. chaos off after a phase).
-func (p *Proxy) SetSchedule(s Schedule) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if s == nil {
-		s = Clean
-	}
-	p.schedule = s
-}
-
 // Counts reports how many times each fault class fired.
 func (p *Proxy) Counts() map[Fault]int64 {
 	out := make(map[Fault]int64)

@@ -17,8 +17,8 @@ var PolicyNames = []string{"static", "regmutex", "paired", "owf", "rfv"}
 // untouched kernel through core.Prepare, while regmutex/paired run the
 // RegMutex-transformed binary; owf additionally derives its register
 // split from the transform so comparisons share one |Bs|. This is the
-// single front door cmd/gpusim, cmd/gputrace, and the observability
-// tests use, so every tool agrees on what "run policy X" means.
+// single front door cmd/gpusim, benchreg and the observability tests
+// use, so every tool agrees on what "run policy X" means.
 func PreparePolicy(machine occupancy.Config, k *isa.Kernel, name string) (*isa.Kernel, sim.Policy, error) {
 	switch name {
 	case "static":

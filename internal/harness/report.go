@@ -35,9 +35,6 @@ type RunSpec struct {
 	Policies []string
 	// Audit attaches the invariant auditor to every run.
 	Audit bool
-	// Timeline collects utilisation samples (every 512 cycles) into each
-	// row, for the gpusim -timeline sparklines.
-	Timeline bool
 	// Observe, when non-nil, is consulted per policy for extra device
 	// options (trace collectors, progress observers) and an after-run
 	// hook that sees the finished Stats. Observers never change Stats,
@@ -56,10 +53,9 @@ type RunSpec struct {
 
 // PolicyRow is one policy's outcome in a comparison run.
 type PolicyRow struct {
-	Policy  string
-	Stats   sim.Stats
-	Samples []sim.Sample // set when RunSpec.Timeline is true
-	Err     error
+	Policy string
+	Stats  sim.Stats
+	Err    error
 }
 
 // key identifies one (kernel, machine, policy, seed, timing, audit)
@@ -85,12 +81,6 @@ func (s RunSpec) name() string {
 		return s.Name
 	}
 	return s.Kernel.Name
-}
-
-// policyRun is the memoized value of one policy simulation.
-type policyRun struct {
-	st      sim.Stats
-	samples []sim.Sample
 }
 
 // RunPolicies simulates the spec's kernel under every requested policy,
@@ -133,14 +123,6 @@ func RunPolicies(ctx context.Context, spec RunSpec) ([]PolicyRow, int) {
 				opts = append(opts, extra...)
 				after = fin
 			}
-			var r policyRun
-			if spec.Timeline {
-				opts = append(opts,
-					sim.WithSampleInterval(512),
-					sim.WithObserver(sim.ObserverFuncs{
-						Sample: func(s sim.Sample) { r.samples = append(r.samples, s) },
-					}))
-			}
 			d, err := sim.New(sim.DeviceSpec{Config: spec.Machine, Timing: timing, Kernel: run}, opts...)
 			if err != nil {
 				return nil, err
@@ -152,8 +134,7 @@ func RunPolicies(ctx context.Context, spec RunSpec) ([]PolicyRow, int) {
 			if after != nil {
 				after(st)
 			}
-			r.st = st
-			return r, nil
+			return st, nil
 		})
 		if hit {
 			hits++
@@ -167,8 +148,7 @@ func RunPolicies(ctx context.Context, spec RunSpec) ([]PolicyRow, int) {
 			rows[i].Err = err
 			continue
 		}
-		r := v.(policyRun)
-		rows[i].Stats, rows[i].Samples = r.st, r.samples
+		rows[i].Stats = v.(sim.Stats)
 	}
 	return rows, hits
 }

@@ -175,13 +175,6 @@ func (in *Instr) Defs() RegSet {
 // the instruction needs the extended register set (paper section III-B2).
 func (in *Instr) Touches() RegSet { return in.Uses() | in.Defs() }
 
-// IsBranch reports whether the instruction can redirect control flow.
-func (in *Instr) IsBranch() bool { return in.Op == OpBra }
-
-// IsBarrierClass reports whether the instruction is handled like a
-// barrier at the issue stage (bar.sync, acq, rel), as in section III-B1.
-func (in *Instr) IsBarrierClass() bool { return ClassOf(in.Op) == ClassSync }
-
 // String renders the instruction in assembly syntax (without its index).
 func (in *Instr) String() string {
 	var b strings.Builder

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 )
 
 // chromeEvent is one record of the Chrome trace-event format ("JSON
@@ -95,11 +96,31 @@ func WriteChromeTrace(w io.Writer, events []TraceEvent) error {
 	return enc.Encode(out)
 }
 
+// WriteTraceFile exports the trace's retained events to path as Chrome
+// trace-event JSON.
+func WriteTraceFile(path string, trace *Trace) error {
+	return writeFile(path, func(w io.Writer) error { return WriteChromeTrace(w, trace.Events()) })
+}
+
+// writeFile creates path, streams write into it and reports the first
+// of the write and close errors.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
 // ValidateChromeTrace checks that r holds trace-event JSON the viewers
 // will accept: a traceEvents array whose records carry a name, a known
 // phase, non-negative timestamps, pid/tid lanes, a duration on spans,
 // a numeric value on counters, and a name argument on metadata records.
-// The gputrace -validate mode and the CI smoke run call this.
+// The gpusim -validate mode and the CI smoke run call this.
 func ValidateChromeTrace(r io.Reader) error {
 	var f struct {
 		TraceEvents []map[string]any `json:"traceEvents"`

@@ -76,11 +76,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// ObserveDuration records a duration in seconds given nanoseconds —
-// sugar for time.Since(...).Seconds() call sites that already hold an
-// integer.
-func (h *Histogram) ObserveDuration(ns int64) { h.Observe(float64(ns) / 1e9) }
-
 // Snapshot captures a point-in-time copy. Under concurrent Observes the
 // fields are each individually consistent but may straddle an update
 // (count can momentarily lead sum by one observation); mergeable and

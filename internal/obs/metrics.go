@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"sort"
 	"strconv"
 	"sync"
@@ -192,6 +194,18 @@ func (m MetricsReport) WriteCSV(w io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
+}
+
+// WriteMetricsDir writes the report as dir/metrics.json and
+// dir/metrics.csv, creating dir when it does not exist.
+func WriteMetricsDir(dir string, m MetricsReport) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	if err := writeFile(filepath.Join(dir, "metrics.json"), m.WriteJSON); err != nil {
+		return err
+	}
+	return writeFile(filepath.Join(dir, "metrics.csv"), m.WriteCSV)
 }
 
 // RecordStats publishes one finished run's Stats under the given prefix

@@ -2,6 +2,8 @@ package obs_test
 
 import (
 	"bytes"
+	"encoding/csv"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -265,6 +267,61 @@ func TestRecordStats(t *testing.T) {
 	}
 	// A nil registry is a no-op, not a panic.
 	obs.RecordStats(nil, "x", st)
+}
+
+// TestSinkFiles drives the two file sinks the CLIs share: the trace
+// file must pass the viewer schema check, and both metrics files must
+// exist and parse back to the registry's metrics.
+func TestSinkFiles(t *testing.T) {
+	st, trace := runToy(t)
+	dir := t.TempDir()
+	tracePath := filepath.Join(dir, "trace.json")
+	if err := obs.WriteTraceFile(tracePath, trace); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := obs.ValidateChromeTrace(f); err != nil {
+		t.Fatalf("written trace fails validation: %v", err)
+	}
+
+	r := obs.NewRegistry()
+	obs.RecordStats(r, "obstoy/regmutex", st)
+	want := r.Snapshot()
+	metricsDir := filepath.Join(dir, "metrics") // created by the sink
+	if err := obs.WriteMetricsDir(metricsDir, want); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(metricsDir, "metrics.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got obs.MetricsReport
+	if err := json.Unmarshal(data, &got); err != nil {
+		t.Fatalf("metrics.json does not parse: %v", err)
+	}
+	if len(got.Metrics) != len(want.Metrics) {
+		t.Fatalf("metrics.json holds %d metrics, want %d", len(got.Metrics), len(want.Metrics))
+	}
+	cf, err := os.Open(filepath.Join(metricsDir, "metrics.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cf.Close()
+	rows, err := csv.NewReader(cf).ReadAll()
+	if err != nil {
+		t.Fatalf("metrics.csv does not parse: %v", err)
+	}
+	if len(rows) != len(want.Metrics)+1 {
+		t.Fatalf("metrics.csv holds %d rows, want header + %d", len(rows), len(want.Metrics))
+	}
+
+	if err := obs.WriteTraceFile(filepath.Join(dir, "missing", "trace.json"), trace); err == nil {
+		t.Fatal("trace written into a missing directory")
+	}
 }
 
 // TestRenderTimeline smoke-tests the text renderer on a real trace.

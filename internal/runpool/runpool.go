@@ -176,16 +176,6 @@ func (p *Pool) Submit(fn func() (any, error)) *Future {
 	return f
 }
 
-// SubmitCtx schedules fn with the submitter's context threaded through to
-// the task, which should poll it and abandon work once it is done. The
-// task runs (and its future completes) even if ctx is already canceled;
-// fn decides how promptly to give up.
-func (p *Pool) SubmitCtx(ctx context.Context, fn func(context.Context) (any, error)) *Future {
-	f := &Future{done: make(chan struct{})}
-	p.start(f, func() (any, error) { return fn(ctx) })
-	return f
-}
-
 func (p *Pool) start(f *Future, fn func() (any, error)) {
 	if p.workers == 1 {
 		f.val, f.err = fn()

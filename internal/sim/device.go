@@ -586,6 +586,3 @@ func (d *Device) sample() Sample {
 	}
 	return s
 }
-
-// Occupancy returns the policy's CTAs-per-SM for the kernel (theoretical).
-func (d *Device) Occupancy() int { return d.Policy.CTAsPerSM(d.Kernel) }

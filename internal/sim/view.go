@@ -15,16 +15,6 @@ func (d *Device) Now() int64 { return d.now }
 // DoneCTAs returns how many CTAs have retired so far.
 func (d *Device) DoneCTAs() int { return d.doneCTAs }
 
-// WarpsRetired returns how many warps have completed so far (per-SM
-// counters summed; they are per-SM so workers never share a counter).
-func (d *Device) WarpsRetired() int64 {
-	var n int64
-	for _, sm := range d.sms {
-		n += sm.warpsRetired
-	}
-	return n
-}
-
 // ID returns the SM's index on the device.
 func (sm *SM) ID() int { return sm.id }
 
@@ -44,9 +34,6 @@ func (sm *SM) UsedSlots() int { return len(sm.slots) - sm.freeSlots() }
 
 // SlotTaken reports whether warp slot i is occupied.
 func (sm *SM) SlotTaken(i int) bool { return i >= 0 && i < len(sm.slots) && sm.slots[i] }
-
-// MemInFlight returns the SM's outstanding global memory requests.
-func (sm *SM) MemInFlight() int { return sm.memInFlight }
 
 // Stalls returns the SM's per-cause scheduler-slot attribution so far.
 // At every point the audit layer can observe (the top of Run's loop and

@@ -204,11 +204,6 @@ func iaddOp(b *isa.Builder) func(d, a, c isa.Reg) {
 	return func(d, a, c isa.Reg) { b.IAdd(d, isa.R(a), isa.R(c)) }
 }
 
-// faddOp returns a float-add combiner for gatherPeak on builder b.
-func faddOp(b *isa.Builder) func(d, a, c isa.Reg) {
-	return func(d, a, c isa.Reg) { b.FAdd(d, isa.R(a), isa.R(c)) }
-}
-
 // pinLongLived emits definitions for registers [lo, hi] from cheap
 // arithmetic on seedReg and returns a closure that consumes all of them
 // into acc at the end (keeping them live for the whole kernel, like the

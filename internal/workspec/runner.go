@@ -35,9 +35,6 @@ type RunnerOptions struct {
 	//	load.<class>.jobs_failed       counter
 	//	load.<class>.jobs_coalesced    counter (memo-served duplicates)
 	Registry *obs.Registry
-	// OnSubmit fires in schedule order just before item i is submitted;
-	// benchreg's fleet phase uses it to kill an instance mid-storm.
-	OnSubmit func(i int)
 	// Logger narrates progress; nil discards.
 	Logger *slog.Logger
 }
@@ -140,7 +137,7 @@ func Run(ctx context.Context, sched *Schedule, o RunnerOptions) (*RunResult, err
 	timer := time.NewTimer(0)
 	defer timer.Stop()
 	<-timer.C
-	for i, it := range sched.Items {
+	for _, it := range sched.Items {
 		if aborted() {
 			break
 		}
@@ -158,9 +155,6 @@ func Run(ctx context.Context, sched *Schedule, o RunnerOptions) (*RunResult, err
 		}
 		if aborted() {
 			break
-		}
-		if o.OnSubmit != nil {
-			o.OnSubmit(i)
 		}
 		select {
 		case sem <- struct{}{}:

@@ -33,6 +33,7 @@ func (d *stubDaemon) handler(t *testing.T) http.HandlerFunc {
 		}
 		d.mu.Lock()
 		d.submissons++
+		id := d.submissons
 		d.inFlight++
 		if d.inFlight > d.maxFlight {
 			d.maxFlight = d.inFlight
@@ -47,7 +48,7 @@ func (d *stubDaemon) handler(t *testing.T) http.HandlerFunc {
 			d.mu.Unlock()
 		}()
 		json.NewEncoder(w).Encode(map[string]any{
-			"id": fmt.Sprintf("j%06d", d.submissons), "state": "done", "coalesced": coalesced,
+			"id": fmt.Sprintf("j%06d", id), "state": "done", "coalesced": coalesced,
 		})
 	}
 }

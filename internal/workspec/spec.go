@@ -8,8 +8,7 @@
 // through the same pipeline as just another schedule source.
 //
 // Everything that used to construct load by hand — benchreg's
-// hardcoded shape loop, its router fleet phase, ad-hoc harness job
-// bodies — converges on the one Spec → Schedule → Runner path.
+// hardcoded shape loop, ad-hoc harness job bodies — converges on the one Spec → Schedule → Runner path.
 package workspec
 
 import (
@@ -271,7 +270,7 @@ func validateSize(p string, z Size, bad func(string, string, ...any)) {
 
 // Identity fingerprints the spec: an FNV-1a hash over its canonical
 // JSON form, seed included (same spec + seed ⇒ same schedule ⇒ same
-// identity). benchreg stamps it into load/fleet sections so -compare
+// identity). benchreg stamps it into load sections so -compare
 // never diffs load phases produced by different traffic.
 func (s *Spec) Identity() string {
 	data, _ := json.Marshal(s)
