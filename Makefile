@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify bench bench-quick microbench quick obs-smoke obs-bench serve-smoke chaos-smoke fleet-smoke load-smoke hypo-smoke sweep-smoke sweep-fleet
+.PHONY: build test verify bench bench-quick microbench quick paper-golden obs-smoke obs-bench serve-smoke chaos-smoke fleet-smoke load-smoke hypo-smoke sweep-smoke sweep-fleet
 
 build:
 	$(GO) build ./...
@@ -20,7 +20,8 @@ test:
 # and nonzero), and the hypothesis smoke (pinned verdicts, byte-equal
 # reports across -j, the Refuted gate biting), and the saturation
 # smoke (climb the tiny ladder against a loopback daemon, require the
-# knee and the BENCH saturation section).
+# knee and the BENCH saturation section), and the paper golden (every
+# table and figure at paper scale, byte-equal to paperbench_output.txt).
 verify:
 	$(GO) build ./...
 	$(GO) vet ./...
@@ -32,6 +33,7 @@ verify:
 	$(MAKE) load-smoke
 	$(MAKE) hypo-smoke
 	$(MAKE) sweep-smoke
+	$(MAKE) paper-golden
 
 # The benchmark-trajectory harness: run the fixed workload×policy
 # simulator matrix plus the gpusimd loopback load phase and write a
@@ -51,6 +53,15 @@ microbench:
 
 quick:
 	$(GO) run ./cmd/paperbench -quick
+
+# Regenerate every table and figure at paper scale and require stdout to
+# match the committed paperbench_output.txt byte for byte (about 50 s on
+# 2 vCPUs). A change that moves a figure updates the golden in the same
+# diff; the paperbench footer goes to stderr, so it never enters the diff.
+paper-golden:
+	$(GO) run ./cmd/paperbench -par 1 > /tmp/paperbench-golden.txt
+	diff paperbench_output.txt /tmp/paperbench-golden.txt
+	rm -f /tmp/paperbench-golden.txt
 
 # Capture a Chrome trace of one audited regmutex run and schema-check
 # the JSON; proves the gpusim -> Perfetto pipeline end to end.

@@ -72,16 +72,15 @@ func main() {
 	}
 
 	var k *isa.Kernel
-	var input []uint64
+	var w *workloads.Workload
 	kname := "kernel"
 	switch {
 	case *workload != "":
-		w, err := workloads.ByName(*workload)
-		if err != nil {
+		var err error
+		if w, err = workloads.ByName(*workload); err != nil {
 			fatal(&harness.NotFoundError{Kind: "workload", Name: *workload, Valid: workloads.Names()})
 		}
 		k = w.Build(*scale)
-		input = w.Input(k, *seed)
 		kname = w.Name
 	case flag.Arg(0) != "":
 		src, err := os.ReadFile(flag.Arg(0))
@@ -126,8 +125,7 @@ func main() {
 	spec := harness.RunSpec{
 		Machine:  machine,
 		Kernel:   k,
-		Name:     kname,
-		Input:    input,
+		Workload: w,
 		Seed:     *seed,
 		Policies: names,
 		Audit:    *auditOn,

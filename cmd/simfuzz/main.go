@@ -24,8 +24,8 @@ import (
 	"runtime"
 
 	"regmutex/internal/audit"
-	"regmutex/internal/core"
 	"regmutex/internal/faults"
+	"regmutex/internal/harness"
 	"regmutex/internal/occupancy"
 	"regmutex/internal/runpool"
 	"regmutex/internal/sim"
@@ -96,52 +96,33 @@ func faultDemo(class string) int {
 	timing := sim.DefaultTiming()
 	timing.MaxCycles = 2_000_000
 
-	w := workloads.Fig7Set()[0]
-	k := w.Build(8)
-	input := w.Input(k, 1)
+	// Faults that need the SRP inject into a register-limited workload
+	// under regmutex; the RFV and barrier classes need their own policy
+	// and, for the barrier, a kernel that syncs (dwt2d, every row).
+	w, policy := workloads.Fig7Set()[0], "regmutex"
 	plan := faults.Plan{Class: faults.Class(class), Warp: 0}
-
-	var kern = k
-	var pol sim.Policy
 	switch faults.Class(class) {
 	case faults.CorruptRFVRows:
-		pre, err := core.Prepare(k)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "simfuzz:", err)
-			return 1
-		}
-		kern, pol = pre, sim.NewRFVPolicy(cfg)
-		plan.After = 5
+		policy, plan.After = "rfv", 5
 	case faults.StallBarrier:
-		// Needs a kernel with a CTA barrier; dwt2d syncs every row.
-		cw, err := workloads.ByName("dwt2d")
+		dwt, err := workloads.ByName("dwt2d")
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "simfuzz:", err)
 			return 1
 		}
-		ck := cw.Build(8)
-		input = cw.Input(ck, 1)
-		pre, err := core.Prepare(ck)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "simfuzz:", err)
-			return 1
-		}
-		kern, pol = pre, sim.NewStaticPolicy(cfg)
+		w, policy = dwt, "static"
 	case faults.LostWriteback:
 		plan.After = 3
-		fallthrough
-	default:
-		res, err := core.Transform(k, core.Options{Config: cfg})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "simfuzz:", err)
-			return 1
-		}
-		kern, pol = res.Kernel, sim.NewRegMutexPolicy(cfg)
+	}
+	k := w.Build(8)
+	kern, pol, err := harness.PreparePolicy(cfg, k, policy)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "simfuzz:", err)
+		return 1
 	}
 
-	mem := append([]uint64(nil), input...)
 	d, err := sim.New(sim.DeviceSpec{Config: cfg, Timing: timing, Kernel: kern},
-		sim.WithPolicy(faults.Inject(pol, plan)), sim.WithGlobal(mem),
+		sim.WithPolicy(faults.Inject(pol, plan)), sim.WithGlobal(w.Input(k, 1)),
 		sim.WithAudit(audit.Standard(0)), sim.WithParallelism(1))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "simfuzz:", err)

@@ -102,40 +102,39 @@ func Fig7(o Options) ([]AppResult, error) {
 	o = o.normalize()
 	cfg := o.machine(occupancy.GTX480())
 	type pending struct {
-		w    *workloads.Workload
-		base statsFuture
-		rm   rmFuture
+		w        *workloads.Workload
+		base, rm Pending
 	}
 	var pend []pending
 	for _, w := range workloads.Fig7Set() {
-		k := w.Build(o.Scale)
+		spec := o.Spec(cfg, w, w.Build(o.Scale))
 		pend = append(pend, pending{
 			w:    w,
-			base: submitBaseline(o, cfg, w, k),
-			rm:   submitRegMutex(o, cfg, w, k, 0),
+			base: Submit(o.Ctx, spec, "static"),
+			rm:   Submit(o.Ctx, spec, "regmutex"),
 		})
 	}
 	var out []AppResult
 	for _, p := range pend {
-		base, err := p.base.Wait()
+		base, err := p.base.Wait(o.Ctx)
 		if err != nil {
 			out = append(out, AppResult{Name: p.w.Name, Err: err})
 			continue
 		}
-		st, res, err := p.rm.Wait()
+		rm, err := p.rm.Wait(o.Ctx)
 		if err != nil {
 			out = append(out, AppResult{Name: p.w.Name, Err: err})
 			continue
 		}
 		out = append(out, AppResult{
 			Name:           p.w.Name,
-			BaselineCycles: base.Cycles,
-			Cycles:         st.Cycles,
-			ReductionPct:   reductionPct(base.Cycles, st.Cycles),
-			OccBefore:      res.BaselineOcc.Occupancy,
-			OccAfter:       res.RegMutexOcc.Occupancy,
-			AcquireRate:    st.AcquireSuccessRate(),
-			Split:          res.Split,
+			BaselineCycles: base.Stats.Cycles,
+			Cycles:         rm.Stats.Cycles,
+			ReductionPct:   reductionPct(base.Stats.Cycles, rm.Stats.Cycles),
+			OccBefore:      rm.BaselineOcc.Occupancy,
+			OccAfter:       rm.RegMutexOcc.Occupancy,
+			AcquireRate:    rm.Stats.AcquireSuccessRate(),
+			Split:          rm.Split,
 		})
 	}
 	return out, nil
@@ -185,48 +184,49 @@ func Fig8(o Options) ([]Fig8Result, error) {
 	full := o.machine(occupancy.GTX480())
 	half := o.machine(occupancy.GTX480Half())
 	type pending struct {
-		w            *workloads.Workload
-		fullF, halfF statsFuture
-		rm           rmFuture
+		w                 *workloads.Workload
+		fullF, halfF, rmF Pending
 	}
 	var pend []pending
 	for _, w := range workloads.Fig8Set() {
 		k := w.Build(o.Scale)
+		halfSpec := o.Spec(half, w, k)
 		pend = append(pend, pending{
 			w:     w,
-			fullF: submitBaseline(o, full, w, k),
-			halfF: submitBaseline(o, half, w, k),
-			rm:    submitRegMutex(o, half, w, k, 0),
+			fullF: Submit(o.Ctx, o.Spec(full, w, k), "static"),
+			halfF: Submit(o.Ctx, halfSpec, "static"),
+			rmF:   Submit(o.Ctx, halfSpec, "regmutex"),
 		})
 	}
 	var out []Fig8Result
 	for _, p := range pend {
-		fullSt, err := p.fullF.Wait()
+		fullRun, err := p.fullF.Wait(o.Ctx)
 		if err != nil {
 			out = append(out, Fig8Result{Name: p.w.Name, Err: err})
 			continue
 		}
-		halfSt, err := p.halfF.Wait()
+		halfRun, err := p.halfF.Wait(o.Ctx)
 		if err != nil {
 			out = append(out, Fig8Result{Name: p.w.Name, Err: err})
 			continue
 		}
-		rmSt, res, err := p.rm.Wait()
+		rm, err := p.rmF.Wait(o.Ctx)
 		if err != nil {
 			out = append(out, Fig8Result{Name: p.w.Name, Err: err})
 			continue
 		}
+		fullCycles := fullRun.Stats.Cycles
 		out = append(out, Fig8Result{
 			Name:           p.w.Name,
-			FullRFCycles:   fullSt.Cycles,
-			HalfNoRMCycles: halfSt.Cycles,
-			HalfRMCycles:   rmSt.Cycles,
-			IncreaseNoRM:   increasePct(fullSt.Cycles, halfSt.Cycles),
-			IncreaseRM:     increasePct(fullSt.Cycles, rmSt.Cycles),
-			OccHalfNoRM:    res.BaselineOcc.Occupancy,
-			OccHalfRM:      res.RegMutexOcc.Occupancy,
-			AcquireRate:    rmSt.AcquireSuccessRate(),
-			Split:          res.Split,
+			FullRFCycles:   fullCycles,
+			HalfNoRMCycles: halfRun.Stats.Cycles,
+			HalfRMCycles:   rm.Stats.Cycles,
+			IncreaseNoRM:   increasePct(fullCycles, halfRun.Stats.Cycles),
+			IncreaseRM:     increasePct(fullCycles, rm.Stats.Cycles),
+			OccHalfNoRM:    rm.BaselineOcc.Occupancy,
+			OccHalfRM:      rm.RegMutexOcc.Occupancy,
+			AcquireRate:    rm.Stats.AcquireSuccessRate(),
+			Split:          rm.Split,
 		})
 	}
 	return out, nil
@@ -296,25 +296,23 @@ func Fig9b(o Options) ([]CmpResult, error) {
 
 func compareTechniques(o Options, refCfg, runCfg occupancy.Config, set []*workloads.Workload) ([]CmpResult, error) {
 	type pending struct {
-		w         *workloads.Workload
-		ref       statsFuture
-		noTech    statsFuture
-		hasNoTech bool
-		rm        rmFuture
-		owf, rfv  statsFuture
+		w                         *workloads.Workload
+		ref, noTech, rm, owf, rfv Pending
+		hasNoTech                 bool
 	}
 	var pend []pending
 	for _, w := range set {
 		k := w.Build(o.Scale)
+		spec := o.Spec(runCfg, w, k)
 		p := pending{
 			w:   w,
-			ref: submitBaseline(o, refCfg, w, k),
-			rm:  submitRegMutex(o, runCfg, w, k, 0),
-			owf: submitOWF(o, runCfg, w, k),
-			rfv: submitRFV(o, runCfg, w, k),
+			ref: Submit(o.Ctx, o.Spec(refCfg, w, k), "static"),
+			rm:  Submit(o.Ctx, spec, "regmutex"),
+			owf: Submit(o.Ctx, spec, "owf"),
+			rfv: Submit(o.Ctx, spec, "rfv"),
 		}
 		if refCfg.Name != runCfg.Name {
-			p.noTech = submitBaseline(o, runCfg, w, k)
+			p.noTech = Submit(o.Ctx, spec, "static")
 			p.hasNoTech = true
 		}
 		pend = append(pend, p)
@@ -322,35 +320,27 @@ func compareTechniques(o Options, refCfg, runCfg occupancy.Config, set []*worklo
 	var out []CmpResult
 	for _, p := range pend {
 		r := CmpResult{Name: p.w.Name}
-		ref, err := p.ref.Wait()
+		ref, err := p.ref.Wait(o.Ctx)
 		if err != nil {
 			r.Err = err
 			out = append(out, r)
 			continue
 		}
-		r.Baseline = ref.Cycles
-		if p.hasNoTech {
-			if noSt, err := p.noTech.Wait(); err != nil {
-				r.setTechErr("none", err)
+		r.Baseline = ref.Stats.Cycles
+		// cell fills one technique column, or records its failure.
+		cell := func(f Pending, col string, cycles *int64) {
+			if run, err := f.Wait(o.Ctx); err != nil {
+				r.setTechErr(col, err)
 			} else {
-				r.NoTech = noSt.Cycles
+				*cycles = run.Stats.Cycles
 			}
 		}
-		if rmSt, _, err := p.rm.Wait(); err != nil {
-			r.setTechErr("regmutex", err)
-		} else {
-			r.RegMutex = rmSt.Cycles
+		if p.hasNoTech {
+			cell(p.noTech, "none", &r.NoTech)
 		}
-		if owfSt, err := p.owf.Wait(); err != nil {
-			r.setTechErr("owf", err)
-		} else {
-			r.OWF = owfSt.Cycles
-		}
-		if rfvSt, err := p.rfv.Wait(); err != nil {
-			r.setTechErr("rfv", err)
-		} else {
-			r.RFV = rfvSt.Cycles
-		}
+		cell(p.rm, "regmutex", &r.RegMutex)
+		cell(p.owf, "owf", &r.OWF)
+		cell(p.rfv, "rfv", &r.RFV)
 		out = append(out, r)
 	}
 	return out, nil

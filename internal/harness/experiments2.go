@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"regmutex/internal/core"
+	"regmutex/internal/isa"
 	"regmutex/internal/occupancy"
 	"regmutex/internal/workloads"
 )
@@ -38,8 +39,8 @@ func EsSweep(o Options) ([]EsSweepRow, error) {
 	type pending struct {
 		w    *workloads.Workload
 		heur *core.Result
-		base statsFuture
-		es   map[int]rmFuture
+		base Pending
+		es   map[int]Pending
 	}
 	var pend []pending
 	for _, w := range workloads.Fig7Set() {
@@ -48,30 +49,32 @@ func EsSweep(o Options) ([]EsSweepRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		p := pending{w: w, heur: heur, base: submitBaseline(o, cfg, w, k), es: map[int]rmFuture{}}
+		spec := o.Spec(cfg, w, k)
+		p := pending{w: w, heur: heur, base: Submit(o.Ctx, spec, "static"), es: map[int]Pending{}}
 		for _, es := range SweepEsValues {
-			p.es[es] = submitRegMutex(o, cfg, w, k, es)
+			spec.ForceEs = es
+			p.es[es] = Submit(o.Ctx, spec, "regmutex")
 		}
 		pend = append(pend, p)
 	}
 	var out []EsSweepRow
 	for _, p := range pend {
-		base, err := p.base.Wait()
+		base, err := p.base.Wait(o.Ctx)
 		if err != nil {
 			return nil, err
 		}
 		row := EsSweepRow{Name: p.w.Name, HeuristicEs: p.heur.Split.Es, Points: map[int]*EsPoint{}}
 		for _, es := range SweepEsValues {
-			st, res, err := p.es[es].Wait()
+			rm, err := p.es[es].Wait(o.Ctx)
 			if err != nil {
 				row.Points[es] = nil // infeasible (deadlock rules, compaction)
 				continue
 			}
 			row.Points[es] = &EsPoint{
-				ReductionPct: reductionPct(base.Cycles, st.Cycles),
-				Occupancy:    res.RegMutexOcc.Occupancy,
-				AcquireRate:  st.AcquireSuccessRate(),
-				Sections:     res.Split.Sections,
+				ReductionPct: reductionPct(base.Stats.Cycles, rm.Stats.Cycles),
+				Occupancy:    rm.RegMutexOcc.Occupancy,
+				AcquireRate:  rm.Stats.AcquireSuccessRate(),
+				Sections:     rm.Split.Sections,
 			}
 		}
 		out = append(out, row)
@@ -147,44 +150,47 @@ func Fig12b(o Options) ([]PairedResult, error) {
 
 func pairedStudy(o Options, refCfg, runCfg occupancy.Config, set []*workloads.Workload) ([]PairedResult, error) {
 	type pending struct {
-		w    *workloads.Workload
-		ref  statsFuture
-		rm   rmFuture
-		pair statsFuture
+		w             *workloads.Workload
+		k             *isa.Kernel
+		ref, rm, pair Pending
 	}
 	var pend []pending
 	for _, w := range set {
 		k := w.Build(o.Scale)
+		spec := o.Spec(runCfg, w, k)
 		pend = append(pend, pending{
 			w:    w,
-			ref:  submitBaseline(o, refCfg, w, k),
-			rm:   submitRegMutex(o, runCfg, w, k, 0),
-			pair: submitPaired(o, runCfg, w, k),
+			k:    k,
+			ref:  Submit(o.Ctx, o.Spec(refCfg, w, k), "static"),
+			rm:   Submit(o.Ctx, spec, "regmutex"),
+			pair: Submit(o.Ctx, spec, "paired"),
 		})
 	}
 	var out []PairedResult
 	for _, p := range pend {
-		ref, err := p.ref.Wait()
+		ref, err := p.ref.Wait(o.Ctx)
 		if err != nil {
 			return nil, err
 		}
-		defSt, res, err := p.rm.Wait()
+		def, err := p.rm.Wait(o.Ctx)
 		if err != nil {
 			return nil, err
 		}
-		pairSt, err := p.pair.Wait()
+		pair, err := p.pair.Wait(o.Ctx)
 		if err != nil {
 			return nil, err
 		}
-		occ := occupancy.PairedPairs(runCfg, res.Kernel, res.Split.Bs, res.Split.Es)
+		// The transform keeps the CTA shape, so the source kernel prices
+		// the paired occupancy.
+		occ := occupancy.PairedPairs(runCfg, p.k, def.Split.Bs, def.Split.Es)
 		out = append(out, PairedResult{
 			Name:           p.w.Name,
-			BaselineCycles: ref.Cycles,
-			DefaultCycles:  defSt.Cycles,
-			PairedCycles:   pairSt.Cycles,
+			BaselineCycles: ref.Stats.Cycles,
+			DefaultCycles:  def.Stats.Cycles,
+			PairedCycles:   pair.Stats.Cycles,
 			PairedOcc:      occ.Occupancy,
-			DefaultRate:    defSt.AcquireSuccessRate(),
-			PairedRate:     pairSt.AcquireSuccessRate(),
+			DefaultRate:    def.Stats.AcquireSuccessRate(),
+			PairedRate:     pair.Stats.AcquireSuccessRate(),
 		})
 	}
 	return out, nil
@@ -235,19 +241,18 @@ type Fig13Row struct {
 func Fig13(o Options) ([]Fig13Row, error) {
 	o = o.normalize()
 	type pending struct {
-		w    *workloads.Workload
-		half bool
-		rm   rmFuture
-		pair statsFuture
+		w        *workloads.Workload
+		half     bool
+		rm, pair Pending
 	}
 	var pend []pending
 	submit := func(set []*workloads.Workload, cfg occupancy.Config, half bool) {
 		for _, w := range set {
-			k := w.Build(o.Scale)
+			spec := o.Spec(cfg, w, w.Build(o.Scale))
 			pend = append(pend, pending{
 				w: w, half: half,
-				rm:   submitRegMutex(o, cfg, w, k, 0),
-				pair: submitPaired(o, cfg, w, k),
+				rm:   Submit(o.Ctx, spec, "regmutex"),
+				pair: Submit(o.Ctx, spec, "paired"),
 			})
 		}
 	}
@@ -255,18 +260,18 @@ func Fig13(o Options) ([]Fig13Row, error) {
 	submit(workloads.Fig8Set(), o.machine(occupancy.GTX480Half()), true)
 	var out []Fig13Row
 	for _, p := range pend {
-		defSt, _, err := p.rm.Wait()
+		def, err := p.rm.Wait(o.Ctx)
 		if err != nil {
 			return nil, err
 		}
-		pairSt, err := p.pair.Wait()
+		pair, err := p.pair.Wait(o.Ctx)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, Fig13Row{
 			Name: p.w.Name, HalfRF: p.half,
-			DefaultRate: defSt.AcquireSuccessRate(),
-			PairedRate:  pairSt.AcquireSuccessRate(),
+			DefaultRate: def.Stats.AcquireSuccessRate(),
+			PairedRate:  pair.Stats.AcquireSuccessRate(),
 		})
 	}
 	sort.SliceStable(out, func(i, j int) bool {

@@ -39,30 +39,30 @@ func Energy(o Options) ([]EnergyRow, error) {
 	model := energy.DefaultModel()
 
 	type pending struct {
-		w    *workloads.Workload
-		full statsFuture
-		rm   rmFuture
+		w        *workloads.Workload
+		full, rm Pending
 	}
 	var pend []pending
 	for _, w := range workloads.Fig8Set() {
 		k := w.Build(o.Scale)
 		pend = append(pend, pending{
 			w:    w,
-			full: submitBaseline(o, full, w, k),
-			rm:   submitRegMutex(o, half, w, k, 0),
+			full: Submit(o.Ctx, o.Spec(full, w, k), "static"),
+			rm:   Submit(o.Ctx, o.Spec(half, w, k), "regmutex"),
 		})
 	}
 	var out []EnergyRow
 	for _, p := range pend {
 		w := p.w
-		fullSt, err := p.full.Wait()
+		fullRun, err := p.full.Wait(o.Ctx)
 		if err != nil {
 			return nil, err
 		}
-		rmSt, _, err := p.rm.Wait()
+		rmRun, err := p.rm.Wait(o.Ctx)
 		if err != nil {
 			return nil, err
 		}
+		fullSt, rmSt := fullRun.Stats, rmRun.Stats
 		row := EnergyRow{
 			Name:       w.Name,
 			FullCycles: fullSt.Cycles,
@@ -121,9 +121,8 @@ func Generality(o Options) ([]GeneralityRow, error) {
 	o = o.normalize()
 	cfg := o.machine(occupancy.K20())
 	type pending struct {
-		w    *workloads.Workload
-		base statsFuture
-		rm   rmFuture
+		w        *workloads.Workload
+		base, rm Pending
 	}
 	var pend []pending
 	for _, w := range workloads.All() {
@@ -131,40 +130,43 @@ func Generality(o Options) ([]GeneralityRow, error) {
 		// The K20 hosts more CTAs per SM; double the grid so multiple
 		// waves still form.
 		k.GridCTAs *= 2
+		spec := o.Spec(cfg, w, k)
 		pend = append(pend, pending{
 			w:    w,
-			base: submitBaseline(o, cfg, w, k),
-			rm:   submitRegMutex(o, cfg, w, k, 0),
+			base: Submit(o.Ctx, spec, "static"),
+			rm:   Submit(o.Ctx, spec, "regmutex"),
 		})
 	}
 	var out []GeneralityRow
 	for _, p := range pend {
 		w := p.w
-		base, err := p.base.Wait()
+		base, err := p.base.Wait(o.Ctx)
 		if err != nil {
 			return nil, err
 		}
-		st, res, err := p.rm.Wait()
+		rm, err := p.rm.Wait(o.Ctx)
 		if err != nil {
 			return nil, err
 		}
 		// "RegMutex does not disturb the performance of an application
-		// that does not utilize it": a zero-sized extended set must run
-		// cycle-identically to the baseline.
-		if res.Disabled() && st.Cycles != base.Cycles {
+		// that does not utilize it": a zero-sized extended set (as in
+		// core.Result.Disabled) must run cycle-identically to the
+		// baseline.
+		disabled := rm.Split.Disabled || rm.Split.Es == 0
+		if disabled && rm.Stats.Cycles != base.Stats.Cycles {
 			return nil, fmt.Errorf("generality %s: disabled RegMutex changed cycles (%d vs %d)",
-				w.Name, st.Cycles, base.Cycles)
+				w.Name, rm.Stats.Cycles, base.Stats.Cycles)
 		}
 		out = append(out, GeneralityRow{
 			Name:           w.Name,
-			BaselineCycles: base.Cycles,
-			Cycles:         st.Cycles,
-			ReductionPct:   reductionPct(base.Cycles, st.Cycles),
-			OccBefore:      res.BaselineOcc.Occupancy,
-			OccAfter:       res.RegMutexOcc.Occupancy,
-			Bs:             res.Split.Bs,
-			Es:             res.Split.Es,
-			Disabled:       res.Disabled(),
+			BaselineCycles: base.Stats.Cycles,
+			Cycles:         rm.Stats.Cycles,
+			ReductionPct:   reductionPct(base.Stats.Cycles, rm.Stats.Cycles),
+			OccBefore:      rm.BaselineOcc.Occupancy,
+			OccAfter:       rm.RegMutexOcc.Occupancy,
+			Bs:             rm.Split.Bs,
+			Es:             rm.Split.Es,
+			Disabled:       disabled,
 		})
 	}
 	return out, nil
@@ -213,9 +215,8 @@ func SeedStability(o Options, seeds []uint64) ([]SeedRow, error) {
 	}
 	cfg := o.machine(occupancy.GTX480())
 	type pending struct {
-		w    *workloads.Workload
-		base statsFuture
-		rm   rmFuture
+		w        *workloads.Workload
+		base, rm Pending
 	}
 	var pend []pending
 	for _, seed := range seeds {
@@ -223,25 +224,26 @@ func SeedStability(o Options, seeds []uint64) ([]SeedRow, error) {
 		so.Seed = seed
 		so.SeedSet = true
 		for _, w := range workloads.Fig7Set() {
-			k := w.Build(so.Scale)
+			spec := so.Spec(cfg, w, w.Build(so.Scale))
 			pend = append(pend, pending{
 				w:    w,
-				base: submitBaseline(so, cfg, w, k),
-				rm:   submitRegMutex(so, cfg, w, k, 0),
+				base: Submit(o.Ctx, spec, "static"),
+				rm:   Submit(o.Ctx, spec, "regmutex"),
 			})
 		}
 	}
 	rows := map[string]*SeedRow{}
 	var order []string
 	for _, p := range pend {
-		base, err := p.base.Wait()
+		baseRun, err := p.base.Wait(o.Ctx)
 		if err != nil {
 			return nil, err
 		}
-		st, _, err := p.rm.Wait()
+		rmRun, err := p.rm.Wait(o.Ctx)
 		if err != nil {
 			return nil, err
 		}
+		base, st := baseRun.Stats, rmRun.Stats
 		r := rows[p.w.Name]
 		if r == nil {
 			r = &SeedRow{Name: p.w.Name, Min: 1e18, Max: -1e18}

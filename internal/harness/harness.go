@@ -11,8 +11,6 @@ import (
 	"io"
 	"testing"
 
-	"regmutex/internal/audit"
-	"regmutex/internal/core"
 	"regmutex/internal/isa"
 	"regmutex/internal/obs"
 	"regmutex/internal/occupancy"
@@ -44,14 +42,14 @@ type Options struct {
 	// values above 1 step SMs on that many workers between deterministic
 	// cycle barriers; 0 picks GOMAXPROCS and 1 forces the serial engine.
 	// Stats are byte-identical at every value, so Par is deliberately
-	// absent from the memo key (runKey) — cached results are shared
+	// absent from the memo key (RunSpec.key) — cached results are shared
 	// across worker counts, mirroring the pool's -j invariance.
 	Par int
-	// Pool fans simulations out across workers and caches results keyed
-	// by (kernel fingerprint, config, policy, seed, timing). Sharing one
-	// pool across experiments (as cmd/paperbench does) lets sweeps reuse
-	// each other's baselines; normalize creates a private pool when the
-	// caller leaves it nil.
+	// Pool fans simulations out across workers and caches results under
+	// RunSpec.key (policy, kernel fingerprint, machine, seed, input,
+	// timing, audit). Sharing one pool across experiments (as
+	// cmd/paperbench does) lets sweeps reuse each other's baselines;
+	// normalize creates a private pool when the caller leaves it nil.
 	Pool *runpool.Pool
 	// Audit attaches the invariant auditor (internal/audit) to every
 	// simulation. Defaults to on under `go test` and off otherwise;
@@ -103,36 +101,36 @@ func (o Options) machine(base occupancy.Config) occupancy.Config {
 	return base
 }
 
-// runOne simulates kernel k under pol on machine cfg with fresh inputs,
-// attaching whatever observability Options asks for (auditor, trace
-// collector, metrics). ctx is the task's single-flight context from the
-// pool: canceling it abandons the simulation mid-run.
-func runOne(ctx context.Context, o Options, cfg occupancy.Config, w *workloads.Workload, k *isa.Kernel, pol sim.Policy) (sim.Stats, error) {
-	global := w.Input(k, o.Seed)
-	opts := []sim.Option{sim.WithPolicy(pol), sim.WithGlobal(global), sim.WithParallelism(o.Par)}
-	if o.Audit {
-		opts = append(opts, sim.WithAudit(audit.Standard(audit.DefaultEvery)))
+// Spec is the one Options→RunSpec mapping: workload w's kernel k on
+// machine cfg with o's seed, timing, auditor, parallelism and pool, plus
+// o's Trace and Metrics attached as observers under a
+// "<workload>/<policy>" lane. Experiments and hypo submit through it.
+// o is normalized here, so callers fanning out many runs should set a
+// shared o.Pool.
+func (o Options) Spec(cfg occupancy.Config, w *workloads.Workload, k *isa.Kernel) RunSpec {
+	o = o.normalize()
+	spec := RunSpec{Machine: cfg, Timing: o.Timing, Kernel: k, Workload: w, Seed: o.Seed,
+		Audit: o.Audit, Pool: o.Pool, Par: o.Par}
+	if o.Trace == nil && o.Metrics == nil {
+		return spec
 	}
-	lane := w.Name + "/" + pol.Name()
-	var col *obs.Collector
-	if o.Trace != nil {
-		col = obs.NewCollector(o.Trace)
-		col.Proc = lane
-		opts = append(opts, sim.WithObserver(col))
+	spec.Observe = func(policy string) ([]sim.Option, func(sim.Stats)) {
+		lane := w.Name + "/" + policy
+		var opts []sim.Option
+		var col *obs.Collector
+		if o.Trace != nil {
+			col = obs.NewCollector(o.Trace)
+			col.Proc = lane
+			opts = append(opts, sim.WithObserver(col))
+		}
+		return opts, func(st sim.Stats) {
+			if col != nil {
+				col.Flush(st.Cycles)
+			}
+			obs.RecordStats(o.Metrics, lane, st)
+		}
 	}
-	d, err := sim.New(sim.DeviceSpec{Config: cfg, Timing: o.Timing, Kernel: k}, opts...)
-	if err != nil {
-		return sim.Stats{}, fmt.Errorf("%s: %w", lane, err)
-	}
-	st, err := d.RunContext(ctx)
-	if err != nil {
-		return sim.Stats{}, fmt.Errorf("%s: %w", lane, err)
-	}
-	if col != nil {
-		col.Flush(st.Cycles)
-	}
-	obs.RecordStats(o.Metrics, lane, st)
-	return st, nil
+	return spec
 }
 
 // ErrKind classifies a failed row for rendering (`ERR(<kind>)`): the
@@ -153,173 +151,6 @@ func ErrKind(err error) string {
 	default:
 		return "error"
 	}
-}
-
-// baselineRun prepares and runs the untouched kernel under static
-// allocation.
-func baselineRun(ctx context.Context, o Options, cfg occupancy.Config, w *workloads.Workload, k *isa.Kernel) (sim.Stats, error) {
-	pre, err := core.Prepare(k)
-	if err != nil {
-		return sim.Stats{}, err
-	}
-	return runOne(ctx, o, cfg, w, pre, sim.NewStaticPolicy(cfg))
-}
-
-// regmutexRun transforms (against target) and runs under the RegMutex
-// policy on machine cfg. Returns the transform result too.
-func regmutexRun(ctx context.Context, o Options, cfg occupancy.Config, w *workloads.Workload, k *isa.Kernel, forceEs int) (sim.Stats, *core.Result, error) {
-	res, err := core.Transform(k, core.Options{Config: cfg, ForceEs: forceEs})
-	if err != nil {
-		return sim.Stats{}, nil, fmt.Errorf("%s: %w", w.Name, err)
-	}
-	st, err := runOne(ctx, o, cfg, w, res.Kernel, sim.NewRegMutexPolicy(cfg))
-	if err != nil {
-		return sim.Stats{}, nil, err
-	}
-	return st, res, nil
-}
-
-// runKey identifies one simulation for the pool's memo cache. Everything
-// that can change the resulting Stats must appear: the source kernel's
-// fingerprint (code, grid, resource demands — and through them the
-// workload input), the machine config, the policy tag (with any policy
-// parameters encoded by the caller), the input seed, and the timing
-// model. Scale is covered by the fingerprint (it reshapes the grid).
-// Observability sinks appear too: a memo hit skips the simulation and
-// with it the run's trace events and metrics, so runs with a trace or
-// metrics sink attached must not alias unobserved cached ones.
-func runKey(o Options, cfg occupancy.Config, k *isa.Kernel, pol string) string {
-	return fmt.Sprintf("%s|%016x|%+v|seed=%d|%+v|audit=%v|obs=%v%v",
-		pol, k.Fingerprint(), cfg, o.Seed, o.Timing, o.Audit, o.Trace != nil, o.Metrics != nil)
-}
-
-// statsFuture is a pending simulation's Stats.
-type statsFuture struct{ f *runpool.Future }
-
-func (s statsFuture) Wait() (sim.Stats, error) {
-	v, err := s.f.Wait()
-	if err != nil {
-		return sim.Stats{}, err
-	}
-	return v.(sim.Stats), nil
-}
-
-// rmRun pairs a RegMutex simulation with its transform result, which the
-// experiments mine for occupancy and split columns.
-type rmRun struct {
-	Stats sim.Stats
-	Res   *core.Result
-}
-
-// rmFuture is a pending RegMutex transform + simulation.
-type rmFuture struct{ f *runpool.Future }
-
-func (r rmFuture) Wait() (sim.Stats, *core.Result, error) {
-	v, err := r.f.Wait()
-	if err != nil {
-		return sim.Stats{}, nil, err
-	}
-	run := v.(rmRun)
-	return run.Stats, run.Res, nil
-}
-
-// submitRun schedules runOne through o's pool, memoized under polKey.
-// Policies with parameters must encode them in polKey (e.g. "owf" runs
-// derive |Bs| deterministically from the kernel, so the bare tag is
-// enough for every policy the harness uses). Every submission passes
-// o.Ctx into the pool's single-flight interest group, so canceling the
-// experiment aborts its in-flight simulations.
-func submitRun(o Options, cfg occupancy.Config, w *workloads.Workload, k *isa.Kernel, pol sim.Policy, polKey string) statsFuture {
-	f, _ := o.Pool.SubmitKeyedCtx(o.Ctx, runKey(o, cfg, k, polKey), func(ctx context.Context) (any, error) {
-		st, err := runOne(ctx, o, cfg, w, k, pol)
-		if err != nil {
-			return nil, err
-		}
-		return st, nil
-	})
-	return statsFuture{f}
-}
-
-// submitBaseline schedules baselineRun (Prepare + static simulation).
-func submitBaseline(o Options, cfg occupancy.Config, w *workloads.Workload, k *isa.Kernel) statsFuture {
-	f, _ := o.Pool.SubmitKeyedCtx(o.Ctx, runKey(o, cfg, k, "static"), func(ctx context.Context) (any, error) {
-		st, err := baselineRun(ctx, o, cfg, w, k)
-		if err != nil {
-			return nil, err
-		}
-		return st, nil
-	})
-	return statsFuture{f}
-}
-
-// submitRegMutex schedules regmutexRun (transform + simulation); the
-// future also carries the transform result.
-func submitRegMutex(o Options, cfg occupancy.Config, w *workloads.Workload, k *isa.Kernel, forceEs int) rmFuture {
-	key := runKey(o, cfg, k, fmt.Sprintf("regmutex|es=%d", forceEs))
-	f, _ := o.Pool.SubmitKeyedCtx(o.Ctx, key, func(ctx context.Context) (any, error) {
-		st, res, err := regmutexRun(ctx, o, cfg, w, k, forceEs)
-		if err != nil {
-			return nil, err
-		}
-		return rmRun{Stats: st, Res: res}, nil
-	})
-	return rmFuture{f}
-}
-
-// submitPaired schedules the paired-warps run: each task performs its own
-// RegMutex transform so tasks stay independent of one another (a pool
-// worker never blocks on a sibling future).
-func submitPaired(o Options, cfg occupancy.Config, w *workloads.Workload, k *isa.Kernel) statsFuture {
-	f, _ := o.Pool.SubmitKeyedCtx(o.Ctx, runKey(o, cfg, k, "paired"), func(ctx context.Context) (any, error) {
-		res, err := core.Transform(k, core.Options{Config: cfg})
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", w.Name, err)
-		}
-		st, err := runOne(ctx, o, cfg, w, res.Kernel, sim.NewPairedPolicy(cfg))
-		if err != nil {
-			return nil, err
-		}
-		return st, nil
-	})
-	return statsFuture{f}
-}
-
-// submitOWF schedules the OWF comparison run. OWF shares registers above
-// the same |Bs| threshold RegMutex chose, making the comparison
-// apples-to-apples on the split; the task recomputes that split itself.
-func submitOWF(o Options, cfg occupancy.Config, w *workloads.Workload, k *isa.Kernel) statsFuture {
-	f, _ := o.Pool.SubmitKeyedCtx(o.Ctx, runKey(o, cfg, k, "owf"), func(ctx context.Context) (any, error) {
-		res, err := core.Transform(k, core.Options{Config: cfg})
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", w.Name, err)
-		}
-		pre, err := core.Prepare(k)
-		if err != nil {
-			return nil, err
-		}
-		st, err := runOne(ctx, o, cfg, w, pre, sim.NewOWFPolicy(cfg, res.Split.Bs))
-		if err != nil {
-			return nil, err
-		}
-		return st, nil
-	})
-	return statsFuture{f}
-}
-
-// submitRFV schedules the register-file-virtualization comparison run.
-func submitRFV(o Options, cfg occupancy.Config, w *workloads.Workload, k *isa.Kernel) statsFuture {
-	f, _ := o.Pool.SubmitKeyedCtx(o.Ctx, runKey(o, cfg, k, "rfv"), func(ctx context.Context) (any, error) {
-		pre, err := core.Prepare(k)
-		if err != nil {
-			return nil, err
-		}
-		st, err := runOne(ctx, o, cfg, w, pre, sim.NewRFVPolicy(cfg))
-		if err != nil {
-			return nil, err
-		}
-		return st, nil
-	})
-	return statsFuture{f}
 }
 
 // pct returns the percentage change from base to v: positive = reduction.

@@ -87,27 +87,46 @@ func TestFig8Shape(t *testing.T) {
 }
 
 func TestFig9Shape(t *testing.T) {
-	rows, err := Fig9a(tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var owf, rfv, rm []float64
-	for _, r := range rows {
-		owf = append(owf, reductionPct(r.Baseline, r.OWF))
-		rfv = append(rfv, reductionPct(r.Baseline, r.RFV))
-		rm = append(rm, reductionPct(r.Baseline, r.RegMutex))
-	}
-	// Paper ordering: OWF << RegMutex <= RFV (within tolerance).
-	if mean(owf) > mean(rm) {
-		t.Errorf("OWF (%f) should not beat RegMutex (%f)", mean(owf), mean(rm))
-	}
-	if mean(rfv) < mean(rm)-5 {
-		t.Errorf("RFV (%f) should be at least comparable to RegMutex (%f)", mean(rfv), mean(rm))
-	}
-	var buf bytes.Buffer
-	PrintFig9(&buf, rows, false)
-	if buf.Len() == 0 {
-		t.Error("empty printout")
+	for _, tc := range []struct {
+		name string
+		half bool
+		run  func(Options) ([]CmpResult, error)
+	}{{"fig9a", false, Fig9a}, {"fig9b", true, Fig9b}} {
+		t.Run(tc.name, func(t *testing.T) {
+			rows, err := tc.run(tiny())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rows) != 8 {
+				t.Fatalf("rows = %d, want 8", len(rows))
+			}
+			var owf, rfv, rm []float64
+			for _, r := range rows {
+				if r.Err != nil || len(r.TechErr) > 0 {
+					t.Errorf("%s: failed runs: %v %v", r.Name, r.Err, r.TechErr)
+				}
+				// Only the half-RF study has a no-technique column.
+				if (r.NoTech != 0) != tc.half {
+					t.Errorf("%s: no-technique cycles = %d on half=%v", r.Name, r.NoTech, tc.half)
+				}
+				owf = append(owf, reductionPct(r.Baseline, r.OWF))
+				rfv = append(rfv, reductionPct(r.Baseline, r.RFV))
+				rm = append(rm, reductionPct(r.Baseline, r.RegMutex))
+			}
+			// Paper ordering: OWF << RegMutex <= RFV (within tolerance);
+			// on the half RF the reductions are negated increases.
+			if mean(owf) > mean(rm) {
+				t.Errorf("OWF (%f) should not beat RegMutex (%f)", mean(owf), mean(rm))
+			}
+			if mean(rfv) < mean(rm)-5 {
+				t.Errorf("RFV (%f) should be at least comparable to RegMutex (%f)", mean(rfv), mean(rm))
+			}
+			var buf bytes.Buffer
+			PrintFig9(&buf, rows, tc.half)
+			if buf.Len() == 0 {
+				t.Error("empty printout")
+			}
+		})
 	}
 }
 
@@ -153,15 +172,26 @@ func TestEsSweep(t *testing.T) {
 }
 
 func TestFig12And13(t *testing.T) {
-	rows, err := Fig12a(tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 8 {
-		t.Fatalf("rows = %d, want 8", len(rows))
-	}
 	var buf bytes.Buffer
-	PrintFig12(&buf, rows, false)
+	for _, tc := range []struct {
+		name string
+		half bool
+		run  func(Options) ([]PairedResult, error)
+	}{{"fig12a", false, Fig12a}, {"fig12b", true, Fig12b}} {
+		rows, err := tc.run(tiny())
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if len(rows) != 8 {
+			t.Fatalf("%s: rows = %d, want 8", tc.name, len(rows))
+		}
+		for _, r := range rows {
+			if r.BaselineCycles == 0 || r.DefaultCycles == 0 || r.PairedCycles == 0 || r.PairedOcc <= 0 {
+				t.Errorf("%s %s: empty row %+v", tc.name, r.Name, r)
+			}
+		}
+		PrintFig12(&buf, rows, tc.half)
+	}
 
 	f13, err := Fig13(tiny())
 	if err != nil {

@@ -15,7 +15,7 @@ import (
 // runCellAt simulates one workload × policy cell at the given sim
 // parallelism and returns the Stats plus (when trace is true) the
 // exported Chrome trace bytes. It deliberately bypasses the runpool memo
-// cache: Par is absent from runKey precisely because results are
+// cache: Par is absent from RunSpec.key precisely because results are
 // par-invariant, which is the property under test here.
 func runCellAt(t *testing.T, wname, pname string, par int, trace bool) (sim.Stats, []byte) {
 	t.Helper()

@@ -2,11 +2,14 @@ package harness
 
 import (
 	"bytes"
+	"context"
 	"sync"
 	"testing"
 
+	"regmutex/internal/obs"
 	"regmutex/internal/occupancy"
 	"regmutex/internal/runpool"
+	"regmutex/internal/sim"
 	"regmutex/internal/workloads"
 )
 
@@ -121,7 +124,8 @@ func TestExplicitZeroSeedHonored(t *testing.T) {
 // TestSeedZeroDiffersFromSeed42 demonstrates the observable half of the
 // fix: before it, -seed 0 silently reran the seed-42 simulations — same
 // inputs, same cache entries. (Cycle counts are input-stable by design,
-// so the witnesses are the generated inputs and the cache keys.)
+// so the witnesses are the generated inputs here and the memo keys in
+// TestRunSpecKeyIsTheSimulationIdentity.)
 func TestSeedZeroDiffersFromSeed42(t *testing.T) {
 	w, err := workloads.ByName("bfs")
 	if err != nil {
@@ -141,10 +145,92 @@ func TestSeedZeroDiffersFromSeed42(t *testing.T) {
 			t.Fatal("seed 0 generated the same input as seed 42")
 		}
 	}
+}
+
+// TestRunSpecKeyIsTheSimulationIdentity pins the one memo key rule:
+// every field that can change a run's result changes the key, and the
+// execution knobs and observers do not, so observed, unobserved and
+// differently-parallel submissions of one point share a simulation.
+func TestRunSpecKeyIsTheSimulationIdentity(t *testing.T) {
+	w, err := workloads.ByName("bfs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := w.Build(16)
 	cfg := occupancy.GTX480()
-	o0 := Options{Scale: 16, Seed: 0, SeedSet: true}.normalize()
-	o42 := Options{Scale: 16}.normalize()
-	if runKey(o0, cfg, k, "static") == runKey(o42, cfg, k, "static") {
-		t.Error("seed 0 and seed 42 share a cache key; -seed 0 would replay seed-42 results")
+	pool := runpool.New(1)
+	o := Options{Scale: 16, Pool: pool}
+	base := o.Spec(cfg, w, k)
+	want := base.key("regmutex")
+	for _, tc := range []struct {
+		name   string
+		spec   func(RunSpec) RunSpec
+		policy string
+		same   bool
+	}{
+		{"policy", func(s RunSpec) RunSpec { return s }, "paired", false},
+		{"forced es", func(s RunSpec) RunSpec { s.ForceEs = 4; return s }, "regmutex", false},
+		{"kernel", func(s RunSpec) RunSpec { s.Kernel = w.Build(8); return s }, "regmutex", false},
+		{"machine", func(s RunSpec) RunSpec { s.Machine = occupancy.GTX480Half(); return s }, "regmutex", false},
+		{"seed", func(s RunSpec) RunSpec { s.Seed++; return s }, "regmutex", false},
+		{"explicit seed 0 vs default 42", func(RunSpec) RunSpec {
+			return Options{Scale: 16, Seed: 0, SeedSet: true, Pool: pool}.Spec(cfg, w, k)
+		}, "regmutex", false},
+		{"assembly input", func(s RunSpec) RunSpec { s.Workload = nil; return s }, "regmutex", false},
+		{"timing", func(s RunSpec) RunSpec { s.Timing.MaxCycles++; return s }, "regmutex", false},
+		{"audit", func(s RunSpec) RunSpec { s.Audit = !s.Audit; return s }, "regmutex", false},
+		{"zero timing means default", func(s RunSpec) RunSpec { s.Timing = sim.Timing{}; return s }, "regmutex", true},
+		{"par", func(s RunSpec) RunSpec { s.Par = 4; return s }, "regmutex", true},
+		{"pool", func(s RunSpec) RunSpec { s.Pool = runpool.New(2); return s }, "regmutex", true},
+		{"policies list", func(s RunSpec) RunSpec { s.Policies = PolicyNames; return s }, "regmutex", true},
+		{"observers", func(RunSpec) RunSpec {
+			return Options{Scale: 16, Pool: pool, Trace: obs.NewTrace(0), Metrics: obs.NewRegistry()}.Spec(cfg, w, k)
+		}, "regmutex", true},
+	} {
+		got := tc.spec(base).key(tc.policy)
+		if (got == want) != tc.same {
+			t.Errorf("%s: key equal to base = %v, want %v\n got  %s\n base %s", tc.name, got == want, tc.same, got, want)
+		}
+	}
+}
+
+// TestDaemonPathSharesRunsWithFigures pins the one run path: a policy
+// comparison submitted the way gpusimd's sim jobs build it (RunPolicies
+// over a RunSpec) lands under the same memo keys as the figure sweeps,
+// so Fig7 on the same pool reuses both bfs runs.
+func TestDaemonPathSharesRunsWithFigures(t *testing.T) {
+	o := tiny()
+	o.Pool = runpool.New(1)
+	o = o.normalize()
+	w, err := workloads.ByName("bfs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := RunSpec{
+		Machine: o.machine(occupancy.GTX480()), Kernel: w.Build(o.Scale), Workload: w,
+		Seed: o.Seed, Policies: []string{"static", "regmutex"}, Audit: o.Audit, Pool: o.Pool,
+	}
+	rows, hits := RunPolicies(context.Background(), spec)
+	if hits != 0 {
+		t.Fatalf("fresh pool served %d hits", hits)
+	}
+	for _, r := range rows {
+		if r.Err != nil {
+			t.Fatalf("%s: %v", r.Policy, r.Err)
+		}
+	}
+	hits0, _ := o.Pool.CacheStats()
+	fig7, err := Fig7(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hits1, _ := o.Pool.CacheStats(); hits1-hits0 < 2 {
+		t.Errorf("Fig7 reused %d of the daemon path's 2 runs", hits1-hits0)
+	}
+	for _, r := range fig7 {
+		if r.Name == "bfs" && (r.BaselineCycles != rows[0].Stats.Cycles || r.Cycles != rows[1].Stats.Cycles) {
+			t.Errorf("bfs cycles %d/%d, daemon path %d/%d",
+				r.BaselineCycles, r.Cycles, rows[0].Stats.Cycles, rows[1].Stats.Cycles)
+		}
 	}
 }

@@ -13,43 +13,50 @@ var PolicyNames = []string{"static", "regmutex", "paired", "owf", "rfv"}
 
 // PreparePolicy compiles kernel k for the named policy on the given
 // machine and returns the kernel to simulate together with the policy.
-// The compilation step depends on the policy: static/owf/rfv run the
-// untouched kernel through core.Prepare, while regmutex/paired run the
-// RegMutex-transformed binary; owf additionally derives its register
-// split from the transform so comparisons share one |Bs|. This is the
-// single front door cmd/gpusim, benchreg and the observability tests
-// use, so every tool agrees on what "run policy X" means.
+// It is prepare with the heuristic's |Es|, for callers that drive
+// sim.New themselves (benchreg, perfbench, simfuzz and the
+// observability tests), so every tool agrees on what "run policy X"
+// means.
 func PreparePolicy(machine occupancy.Config, k *isa.Kernel, name string) (*isa.Kernel, sim.Policy, error) {
+	run, pol, _, err := prepare(machine, k, name, 0)
+	return run, pol, err
+}
+
+// prepare is the one policy→compile mapping. static and rfv run the
+// untouched kernel through core.Prepare; regmutex and paired run the
+// RegMutex-transformed binary; owf runs the prepared kernel but borrows
+// the transform's |Bs|, so comparisons share one split. forceEs pins the
+// transform's extended-set size (0 = the heuristic's pick). The
+// transform result is returned for the policies that ran it, nil
+// otherwise.
+func prepare(machine occupancy.Config, k *isa.Kernel, name string, forceEs int) (*isa.Kernel, sim.Policy, *core.Result, error) {
 	switch name {
-	case "static":
+	case "static", "rfv":
 		pre, err := core.Prepare(k)
 		if err != nil {
-			return nil, nil, err
-		}
-		return pre, sim.NewStaticPolicy(machine), nil
-	case "owf", "rfv":
-		pre, err := core.Prepare(k)
-		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		if name == "rfv" {
-			return pre, sim.NewRFVPolicy(machine), nil
+			return pre, sim.NewRFVPolicy(machine), nil, nil
 		}
-		res, err := core.Transform(k, core.Options{Config: machine})
+		return pre, sim.NewStaticPolicy(machine), nil, nil
+	case "regmutex", "paired", "owf":
+		res, err := core.Transform(k, core.Options{Config: machine, ForceEs: forceEs})
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
-		return pre, sim.NewOWFPolicy(machine, res.Split.Bs), nil
-	case "regmutex", "paired":
-		res, err := core.Transform(k, core.Options{Config: machine})
+		switch name {
+		case "regmutex":
+			return res.Kernel, sim.NewRegMutexPolicy(machine), res, nil
+		case "paired":
+			return res.Kernel, sim.NewPairedPolicy(machine), res, nil
+		}
+		pre, err := core.Prepare(k)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
-		if name == "paired" {
-			return res.Kernel, sim.NewPairedPolicy(machine), nil
-		}
-		return res.Kernel, sim.NewRegMutexPolicy(machine), nil
+		return pre, sim.NewOWFPolicy(machine, res.Split.Bs), res, nil
 	default:
-		return nil, nil, &NotFoundError{Kind: "policy", Name: name, Valid: PolicyNames}
+		return nil, nil, nil, &NotFoundError{Kind: "policy", Name: name, Valid: PolicyNames}
 	}
 }

@@ -129,7 +129,7 @@ func TestRunUnknownWorkloadSurfacesError(t *testing.T) {
 	if _, err := Run(s, RunOptions{Jobs: 1}); err == nil {
 		t.Fatal("Run accepted an unknown workload")
 	}
-	// And SubmitNamed rejects unknown policies with the typed error.
+	// And an unknown policy surfaces as the typed error, not a failed run.
 	s.Matrix.Workloads = []string{"bfs"}
 	s.Matrix.Policies = []string{"banana"}
 	_, err = Run(s, RunOptions{Jobs: 1})

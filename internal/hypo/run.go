@@ -1,6 +1,9 @@
 package hypo
 
 import (
+	"context"
+	"errors"
+
 	"regmutex/internal/harness"
 	"regmutex/internal/isa"
 	"regmutex/internal/obs"
@@ -137,8 +140,7 @@ func Run(spec *Spec, ro RunOptions) (*Result, error) {
 	// Fan out every (cell, seed) submission before waiting on any, so
 	// the pool sees the whole matrix at once; collection order is the
 	// deterministic cell × seed order regardless of completion order.
-	type pending struct{ fut harness.StatsFuture }
-	pend := make([]pending, 0, len(cells)*len(spec.Seeds))
+	pend := make([]harness.Pending, 0, len(cells)*len(spec.Seeds))
 	for _, c := range cells {
 		k, w, err := kernel(c)
 		if err != nil {
@@ -151,11 +153,7 @@ func Run(spec *Spec, ro RunOptions) (*Result, error) {
 				Scale: c.Scale, Seed: seed, SeedSet: true,
 				Timing: timing, Par: ro.Par, Pool: pool,
 			}
-			fut, err := harness.SubmitNamed(o, cfg, w, k, c.Policy)
-			if err != nil {
-				return nil, err
-			}
-			pend = append(pend, pending{fut})
+			pend = append(pend, harness.Submit(context.Background(), o.Spec(cfg, w, k), c.Policy))
 		}
 	}
 
@@ -172,17 +170,22 @@ func Run(spec *Spec, ro RunOptions) (*Result, error) {
 			hists[m] = &obs.Histogram{}
 		}
 		for _, seed := range spec.Seeds {
-			st, err := pend[i].fut.Wait()
+			run, err := pend[i].Wait(context.Background())
 			i++
 			sr := SeedRun{Seed: seed}
 			if err != nil {
+				// A policy no tool knows is a spec error, not a failed run.
+				var nf *harness.NotFoundError
+				if errors.As(err, &nf) {
+					return nil, err
+				}
 				sr.Err = harness.ErrKind(err)
 				cr.Failed++
 				res.FailedRuns++
 			} else {
 				sr.Values = make(map[string]float64, len(spec.Metrics))
 				for mi, m := range spec.Metrics {
-					v := metricValue(st, m)
+					v := metricValue(run.Stats, m)
 					sr.Values[m] = v
 					hists[mi].Observe(v)
 				}

@@ -490,11 +490,11 @@ func (s *Service) runJob(ctx context.Context, j *Job) (*JobResult, *ErrorBody) {
 	}
 
 	var k *isa.Kernel
-	var input []uint64
+	var w *workloads.Workload
 	name := "kernel"
 	if req.Workload != "" {
-		w, err := workloads.ByName(req.Workload)
-		if err != nil {
+		var err error
+		if w, err = workloads.ByName(req.Workload); err != nil {
 			return nil, &ErrorBody{Code: CodeUnknownWorkload, Message: err.Error()}
 		}
 		scale := req.Scale
@@ -502,7 +502,6 @@ func (s *Service) runJob(ctx context.Context, j *Job) (*JobResult, *ErrorBody) {
 			scale = 1
 		}
 		k = w.Build(scale)
-		input = w.Input(k, seed)
 		name = w.Name
 	} else {
 		var body *ErrorBody
@@ -520,8 +519,7 @@ func (s *Service) runJob(ctx context.Context, j *Job) (*JobResult, *ErrorBody) {
 		Machine:  machine,
 		Timing:   timing,
 		Kernel:   k,
-		Name:     name,
-		Input:    input,
+		Workload: w,
 		Seed:     seed,
 		Policies: resolvePolicies(&req),
 		Audit:    auditOn,

@@ -361,9 +361,6 @@ func (sm *SM) retireCTA(cta *CTAState) {
 	sm.policy.OnCTARetire(cta)
 }
 
-// residentWarps returns the number of warps currently on the SM.
-func (sm *SM) residentWarps() int { return len(sm.warps) }
-
 // drainMemCompletions retires finished global requests.
 func (sm *SM) drainMemCompletions(now int64) {
 	for len(sm.memComplete) > 0 && sm.memComplete.min() <= now {

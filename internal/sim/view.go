@@ -12,9 +12,6 @@ func (d *Device) SMs() []*SM { return d.sms }
 // Now returns the current simulation cycle.
 func (d *Device) Now() int64 { return d.now }
 
-// DoneCTAs returns how many CTAs have retired so far.
-func (d *Device) DoneCTAs() int { return d.doneCTAs }
-
 // ID returns the SM's index on the device.
 func (sm *SM) ID() int { return sm.id }
 

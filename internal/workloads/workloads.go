@@ -152,36 +152,12 @@ func scaled(n, scale int) int {
 // Kernel-construction helpers shared by the workload definitions.
 // ---------------------------------------------------------------------
 
-// gatherPeak emits the canonical register peak of these workloads: n
-// independent global loads into the consecutive registers [first,
-// first+n), mirroring a compiler filling a register tile, followed by a
-// pairwise reduction tree into dst. The loads are independent, so the
-// peak is memory-bound, which is exactly the situation where occupancy
-// pays (section II).
-func gatherPeak(b *isa.Builder, addr isa.Reg, base int64, stride int64, first isa.Reg, n int, dst isa.Reg, op func(d, a, c isa.Reg)) {
-	for i := 0; i < n; i++ {
-		b.LdGlobal(first+isa.Reg(i), isa.R(addr), base+int64(i)*stride)
-	}
-	// Reduction tree, pairwise in place.
-	width := n
-	for width > 1 {
-		half := width / 2
-		for i := 0; i < half; i++ {
-			op(first+isa.Reg(i), first+isa.Reg(i), first+isa.Reg(width-1-i))
-		}
-		width -= half
-	}
-	if dst != first {
-		op(dst, dst, first)
-	}
-}
-
 // expandPeak emits the canonical short-lived register peak: n independent
 // ALU expansions of a base-set value into the consecutive registers
 // [first, first+n) — a compiler materialising a tile of intermediates —
-// followed by a pairwise reduction tree into dst. Unlike gatherPeak it
-// touches no memory, so the acquire region it creates is a short ALU
-// burst, matching the episodic peaks of Figure 1.
+// followed by a pairwise reduction tree into dst. It touches no memory,
+// so the acquire region it creates is a short ALU burst, matching the
+// episodic peaks of Figure 1.
 func expandPeak(b *isa.Builder, src isa.Reg, first isa.Reg, n int, dst isa.Reg, op func(d, a, c isa.Reg)) {
 	for i := 0; i < n; i++ {
 		b.IAdd(first+isa.Reg(i), isa.R(src), isa.Imm(int64(i*13+5)))
@@ -199,7 +175,7 @@ func expandPeak(b *isa.Builder, src isa.Reg, first isa.Reg, n int, dst isa.Reg, 
 	}
 }
 
-// iaddOp returns an integer-add combiner for gatherPeak on builder b.
+// iaddOp returns an integer-add combiner for expandPeak on builder b.
 func iaddOp(b *isa.Builder) func(d, a, c isa.Reg) {
 	return func(d, a, c isa.Reg) { b.IAdd(d, isa.R(a), isa.R(c)) }
 }
