@@ -8,8 +8,9 @@ build:
 test:
 	$(GO) test ./...
 
-# The full gate: compile, vet, the whole test suite under the race
-# detector (the parallel experiment engine's concurrency contract) —
+# The full gate: compile, formatting (gofmt -l must list nothing), vet,
+# the whole test suite under the race detector (the parallel experiment
+# engine's concurrency contract) —
 # stall-attribution conservation tests included — the observability
 # smoke run (capture a trace, validate the emitted JSON), and the
 # gpusimd daemon smoke run (boot, serve a job over HTTP, stream its
@@ -24,6 +25,7 @@ test:
 # table and figure at paper scale, byte-equal to paperbench_output.txt).
 verify:
 	$(GO) build ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	$(MAKE) obs-smoke

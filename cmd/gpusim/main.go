@@ -20,18 +20,16 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 
-	"regmutex/internal/asm"
 	"regmutex/internal/harness"
-	"regmutex/internal/isa"
 	"regmutex/internal/obs"
-	"regmutex/internal/occupancy"
 	"regmutex/internal/runpool"
+	"regmutex/internal/service"
 	"regmutex/internal/sim"
-	"regmutex/internal/workloads"
 )
 
 func main() {
@@ -63,42 +61,26 @@ func main() {
 		return
 	}
 
-	machine := occupancy.GTX480()
-	if *half {
-		machine = occupancy.GTX480Half()
-	}
-	if *sms > 0 {
-		machine.NumSMs = *sms
-	}
-
-	var k *isa.Kernel
-	var w *workloads.Workload
-	kname := "kernel"
-	switch {
-	case *workload != "":
-		var err error
-		if w, err = workloads.ByName(*workload); err != nil {
-			fatal(&harness.NotFoundError{Kind: "workload", Name: *workload, Valid: workloads.Names()})
+	// The flags are a gpusimd run request: one mapping from request to
+	// simulation (SubmitRequest.RunSpec) serves the CLI and the daemon.
+	req := service.SubmitRequest{Workload: *workload, Policy: *policy, Half: *half,
+		SMs: *sms, Scale: *scale, Seed: seed, Audit: auditOn, AllowLint: true}
+	if *workload == "" {
+		if flag.Arg(0) == "" {
+			fatal(fmt.Errorf("no input: pass -w <workload> or an assembly file"))
 		}
-		k = w.Build(*scale)
-		kname = w.Name
-	case flag.Arg(0) != "":
 		src, err := os.ReadFile(flag.Arg(0))
 		if err != nil {
 			fatal(err)
 		}
-		k, err = asm.Parse(string(src))
-		if err != nil {
-			fatal(err)
-		}
-	default:
-		fatal(fmt.Errorf("no input: pass -w <workload> or an assembly file"))
+		req.Kasm = string(src)
 	}
+	spec, body := req.RunSpec()
+	if body != nil {
+		fatal(errors.New(body.Message))
+	}
+	kname, names := spec.Kernel.Name, spec.Policies
 
-	names := []string{*policy}
-	if *policy == "all" {
-		names = harness.PolicyNames
-	}
 	var trace *obs.Trace
 	if *traceOut != "" {
 		trace = obs.NewTrace(0)
@@ -122,40 +104,31 @@ func main() {
 	// metrics registry are thread-safe, so observed runs fan out too.
 	// RunPolicies + RenderReport is the exact path the gpusimd service
 	// serves, which keeps daemon results byte-identical to this CLI.
-	spec := harness.RunSpec{
-		Machine:  machine,
-		Kernel:   k,
-		Workload: w,
-		Seed:     *seed,
-		Policies: names,
-		Audit:    *auditOn,
-		Pool:     runpool.New(*jobs),
-		Par:      *par,
-		Observe: func(name string) ([]sim.Option, func(sim.Stats)) {
-			var opts []sim.Option
-			var cols []*obs.Collector
-			for _, t := range []*obs.Trace{trace, timelines[name]} {
-				if t != nil {
-					col := obs.NewCollector(t)
-					col.Proc = kname + "/" + name
-					cols = append(cols, col)
-					opts = append(opts, sim.WithObserver(col))
-				}
+	spec.Pool, spec.Par = runpool.New(*jobs), *par
+	spec.Observe = func(name string) ([]sim.Option, func(sim.Stats)) {
+		var opts []sim.Option
+		var cols []*obs.Collector
+		for _, t := range []*obs.Trace{trace, timelines[name]} {
+			if t != nil {
+				col := obs.NewCollector(t)
+				col.Proc = kname + "/" + name
+				cols = append(cols, col)
+				opts = append(opts, sim.WithObserver(col))
 			}
-			return opts, func(st sim.Stats) {
-				for _, col := range cols {
-					col.Flush(st.Cycles)
-				}
-				obs.RecordStats(metrics, kname+"/"+name, st)
+		}
+		return opts, func(st sim.Stats) {
+			for _, col := range cols {
+				col.Flush(st.Cycles)
 			}
-		},
+			obs.RecordStats(metrics, kname+"/"+name, st)
+		}
 	}
 	rows, _ := harness.RunPolicies(context.Background(), spec)
 	var beforeRow func(harness.PolicyRow)
 	if *timeline {
 		beforeRow = func(r harness.PolicyRow) { obs.RenderTimeline(os.Stdout, timelines[r.Policy].Events(), 0) }
 	}
-	failed := harness.RenderReport(os.Stdout, machine, rows, beforeRow)
+	failed := harness.RenderReport(os.Stdout, spec.Machine, rows, beforeRow)
 	if trace != nil {
 		if err := obs.WriteTraceFile(*traceOut, trace); err != nil {
 			fatal(err)

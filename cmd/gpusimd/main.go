@@ -54,7 +54,7 @@ func main() {
 	rate := flag.Float64("rate", 0, "per-client submissions per second (0 = unlimited)")
 	burst := flag.Int("burst", 8, "per-client burst allowance")
 	journal := flag.String("journal", "", "job journal path for crash recovery (empty = off)")
-	record := flag.String("record", "", "append every accepted submission (with arrival timestamps) to this JSONL trace for later replay (empty = off)")
+	record := flag.String("record", "", "record every accepted submission (with arrival timestamps) into this JSONL trace for later replay, truncating it first (empty = off)")
 	journalFsync := flag.Bool("journal-fsync", true, "fsync the journal after every append (disable on router-fronted fleet members; the router's journal covers instance loss)")
 	drainWait := flag.Duration("drain", 60*time.Second, "max graceful drain time on SIGTERM")
 	logFormat := flag.String("log-format", obs.LogText, "structured log format: text|json")

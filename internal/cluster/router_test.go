@@ -196,6 +196,12 @@ func runBatchAndVerify(t *testing.T, r *Router, reqs []service.SubmitRequest, wa
 		}
 	}
 	m := r.Metrics()
+	// The router counts a job just after its terminal state becomes
+	// visible, so let the accounting settle before holding it exact.
+	waitFor(t, 10*time.Second, func() bool {
+		return m.Counter("cluster.jobs_done").Value()+m.Counter("cluster.jobs_failed").Value()+
+			m.Counter("cluster.jobs_canceled").Value() >= int64(len(reqs))
+	})
 	if got := m.Counter("cluster.jobs_accepted").Value(); got != int64(len(reqs)) {
 		t.Fatalf("jobs_accepted = %d, want %d", got, len(reqs))
 	}
@@ -252,6 +258,10 @@ func TestFleetCleanRouting(t *testing.T) {
 
 	// Concurrent duplicate: the second identical submission must not buy
 	// a second simulation — router-side single-flight coalesces it.
+	// Placement waits for probes to report the fleet idle: a load hint
+	// left over from the batch would out-score affinity and put the
+	// primary on a different instance than the repeat below.
+	waitFleetIdle(t, r)
 	dup := service.SubmitRequest{Workload: "bfs", Policy: "static", Scale: 16, SMs: 2}
 	j1, body := r.Submit(dup)
 	if body != nil {
@@ -278,9 +288,9 @@ func TestFleetCleanRouting(t *testing.T) {
 
 	// Sequential repeat: affinity should send it to the same instance,
 	// where the memo answers from cache (remote view says coalesced).
-	// Let a probe round refresh the queue hints to idle first, so the
-	// affinity score is not tied by a stale queued-depth reading.
-	time.Sleep(3 * testRouterConfig(nil).ProbeInterval)
+	// Wait for the probes to refresh the queue hints to idle first, so
+	// the affinity score is not tied by a stale queued-depth reading.
+	waitFleetIdle(t, r)
 	j3, body := r.Submit(dup)
 	if body != nil {
 		t.Fatal(body)
@@ -292,6 +302,46 @@ func TestFleetCleanRouting(t *testing.T) {
 	}
 	if !v3.Coalesced {
 		t.Fatalf("repeat on the affinity target was not served by the memo: %+v", v3)
+	}
+}
+
+// TestRouterKeepsPolicyOrder: two requests that differ only in policy
+// order print different reports (rows follow the request, and the delta
+// against static appears only on rows after static), so the router must
+// route each one itself rather than coalesce the second onto the first.
+func TestRouterKeepsPolicyOrder(t *testing.T) {
+	fleet := startFleet(t, []chaos.Schedule{chaos.Clean}, 0)
+	r := startRouter(t, testRouterConfig(fleetURLs(fleet)))
+	orders := [][]string{{"regmutex", "static"}, {"static", "regmutex"}}
+	jobs := make([]*Job, len(orders))
+	for i, pols := range orders {
+		j, body := r.Submit(service.SubmitRequest{Workload: "bfs", Policies: pols, Scale: 8, SMs: 2})
+		if body != nil {
+			t.Fatal(body)
+		}
+		jobs[i] = j
+	}
+	for i, j := range jobs {
+		v := waitRouterJob(t, j, time.Minute)
+		if v.State != service.StateDone || v.Result == nil {
+			t.Fatalf("job %d state = %q (%+v)", i, v.State, v.Error)
+		}
+		if v.Instance == "" {
+			t.Errorf("job %d was not routed to an instance (coalesced onto job 0)", i)
+		}
+		var got []string
+		for _, row := range v.Result.Rows {
+			got = append(got, row.Policy)
+		}
+		if strings.Join(got, ",") != strings.Join(orders[i], ",") {
+			t.Errorf("job %d rows %v, want %v", i, got, orders[i])
+		}
+	}
+	if !strings.Contains(jobs[1].View().Result.Report, "vs static") {
+		t.Errorf("static-first report has no delta against static:\n%s", jobs[1].View().Result.Report)
+	}
+	if got := r.Metrics().Counter("cluster.jobs_coalesced").Value(); got != 0 {
+		t.Errorf("jobs_coalesced = %d, want 0", got)
 	}
 }
 
@@ -590,6 +640,20 @@ func TestDrainReroutesWithoutDroppingInFlight(t *testing.T) {
 	if got := r.Metrics().Counter("cluster.jobs_done").Value(); got != 4 {
 		t.Fatalf("jobs_done = %d, want 4 (nothing dropped or duplicated)", got)
 	}
+}
+
+// waitFleetIdle waits until every instance's probed load hints and the
+// router's in-flight counts are zero, so placement scores on affinity.
+func waitFleetIdle(t *testing.T, r *Router) {
+	t.Helper()
+	waitFor(t, 10*time.Second, func() bool {
+		for _, in := range r.insts {
+			if queued, flight := in.load(); queued+flight > 0 {
+				return false
+			}
+		}
+		return true
+	})
 }
 
 func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {

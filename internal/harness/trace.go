@@ -1,13 +1,13 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
 	"strings"
 
 	"regmutex/internal/cfg"
-	"regmutex/internal/core"
 	"regmutex/internal/isa"
 	"regmutex/internal/liveness"
 	"regmutex/internal/occupancy"
@@ -298,43 +298,26 @@ func Fig2() (*Fig2Timeline, error) {
 		return nil, err
 	}
 
-	pre, err := core.Prepare(k)
-	if err != nil {
-		return nil, err
-	}
-	dStatic, err := sim.New(sim.DeviceSpec{Config: toy, Timing: sim.DefaultTiming(), Kernel: pre},
-		sim.WithPolicy(sim.NewStaticPolicy(toy)))
-	if err != nil {
-		return nil, err
-	}
-	stStatic, err := dStatic.Run()
-	if err != nil {
-		return nil, err
-	}
-
-	// The paper fixes Bs = Es = 16.
-	rm := pre.Clone()
-	if _, err := core.Compact(rm, 16); err != nil {
-		return nil, err
-	}
-	if _, _, err := core.Inject(rm, 16); err != nil {
-		return nil, err
-	}
-	rm.BaseSet, rm.ExtSet = 16, 16
-	tl := &Fig2Timeline{StaticCycles: stStatic.Cycles}
-	dRM, err := sim.New(sim.DeviceSpec{Config: toy, Timing: sim.DefaultTiming(), Kernel: rm},
-		sim.WithPolicy(sim.NewRegMutexPolicy(toy)),
-		sim.WithObserver(sim.ObserverFuncs{
+	// The paper fixes Bs = Es = 16. With no Pool, RunPolicies runs on a
+	// private one whose memo starts cold, so the event observer sees
+	// every call's regmutex run.
+	tl := &Fig2Timeline{}
+	spec := RunSpec{Machine: toy, Kernel: k, ForceEs: 16, Policies: []string{"static", "regmutex"}}
+	spec.Observe = func(policy string) ([]sim.Option, func(sim.Stats)) {
+		if policy != "regmutex" {
+			return nil, nil
+		}
+		return []sim.Option{sim.WithObserver(sim.ObserverFuncs{
 			Event: func(ev sim.Event) { tl.Events = append(tl.Events, ev) },
-		}))
-	if err != nil {
-		return nil, err
+		})}, nil
 	}
-	stRM, err := dRM.Run()
-	if err != nil {
-		return nil, err
+	rows, _ := RunPolicies(context.Background(), spec)
+	for _, r := range rows {
+		if r.Err != nil {
+			return nil, r.Err
+		}
 	}
-	tl.RegMutexCycles = stRM.Cycles
+	tl.StaticCycles, tl.RegMutexCycles = rows[0].Stats.Cycles, rows[1].Stats.Cycles
 	return tl, nil
 }
 

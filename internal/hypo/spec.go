@@ -143,29 +143,6 @@ type Compare struct {
 	Alpha float64 `json:"alpha,omitempty"`
 }
 
-// SpecError is one validation finding, addressed by a dotted path into
-// the spec ("matrix.policies[1]").
-type SpecError struct {
-	Path string
-	Msg  string
-}
-
-func (e *SpecError) Error() string { return fmt.Sprintf("hypo: %s: %s", e.Path, e.Msg) }
-
-// ValidationError aggregates every SpecError found in one pass, so a
-// rejected spec names all its problems at once.
-type ValidationError struct {
-	Errs []*SpecError
-}
-
-func (e *ValidationError) Error() string {
-	msgs := make([]string, len(e.Errs))
-	for i, s := range e.Errs {
-		msgs[i] = s.Error()
-	}
-	return strings.Join(msgs, "\n")
-}
-
 // Parse reads a hypothesis spec from YAML-subset or JSON bytes through
 // the shared spec front end (internal/specfile), then validates it.
 func Parse(data []byte) (*Spec, error) {
@@ -226,13 +203,11 @@ func (s *Spec) applyDefaults() {
 }
 
 // Validate checks the spec against the grammar's semantic rules and
-// returns a *ValidationError listing every violation, or nil. Call
-// after applyDefaults (Parse/ParseFile do).
+// returns a *specfile.ValidationError listing every violation, or nil.
+// Call after applyDefaults (Parse/ParseFile do).
 func (s *Spec) Validate() error {
-	var errs []*SpecError
-	bad := func(path, format string, args ...any) {
-		errs = append(errs, &SpecError{Path: path, Msg: fmt.Sprintf(format, args...)})
-	}
+	errs := &specfile.ValidationError{Prefix: "hypo"}
+	bad := errs.Add
 	if s.Version != SpecVersion {
 		bad("version", "got %d, this build understands only %d", s.Version, SpecVersion)
 	}
@@ -260,10 +235,7 @@ func (s *Spec) Validate() error {
 		metricSet[m] = true
 	}
 	s.validateCompare(metricSet, bad)
-	if len(errs) > 0 {
-		return &ValidationError{Errs: errs}
-	}
-	return nil
+	return errs.Err()
 }
 
 func (s *Spec) validateMatrix(bad func(string, string, ...any)) {
@@ -584,7 +556,9 @@ func (s *Spec) expand() ([]Cell, error) {
 		}
 	}
 	if len(cells) == 0 {
-		return nil, &ValidationError{Errs: []*SpecError{{Path: "matrix", Msg: "matrix expands to zero cells after exclude"}}}
+		errs := &specfile.ValidationError{Prefix: "hypo"}
+		errs.Add("matrix", "matrix expands to zero cells after exclude")
+		return nil, errs
 	}
 	return cells, nil
 }

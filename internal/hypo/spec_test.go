@@ -4,6 +4,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"regmutex/internal/specfile"
 )
 
 const validPareto = `
@@ -122,9 +124,9 @@ func TestValidateRejects(t *testing.T) {
 			if err == nil {
 				t.Fatal("Validate accepted the corrupted spec")
 			}
-			var ve *ValidationError
+			var ve *specfile.ValidationError
 			if !errors.As(err, &ve) {
-				t.Fatalf("error type %T, want *ValidationError", err)
+				t.Fatalf("error type %T, want *specfile.ValidationError", err)
 			}
 			if !strings.Contains(err.Error(), c.wantSub) {
 				t.Fatalf("error %q does not mention %q", err, c.wantSub)

@@ -10,9 +10,9 @@ func TestSignTestP(t *testing.T) {
 		k, n int
 		want float64
 	}{
-		{0, 0, 1},     // no observations
-		{0, 10, 1},    // trivially satisfied tail
-		{11, 10, 0},   // impossible count
+		{0, 0, 1},   // no observations
+		{0, 10, 1},  // trivially satisfied tail
+		{11, 10, 0}, // impossible count
 		{10, 10, 1.0 / 1024},
 		{1, 1, 0.5},
 		{2, 2, 0.25},

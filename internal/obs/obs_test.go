@@ -339,6 +339,24 @@ func TestRenderTimeline(t *testing.T) {
 	obs.RenderTimeline(&buf, nil, 0) // empty input must not panic
 }
 
+// TestRenderTimelineTieBreak: when causes cover a bucket equally, the
+// glyph is chosen in a fixed cause order, not by map iteration order, so
+// every render of one trace prints the same row.
+func TestRenderTimelineTieBreak(t *testing.T) {
+	var events []obs.TraceEvent
+	for i, cause := range []string{"empty", "barrier", "memory", "issued", "scoreboard", "no-warp", "acquire-wait"} {
+		events = append(events, obs.TraceEvent{Name: cause, Cat: "slot", Track: "SM0 warp 00",
+			Phase: obs.PhaseSpan, Cycle: int64(10 * i), Dur: 10})
+	}
+	for i := 0; i < 50; i++ {
+		var buf bytes.Buffer
+		obs.RenderTimeline(&buf, events, 1)
+		if !strings.Contains(buf.String(), "SM0 warp 00      #\n") {
+			t.Fatalf("render %d: tied bucket not drawn as issued ('#'):\n%s", i, buf.String())
+		}
+	}
+}
+
 // conservationWorkloads x conservationPolicies is the sweep the
 // conservation test (and the CI smoke run via it) covers.
 var (

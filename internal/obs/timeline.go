@@ -6,16 +6,32 @@ import (
 	"sort"
 )
 
-// timeline glyphs, one per stall cause (keyed by the cause's wire name
-// so the renderer needs no sim dependency).
-var causeGlyphs = map[string]rune{
-	"issued":       '#',
-	"scoreboard":   's',
-	"memory":       'm',
-	"acquire-wait": 'a',
-	"barrier":      'b',
-	"no-warp":      '-',
-	"empty":        '.',
+// causeGlyphs maps each stall cause (by its wire name, so the renderer
+// needs no sim dependency) to its timeline glyph. The order breaks ties:
+// when causes cover a bucket equally, the earliest listed one is drawn,
+// and causes not listed come after, by name.
+var causeGlyphs = []struct {
+	cause string
+	glyph rune
+}{
+	{"issued", '#'},
+	{"scoreboard", 's'},
+	{"memory", 'm'},
+	{"acquire-wait", 'a'},
+	{"barrier", 'b'},
+	{"no-warp", '-'},
+	{"empty", '.'},
+}
+
+// causeGlyph returns a cause's tie-break rank and glyph ('?' for a
+// cause not in causeGlyphs).
+func causeGlyph(cause string) (int, rune) {
+	for i, c := range causeGlyphs {
+		if c.cause == cause {
+			return i, c.glyph
+		}
+	}
+	return len(causeGlyphs), '?'
 }
 
 // RenderTimeline draws a Figure 2-style text timeline from a trace:
@@ -93,14 +109,12 @@ func RenderTimeline(w io.Writer, events []TraceEvent, width int) {
 		for b := range row {
 			row[b] = ' '
 			var best int64
+			bestCause, bestRank := "", 0
 			for cause, n := range cover[b] {
-				if n > best {
-					best = n
-					if g, ok := causeGlyphs[cause]; ok {
-						row[b] = g
-					} else {
-						row[b] = '?'
-					}
+				rank, g := causeGlyph(cause)
+				if n > best || n == best && (rank < bestRank || rank == bestRank && cause < bestCause) {
+					best, bestCause, bestRank = n, cause, rank
+					row[b] = g
 				}
 			}
 		}

@@ -184,6 +184,9 @@ func TestValidateRejects(t *testing.T) {
 		{func(s *SweepSpec) { s.Knee.SLOMultiple = 0.5 }, "knee.slo_multiple"},
 		{func(s *SweepSpec) { s.Model.CyclesPerSec = -1 }, "model.cycles_per_sec"},
 		{func(s *SweepSpec) { s.Cohorts[0].Size.Workload = "nope" }, "size.workload"},
+		// Findings carry the sweep dialect's label, the derived mix's too.
+		{func(s *SweepSpec) { s.Ladder.Steps = 1 }, "saturate: ladder.steps"},
+		{func(s *SweepSpec) { s.Cohorts[0].Size.Workload = "nope" }, "saturate: cohorts[0].size.workload"},
 	}
 	for _, tc := range cases {
 		spec := testSpec()

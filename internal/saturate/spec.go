@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"os"
 	"strings"
 
 	"regmutex/internal/specfile"
@@ -143,10 +142,8 @@ func (s *SweepSpec) WithDefaults() *SweepSpec {
 // deriving step 0's workspec and running its own Validate, so the size
 // grammar (workload names, scales, policies) has one source of truth.
 func (s *SweepSpec) Validate() error {
-	var errs []*workspec.SpecError
-	bad := func(path, format string, args ...any) {
-		errs = append(errs, &workspec.SpecError{Path: path, Msg: fmt.Sprintf(format, args...)})
-	}
+	errs := &specfile.ValidationError{Prefix: "saturate"}
+	bad := errs.Add
 	if s.Version != SweepVersion {
 		bad("version", "got %d, this build understands only %d", s.Version, SweepVersion)
 	}
@@ -201,31 +198,23 @@ func (s *SweepSpec) Validate() error {
 	if m.StreamOverheadUs < 0 {
 		bad("model.stream_overhead_us", "must be >= 0, got %d", m.StreamOverheadUs)
 	}
-	if len(errs) > 0 {
-		return &workspec.ValidationError{Errs: errs}
+	if err := errs.Err(); err != nil {
+		return err
 	}
 	// The mix grammar itself (sizes, SLO classes, cohort names) is
-	// checked by workspec on the derived step-0 spec.
+	// checked by workspec on the derived step-0 spec; its findings are
+	// relabeled to address the sweep spec the user wrote.
 	if stepSpec := s.StepSpec(0); stepSpec != nil {
-		if err := stepSpec.Validate(); err != nil {
-			var ve *workspec.ValidationError
-			if ok := asValidation(err, &ve); ok {
-				for _, se := range ve.Errs {
-					se.Path = rewriteStepPath(se.Path)
-				}
+		err := stepSpec.Validate()
+		if ve, ok := err.(*specfile.ValidationError); ok {
+			ve.Prefix = errs.Prefix
+			for _, se := range ve.Errs {
+				se.Prefix, se.Path = errs.Prefix, rewriteStepPath(se.Path)
 			}
-			return err
 		}
+		return err
 	}
 	return nil
-}
-
-func asValidation(err error, out **workspec.ValidationError) bool {
-	ve, ok := err.(*workspec.ValidationError)
-	if ok {
-		*out = ve
-	}
-	return ok
 }
 
 // rewriteStepPath strips step-derived noise from a validation path so
@@ -323,13 +312,12 @@ func Parse(data []byte) (*SweepSpec, error) {
 
 // ParseFile loads and parses a sweep spec file.
 func ParseFile(path string) (*SweepSpec, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
+	var spec SweepSpec
+	if err := specfile.DecodeFile(path, "saturate", &spec); err != nil {
 		return nil, err
 	}
-	spec, err := Parse(data)
-	if err != nil {
+	if err := spec.Validate(); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return spec, nil
+	return spec.WithDefaults(), nil
 }

@@ -1,7 +1,6 @@
 package saturate
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -232,61 +231,22 @@ func calibrate(ctx context.Context, o Options, reqs map[uint64]service.SubmitReq
 	log.Info("sweep calibrate", "distinct_fingerprints", len(fps), "target", o.BaseURL)
 	costs := make(map[uint64]int64, len(fps))
 	for _, fp := range fps {
-		cost, err := measureCost(ctx, client, o.BaseURL, reqs[fp])
+		view, err := workspec.SubmitWait(ctx, client, o.BaseURL, reqs[fp])
 		if err != nil {
 			return nil, fmt.Errorf("saturate: calibrate %016x: %w", fp, err)
 		}
-		costs[fp] = cost
+		// The summed simulation cycles (>= 1) are a pure function of the
+		// request fingerprint — the simulator is deterministic — so one
+		// measurement is exact, not a sample.
+		var cycles int64
+		if view.Result != nil {
+			for _, row := range view.Result.Rows {
+				cycles += row.Cycles
+			}
+		}
+		costs[fp] = max(cycles, 1)
 	}
 	return costs, nil
-}
-
-// measureCost runs one request synchronously and returns its summed
-// simulation cycles (>= 1). The cost is a pure function of the request
-// fingerprint — the simulator is deterministic — so one measurement is
-// exact, not a sample.
-func measureCost(ctx context.Context, client *http.Client, base string, sr service.SubmitRequest) (int64, error) {
-	body, err := json.Marshal(sr)
-	if err != nil {
-		return 0, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/jobs?wait=1", bytes.NewReader(body))
-	if err != nil {
-		return 0, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := client.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		var eb struct {
-			Error *service.ErrorBody `json:"error"`
-		}
-		json.NewDecoder(resp.Body).Decode(&eb)
-		if eb.Error != nil {
-			return 0, fmt.Errorf("submit: %w", eb.Error)
-		}
-		return 0, fmt.Errorf("submit: status %d", resp.StatusCode)
-	}
-	var view service.JobView
-	if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
-		return 0, err
-	}
-	if view.State != service.StateDone {
-		return 0, fmt.Errorf("job %s ended %q (%+v)", view.ID, view.State, view.Error)
-	}
-	var cycles int64
-	if view.Result != nil {
-		for _, row := range view.Result.Rows {
-			cycles += row.Cycles
-		}
-	}
-	if cycles < 1 {
-		cycles = 1
-	}
-	return cycles, nil
 }
 
 // WriteReport renders the sweep as a human-readable summary: the

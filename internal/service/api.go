@@ -10,9 +10,6 @@ package service
 
 import (
 	"errors"
-	"fmt"
-	"hash/fnv"
-	"sort"
 
 	"regmutex/internal/jsonl"
 	"regmutex/internal/sim"
@@ -93,48 +90,6 @@ func (r SubmitRequest) ResolvedKind() string {
 		return "experiment"
 	}
 	return "run"
-}
-
-// Fingerprint returns a 64-bit FNV-1a content hash over every request
-// field that determines the simulation's outcome, with the same defaults
-// the executor applies (seed 42, policy set "all", audit-on for kasm).
-// Two requests with equal fingerprints produce byte-identical results,
-// so the fingerprint is the cluster router's identity for a job: it
-// drives memo-affinity placement (land duplicates on the instance that
-// already computed the answer), router-side single-flight dedup, and
-// failover-replay dedup. Client, Priority, and Quick-for-run-jobs are
-// attribution/ordering concerns and deliberately excluded.
-func (r SubmitRequest) Fingerprint() uint64 {
-	h := fnv.New64a()
-	field := func(k string, v any) { fmt.Fprintf(h, "%s=%v\n", k, v) }
-	kind := r.ResolvedKind()
-	field("kind", kind)
-	if kind == "experiment" {
-		field("experiment", r.Experiment)
-		field("quick", r.Quick)
-	} else {
-		field("workload", r.Workload)
-		field("kasm", r.Kasm)
-		pols := append([]string(nil), resolvePolicies(&r)...)
-		sort.Strings(pols)
-		field("policies", pols)
-		auditOn := r.Kasm != ""
-		if r.Audit != nil {
-			auditOn = *r.Audit
-		}
-		field("audit", auditOn)
-		field("allow_lint", r.AllowLint)
-	}
-	field("half", r.Half)
-	field("sms", r.SMs)
-	field("scale", r.Scale)
-	seed := uint64(42)
-	if r.Seed != nil {
-		seed = *r.Seed
-	}
-	field("seed", seed)
-	field("max_cycles", r.MaxCycles)
-	return h.Sum64()
 }
 
 // Job states.

@@ -74,6 +74,13 @@ func (h jobHeap) Less(i, k int) bool {
 	}
 	return h[i].seq < h[k].seq
 }
-func (h jobHeap) Swap(i, k int)      { h[i], h[k] = h[k], h[i] }
-func (h *jobHeap) Push(x any)        { *h = append(*h, x.(*Job)) }
-func (h *jobHeap) Pop() any          { old := *h; n := len(old); j := old[n-1]; old[n-1] = nil; *h = old[:n-1]; return j }
+func (h jobHeap) Swap(i, k int) { h[i], h[k] = h[k], h[i] }
+func (h *jobHeap) Push(x any)   { *h = append(*h, x.(*Job)) }
+func (h *jobHeap) Pop() any {
+	old := *h
+	n := len(old)
+	j := old[n-1]
+	old[n-1] = nil
+	*h = old[:n-1]
+	return j
+}

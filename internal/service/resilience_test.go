@@ -415,4 +415,28 @@ func TestFingerprintIdentity(t *testing.T) {
 	if exp.Fingerprint() == base.Fingerprint() {
 		t.Error("experiment and run requests collide")
 	}
+
+	// The fingerprint hashes the resolved plan: requests that run the
+	// same simulation and print the same report share one, and requests
+	// whose reports differ (row order decides where the delta against
+	// static is printed) do not.
+	for _, tc := range []struct {
+		name string
+		a, b SubmitRequest
+		same bool
+	}{
+		{"policy order", SubmitRequest{Workload: "bfs", Policies: []string{"regmutex", "static"}},
+			SubmitRequest{Workload: "bfs", Policies: []string{"static", "regmutex"}}, false},
+		{"scale 0 vs 1", SubmitRequest{Workload: "bfs"}, SubmitRequest{Workload: "bfs", Scale: 1}, true},
+		{"experiment quick vs scale 4 sms 4", SubmitRequest{Experiment: "fig7", Quick: true},
+			SubmitRequest{Experiment: "fig7", Scale: 4, SMs: 4}, true},
+		{"experiment ignores half", SubmitRequest{Experiment: "fig7"},
+			SubmitRequest{Experiment: "fig7", Half: true}, true},
+		{"experiment ignores max_cycles", SubmitRequest{Experiment: "fig7"},
+			SubmitRequest{Experiment: "fig7", MaxCycles: 99}, true},
+	} {
+		if got := tc.a.Fingerprint() == tc.b.Fingerprint(); got != tc.same {
+			t.Errorf("%s: fingerprints equal = %v, want %v", tc.name, got, tc.same)
+		}
+	}
 }

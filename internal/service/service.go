@@ -5,21 +5,15 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"regmutex/internal/asm"
-	"regmutex/internal/core"
 	"regmutex/internal/harness"
-	"regmutex/internal/isa"
 	"regmutex/internal/jsonl"
 	"regmutex/internal/obs"
-	"regmutex/internal/occupancy"
 	"regmutex/internal/runpool"
 	"regmutex/internal/sim"
-	"regmutex/internal/workloads"
 )
 
 // Config tunes one Service instance. Zero values pick sane defaults.
@@ -215,7 +209,7 @@ func (s *Service) Submit(req SubmitRequest) (*Job, *ErrorBody) {
 			RetryAfterSec: int(retry / time.Second),
 			Message:       fmt.Sprintf("client %q over rate limit", req.Client)}
 	}
-	if body := s.validate(&req); body != nil {
+	if body := validate(req); body != nil {
 		s.metrics.Counter("service.rejected_invalid").Inc()
 		return nil, body
 	}
@@ -246,91 +240,6 @@ func (s *Service) logger() *slog.Logger {
 		return obs.NopLogger()
 	}
 	return s.cfg.Logger
-}
-
-// validate rejects malformed requests before they consume a queue slot.
-// Kasm sources are assembled, structurally validated, and linted here so
-// a bad kernel costs the client one 4xx, not a simulation.
-func (s *Service) validate(req *SubmitRequest) *ErrorBody {
-	switch kind := req.ResolvedKind(); kind {
-	case "experiment":
-		if !harness.IsExperiment(req.Experiment) {
-			return &ErrorBody{Code: CodeUnknownExperiment,
-				Message: (&harness.NotFoundError{Kind: "experiment", Name: req.Experiment,
-					Valid: harness.ExperimentNames()}).Error()}
-		}
-		return nil
-	case "run":
-		if (req.Workload == "") == (req.Kasm == "") {
-			return &ErrorBody{Code: CodeBadRequest,
-				Message: "run jobs need exactly one of workload or kasm"}
-		}
-		if req.Workload != "" {
-			if _, err := workloads.ByName(req.Workload); err != nil {
-				return &ErrorBody{Code: CodeUnknownWorkload,
-					Message: (&harness.NotFoundError{Kind: "workload", Name: req.Workload,
-						Valid: workloads.Names()}).Error()}
-			}
-		} else {
-			if _, body := assembleKasm(req.Kasm, req.AllowLint); body != nil {
-				return body
-			}
-		}
-		for _, p := range resolvePolicies(req) {
-			if !knownPolicy(p) {
-				return &ErrorBody{Code: CodeUnknownPolicy,
-					Message: (&harness.NotFoundError{Kind: "policy", Name: p,
-						Valid: harness.PolicyNames}).Error()}
-			}
-		}
-		return nil
-	default:
-		return &ErrorBody{Code: CodeBadRequest, Message: fmt.Sprintf("unknown kind %q", kind)}
-	}
-}
-
-// assembleKasm parses, validates, and lints submitted assembly.
-func assembleKasm(src string, allowLint bool) (*isa.Kernel, *ErrorBody) {
-	k, err := asm.Parse(src)
-	if err != nil {
-		return nil, &ErrorBody{Code: CodeParseError, Message: err.Error()}
-	}
-	if err := k.Validate(); err != nil {
-		return nil, &ErrorBody{Code: CodeBadRequest, Message: err.Error()}
-	}
-	issues, err := core.Lint(k)
-	if err != nil {
-		return nil, &ErrorBody{Code: CodeBadRequest, Message: err.Error()}
-	}
-	if len(issues) > 0 && !allowLint {
-		msgs := make([]string, len(issues))
-		for i, is := range issues {
-			msgs[i] = is.String()
-		}
-		return nil, &ErrorBody{Code: CodeLintRejected,
-			Message: "kernel rejected by lint (resubmit with allow_lint to run anyway): " +
-				strings.Join(msgs, "; ")}
-	}
-	return k, nil
-}
-
-func knownPolicy(name string) bool {
-	for _, p := range harness.PolicyNames {
-		if p == name {
-			return true
-		}
-	}
-	return false
-}
-
-func resolvePolicies(req *SubmitRequest) []string {
-	if len(req.Policies) > 0 {
-		return req.Policies
-	}
-	if req.Policy != "" && req.Policy != "all" {
-		return []string{req.Policy}
-	}
-	return harness.PolicyNames
 }
 
 // Job looks a job up by ID (nil when unknown).
@@ -470,82 +379,35 @@ func (s *Service) execute(j *Job) {
 }
 
 // runJob executes a policy-comparison job through the exact harness path
-// the gpusim CLI uses, so Report is byte-identical to the CLI's stdout.
+// the gpusim CLI uses (SubmitRequest.RunSpec, RunPolicies, RenderReport),
+// so Report is byte-identical to the CLI's stdout.
 func (s *Service) runJob(ctx context.Context, j *Job) (*JobResult, *ErrorBody) {
-	req := j.Req
-	machine := occupancy.GTX480()
-	if req.Half {
-		machine = occupancy.GTX480Half()
+	spec, body := j.Req.RunSpec()
+	if body != nil {
+		return nil, body
 	}
-	if req.SMs > 0 {
-		machine.NumSMs = req.SMs
-	}
-	seed := uint64(42)
-	if req.Seed != nil {
-		seed = *req.Seed
-	}
-	auditOn := req.Kasm != "" // untrusted kernels run audited by default
-	if req.Audit != nil {
-		auditOn = *req.Audit
-	}
-
-	var k *isa.Kernel
-	var w *workloads.Workload
-	name := "kernel"
-	if req.Workload != "" {
-		var err error
-		if w, err = workloads.ByName(req.Workload); err != nil {
-			return nil, &ErrorBody{Code: CodeUnknownWorkload, Message: err.Error()}
+	spec.Pool, spec.Par = s.pool, s.cfg.Par
+	name := spec.Kernel.Name
+	spec.Observe = func(policy string) ([]sim.Option, func(sim.Stats)) {
+		// Progress samples become SSE events. Only the submission that
+		// actually simulates streams them; jobs coalesced onto an
+		// in-flight run get the result without the play-by-play.
+		opts := []sim.Option{
+			sim.WithSampleInterval(int64(sampleInterval)),
+			sim.WithObserver(sim.ObserverFuncs{
+				Sample: func(smp sim.Sample) { j.Publish(sampleEvent(policy, smp)) },
+			}),
 		}
-		scale := req.Scale
-		if scale <= 0 {
-			scale = 1
+		return opts, func(st sim.Stats) {
+			obs.RecordStats(s.metrics, name+"/"+policy, st)
 		}
-		k = w.Build(scale)
-		name = w.Name
-	} else {
-		var body *ErrorBody
-		if k, body = assembleKasm(req.Kasm, req.AllowLint); body != nil {
-			return nil, body
-		}
-		name = k.Name
-	}
-
-	timing := sim.DefaultTiming()
-	if req.MaxCycles > 0 {
-		timing.MaxCycles = req.MaxCycles
-	}
-	spec := harness.RunSpec{
-		Machine:  machine,
-		Timing:   timing,
-		Kernel:   k,
-		Workload: w,
-		Seed:     seed,
-		Policies: resolvePolicies(&req),
-		Audit:    auditOn,
-		Pool:     s.pool,
-		Par:      s.cfg.Par,
-		Observe: func(policy string) ([]sim.Option, func(sim.Stats)) {
-			// Progress samples become SSE events. Only the submission
-			// that actually simulates streams them; jobs coalesced onto
-			// an in-flight run get the result without the play-by-play.
-			opts := []sim.Option{
-				sim.WithSampleInterval(int64(sampleInterval)),
-				sim.WithObserver(sim.ObserverFuncs{
-					Sample: func(smp sim.Sample) { j.Publish(sampleEvent(policy, smp)) },
-				}),
-			}
-			return opts, func(st sim.Stats) {
-				obs.RecordStats(s.metrics, name+"/"+policy, st)
-			}
-		},
 	}
 	rows, hits := harness.RunPolicies(ctx, spec)
 	if ctx.Err() != nil {
 		return nil, &ErrorBody{Code: CodeCanceled, Message: ctx.Err().Error()}
 	}
 	var buf bytes.Buffer
-	failed := harness.RenderReport(&buf, machine, rows, nil)
+	failed := harness.RenderReport(&buf, spec.Machine, rows, nil)
 	result := &JobResult{Report: buf.String(), FailedRows: failed, MemoHits: hits}
 	for _, r := range rows {
 		rv := RowView{Policy: r.Policy}
@@ -555,7 +417,7 @@ func (s *Service) runJob(ctx context.Context, j *Job) (*JobResult, *ErrorBody) {
 			rv.Cycles = r.Stats.Cycles
 			rv.Instructions = r.Stats.Instructions
 			rv.AvgWarps = r.Stats.AvgOccupancyWarps
-			rv.IPCPerSM = float64(r.Stats.Instructions) / float64(r.Stats.Cycles) / float64(machine.NumSMs)
+			rv.IPCPerSM = float64(r.Stats.Instructions) / float64(r.Stats.Cycles) / float64(spec.Machine.NumSMs)
 		}
 		result.Rows = append(result.Rows, rv)
 	}
@@ -569,28 +431,12 @@ const sampleInterval = 4096
 // runExperiment executes a named paperbench experiment, with its sweeps
 // fanned through — and deduplicated by — the service pool.
 func (s *Service) runExperiment(ctx context.Context, j *Job) (*JobResult, *ErrorBody) {
-	req := j.Req
-	o := harness.Options{Scale: 1, Pool: s.pool, Ctx: ctx, Metrics: s.metrics}
-	if req.Seed != nil {
-		o.Seed, o.SeedSet = *req.Seed, true
-	} else {
-		o.Seed = 42
-	}
-	if req.Quick {
-		o.Scale, o.NumSMs = 4, 4
-	}
-	if req.Scale > 0 {
-		o.Scale = req.Scale
-	}
-	if req.SMs > 0 {
-		o.NumSMs = req.SMs
-	}
-	if req.Audit != nil {
-		o.Audit, o.AuditSet = *req.Audit, true
-	}
+	p, _ := j.Req.plan()
+	o := harness.Options{Scale: p.Scale, NumSMs: p.SMs, Seed: p.Seed, SeedSet: true,
+		Audit: p.Audit, AuditSet: true, Pool: s.pool, Ctx: ctx, Metrics: s.metrics}
 	hits0, _ := s.pool.CacheStats()
 	var buf bytes.Buffer
-	failed, err := harness.RunExperiment(req.Experiment, o, &buf)
+	failed, err := harness.RunExperiment(p.Experiment, o, &buf)
 	if ctx.Err() != nil {
 		return nil, &ErrorBody{Code: CodeCanceled, Message: ctx.Err().Error()}
 	}

@@ -134,9 +134,11 @@ func TestMaxCyclesIsTypedLivelock(t *testing.T) {
 // that starves acquires while the rest of the machine stays busy.
 type blockAcqPolicy struct{ inner Policy }
 
-func (p blockAcqPolicy) Name() string                  { return p.inner.Name() + "+blockacq" }
-func (p blockAcqPolicy) CTAsPerSM(k *isa.Kernel) int   { return p.inner.CTAsPerSM(k) }
-func (p blockAcqPolicy) NewSMState(sm *SM) PolicyState { return &blockAcqState{inner: p.inner.NewSMState(sm)} }
+func (p blockAcqPolicy) Name() string                { return p.inner.Name() + "+blockacq" }
+func (p blockAcqPolicy) CTAsPerSM(k *isa.Kernel) int { return p.inner.CTAsPerSM(k) }
+func (p blockAcqPolicy) NewSMState(sm *SM) PolicyState {
+	return &blockAcqState{inner: p.inner.NewSMState(sm)}
+}
 
 type blockAcqState struct {
 	inner    PolicyState

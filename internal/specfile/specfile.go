@@ -28,14 +28,60 @@ type ParseError struct {
 }
 
 func (e *ParseError) Error() string {
-	p := e.Prefix
-	if p == "" {
-		p = "specfile"
-	}
 	if e.Line > 0 {
-		return fmt.Sprintf("%s: line %d: %s", p, e.Line, e.Msg)
+		return fmt.Sprintf("%s: line %d: %s", label(e.Prefix), e.Line, e.Msg)
 	}
-	return p + ": " + e.Msg
+	return label(e.Prefix) + ": " + e.Msg
+}
+
+// label is the error prefix for a spec dialect ("specfile" when unset).
+func label(prefix string) string {
+	if prefix == "" {
+		return "specfile"
+	}
+	return prefix
+}
+
+// SpecError is one semantic validation finding, addressed by a dotted
+// path into the spec ("cohorts[2].arrival.rate_per_sec"). Prefix names
+// the spec dialect, as in ParseError.
+type SpecError struct {
+	Prefix string
+	Path   string
+	Msg    string
+}
+
+func (e *SpecError) Error() string {
+	return fmt.Sprintf("%s: %s: %s", label(e.Prefix), e.Path, e.Msg)
+}
+
+// ValidationError aggregates every SpecError found in one pass, so a
+// rejected spec names all its problems at once. Add collects findings
+// under Prefix; Err returns the error, or nil when there are none.
+type ValidationError struct {
+	Prefix string
+	Errs   []*SpecError
+}
+
+// Add records one finding at path.
+func (e *ValidationError) Add(path, format string, args ...any) {
+	e.Errs = append(e.Errs, &SpecError{Prefix: e.Prefix, Path: path, Msg: fmt.Sprintf(format, args...)})
+}
+
+// Err returns e when it holds any finding, nil otherwise.
+func (e *ValidationError) Err() error {
+	if len(e.Errs) == 0 {
+		return nil
+	}
+	return e
+}
+
+func (e *ValidationError) Error() string {
+	msgs := make([]string, len(e.Errs))
+	for i, s := range e.Errs {
+		msgs[i] = s.Error()
+	}
+	return strings.Join(msgs, "\n")
 }
 
 // Decode reads a spec from YAML-subset or JSON bytes (JSON when the

@@ -62,15 +62,6 @@ type RunResult struct {
 	Fingerprints map[uint64]int
 }
 
-// jobView is the slice of the daemon/router job response the runner
-// needs; both speak this shape.
-type jobView struct {
-	ID        string             `json:"id"`
-	State     string             `json:"state"`
-	Coalesced bool               `json:"coalesced"`
-	Error     *service.ErrorBody `json:"error"`
-}
-
 // Run drives the schedule against BaseURL: each item is submitted as
 // POST /v1/jobs?wait=1 at its (compressed) arrival offset, bounded by
 // MaxInFlight, and its round-trip latency lands in its SLO class's
@@ -168,14 +159,16 @@ func Run(ctx context.Context, sched *Schedule, o RunnerOptions) (*RunResult, err
 		go func(it Item) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			coalesced, err := submitWait(ctx, client, o.BaseURL, it, reg)
+			t0 := time.Now()
+			view, err := SubmitWait(ctx, client, o.BaseURL, it.Req)
+			reg.Histogram("load." + it.SLOClass + ".latency_seconds").Observe(time.Since(t0).Seconds())
 			if err != nil {
 				reg.Counter("load." + it.SLOClass + ".jobs_failed").Inc()
 				fail(fmt.Errorf("cohort %s (slo %s): %w", it.Cohort, it.SLOClass, err))
 				return
 			}
 			reg.Counter("load." + it.SLOClass + ".jobs_done").Inc()
-			if coalesced {
+			if view.Coalesced {
 				reg.Counter("load." + it.SLOClass + ".jobs_coalesced").Inc()
 			}
 		}(it)
@@ -204,26 +197,24 @@ func Run(ctx context.Context, sched *Schedule, o RunnerOptions) (*RunResult, err
 	return res, nil
 }
 
-// submitWait POSTs one request in synchronous mode and reports whether
-// the job was memo-coalesced. The round trip is observed into the SLO
-// class's latency histogram whatever the outcome.
-func submitWait(ctx context.Context, client *http.Client, base string, it Item, reg *obs.Registry) (bool, error) {
-	body, err := json.Marshal(it.Req)
+// SubmitWait POSTs one request to base's /v1/jobs in synchronous mode
+// (?wait=1) and returns the finished job's view. Daemons and routers
+// both answer in the service.JobView shape. A refused submission, or a
+// job that did not end done, is an error.
+func SubmitWait(ctx context.Context, client *http.Client, base string, sr service.SubmitRequest) (service.JobView, error) {
+	var view service.JobView
+	body, err := json.Marshal(sr)
 	if err != nil {
-		return false, err
+		return view, err
 	}
-	t0 := time.Now()
-	defer func() {
-		reg.Histogram("load." + it.SLOClass + ".latency_seconds").Observe(time.Since(t0).Seconds())
-	}()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/jobs?wait=1", bytes.NewReader(body))
 	if err != nil {
-		return false, err
+		return view, err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := client.Do(req)
 	if err != nil {
-		return false, err
+		return view, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
@@ -232,16 +223,15 @@ func submitWait(ctx context.Context, client *http.Client, base string, it Item, 
 		}
 		json.NewDecoder(resp.Body).Decode(&eb)
 		if eb.Error != nil {
-			return false, fmt.Errorf("submit: %w", eb.Error)
+			return view, fmt.Errorf("submit: %w", eb.Error)
 		}
-		return false, fmt.Errorf("submit: status %d", resp.StatusCode)
+		return view, fmt.Errorf("submit: status %d", resp.StatusCode)
 	}
-	var view jobView
 	if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
-		return false, err
+		return view, err
 	}
 	if view.State != service.StateDone {
-		return false, fmt.Errorf("job %s ended %q (%+v)", view.ID, view.State, view.Error)
+		return view, fmt.Errorf("job %s ended %q (%+v)", view.ID, view.State, view.Error)
 	}
-	return view.Coalesced, nil
+	return view, nil
 }

@@ -18,6 +18,7 @@ import (
 	"strings"
 
 	"regmutex/internal/harness"
+	"regmutex/internal/specfile"
 	"regmutex/internal/workloads"
 )
 
@@ -112,36 +113,11 @@ type WeightedChoice struct {
 	Weight float64 `json:"weight,omitempty"`
 }
 
-// SpecError is one validation finding, addressed by a dotted path into
-// the spec ("cohorts[2].arrival.rate_per_sec").
-type SpecError struct {
-	Path string
-	Msg  string
-}
-
-func (e *SpecError) Error() string { return fmt.Sprintf("workspec: %s: %s", e.Path, e.Msg) }
-
-// ValidationError aggregates every SpecError found in one pass, so a
-// rejected spec names all its problems at once.
-type ValidationError struct {
-	Errs []*SpecError
-}
-
-func (e *ValidationError) Error() string {
-	msgs := make([]string, len(e.Errs))
-	for i, s := range e.Errs {
-		msgs[i] = s.Error()
-	}
-	return strings.Join(msgs, "\n")
-}
-
 // Validate checks the spec against the grammar's semantic rules and
-// returns a *ValidationError listing every violation, or nil.
+// returns a *specfile.ValidationError listing every violation, or nil.
 func (s *Spec) Validate() error {
-	var errs []*SpecError
-	bad := func(path, format string, args ...any) {
-		errs = append(errs, &SpecError{Path: path, Msg: fmt.Sprintf(format, args...)})
-	}
+	errs := &specfile.ValidationError{Prefix: "workspec"}
+	bad := errs.Add
 	if s.Version != SpecVersion {
 		bad("version", "got %d, this build understands only %d", s.Version, SpecVersion)
 	}
@@ -169,10 +145,7 @@ func (s *Spec) Validate() error {
 		validateArrival(p+".arrival", c.Arrival, bad)
 		validateSize(p+".size", c.Size, bad)
 	}
-	if len(errs) > 0 {
-		return &ValidationError{Errs: errs}
-	}
-	return nil
+	return errs.Err()
 }
 
 func validateArrival(p string, a Arrival, bad func(string, string, ...any)) {

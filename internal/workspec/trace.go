@@ -1,7 +1,6 @@
 package workspec
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
@@ -12,6 +11,7 @@ import (
 	"time"
 
 	"regmutex/internal/jsonl"
+	"regmutex/internal/obs"
 	"regmutex/internal/service"
 )
 
@@ -24,51 +24,31 @@ type TraceRecord struct {
 	Req  service.SubmitRequest `json:"req"`
 }
 
-// TraceWriter appends accepted requests to a JSONL trace. Its Record
-// method matches service.Config.OnAccept, so wiring a daemon for
-// production-trace capture is one assignment (gpusimd -record).
-// Safe for concurrent use.
+// TraceWriter records accepted requests as a JSONL trace, one
+// jsonl.Log append (a single write, no fsync) per record, so a crash
+// loses at most a torn final line. Its Record method matches
+// service.Config.OnAccept, so wiring a daemon for production-trace
+// capture is one assignment (gpusimd -record). Safe for concurrent use.
 type TraceWriter struct {
 	mu    sync.Mutex
-	w     io.Writer
-	c     io.Closer
-	enc   *json.Encoder
+	log   *jsonl.Log[TraceRecord]
 	start time.Time
 	n     int
 	err   error
 }
 
-// NewTraceWriter starts a recorder over w. When w is also an
-// io.Closer, Close forwards to it.
-func NewTraceWriter(w io.Writer) *TraceWriter {
-	t := &TraceWriter{w: w, enc: json.NewEncoder(w), start: time.Now()}
-	if c, ok := w.(io.Closer); ok {
-		t.c = c
-	}
-	return t
-}
-
-// CreateTrace opens (truncating) a trace file for recording.
+// CreateTrace truncates path and opens it for recording. A trace holds
+// one session: FromTrace rejects arrival offsets that go backwards, so a
+// second session appended to the first would not replay.
 func CreateTrace(path string) (*TraceWriter, error) {
-	f, err := os.Create(path)
+	if err := os.WriteFile(path, nil, 0o644); err != nil {
+		return nil, err
+	}
+	log, _, err := jsonl.Open[TraceRecord](path, false, obs.NopLogger())
 	if err != nil {
 		return nil, err
 	}
-	return NewTraceWriter(bufferedFile{bufio.NewWriter(f), f}), nil
-}
-
-// bufferedFile flushes its buffer before closing the underlying file.
-type bufferedFile struct {
-	*bufio.Writer
-	f *os.File
-}
-
-func (b bufferedFile) Close() error {
-	if err := b.Writer.Flush(); err != nil {
-		b.f.Close()
-		return err
-	}
-	return b.f.Close()
+	return &TraceWriter{log: log, start: time.Now()}, nil
 }
 
 // Record appends one accepted request, stamped with its arrival offset.
@@ -79,7 +59,7 @@ func (t *TraceWriter) Record(req service.SubmitRequest) {
 	defer t.mu.Unlock()
 	at := time.Since(t.start).Seconds() * 1000
 	if t.err == nil {
-		t.err = t.enc.Encode(TraceRecord{AtMS: at, Req: req})
+		t.err = t.log.Append(TraceRecord{AtMS: at, Req: req})
 	}
 	t.n++
 }
@@ -92,15 +72,12 @@ func (t *TraceWriter) Count() int {
 	return t.n
 }
 
-// Close flushes and closes the trace, returning the first write error.
+// Close closes the trace, returning the first write or close error.
 func (t *TraceWriter) Close() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.c != nil {
-		if cerr := t.c.Close(); t.err == nil {
-			t.err = cerr
-		}
-		t.c = nil
+	if cerr := t.log.Close(); t.err == nil {
+		t.err = cerr
 	}
 	return t.err
 }

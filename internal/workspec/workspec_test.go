@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"regmutex/internal/service"
+	"regmutex/internal/specfile"
 )
 
 // goldenYAML exercises the whole YAML subset: nested block mappings,
@@ -174,9 +175,9 @@ func TestParseRejects(t *testing.T) {
 			s := goldenSpec()
 			tc.mutate(s)
 			err := s.Validate()
-			var ve *ValidationError
+			var ve *specfile.ValidationError
 			if !errors.As(err, &ve) {
-				t.Fatalf("err = %v, want *ValidationError", err)
+				t.Fatalf("err = %v, want *specfile.ValidationError", err)
 			}
 			for _, se := range ve.Errs {
 				if se.Path == tc.wantPath {
@@ -195,7 +196,7 @@ func TestValidationReportsAllProblems(t *testing.T) {
 	s.Version = 3
 	s.Cohorts[0].Requests = -1
 	s.Cohorts[1].Size.Workload = "nope"
-	var ve *ValidationError
+	var ve *specfile.ValidationError
 	if err := s.Validate(); !errors.As(err, &ve) || len(ve.Errs) != 3 {
 		t.Fatalf("want 3 aggregated findings, got %v", err)
 	}
@@ -346,8 +347,11 @@ func TestTraceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	w := NewTraceWriter(&buf)
+	path := t.TempDir() + "/trace.jsonl"
+	w, err := CreateTrace(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, it := range sched.Items {
 		w.Record(it.Req)
 	}
@@ -357,7 +361,7 @@ func TestTraceRoundTrip(t *testing.T) {
 	if w.Count() != len(sched.Items) {
 		t.Fatalf("recorded %d of %d", w.Count(), len(sched.Items))
 	}
-	recs, err := ReadTrace(&buf)
+	recs, err := ReadTraceFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
