@@ -61,7 +61,7 @@ quick:
 # 2 vCPUs). A change that moves a figure updates the golden in the same
 # diff; the paperbench footer goes to stderr, so it never enters the diff.
 paper-golden:
-	$(GO) run ./cmd/paperbench -par 1 > /tmp/paperbench-golden.txt
+	$(GO) run ./cmd/paperbench > /tmp/paperbench-golden.txt
 	diff paperbench_output.txt /tmp/paperbench-golden.txt
 	rm -f /tmp/paperbench-golden.txt
 
@@ -99,15 +99,15 @@ load-smoke:
 	$(GO) run ./cmd/benchreg -quick -load-only -spec examples/workloads/load-smoke.yaml -out /tmp/benchreg-load-smoke.json
 	rm -f /tmp/benchreg-load-smoke.json
 
-# Run every shipped hypothesis spec twice — serial and parallel — into
+# Run every shipped hypothesis spec twice — at -j 1 and -j 8 — into
 # two report trees and require byte-identical FINDINGS/JSON (the
 # determinism contract), assert each spec's pinned verdict, and check
 # that -gate turns the designed-Refuted negative control (h4) into a
 # failing exit.
 hypo-smoke:
 	rm -rf /tmp/hypo-smoke-j1 /tmp/hypo-smoke-jN
-	$(GO) run ./cmd/hypo -j 1 -par 1 -out /tmp/hypo-smoke-j1 examples/hypotheses
-	$(GO) run ./cmd/hypo -j 8 -par 4 -out /tmp/hypo-smoke-jN examples/hypotheses
+	$(GO) run ./cmd/hypo -j 1 -out /tmp/hypo-smoke-j1 examples/hypotheses
+	$(GO) run ./cmd/hypo -j 8 -out /tmp/hypo-smoke-jN examples/hypotheses
 	diff -r /tmp/hypo-smoke-j1 /tmp/hypo-smoke-jN
 	grep -q '^\*\*Status:\*\* Confirmed$$' /tmp/hypo-smoke-j1/h1-regmutex-pareto/FINDINGS.md
 	grep -q '^\*\*Status:\*\* Confirmed$$' /tmp/hypo-smoke-j1/h2-occupancy-cliff/FINDINGS.md

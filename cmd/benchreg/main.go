@@ -38,7 +38,6 @@ func main() {
 	compress := flag.Float64("compress", 0, "divide schedule arrival offsets by this factor (0 or 1 = real time)")
 	loadOnly := flag.Bool("load-only", false, "skip the simulator matrix; run only the load phase and assert per-SLO-class histograms are present and nonzero (with -sweep: run only the sweep phase)")
 	sweep := flag.String("sweep", "", "saturation sweep spec (YAML-subset or JSON): drive its offered-load ladder against a fresh loopback daemon (or -router / -url), print the per-stage report and record the knee in the saturation section; fails when no knee is found")
-	par := flag.Int("par", 0, "SM-stepping workers inside each simulation (0 = GOMAXPROCS, 1 = serial; cycle counts identical at any value)")
 	router := flag.Bool("router", false, "with -sweep: drive the ladder through a gpusimrouter over 3 loopback instances")
 	url := flag.String("url", "", "with -sweep: drive the ladder against this running gpusimd daemon or gpusimrouter")
 	compare := flag.Bool("compare", false, "compare two trajectory files: benchreg -compare old.json new.json")
@@ -88,7 +87,6 @@ func main() {
 
 	o := benchreg.Options{
 		Quick:    *quick,
-		Par:      *par,
 		Fleet:    *router,
 		URL:      *url,
 		Compress: *compress,

@@ -43,7 +43,6 @@ func main() {
 	timeline := flag.Bool("timeline", false, "print each policy's issue/stall timeline before its row")
 	metricsDir := flag.String("metrics", "", "write metrics.json and metrics.csv into this directory")
 	jobs := flag.Int("j", 0, "policies to simulate concurrently with -policy all (0 = all cores, 1 = serial)")
-	par := flag.Int("par", 0, "SM-stepping workers inside each simulation (0 = GOMAXPROCS, 1 = serial; results identical at any value)")
 	auditOn := flag.Bool("audit", false, "attach the invariant auditor (aborts on the first broken machine invariant)")
 	validate := flag.String("validate", "", "schema-check an existing Chrome trace JSON file and exit")
 	flag.Parse()
@@ -104,7 +103,7 @@ func main() {
 	// metrics registry are thread-safe, so observed runs fan out too.
 	// RunPolicies + RenderReport is the exact path the gpusimd service
 	// serves, which keeps daemon results byte-identical to this CLI.
-	spec.Pool, spec.Par = runpool.New(*jobs), *par
+	spec.Pool = runpool.New(*jobs)
 	spec.Observe = func(name string) ([]sim.Option, func(sim.Stats)) {
 		var opts []sim.Option
 		var cols []*obs.Collector

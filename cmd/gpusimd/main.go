@@ -48,7 +48,6 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address")
 	workers := flag.Int("workers", 2, "concurrent job executors")
 	poolWorkers := flag.Int("pool", 0, "simulation pool workers (0 = all cores)")
-	par := flag.Int("par", 0, "SM-stepping workers inside each simulation (0 = GOMAXPROCS, 1 = serial; results identical at any value)")
 	queueDepth := flag.Int("queue", 64, "max queued jobs before 429 queue_full")
 	memoLimit := flag.Int("memo", 256, "memo cache entries before LRU eviction (0 = unbounded)")
 	rate := flag.Float64("rate", 0, "per-client submissions per second (0 = unlimited)")
@@ -94,7 +93,6 @@ func main() {
 		cfg: service.Config{
 			Workers:       *workers,
 			PoolWorkers:   *poolWorkers,
-			Par:           *par,
 			QueueDepth:    *queueDepth,
 			MemoLimit:     *memoLimit,
 			RatePerSec:    *rate,

@@ -10,7 +10,7 @@
 //
 // Every spec in one invocation shares a memoized run pool, so
 // hypotheses over overlapping matrices reuse each other's simulations.
-// Reports are byte-identical at any -j/-par and across repeated runs.
+// Reports are byte-identical at any -j and across repeated runs.
 //
 // Exit status: 0 when every spec ran (and, under -gate, nothing was
 // Refuted), 1 on a hard failure or a -gate violation, 2 on a spec
@@ -33,13 +33,12 @@ import (
 
 func main() {
 	jobs := flag.Int("j", 0, "simulations to run concurrently (0 = all cores, 1 = serial)")
-	par := flag.Int("par", 0, "SM-stepping workers inside each simulation (results identical at any value)")
 	gate := flag.Bool("gate", false, "exit non-zero when any hypothesis is Refuted")
 	outDir := flag.String("out", "", "write <out>/<name>/{FINDINGS.md,report.json} instead of stdout")
 	flag.Parse()
 
 	if flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "hypo: usage: hypo [-j N] [-par N] [-gate] [-out DIR] <spec.yaml|dir>...")
+		fmt.Fprintln(os.Stderr, "hypo: usage: hypo [-j N] [-gate] [-out DIR] <spec.yaml|dir>...")
 		os.Exit(2)
 	}
 
@@ -75,7 +74,7 @@ func main() {
 	start := time.Now()
 	refuted, inconclusive := 0, 0
 	for i, s := range specs {
-		res, err := hypo.Run(s, hypo.RunOptions{Pool: pool, Par: *par})
+		res, err := hypo.Run(s, hypo.RunOptions{Pool: pool})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "hypo: %s: %v\n", paths[i], err)
 			os.Exit(1)

@@ -33,7 +33,6 @@ func main() {
 	sms := flag.Int("sms", 0, "override SM count (0 = machine default)")
 	seed := flag.Uint64("seed", 42, "input generator seed")
 	jobs := flag.Int("j", 0, "simulations to run concurrently (0 = all cores, 1 = serial)")
-	par := flag.Int("par", 0, "SM-stepping workers inside each simulation (0 = GOMAXPROCS, 1 = serial; results identical at any value)")
 	auditOn := flag.Bool("audit", false, "attach the invariant auditor to every simulation")
 	traceOut := flag.String("trace", "", "write every simulation's events to one Chrome trace-event JSON file")
 	metricsDir := flag.String("metrics", "", "write metrics.json and metrics.csv into this directory")
@@ -42,7 +41,7 @@ func main() {
 	// One pool for the whole invocation: experiments share its memo
 	// cache, so e.g. fig9a reuses the baselines fig7 already simulated.
 	pool := runpool.New(*jobs)
-	o := harness.Options{Scale: 1, Seed: *seed, NumSMs: *sms, Pool: pool, Audit: *auditOn, Par: *par}
+	o := harness.Options{Scale: 1, Seed: *seed, NumSMs: *sms, Pool: pool, Audit: *auditOn}
 	if *traceOut != "" {
 		o.Trace = obs.NewTrace(0)
 	}

@@ -123,7 +123,7 @@ func faultDemo(class string) int {
 
 	d, err := sim.New(sim.DeviceSpec{Config: cfg, Timing: timing, Kernel: kern},
 		sim.WithPolicy(faults.Inject(pol, plan)), sim.WithGlobal(w.Input(k, 1)),
-		sim.WithAudit(audit.Standard(0)), sim.WithParallelism(1))
+		sim.WithAudit(audit.Standard(0)))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "simfuzz:", err)
 		return 1

@@ -147,11 +147,6 @@ type Options struct {
 	// LoadOnly skips the simulator matrix: only the load phase runs.
 	// The spec smoke gate uses it.
 	LoadOnly bool
-	// Par is each simulation's intra-run parallelism
-	// (sim.WithParallelism): 0 = GOMAXPROCS, 1 = serial. Simulated
-	// cycle counts are identical at every value; only the wall-clock
-	// (and hence cycles_per_sec) responds to it.
-	Par int
 	// Fleet drives the sweep phase through a gpusimrouter over three
 	// loopback instances instead of a single daemon. It requires
 	// SweepSpec.
@@ -239,7 +234,7 @@ func Run(o Options) (*Result, error) {
 	if !o.LoadOnly {
 		workloadNames, policies, scale, sms := o.matrix()
 		log.Info("sim phase", "workloads", len(workloadNames), "policies", len(policies), "scale", scale, "sms", sms)
-		sims, err := runSimPhase(workloadNames, policies, scale, sms, o.Par)
+		sims, err := runSimPhase(workloadNames, policies, scale, sms)
 		if err != nil {
 			return nil, err
 		}
@@ -276,7 +271,7 @@ func Run(o Options) (*Result, error) {
 // runSimPhase measures each matrix cell serially (wall-clock per cell
 // must not be polluted by sibling cells competing for cores) on a
 // single-flight-free path: every cell is a distinct simulation.
-func runSimPhase(workloadNames, policies []string, scale, sms, par int) ([]SimPoint, error) {
+func runSimPhase(workloadNames, policies []string, scale, sms int) ([]SimPoint, error) {
 	machine := occupancy.GTX480()
 	machine.NumSMs = sms
 	var out []SimPoint
@@ -292,7 +287,7 @@ func runSimPhase(workloadNames, policies []string, scale, sms, par int) ([]SimPo
 				return nil, err
 			}
 			d, err := sim.New(sim.DeviceSpec{Config: machine, Timing: sim.DefaultTiming(), Kernel: run},
-				sim.WithPolicy(pol), sim.WithGlobal(w.Input(k, 42)), sim.WithParallelism(par))
+				sim.WithPolicy(pol), sim.WithGlobal(w.Input(k, 42)))
 			if err != nil {
 				return nil, err
 			}
@@ -327,7 +322,7 @@ func runSimPhase(workloadNames, policies []string, scale, sms, par int) ([]SimPo
 func runServicePhase(sched *workspec.Schedule, o Options) (*ServicePoint, *LoadPoint, error) {
 	var lb loopback
 	defer lb.close()
-	svc, url, err := lb.instance(4, len(sched.Items)+8, o.Par)
+	svc, url, err := lb.instance(4, len(sched.Items)+8)
 	if err != nil {
 		return nil, nil, err
 	}

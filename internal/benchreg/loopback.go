@@ -42,8 +42,8 @@ func (lb *loopback) serve(h http.Handler, closeBackend func()) (string, error) {
 
 // instance boots a started gpusimd service with the given executor
 // count and queue depth.
-func (lb *loopback) instance(workers, queueDepth, par int) (*service.Service, string, error) {
-	svc, err := service.New(service.Config{Workers: workers, QueueDepth: queueDepth, Par: par})
+func (lb *loopback) instance(workers, queueDepth int) (*service.Service, string, error) {
+	svc, err := service.New(service.Config{Workers: workers, QueueDepth: queueDepth})
 	if err != nil {
 		return nil, "", err
 	}

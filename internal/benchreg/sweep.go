@@ -47,7 +47,7 @@ func runSweepPhase(spec *saturate.SweepSpec, o Options) (*SaturationPoint, error
 	case o.Fleet:
 		var urls []string
 		for i := 0; i < 3; i++ {
-			_, url, err := lb.instance(2, 4096, o.Par)
+			_, url, err := lb.instance(2, 4096)
 			if err != nil {
 				return nil, err
 			}
@@ -59,7 +59,7 @@ func runSweepPhase(spec *saturate.SweepSpec, o Options) (*SaturationPoint, error
 		}
 		baseURL = url
 	default:
-		_, url, err := lb.instance(4, 4096, o.Par)
+		_, url, err := lb.instance(4, 4096)
 		if err != nil {
 			return nil, err
 		}

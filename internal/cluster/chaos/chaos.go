@@ -113,8 +113,6 @@ type Proxy struct {
 
 	killed atomic.Bool
 	done   chan struct{} // closed on Close/Kill: releases blackholed conns
-
-	faults sync.Map // Fault -> *atomic.Int64, injection counts for assertions
 }
 
 // New starts a chaos proxy on a fresh loopback port in front of
@@ -159,21 +157,6 @@ func New(backendURL string, schedule Schedule, latency time.Duration) (*Proxy, e
 // URL returns the proxy's base URL — what the router is configured with.
 func (p *Proxy) URL() string { return "http://" + p.ln.Addr().String() }
 
-// Counts reports how many times each fault class fired.
-func (p *Proxy) Counts() map[Fault]int64 {
-	out := make(map[Fault]int64)
-	p.faults.Range(func(k, v any) bool {
-		out[k.(Fault)] = v.(*atomic.Int64).Load()
-		return true
-	})
-	return out
-}
-
-func (p *Proxy) count(f Fault) {
-	v, _ := p.faults.LoadOrStore(f, new(atomic.Int64))
-	v.(*atomic.Int64).Add(1)
-}
-
 // Kill simulates the instance dying: the listener closes and every
 // subsequent (and in-flight) exchange fails at the TCP level. Unlike
 // Close it leaves the backend untouched — the test decides separately
@@ -203,9 +186,6 @@ func (p *Proxy) serve(w http.ResponseWriter, r *http.Request) {
 	p.mu.Unlock()
 
 	fault := sched(int(i), r)
-	if fault != FaultNone {
-		p.count(fault)
-	}
 	switch fault {
 	case FaultLatency:
 		select {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"regmutex/internal/obs"
 	"regmutex/internal/service"
 )
 
@@ -40,8 +41,8 @@ type JobView struct {
 	Result      *service.JobResult `json:"result,omitempty"`
 }
 
-func newJob(id string, req service.SubmitRequest) *Job {
-	return &Job{Lifecycle: service.NewLifecycle(id, req), FP: req.Fingerprint()}
+func newJob(id string, req service.SubmitRequest, metrics *obs.Registry) *Job {
+	return &Job{Lifecycle: service.NewLifecycle(id, req, metrics, "cluster"), FP: req.Fingerprint()}
 }
 
 // assign records a placement attempt and publishes it as a log event so

@@ -206,7 +206,7 @@ func New(cfg Config) (*Router, error) {
 	}
 	r.metrics.Histogram("cluster.route_e2e_seconds")
 	r.replays = r.jobs.Replay(records, func(rec service.JournalRecord, _ int64) *Job {
-		return newJob(rec.ID, *rec.Req)
+		return newJob(rec.ID, *rec.Req, r.metrics)
 	})
 	for _, j := range r.replays {
 		if _, dup := r.flights[j.FP]; !dup {
@@ -292,7 +292,7 @@ func (r *Router) Submit(req service.SubmitRequest) (*Job, *service.ErrorBody) {
 		return nil, &service.ErrorBody{Code: service.CodeDraining, RetryAfterSec: 10,
 			Message: "router is draining"}
 	}
-	j := r.jobs.Mint(func(id string, _ int64) *Job { return newJob(id, req) })
+	j := r.jobs.Mint(func(id string, _ int64) *Job { return newJob(id, req, r.metrics) })
 	if err := r.journal.Append(service.JournalRecord{Op: "accept", ID: j.ID,
 		FP: fmt.Sprintf("%016x", j.FP), Req: &req}); err != nil {
 		r.jobs.Forget(j.ID)
@@ -303,8 +303,9 @@ func (r *Router) Submit(req service.SubmitRequest) (*Job, *service.ErrorBody) {
 	return j, nil
 }
 
-// finish journals the terminal state and closes out metrics plus the
-// job's root route span (accept to terminal, every failover included).
+// finish journals the terminal state and closes out the e2e histogram
+// plus the job's root route span (accept to terminal, every failover
+// included). The outcome counter is already booked by the Lifecycle.
 func (r *Router) finish(j *Job) {
 	state := j.State()
 	r.journal.Append(service.JournalRecord{Op: "finish", ID: j.ID, End: state})
@@ -329,14 +330,6 @@ func (r *Router) finish(j *Job) {
 		Start:  accepted,
 		End:    time.Now(),
 	})
-	switch state {
-	case service.StateDone:
-		r.metrics.Counter("cluster.jobs_done").Inc()
-	case service.StateFailed:
-		r.metrics.Counter("cluster.jobs_failed").Inc()
-	case service.StateCanceled:
-		r.metrics.Counter("cluster.jobs_canceled").Inc()
-	}
 	r.mu.Lock()
 	if r.flights[j.FP] == j {
 		delete(r.flights, j.FP)

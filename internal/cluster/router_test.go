@@ -195,13 +195,9 @@ func runBatchAndVerify(t *testing.T, r *Router, reqs []service.SubmitRequest, wa
 				i, j.ID, want[j.FP], v.Result)
 		}
 	}
+	// The outcome counters are booked inside the terminal transition,
+	// so they are exact as soon as every job is seen terminal.
 	m := r.Metrics()
-	// The router counts a job just after its terminal state becomes
-	// visible, so let the accounting settle before holding it exact.
-	waitFor(t, 10*time.Second, func() bool {
-		return m.Counter("cluster.jobs_done").Value()+m.Counter("cluster.jobs_failed").Value()+
-			m.Counter("cluster.jobs_canceled").Value() >= int64(len(reqs))
-	})
 	if got := m.Counter("cluster.jobs_accepted").Value(); got != int64(len(reqs)) {
 		t.Fatalf("jobs_accepted = %d, want %d", got, len(reqs))
 	}

@@ -74,11 +74,8 @@ func RunDifferential(seed uint64) error {
 	stats := make([]sim.Stats, len(runs))
 	for i, r := range runs {
 		mem := append([]uint64(nil), input...)
-		// Fuzzing stays on the serial engine: tiny grids amortize no
-		// pool, and a minimal repro should not depend on worker count.
 		d, err := sim.New(sim.DeviceSpec{Config: cfg, Timing: timing, Kernel: r.kern},
-			sim.WithPolicy(r.pol), sim.WithGlobal(mem), sim.WithAudit(audit.Standard(0)),
-			sim.WithParallelism(1))
+			sim.WithPolicy(r.pol), sim.WithGlobal(mem), sim.WithAudit(audit.Standard(0)))
 		if err != nil {
 			return fmt.Errorf("fuzz seed %d: %s: device: %w", seed, r.name, err)
 		}

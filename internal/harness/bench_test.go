@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"fmt"
 	"testing"
 
 	"regmutex/internal/occupancy"
@@ -14,9 +13,7 @@ import (
 // matrix measures. Watch allocs/op (the issue loop, watchdog, and event
 // heaps must not allocate per cycle) and cycles_per_sec; the committed
 // BENCH_<date>.json trajectory files gate the latter in CI, this
-// benchmark is for bisecting locally with benchstat. The par=N variants
-// run the identical simulation on the parallel engine — simulated
-// cycles are byte-identical, only wall-clock may differ.
+// benchmark is for bisecting locally with benchstat.
 func BenchmarkSimCell(b *testing.B) {
 	machine := occupancy.GTX480()
 	machine.NumSMs = 2
@@ -30,30 +27,27 @@ func BenchmarkSimCell(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, par := range []int{1, 4} {
-			b.Run(fmt.Sprintf("%s/par%d", pname, par), func(b *testing.B) {
-				b.ReportAllocs()
-				var cycles int64
-				for i := 0; i < b.N; i++ {
-					d, err := sim.New(
-						sim.DeviceSpec{Config: machine, Timing: sim.DefaultTiming(), Kernel: run},
-						sim.WithPolicy(pol), sim.WithGlobal(w.Input(k, 42)),
-						sim.WithParallelism(par))
-					if err != nil {
-						b.Fatal(err)
-					}
-					st, err := d.Run()
-					if err != nil {
-						b.Fatal(err)
-					}
-					if cycles == 0 {
-						cycles = st.Cycles
-					} else if st.Cycles != cycles {
-						b.Fatalf("cycle count drifted across iterations: %d then %d", cycles, st.Cycles)
-					}
+		b.Run(pname, func(b *testing.B) {
+			b.ReportAllocs()
+			var cycles int64
+			for i := 0; i < b.N; i++ {
+				d, err := sim.New(
+					sim.DeviceSpec{Config: machine, Timing: sim.DefaultTiming(), Kernel: run},
+					sim.WithPolicy(pol), sim.WithGlobal(w.Input(k, 42)))
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(cycles)*float64(b.N)/b.Elapsed().Seconds(), "cycles/sec")
-			})
-		}
+				st, err := d.Run()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if cycles == 0 {
+					cycles = st.Cycles
+				} else if st.Cycles != cycles {
+					b.Fatalf("cycle count drifted across iterations: %d then %d", cycles, st.Cycles)
+				}
+			}
+			b.ReportMetric(float64(cycles)*float64(b.N)/b.Elapsed().Seconds(), "cycles/sec")
+		})
 	}
 }

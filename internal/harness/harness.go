@@ -38,13 +38,6 @@ type Options struct {
 	// Jobs caps how many simulations run concurrently when normalize has
 	// to create a pool: 0 = all cores, 1 = the serial path.
 	Jobs int
-	// Par is each simulation's intra-run parallelism (sim.WithParallelism):
-	// values above 1 step SMs on that many workers between deterministic
-	// cycle barriers; 0 picks GOMAXPROCS and 1 forces the serial engine.
-	// Stats are byte-identical at every value, so Par is deliberately
-	// absent from the memo key (RunSpec.key) — cached results are shared
-	// across worker counts, mirroring the pool's -j invariance.
-	Par int
 	// Pool fans simulations out across workers and caches results under
 	// RunSpec.key (policy, kernel fingerprint, machine, seed, input,
 	// timing, audit). Sharing one pool across experiments (as
@@ -102,7 +95,7 @@ func (o Options) machine(base occupancy.Config) occupancy.Config {
 }
 
 // Spec is the one Options→RunSpec mapping: workload w's kernel k on
-// machine cfg with o's seed, timing, auditor, parallelism and pool, plus
+// machine cfg with o's seed, timing, auditor and pool, plus
 // o's Trace and Metrics attached as observers under a
 // "<workload>/<policy>" lane. Experiments and hypo submit through it.
 // o is normalized here, so callers fanning out many runs should set a
@@ -110,7 +103,7 @@ func (o Options) machine(base occupancy.Config) occupancy.Config {
 func (o Options) Spec(cfg occupancy.Config, w *workloads.Workload, k *isa.Kernel) RunSpec {
 	o = o.normalize()
 	spec := RunSpec{Machine: cfg, Timing: o.Timing, Kernel: k, Workload: w, Seed: o.Seed,
-		Audit: o.Audit, Pool: o.Pool, Par: o.Par}
+		Audit: o.Audit, Pool: o.Pool}
 	if o.Trace == nil && o.Metrics == nil {
 		return spec
 	}

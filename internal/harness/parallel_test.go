@@ -149,8 +149,8 @@ func TestSeedZeroDiffersFromSeed42(t *testing.T) {
 
 // TestRunSpecKeyIsTheSimulationIdentity pins the one memo key rule:
 // every field that can change a run's result changes the key, and the
-// execution knobs and observers do not, so observed, unobserved and
-// differently-parallel submissions of one point share a simulation.
+// execution knobs and observers do not, so observed and unobserved
+// submissions of one point share a simulation.
 func TestRunSpecKeyIsTheSimulationIdentity(t *testing.T) {
 	w, err := workloads.ByName("bfs")
 	if err != nil {
@@ -180,7 +180,6 @@ func TestRunSpecKeyIsTheSimulationIdentity(t *testing.T) {
 		{"timing", func(s RunSpec) RunSpec { s.Timing.MaxCycles++; return s }, "regmutex", false},
 		{"audit", func(s RunSpec) RunSpec { s.Audit = !s.Audit; return s }, "regmutex", false},
 		{"zero timing means default", func(s RunSpec) RunSpec { s.Timing = sim.Timing{}; return s }, "regmutex", true},
-		{"par", func(s RunSpec) RunSpec { s.Par = 4; return s }, "regmutex", true},
 		{"pool", func(s RunSpec) RunSpec { s.Pool = runpool.New(2); return s }, "regmutex", true},
 		{"policies list", func(s RunSpec) RunSpec { s.Policies = PolicyNames; return s }, "regmutex", true},
 		{"observers", func(RunSpec) RunSpec {

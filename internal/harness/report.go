@@ -47,9 +47,6 @@ type RunSpec struct {
 	// Pool fans runs out and deduplicates identical ones via its keyed
 	// memo cache. Nil creates a private all-cores pool.
 	Pool *runpool.Pool
-	// Par is each simulation's intra-run parallelism
-	// (sim.WithParallelism).
-	Par int
 }
 
 // Run is one simulation's memoized outcome: its Stats plus, for the
@@ -86,10 +83,10 @@ func (p Pending) Wait(ctx context.Context) (Run, error) {
 // source kernel's fingerprint (code, grid, resource demands; Scale is
 // covered because it reshapes the grid), the machine, the seed, the
 // input source (workload name, or "-" for the zero heap), the timing
-// model and the auditor. Observers, Par and Pool never change the Run
-// (guarded by the obs detachment and Par determinism tests), so they
-// are left out and observed and unobserved submissions of one point
-// share a simulation.
+// model and the auditor. Observers and Pool never change the Run
+// (observers are guarded by obs.TestObserverDoesNotPerturbTiming), so
+// they are left out and observed and unobserved submissions of one
+// point share a simulation.
 func (s RunSpec) key(policy string) string {
 	in := "-"
 	if s.Workload != nil {
@@ -137,7 +134,7 @@ func (s RunSpec) run(ctx context.Context, policy string) (Run, error) {
 	if s.Workload != nil {
 		global = s.Workload.Input(s.Kernel, s.Seed)
 	}
-	opts := []sim.Option{sim.WithPolicy(pol), sim.WithGlobal(global), sim.WithParallelism(s.Par)}
+	opts := []sim.Option{sim.WithPolicy(pol), sim.WithGlobal(global)}
 	if s.Audit {
 		opts = append(opts, sim.WithAudit(audit.Standard(audit.DefaultEvery)))
 	}

@@ -52,7 +52,7 @@ func WriteJSON(w io.Writer, res *Result) error {
 
 // WriteFindings renders the human-readable FINDINGS report. The output
 // is a pure function of the Result: no timestamps, no host names, no
-// map iteration — so the bytes are identical across -j/-par settings
+// map iteration — so the bytes are identical across -j settings
 // and repeated runs (the determinism contract in DESIGN.md §14).
 func WriteFindings(w io.Writer, res *Result) error {
 	b := &strings.Builder{}

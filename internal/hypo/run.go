@@ -24,9 +24,6 @@ type RunOptions struct {
 	// Jobs is the private pool's worker count when Pool is nil
 	// (0 = all cores, 1 = serial).
 	Jobs int
-	// Par is each simulation's intra-run parallelism (results are
-	// byte-identical at any value).
-	Par int
 }
 
 // SeedRun is one (cell, seed) simulation's measured metrics.
@@ -151,7 +148,7 @@ func Run(spec *Spec, ro RunOptions) (*Result, error) {
 		for _, seed := range spec.Seeds {
 			o := harness.Options{
 				Scale: c.Scale, Seed: seed, SeedSet: true,
-				Timing: timing, Par: ro.Par, Pool: pool,
+				Timing: timing, Pool: pool,
 			}
 			pend = append(pend, harness.Submit(context.Background(), o.Spec(cfg, w, k), c.Policy))
 		}

@@ -8,7 +8,7 @@
 // sign-test/min-effect rule, no RNG at analysis time — and emits a
 // Confirmed/Refuted/Inconclusive verdict with a byte-deterministic
 // FINDINGS-style Markdown + JSON report. Same spec + seeds ⇒ identical
-// reports at any -j/-par. See DESIGN.md §14 for the grammar and the
+// reports at any -j. See DESIGN.md §14 for the grammar and the
 // semantics of each comparison type.
 package hypo
 

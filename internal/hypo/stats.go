@@ -4,7 +4,7 @@ import "sort"
 
 // The statistics here are deliberately RNG-free: the verdict of a
 // hypothesis must be a pure function of the measured values, so reports
-// are byte-identical across -j/-par settings and repeated runs.
+// are byte-identical across -j settings and repeated runs.
 
 // signTestP is the exact one-sided sign test: the probability of
 // observing at least k successes in n fair coin flips,

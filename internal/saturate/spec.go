@@ -13,7 +13,7 @@
 // request fingerprint). All latency and knee analysis then runs in a
 // virtual-time c-server FCFS queue model in integer microsecond
 // arithmetic, so the same spec + seed yields a byte-identical report on
-// every rerun, at any -j or -par, on any machine speed.
+// every rerun, at any -j, on any machine speed.
 package saturate
 
 import (

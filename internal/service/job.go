@@ -4,6 +4,8 @@ import (
 	"context"
 	"sync"
 	"time"
+
+	"regmutex/internal/obs"
 )
 
 // Lifecycle is the job state machine both tiers share: gpusimd's Job
@@ -29,11 +31,16 @@ type Lifecycle struct {
 	events     []Event
 	changed    chan struct{} // closed on every publish, then replaced
 	done       chan struct{} // closed once the job reaches a terminal state
+	metrics    *obs.Registry // where the terminal transition books the outcome
+	tier       string        // outcome counter prefix: "service" or "cluster"
 }
 
 // NewLifecycle starts a job's lifecycle: queued, accepted now, with the
-// queued state as event 0.
-func NewLifecycle(id string, req SubmitRequest) *Lifecycle {
+// queued state as event 0. The terminal transition books the outcome
+// once in metrics as <tier>.jobs_done, jobs_failed or jobs_canceled,
+// before the state is visible and before Done closes, so whoever sees
+// the terminal state also sees the count.
+func NewLifecycle(id string, req SubmitRequest, metrics *obs.Registry, tier string) *Lifecycle {
 	if req.TraceID == "" {
 		req.TraceID = id
 	}
@@ -45,6 +52,8 @@ func NewLifecycle(id string, req SubmitRequest) *Lifecycle {
 		events:     []Event{{Seq: 0, Type: "state", State: StateQueued}},
 		changed:    make(chan struct{}),
 		done:       make(chan struct{}),
+		metrics:    metrics,
+		tier:       tier,
 	}
 }
 
@@ -95,6 +104,7 @@ func (l *Lifecycle) SetState(state string, err *ErrorBody, result *JobResult) bo
 	l.appendLocked(ev)
 	if Terminal(state) {
 		l.finishedAt = time.Now()
+		l.metrics.Counter(l.tier + ".jobs_" + state).Inc()
 		close(l.done)
 	}
 	return true
@@ -170,9 +180,9 @@ type Job struct {
 	cancel context.CancelFunc // cancels this job's interest in its sims; guarded by mu
 }
 
-func newJob(id string, req SubmitRequest, seq int64) *Job {
+func newJob(id string, req SubmitRequest, seq int64, metrics *obs.Registry) *Job {
 	return &Job{
-		Lifecycle: NewLifecycle(id, req),
+		Lifecycle: NewLifecycle(id, req, metrics, "service"),
 		Kind:      req.ResolvedKind(),
 		Priority:  req.Priority,
 		seq:       seq,

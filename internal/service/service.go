@@ -34,11 +34,10 @@ type Config struct {
 	// RatePerSec <= 0 disables it.
 	RatePerSec float64
 	Burst      int
-	// Par is each simulation's intra-run parallelism (harness
-	// RunSpec.Par / sim.WithParallelism): 0 = GOMAXPROCS, 1 = serial.
-	// Results are byte-identical at every value, so jobs submitted to
-	// differently-configured daemons still dedup against each other's
-	// journals and memo keys.
+	// Par is ignored: every simulation runs one serial cycle loop.
+	//
+	// Deprecated: the perfbench module is the only setter; delete this
+	// when perfbench next changes.
 	Par int
 	// JournalPath enables crash-safe job persistence ("" = off):
 	// accepted-but-unfinished jobs are re-queued on restart.
@@ -156,7 +155,7 @@ func New(cfg Config) (*Service, error) {
 	s.metrics.Gauge("service.queue_oldest_age_seconds")
 	s.metrics.Gauge("service.memo_hit_rate")
 	replayed := s.jobs.Replay(records, func(rec JournalRecord, n int64) *Job {
-		return newJob(rec.ID, *rec.Req, n)
+		return newJob(rec.ID, *rec.Req, n, s.metrics)
 	})
 	for _, j := range replayed {
 		if !s.queue.push(j) {
@@ -214,7 +213,7 @@ func (s *Service) Submit(req SubmitRequest) (*Job, *ErrorBody) {
 		return nil, body
 	}
 
-	j := s.jobs.Mint(func(id string, n int64) *Job { return newJob(id, req, n) })
+	j := s.jobs.Mint(func(id string, n int64) *Job { return newJob(id, req, n, s.metrics) })
 	if err := s.journal.Append(JournalRecord{Op: "accept", ID: j.ID, Req: &req}); err != nil {
 		s.jobs.Forget(j.ID)
 		return nil, JournalError(err)
@@ -274,7 +273,6 @@ func (s *Service) Cancel(id string) (*Job, bool) {
 	if cancel != nil {
 		cancel() // executor observes the cancellation and finishes the job
 	} else if j.SetState(StateCanceled, &ErrorBody{Code: CodeCanceled, Message: "canceled while queued"}, nil) {
-		s.metrics.Counter("service.jobs_canceled").Inc()
 		s.finishRecord(j)
 	}
 	return j, true
@@ -337,16 +335,18 @@ func (s *Service) RefreshGauges() {
 // canceled) is the one path that leaves a job unterminated — no finish
 // record is written, so a journalled job is re-queued on restart.
 func (s *Service) execute(j *Job) {
-	if Terminal(j.State()) {
-		return // canceled while queued
-	}
 	jctx, cancel := context.WithCancel(s.ctx)
 	defer cancel()
 	j.mu.Lock()
 	j.cancel = cancel
 	j.mu.Unlock()
-	j.SetState(StateRunning, nil, nil)
 	s.metrics.Gauge("service.queue_depth").Set(float64(s.queue.len()))
+	// Once j.cancel is set, Cancel cancels jctx instead of terminating
+	// the job; a Cancel that read it unset has already made the job
+	// terminal, and Running is refused.
+	if !j.SetState(StateRunning, nil, nil) {
+		return // canceled while queued; Cancel wrote the finish record
+	}
 
 	var result *JobResult
 	var body *ErrorBody
@@ -363,17 +363,14 @@ func (s *Service) execute(j *Job) {
 		return
 	case jctx.Err() != nil:
 		j.SetState(StateCanceled, &ErrorBody{Code: CodeCanceled, Message: "canceled by client"}, nil)
-		s.metrics.Counter("service.jobs_canceled").Inc()
 	case body != nil:
 		j.SetState(StateFailed, body, nil)
-		s.metrics.Counter("service.jobs_failed").Inc()
 	default:
 		if result.MemoHits > 0 {
 			j.SetCoalesced()
 			s.metrics.Counter("service.jobs_coalesced").Inc()
 		}
 		j.SetState(StateDone, nil, result)
-		s.metrics.Counter("service.jobs_done").Inc()
 	}
 	s.finishRecord(j)
 }
@@ -386,7 +383,7 @@ func (s *Service) runJob(ctx context.Context, j *Job) (*JobResult, *ErrorBody) {
 	if body != nil {
 		return nil, body
 	}
-	spec.Pool, spec.Par = s.pool, s.cfg.Par
+	spec.Pool = s.pool
 	name := spec.Kernel.Name
 	spec.Observe = func(policy string) ([]sim.Option, func(sim.Stats)) {
 		// Progress samples become SSE events. Only the submission that

@@ -9,8 +9,11 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
+
+	"regmutex/internal/obs"
 )
 
 // spinKasm loops for tens of millions of iterations — long enough that a
@@ -291,6 +294,34 @@ func TestCancelQueuedJob(t *testing.T) {
 	time.Sleep(50 * time.Millisecond)
 	if got := s.Job(view.ID).State(); got != StateCanceled {
 		t.Fatalf("state after start = %q", got)
+	}
+}
+
+// TestOutcomeCountedOnceBeforeDone pins the terminal accounting: of
+// several racing terminal transitions exactly one books an outcome, and
+// the count is already visible when Done closes.
+func TestOutcomeCountedOnceBeforeDone(t *testing.T) {
+	m := obs.NewRegistry()
+	l := NewLifecycle("job-1", SubmitRequest{}, m, "service")
+	outcomes := func() int64 {
+		return m.Counter("service.jobs_done").Value() + m.Counter("service.jobs_failed").Value() +
+			m.Counter("service.jobs_canceled").Value()
+	}
+	var wg sync.WaitGroup
+	for _, state := range []string{StateDone, StateCanceled, StateFailed, StateCanceled} {
+		wg.Add(1)
+		go func(state string) {
+			defer wg.Done()
+			l.SetState(state, nil, nil)
+		}(state)
+	}
+	<-l.Done()
+	if got := outcomes(); got != 1 {
+		t.Errorf("outcomes booked when Done closed = %d, want 1", got)
+	}
+	wg.Wait()
+	if got := m.Counter("service.jobs_" + l.State()).Value(); got != 1 || outcomes() != 1 {
+		t.Errorf("jobs_%s = %d, total outcomes %d; want 1 and 1", l.State(), got, outcomes())
 	}
 }
 

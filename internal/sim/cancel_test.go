@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -25,22 +26,37 @@ func boundedSpinKernel(iters int64) *isa.Kernel {
 
 func TestRunContextCancel(t *testing.T) {
 	k := spinKernel(32) // 2^40 iterations: would run effectively forever
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	// Cancel from the first utilisation sample: the observer fires from
+	// inside the cycle loop, so the run is provably mid-flight.
+	canceledAt := make(chan time.Time, 1)
+	var once sync.Once
+	onSample := func(Sample) {
+		once.Do(func() {
+			canceledAt <- time.Now()
+			cancel()
+		})
+	}
 	d, err := New(DeviceSpec{Config: occupancy.GTX480(), Timing: DefaultTiming(), Kernel: k},
-		WithPolicy(NewStaticPolicy(occupancy.GTX480())))
+		WithPolicy(NewStaticPolicy(occupancy.GTX480())),
+		WithObserver(ObserverFuncs{Sample: onSample}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
 		_, err := d.RunContext(ctx)
 		done <- err
 	}()
-	time.Sleep(20 * time.Millisecond) // let it get into the loop
-	start := time.Now()
-	cancel()
 	select {
 	case err := <-done:
+		var start time.Time
+		select {
+		case start = <-canceledAt:
+		default:
+			t.Fatalf("run returned before its first sample: %v", err)
+		}
 		var ce *CanceledError
 		if !errors.As(err, &ce) {
 			t.Fatalf("err = %v, want *CanceledError", err)

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"context"
-	"runtime"
 	"strings"
 
 	"regmutex/internal/isa"
@@ -18,14 +17,6 @@ type Device struct {
 
 	Global []uint64
 	sms    []*SM
-
-	// Par is the worker count for the parallel-across-SMs engine: values
-	// above 1 shard the SMs over min(Par, NumSMs) persistent workers that
-	// step concurrently between cycle barriers; 0 means automatic
-	// (GOMAXPROCS) and 1 forces the serial engine. Both engines produce
-	// byte-identical Stats, traces, and audit results (see DESIGN.md
-	// §11). Set it before Run (or via WithParallelism).
-	Par int
 
 	nextCTA  int
 	doneCTAs int
@@ -90,8 +81,7 @@ type Event struct {
 
 // fail latches the first unrecoverable machine error; Run (or New, for
 // launch-time failures) surfaces it to the caller. It is only called
-// from barrier-serialized paths (CTA launch/retire), never from inside a
-// worker's step.
+// from the CTA launch and retire paths.
 func (d *Device) fail(err error) {
 	if d.fatalErr == nil {
 		d.fatalErr = err
@@ -104,7 +94,7 @@ func (d *Device) emit(ev Event) {
 	}
 }
 
-// onCTAComplete runs at the cycle-end barrier for each CTA that retired
+// onCTAComplete runs at cycle end (finishCycle) for each CTA that retired
 // this cycle (in SM order); the dispatcher backfills from the pending
 // grid onto the SM that freed the slots.
 func (d *Device) onCTAComplete(sm *SM, cta *CTAState) {
@@ -251,30 +241,17 @@ func (d *Device) settleAll() {
 	}
 }
 
-// finishCycle is the cycle-end barrier, shared by both engines. Global
-// effects buffered during the cycle are applied here in fixed SM order —
-// stores commit, buffered observer callbacks replay, finished CTAs
-// retire and backfill — which is what makes results identical whether
-// SMs stepped serially or on concurrent workers.
+// finishCycle ends a cycle. The cycle's global effects are applied here
+// in fixed SM order, after every due SM has stepped: stores commit, then
+// finished CTAs retire and backfill. This is the cycle semantics the
+// paper golden pins (DESIGN.md §11): during a cycle every load reads the
+// cycle-start memory, and a slot freed on one SM is not visible to later
+// SMs until the next cycle.
 func (d *Device) finishCycle() {
 	for _, sm := range d.sms {
 		if len(sm.stores) > 0 {
 			sm.applyStores()
 		}
-	}
-	for _, sm := range d.sms {
-		if len(sm.obsBuf) == 0 {
-			continue
-		}
-		for i := range sm.obsBuf {
-			r := &sm.obsBuf[i]
-			if r.isEvent {
-				d.emit(r.ev)
-			} else if d.obs != nil {
-				d.obs.OnStall(r.slot)
-			}
-		}
-		sm.obsBuf = sm.obsBuf[:0]
 	}
 	for _, sm := range d.sms {
 		if len(sm.pendingRetire) == 0 {
@@ -319,10 +296,8 @@ const ctxCheckStride = 4096
 // policy-gate retry, and has no pending scoreboard or memory event
 // sleeps until its own next event, and the device hops straight to the
 // earliest wake-up when no SM is due — the multi-SM generalisation of
-// the old whole-device fast-forward. With Par > 1 the due SMs of each
-// cycle step on a persistent worker pool between barriers (see
-// parallel.go); all global actions stay serialized in SM order at the
-// barrier, so Stats are byte-identical at any worker count.
+// the old whole-device fast-forward. The due SMs of each cycle step in
+// SM order, then finishCycle applies the cycle's global effects.
 func (d *Device) RunContext(ctx context.Context) (Stats, error) {
 	target := d.Kernel.GridCTAs
 	if d.multi() {
@@ -339,12 +314,6 @@ func (d *Device) RunContext(ctx context.Context) (Stats, error) {
 	livelockEpochs := d.Timing.LivelockEpochs
 	if livelockEpochs <= 0 {
 		livelockEpochs = DefaultLivelockEpochs
-	}
-
-	var pool *smPool
-	if workers := poolWidth(d.Par, len(d.sms)); workers > 1 {
-		pool = newSMPool(d, workers)
-		defer pool.stop()
 	}
 
 	cancelable := ctx.Done() != nil
@@ -438,13 +407,9 @@ func (d *Device) RunContext(ctx context.Context) (Stats, error) {
 			continue
 		}
 		idle = 0
-		if pool != nil {
-			pool.runCycle(d.now)
-		} else {
-			for _, sm := range d.sms {
-				if sm.wakeAt <= d.now {
-					sm.step(d.now)
-				}
+		for _, sm := range d.sms {
+			if sm.wakeAt <= d.now {
+				sm.step(d.now)
 			}
 		}
 		d.finishCycle()
@@ -461,23 +426,6 @@ func (d *Device) RunContext(ctx context.Context) (Stats, error) {
 	}
 	return d.collectStats(), nil
 }
-
-// poolWidth resolves the requested parallelism: 0 means automatic
-// (GOMAXPROCS), the result is clamped to the SM count, and anything
-// resolving at or below 1 selects the serial engine.
-func poolWidth(par, sms int) int {
-	if par == 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	if par > sms {
-		par = sms
-	}
-	return par
-}
-
-// deadlockError builds the deadlock diagnostic for a wedged machine
-// (kept as a thin wrapper; wedgeError is the shared scan).
-func (d *Device) deadlockError() error { return d.wedgeError(WedgeDeadlock) }
 
 // wedgeError builds the structured *DeadlockError diagnostic. In
 // multi-kernel mode each warp may belong to a different kernel, so the

@@ -48,7 +48,7 @@ func TestDeadlockErrorMultiKernel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	msg := d.deadlockError().Error()
+	msg := d.wedgeError(WedgeDeadlock).Error()
 	if !strings.Contains(msg, "bfs+mriq") {
 		t.Errorf("diagnostic does not name both kernels: %q", msg)
 	}

@@ -96,9 +96,6 @@ func (b StallBreakdown) Total() int64 {
 	return t
 }
 
-// Stalled sums every non-issued cause.
-func (b StallBreakdown) Stalled() int64 { return b.Total() - b[CauseIssued] }
-
 // add accumulates o into b.
 func (b *StallBreakdown) add(o StallBreakdown) {
 	for i, v := range o {

@@ -97,12 +97,10 @@ func (s *regmutexState) TryIssue(w *Warp, in *isa.Instr, now int64) bool {
 }
 
 // emit forwards an event to the device listener (absent in unit tests).
-// It goes through the SM so the parallel engine can buffer it for
-// in-order replay at the cycle barrier.
 func (s *regmutexState) emit(ev Event) {
 	if s.sm != nil {
 		ev.SM = s.sm.id
-		s.sm.emitEvent(ev)
+		s.sm.dev.emit(ev)
 	}
 }
 

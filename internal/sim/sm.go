@@ -181,22 +181,13 @@ func (o issueOutcome) stallCause() StallCause {
 // resets wakeAt.
 const sleepForever = int64(math.MaxInt64)
 
-// pendingStore is one buffered global-memory write. Stores commit at the
+// pendingStore is one deferred global-memory write. Stores commit at the
 // end of the cycle, in SM order (see DESIGN.md §11): during a cycle every
-// load reads the cycle-start state, which is what makes the parallel
-// engine's results independent of worker count.
+// load reads the cycle-start state.
 type pendingStore struct {
 	mem  []uint64
 	addr int64
 	val  uint64
-}
-
-// obsRec is one buffered observer callback (parallel engine only): either
-// a coarse Event or a per-slot StallSlot, preserving within-SM order.
-type obsRec struct {
-	isEvent bool
-	ev      Event
-	slot    StallSlot
 }
 
 // SM is one streaming multiprocessor.
@@ -229,19 +220,13 @@ type SM struct {
 	sawPolicyBlock bool  // a policy gate refused issue this cycle (acquire retry)
 
 	// pendingRetire holds CTAs whose last warp finished this cycle;
-	// retirement and backfill run at the cycle-end barrier in SM order so
-	// the dispatcher's global counters stay deterministic at any -par.
+	// retirement and backfill run at cycle end (Device.finishCycle) in SM
+	// order.
 	pendingRetire []*CTAState
 
-	// stores buffers this cycle's global-memory writes (committed at the
-	// cycle-end barrier in SM order).
+	// stores holds this cycle's global-memory writes (committed at cycle
+	// end in SM order).
 	stores []pendingStore
-
-	// obsBuf, when buffered is set (parallel engine with an observer
-	// attached), collects this cycle's observer callbacks for in-order
-	// replay at the barrier.
-	buffered bool
-	obsBuf   []obsRec
 
 	// Stats.
 	issued        int64
@@ -405,15 +390,14 @@ func (sm *SM) loadGlobal(mem []uint64, addr int64) uint64 {
 	return mem[addr]
 }
 
-// storeGlobal buffers a global-memory write; it commits at the cycle-end
-// barrier in SM order (applyStores).
+// storeGlobal defers a global-memory write; it commits at cycle end in
+// SM order (applyStores).
 func (sm *SM) storeGlobal(mem []uint64, addr int64, v uint64) {
 	sm.stores = append(sm.stores, pendingStore{mem: mem, addr: addr, val: v})
 }
 
-// applyStores commits the cycle's buffered global writes. Out-of-bounds
-// accounting happens here (not at issue) so the count lands on the SM
-// that issued the store regardless of engine.
+// applyStores commits the cycle's deferred global writes, counting
+// out-of-bounds addresses on the SM that issued the store.
 func (sm *SM) applyStores() {
 	for _, st := range sm.stores {
 		n := int64(len(st.mem))
@@ -428,17 +412,6 @@ func (sm *SM) applyStores() {
 		st.mem[addr] = st.val
 	}
 	sm.stores = sm.stores[:0]
-}
-
-// emitEvent routes an SM-side event to the observer: directly in the
-// serial engine, via the per-SM buffer (replayed at the barrier in SM
-// order) in the parallel engine.
-func (sm *SM) emitEvent(ev Event) {
-	if sm.buffered {
-		sm.obsBuf = append(sm.obsBuf, obsRec{isEvent: true, ev: ev})
-		return
-	}
-	sm.dev.emit(ev)
 }
 
 // settleTo charges each scheduler slot's last attribution over the cycles
@@ -483,13 +456,8 @@ func (sm *SM) step(now int64) int {
 			issued++
 		}
 		if obs != nil {
-			slot := StallSlot{Cycle: now, SM: sm.id, Scheduler: sched.id,
-				Cause: res.cause, Warp: res.warp}
-			if sm.buffered {
-				sm.obsBuf = append(sm.obsBuf, obsRec{slot: slot})
-			} else {
-				obs.OnStall(slot)
-			}
+			obs.OnStall(StallSlot{Cycle: now, SM: sm.id, Scheduler: sched.id,
+				Cause: res.cause, Warp: res.warp})
 		}
 	}
 	if len(sm.warps) > 0 {
@@ -744,9 +712,9 @@ func (sm *SM) arriveBarrier(w *Warp) {
 }
 
 // onWarpFinished handles warp completion. CTA retirement is deferred to
-// the cycle-end barrier (Device.finishCycle) so the dispatcher's global
-// state — nextCTA, doneCTAs, the multi-kernel rotation — is only touched
-// in fixed SM order, which is what keeps Stats identical at any -par.
+// cycle end (Device.finishCycle), so the dispatcher's global state —
+// nextCTA, doneCTAs, the multi-kernel rotation — changes only after
+// every SM has stepped, in SM order.
 func (sm *SM) onWarpFinished(w *Warp) {
 	if w.retired {
 		return

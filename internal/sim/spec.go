@@ -25,7 +25,6 @@ type buildOptions struct {
 	observers   []Observer
 	audit       AuditHook
 	sampleEvery int64
-	par         int
 }
 
 // Option configures New.
@@ -59,12 +58,12 @@ func WithAudit(h AuditHook) Option { return func(b *buildOptions) { b.audit = h 
 // default of 256.
 func WithSampleInterval(n int64) Option { return func(b *buildOptions) { b.sampleEvery = n } }
 
-// WithParallelism sets the worker count for the parallel-across-SMs
-// engine (Device.Par): n > 1 steps SMs on min(n, NumSMs) concurrent
-// workers between deterministic cycle barriers, 0 (the default) picks
-// GOMAXPROCS, and 1 forces the serial engine. Results are byte-identical
-// at every value.
-func WithParallelism(n int) Option { return func(b *buildOptions) { b.par = n } }
+// WithParallelism does nothing: every simulation runs one serial cycle
+// loop.
+//
+// Deprecated: the perfbench module is the only caller; delete this when
+// perfbench next changes.
+func WithParallelism(int) Option { return func(*buildOptions) {} }
 
 // New builds a device from the spec and options.
 func New(spec DeviceSpec, opts ...Option) (*Device, error) {
@@ -90,7 +89,6 @@ func New(spec DeviceSpec, opts ...Option) (*Device, error) {
 		Policy: pol,
 		Global: b.global,
 		Audit:  b.audit,
-		Par:    b.par,
 		obs:    MultiObserver(b.observers...),
 	}
 	if b.sampleEvery > 0 {

@@ -27,7 +27,7 @@ type Item struct {
 
 // Schedule is a compiled spec: the deterministic merged arrival
 // sequence. Same spec content + seed ⇒ byte-identical Canonical() on
-// every run, at every -par setting, on every worker count — nothing in
+// every run, on every worker count — nothing in
 // the compilation reads wall clocks, maps, or global state.
 type Schedule struct {
 	SpecName string `json:"spec"`
