@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify bench bench-quick microbench quick paper-golden obs-smoke obs-bench serve-smoke chaos-smoke fleet-smoke load-smoke hypo-smoke sweep-smoke sweep-fleet
+.PHONY: build test verify bench microbench quick paper-golden obs-smoke obs-bench serve-smoke chaos-smoke fleet-smoke load-smoke hypo-smoke sweep-smoke sweep-fleet
 
 build:
 	$(GO) build ./...
@@ -37,17 +37,14 @@ verify:
 	$(MAKE) sweep-smoke
 	$(MAKE) paper-golden
 
-# The benchmark-trajectory harness: run the fixed workload×policy
-# simulator matrix plus the gpusimd loopback load phase and write a
-# schema-versioned BENCH_<date>.json at the repo root. Diff two points
-# with `go run ./cmd/benchreg -compare old.json new.json` (non-zero
-# exit on >10% regression).
+# The benchmark trajectory: run every workload BENCHMARK.json lists
+# through perfbench/run.sh (seed 1, run_seconds each, about 3.5 minutes in
+# all) and write each result line to the perf section of
+# BENCH_<date>.json at the repo root. Diff two points with
+# `go run ./cmd/benchreg -compare old.json new.json`: non-zero exit when
+# an end-to-end metric worsens beyond its BENCHMARK.json bound.
 bench:
 	$(GO) run ./cmd/benchreg
-
-# CI-sized trajectory point (seconds, not minutes).
-bench-quick:
-	$(GO) run ./cmd/benchreg -quick
 
 # The raw go-test microbenchmarks (the pre-trajectory `bench` target).
 microbench:
@@ -91,12 +88,12 @@ chaos-smoke:
 		./internal/cluster/
 
 # Compile a tiny seeded workload spec (two cohorts, two SLO classes)
-# and drive it through benchreg's loopback load phase; -load-only
-# asserts every SLO class produced jobs with populated, nonzero latency
+# and drive it through benchreg's loopback load phase, which requires
+# every SLO class to produce jobs with populated, nonzero latency
 # histograms — proves the spec -> schedule -> runner pipeline end to
 # end.
 load-smoke:
-	$(GO) run ./cmd/benchreg -quick -load-only -spec examples/workloads/load-smoke.yaml -out /tmp/benchreg-load-smoke.json
+	$(GO) run ./cmd/benchreg -spec examples/workloads/load-smoke.yaml -out /tmp/benchreg-load-smoke.json
 	rm -f /tmp/benchreg-load-smoke.json
 
 # Run every shipped hypothesis spec twice — at -j 1 and -j 8 — into
@@ -123,7 +120,7 @@ hypo-smoke:
 # the BENCH saturation section. The knee numbers are byte-deterministic
 # — model time, not wall clock — so this gate cannot flake on slow CI.
 sweep-smoke:
-	$(GO) run ./cmd/benchreg -quick -load-only -sweep examples/sweeps/sweep-smoke.yaml -compress 20 -out /tmp/benchreg-sweep-smoke.json
+	$(GO) run ./cmd/benchreg -sweep examples/sweeps/sweep-smoke.yaml -compress 20 -out /tmp/benchreg-sweep-smoke.json
 	grep -q '"saturation"' /tmp/benchreg-sweep-smoke.json
 	grep -q '"knee_found": true' /tmp/benchreg-sweep-smoke.json
 	rm -f /tmp/benchreg-sweep-smoke.json
@@ -133,7 +130,7 @@ sweep-smoke:
 # `make verify` (the daemon smoke already gates the analyzer); run it
 # when touching the router hot path.
 sweep-fleet:
-	$(GO) run ./cmd/benchreg -quick -load-only -router -sweep examples/sweeps/sweep-fleet.yaml -compress 20 -out /tmp/benchreg-sweep-fleet.json
+	$(GO) run ./cmd/benchreg -router -sweep examples/sweeps/sweep-fleet.yaml -compress 20 -out /tmp/benchreg-sweep-fleet.json
 	grep -q '"router-fleet-3"' /tmp/benchreg-sweep-fleet.json
 	rm -f /tmp/benchreg-sweep-fleet.json
 

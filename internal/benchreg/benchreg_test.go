@@ -1,7 +1,11 @@
 package benchreg
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -11,208 +15,325 @@ import (
 	"regmutex/internal/workspec"
 )
 
-func point(cyclesPerSec, jobsPerSec, p99 float64) *Result {
-	return &Result{
-		SchemaVersion: SchemaVersion,
-		Date:          "2026-08-06",
-		Quick:         true,
-		Sim: []SimPoint{
-			{Workload: "bfs", Policy: "static", Cycles: 1000, WallSeconds: 1, CyclesPerSec: cyclesPerSec},
-			{Workload: "bfs", Policy: "regmutex", Cycles: 1000, WallSeconds: 1, CyclesPerSec: 2 * cyclesPerSec},
-		},
-		Service: &ServicePoint{
-			Jobs: 24, JobsPerSec: jobsPerSec,
-			Latency: Quantiles{Count: 24, P50: p99 / 2, P99: p99, Max: p99 * 1.5},
-		},
-	}
-}
+// fixtureScript stands in for perfbench/run.sh: it prints a summary
+// line naming its arguments, then the canned result line for the
+// workload ($2) that the test wrote next to it.
+const fixtureScript = `echo "fixture summary: $*"
+cat "$2.json"
+`
 
-// specPoint upgrades a legacy point to the spec-pipeline schema: spec
-// identities on the service section plus a load section.
-func specPoint(cyclesPerSec, jobsPerSec, p99 float64, specName, specID string) *Result {
-	r := point(cyclesPerSec, jobsPerSec, p99)
-	r.Service.Spec, r.Service.SpecID = specName, specID
-	r.Load = &LoadPoint{
-		Spec: specName, SpecID: specID, Seed: 1,
-		Jobs: 24, JobsPerSec: jobsPerSec, MemoHitRate: 0.5,
-		Classes: map[string]ClassPoint{
-			"legacy": {Jobs: 24, Coalesced: 12, Latency: Quantiles{Count: 24, P50: p99 / 2, P99: p99, Max: p99 * 1.5}},
-		},
+// fixture writes a benchmark definition with two workloads and two
+// end-to-end metrics (bound 0.25 each) whose command echoes canned
+// result lines, and returns it loaded.
+func fixture(t *testing.T) *Definition {
+	t.Helper()
+	dir := t.TempDir()
+	def := `{
+  "command": ["sh", "fixture.sh"],
+  "run_seconds": 2,
+  "workloads": [{"name": "sim-static"}, {"name": "serve-mix"}],
+  "end_to_end": [
+    {"name": "throughput_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+    {"name": "latency_p90_ms", "unit": "ms", "better": "lower", "bound": 0.25}
+  ]
+}`
+	for name, data := range map[string]string{"BENCHMARK.json": def, "fixture.sh": fixtureScript} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	return r
-}
-
-func TestCompareCleanPass(t *testing.T) {
-	old := point(1e6, 10, 50)
-	// Noise well inside the 10% budget, in both directions.
-	cur := point(0.95e6, 10.5, 52)
-	regs, warns, err := Compare(old, cur, 0.10)
+	d, err := ReadDefinition(filepath.Join(dir, "BENCHMARK.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(regs) != 0 {
-		t.Fatalf("unexpected regressions: %v", regs)
+	return d
+}
+
+// canned is one workload's result line.
+type canned struct {
+	correct        bool
+	failed         int
+	tput, p90, p50 float64
+}
+
+func (c canned) line() string {
+	return fmt.Sprintf(`{"correct":%v,"attempted":100,"failed":%d,"metrics":{`+
+		`"throughput_per_s":{"value":%g,"unit":"1/s"},"latency_p50_ms":{"value":%g,"unit":"ms"},"latency_p90_ms":{"value":%g,"unit":"ms"}}}`,
+		c.correct, c.failed, c.tput, c.p50, c.p90)
+}
+
+func good(tput, p90 float64) canned { return canned{correct: true, tput: tput, p90: p90, p50: p90 / 2} }
+
+// runFixture makes the fixture command print lines, runs the benchmark
+// through RunPerf and returns the point and everything the command sent
+// to stderr.
+func runFixture(t *testing.T, def *Definition, lines map[string]canned) (*Result, string, error) {
+	t.Helper()
+	for name, c := range lines {
+		if err := os.WriteFile(filepath.Join(def.Dir, name+".json"), []byte(c.line()+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if len(warns) != 0 {
-		t.Fatalf("unexpected warnings: %v", warns)
+	var stderr bytes.Buffer
+	res, err := RunPerf(def, &stderr)
+	return res, stderr.String(), err
+}
+
+// perfPoint runs the fixture with every workload reporting tput and p90.
+func perfPoint(t *testing.T, def *Definition, tput, p90 float64) *Result {
+	t.Helper()
+	res, _, err := runFixture(t, def, map[string]canned{"sim-static": good(tput, p90), "serve-mix": good(tput/10, p90*10)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+func hasMatch(list []string, sub string) bool {
+	for _, s := range list {
+		if strings.Contains(s, sub) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestReadDefinitionOfTheRepo: the committed BENCHMARK.json loads, and
+// every end-to-end metric carries a direction and a bound.
+func TestReadDefinitionOfTheRepo(t *testing.T) {
+	def, err := ReadDefinition("../../BENCHMARK.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if def.Dir != "../.." || len(def.Workloads) == 0 || len(def.EndToEnd) == 0 {
+		t.Fatalf("definition read incompletely: %+v", def)
+	}
+	for _, m := range def.EndToEnd {
+		if m.Bound <= 0 {
+			t.Errorf("metric %s has no bound", m.Name)
+		}
+	}
+	bad := filepath.Join(t.TempDir(), "BENCHMARK.json")
+	if err := os.WriteFile(bad, []byte(`{"command":["x"],"run_seconds":1,"workloads":[{"name":"w"}],"end_to_end":[{"name":"m","better":"up","bound":0.1}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadDefinition(bad); err == nil {
+		t.Fatal("definition with an unknown direction accepted")
+	}
+}
+
+// TestRunPerfRecordsResultLines: each workload runs the command with
+// the definition's arguments, its summary lines reach stderr, and its
+// result line lands in the perf section under the workload's name.
+func TestRunPerfRecordsResultLines(t *testing.T) {
+	def := fixture(t)
+	res, stderr, err := runFixture(t, def, map[string]canned{"sim-static": good(12, 90), "serve-mix": good(30, 40)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"fixture summary: --workload sim-static --seed 1 --seconds 2 --trace 0",
+		"fixture summary: --workload serve-mix --seed 1 --seconds 2 --trace 0",
+	} {
+		if !strings.Contains(stderr, want) {
+			t.Fatalf("summary line %q not passed through; stderr:\n%s", want, stderr)
+		}
+	}
+	if strings.Contains(stderr, `"correct"`) {
+		t.Fatalf("result line leaked to stderr:\n%s", stderr)
+	}
+	if res.SchemaVersion != SchemaVersion || res.Date == "" || res.GoVersion == "" || len(res.Perf) != 2 {
+		t.Fatalf("incomplete point: %+v", res)
+	}
+	p := res.Perf["sim-static"]
+	if !p.Correct || p.Attempted != 100 || p.Metrics["throughput_per_s"].Value != 12 || p.Metrics["latency_p90_ms"].Unit != "ms" {
+		t.Fatalf("result line misread: %+v", p)
+	}
+}
+
+// TestRunPerfRejectsIncorrectRun: a workload that reports correct:
+// false, or any failed op, fails the run (benchreg exits 1).
+func TestRunPerfRejectsIncorrectRun(t *testing.T) {
+	def := fixture(t)
+	for _, bad := range []canned{
+		{correct: false, tput: 12, p90: 90},
+		{correct: true, failed: 2, tput: 12, p90: 90},
+	} {
+		_, _, err := runFixture(t, def, map[string]canned{"sim-static": good(12, 90), "serve-mix": bad})
+		if err == nil || !strings.Contains(err.Error(), "serve-mix") {
+			t.Fatalf("run with %+v accepted: %v", bad, err)
+		}
+	}
+	if err := os.WriteFile(filepath.Join(def.Dir, "sim-static.json"), []byte("not json\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunPerf(def, &bytes.Buffer{}); err == nil {
+		t.Fatal("garbled result line accepted")
+	}
+}
+
+func TestCompareCleanPass(t *testing.T) {
+	def := fixture(t)
+	old := perfPoint(t, def, 10, 100)
+	// Moves inside the 25% bound, in the bad direction: 20% slower,
+	// 20% higher p90.
+	cur := perfPoint(t, def, 8, 120)
+	regs, warns, err := Compare(old, cur, def, 0.10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(regs) != 0 || len(warns) != 0 {
+		t.Fatalf("moves within bound flagged: %v / %v", regs, warns)
 	}
 }
 
 func TestCompareDetectsInjectedRegressions(t *testing.T) {
-	old := point(1e6, 10, 50)
+	def := fixture(t)
+	old := perfPoint(t, def, 10, 100)
 
-	// Injected sim throughput collapse: 40% slower.
-	slow := point(0.6e6, 10, 50)
-	regs, _, err := Compare(old, slow, 0.10)
+	// Throughput 30% down: beyond the 25% bound, on every workload.
+	regs, _, err := Compare(old, perfPoint(t, def, 7, 100), def, 0.10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(regs) == 0 || !strings.Contains(regs[0], "cycles_per_sec") {
-		t.Fatalf("sim regression not detected: %v", regs)
+	if len(regs) != 2 || !hasMatch(regs, "perf sim-static throughput_per_s") || !hasMatch(regs, "budget 25%") {
+		t.Fatalf("throughput drop not detected: %v", regs)
+	}
+	// A looser -threshold widens the budget past the bound.
+	if regs, _, _ := Compare(old, perfPoint(t, def, 7, 100), def, 0.75); len(regs) != 0 {
+		t.Fatalf("threshold 0.75 did not widen the budget: %v", regs)
 	}
 
-	// Injected tail-latency blowup.
-	laggy := point(1e6, 10, 200)
-	regs, _, err = Compare(old, laggy, 0.10)
+	// p90 30% up.
+	regs, _, err = Compare(old, perfPoint(t, def, 10, 130), def, 0.10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	found := false
-	for _, r := range regs {
-		if strings.Contains(r, "latency_p99_ms") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("latency regression not detected: %v", regs)
+	if !hasMatch(regs, "perf sim-static latency_p90_ms") {
+		t.Fatalf("latency rise not detected: %v", regs)
 	}
 
-	// Injected throughput drop on the service side.
-	slowSvc := point(1e6, 5, 50)
-	regs, _, err = Compare(old, slowSvc, 0.10)
+	// A workload or a metric silently vanishing.
+	gone := perfPoint(t, def, 10, 100)
+	delete(gone.Perf, "serve-mix")
+	delete(gone.Perf["sim-static"].Metrics, "latency_p50_ms")
+	regs, _, err = Compare(old, gone, def, 0.10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(regs) == 0 || !strings.Contains(regs[0], "jobs_per_sec") {
-		t.Fatalf("service throughput regression not detected: %v", regs)
+	if !hasMatch(regs, "perf serve-mix: workload missing") || !hasMatch(regs, "perf sim-static latency_p50_ms: metric missing") {
+		t.Fatalf("vanished workload or metric not detected: %v", regs)
 	}
 
-	// A benchmark cell silently vanishing is itself a regression.
-	missing := point(1e6, 10, 50)
-	missing.Sim = missing.Sim[:1]
-	regs, _, err = Compare(old, missing, 0.10)
+	// More failed ops than before.
+	failing := perfPoint(t, def, 10, 100)
+	p := failing.Perf["sim-static"]
+	p.Failed = 1
+	failing.Perf["sim-static"] = p
+	regs, _, err = Compare(old, failing, def, 0.10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(regs) == 0 || !strings.Contains(regs[0], "missing") {
-		t.Fatalf("missing cell not detected: %v", regs)
+	if !hasMatch(regs, "perf sim-static failed: 0 -> 1") {
+		t.Fatalf("failed-op rise not detected: %v", regs)
+	}
+
+	// The whole section vanishing.
+	regs, _, err = Compare(old, &Result{SchemaVersion: SchemaVersion}, def, 0.10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !hasMatch(regs, "perf section missing") {
+		t.Fatalf("vanished perf section not detected: %v", regs)
 	}
 }
 
-// TestCompareForwardCompatibleSchema: an older trajectory point that
-// predates the load section (and spec identities) must compare cleanly
-// against a new-schema point — a warning, never a regression or an
-// error. This is the additive-schema contract that keeps the committed
-// baseline usable across feature growth.
+// TestCompareForwardCompatibleSchema: the committed pre-perf point
+// (BENCH_2026-08-07.json: sim and service sections only) compares
+// against a perf point with a warning, never a regression or an error.
 func TestCompareForwardCompatibleSchema(t *testing.T) {
-	old := point(1e6, 10, 50) // pre-spec: no Load, no spec identities
-	cur := specPoint(1e6, 10, 50, "legacy-quick", "00000000deadbeef")
-	regs, warns, err := Compare(old, cur, 0.10)
+	def := fixture(t)
+	old, err := ReadFile("../../BENCH_2026-08-07.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	regs, warns, err := Compare(old, perfPoint(t, def, 10, 100), def, 0.10)
 	if err != nil {
 		t.Fatalf("additive schema growth must not make points incomparable: %v", err)
 	}
 	if len(regs) != 0 {
 		t.Fatalf("additive schema fields misread as regressions: %v", regs)
 	}
-	if len(warns) != 1 || !strings.Contains(warns[0], "predates the load section") {
+	if len(warns) != 1 || !strings.Contains(warns[0], "predates the perf section") {
 		t.Fatalf("missing old-point-predates warning, got: %v", warns)
-	}
-
-	// The legacy-family service section still compares against pre-spec
-	// points (same traffic): a real throughput drop must be caught.
-	slow := specPoint(1e6, 5, 50, "legacy-quick", "00000000deadbeef")
-	regs, _, err = Compare(old, slow, 0.10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(regs) == 0 || !strings.Contains(regs[0], "service jobs_per_sec") {
-		t.Fatalf("legacy-compatible service comparison lost: %v", regs)
 	}
 }
 
-// TestCompareSpecIdentityGating: load/service sections measured under
+// loadPointFor builds a result carrying only a load section.
+func loadPointFor(jobsPerSec, p99 float64, specName, specID string) *Result {
+	return &Result{SchemaVersion: SchemaVersion, Load: &LoadPoint{
+		Spec: specName, SpecID: specID, Seed: 1,
+		Jobs: 24, JobsPerSec: jobsPerSec, MemoHitRate: 0.5,
+		Classes: map[string]ClassPoint{
+			"interactive": {Jobs: 24, Coalesced: 12, Latency: Quantiles{Count: 24, P50: p99 / 2, P99: p99, Max: p99 * 1.5}},
+		},
+	}}
+}
+
+// TestCompareSpecIdentityGating: load sections measured under
 // different workload specs are warned about and skipped, not diffed.
 func TestCompareSpecIdentityGating(t *testing.T) {
-	old := specPoint(1e6, 10, 50, "bursty-mix", "1111111111111111")
+	old := loadPointFor(10, 50, "bursty-mix", "1111111111111111")
 	// Same spec identity: a latency blowup in a class is a regression.
-	laggy := specPoint(1e6, 10, 200, "bursty-mix", "1111111111111111")
-	regs, warns, err := Compare(old, laggy, 0.10)
+	regs, warns, err := Compare(old, loadPointFor(10, 200, "bursty-mix", "1111111111111111"), nil, 0.10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(warns) != 0 {
 		t.Fatalf("matching identities should not warn: %v", warns)
 	}
-	foundClass := false
-	for _, r := range regs {
-		if strings.Contains(r, "load legacy latency_p99_ms") {
-			foundClass = true
-		}
-	}
-	if !foundClass {
+	if !hasMatch(regs, "load interactive latency_p99_ms") {
 		t.Fatalf("per-class latency regression not detected: %v", regs)
 	}
 
 	// Different spec: even a huge delta is not comparable — warn + skip.
-	other := specPoint(1e6, 1, 5000, "other-spec", "2222222222222222")
-	regs, warns, err = Compare(old, other, 0.10)
+	regs, warns, err = Compare(old, loadPointFor(1, 5000, "other-spec", "2222222222222222"), nil, 0.10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range regs {
-		if strings.Contains(r, "load") || strings.Contains(r, "service") {
-			t.Fatalf("cross-spec sections were diffed: %v", regs)
-		}
-	}
-	if len(warns) < 2 {
-		t.Fatalf("expected service+load identity warnings, got: %v", warns)
+	if len(regs) != 0 || !hasMatch(warns, "different workload specs") {
+		t.Fatalf("cross-spec sections were diffed: %v / %v", regs, warns)
 	}
 
 	// A vanished SLO class under the SAME spec is a regression.
-	gone := specPoint(1e6, 10, 50, "bursty-mix", "1111111111111111")
+	gone := loadPointFor(10, 50, "bursty-mix", "1111111111111111")
 	gone.Load.Classes = map[string]ClassPoint{}
-	regs, _, err = Compare(old, gone, 0.10)
+	regs, _, err = Compare(old, gone, nil, 0.10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	found := false
-	for _, r := range regs {
-		if strings.Contains(r, `slo class "legacy" missing`) {
-			found = true
-		}
-	}
-	if !found {
+	if !hasMatch(regs, `slo class "interactive" missing`) {
 		t.Fatalf("vanished SLO class not detected: %v", regs)
 	}
 }
 
 func TestCompareRefusesIncomparable(t *testing.T) {
-	old := point(1e6, 10, 50)
-	newer := point(1e6, 10, 50)
+	def := fixture(t)
+	old := perfPoint(t, def, 10, 100)
+	newer := perfPoint(t, def, 10, 100)
 	newer.SchemaVersion = SchemaVersion + 1
-	if _, _, err := Compare(old, newer, 0.10); err == nil {
+	if _, _, err := Compare(old, newer, def, 0.10); err == nil {
 		t.Fatal("schema mismatch accepted")
 	}
-	full := point(1e6, 10, 50)
-	full.Quick = false
-	if _, _, err := Compare(old, full, 0.10); err == nil {
-		t.Fatal("quick-vs-full comparison accepted")
+	if _, _, err := Compare(old, old, nil, 0.10); err == nil {
+		t.Fatal("perf sections compared without a benchmark definition")
 	}
 }
 
 func TestWriteReadRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH_test.json")
-	old := specPoint(1e6, 10, 50, "legacy-quick", "00000000deadbeef")
+	old := perfPoint(t, fixture(t), 10, 100)
+	old.Load = loadPointFor(10, 50, "load-smoke", "00000000deadbeef").Load
 	if err := old.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
@@ -220,14 +341,19 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.SchemaVersion != SchemaVersion || len(got.Sim) != 2 || got.Service == nil {
-		t.Fatalf("round trip mangled the result: %+v", got)
+	if got.SchemaVersion != SchemaVersion || len(got.Perf) != 2 || got.Perf["sim-static"].Metrics["throughput_per_s"].Value != 10 {
+		t.Fatalf("perf section mangled in round trip: %+v", got.Perf)
 	}
-	if got.Sim[0].CyclesPerSec != 1e6 || got.Service.Latency.P99 != 50 {
-		t.Fatalf("values changed in round trip: %+v", got)
-	}
-	if got.Load == nil || got.Load.SpecID != "00000000deadbeef" || got.Load.Classes["legacy"].Jobs != 24 {
+	if got.Load == nil || got.Load.SpecID != "00000000deadbeef" || got.Load.Classes["interactive"].Jobs != 24 {
 		t.Fatalf("load section mangled in round trip: %+v", got.Load)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var raw map[string]json.RawMessage
+	if err := json.Unmarshal(data, &raw); err != nil || raw["perf"] == nil {
+		t.Fatalf("file lacks a perf key: %v", err)
 	}
 	if _, err := ReadFile(filepath.Join(t.TempDir(), "absent.json")); err == nil {
 		t.Fatal("missing file read succeeded")
@@ -241,55 +367,35 @@ func TestDefaultFilename(t *testing.T) {
 	}
 }
 
-// TestRunQuickEndToEnd runs the real harness in its smallest shape —
-// one cell, a few loopback jobs through the legacy spec shim — and
-// checks the trajectory point is coherent. This is the
-// `benchreg -quick` path CI exercises.
-func TestRunQuickEndToEnd(t *testing.T) {
+// TestRunLoadPhaseEndToEnd runs the `make load-smoke` spec through the
+// loopback daemon and checks the load section is coherent: stamped with
+// the spec identity, one populated entry per SLO class, and equal to
+// itself after a trip through disk.
+func TestRunLoadPhaseEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full harness run")
 	}
-	res, err := Run(Options{
-		Quick:     true,
-		Workloads: []string{"bfs"},
-		Policies:  []string{"static"},
-	})
+	spec, err := workspec.ParseFile("../../examples/workloads/load-smoke.yaml")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.SchemaVersion != SchemaVersion || res.Date == "" || res.GoVersion == "" {
-		t.Fatalf("missing stamp fields: %+v", res)
+	res, err := Run(Options{Spec: spec})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(res.Sim) != 1 {
-		t.Fatalf("sim cells = %d, want 1", len(res.Sim))
-	}
-	cell := res.Sim[0]
-	if cell.Cycles <= 0 || cell.CyclesPerSec <= 0 || cell.WallSeconds <= 0 {
-		t.Fatalf("degenerate sim cell: %+v", cell)
-	}
-	svc := res.Service
-	if svc == nil || svc.Jobs != 24 || svc.JobsPerSec <= 0 {
-		t.Fatalf("degenerate service phase: %+v", svc)
-	}
-	if svc.Spec != "legacy-quick" || svc.SpecID == "" {
-		t.Fatalf("service point not stamped with the legacy spec identity: %+v", svc)
-	}
-	if svc.Latency.Count != 24 || svc.Latency.P99 <= 0 || svc.Latency.P50 > svc.Latency.Max {
-		t.Fatalf("incoherent latency summary: %+v", svc.Latency)
-	}
-	// 24 jobs over a 4-seed pool: duplicates must have coalesced.
-	if svc.MemoHitRate < 0.25 {
-		t.Fatalf("memo hit rate %.2f implausibly low for duplicated load", svc.MemoHitRate)
+	if res.SchemaVersion != SchemaVersion || res.Date == "" || res.GoVersion == "" || res.Perf != nil || res.Saturation != nil {
+		t.Fatalf("load run misstamped or ran another phase: %+v", res)
 	}
 	load := res.Load
-	if load == nil || load.Spec != "legacy-quick" || load.SpecID != svc.SpecID {
+	if load == nil || load.Spec != "load-smoke" || load.SpecID != spec.Identity() || load.Jobs != 12 || load.JobsPerSec <= 0 {
 		t.Fatalf("load section missing or misstamped: %+v", load)
 	}
-	lc, ok := load.Classes["legacy"]
-	if !ok || lc.Jobs != 24 || lc.Latency.Count != 24 || lc.Latency.Max <= 0 {
-		t.Fatalf("legacy SLO class missing or empty: %+v", load.Classes)
+	for _, class := range []string{"interactive", "batch"} {
+		c, ok := load.Classes[class]
+		if !ok || c.Jobs != 6 || c.Failed != 0 || c.Latency.Count != 6 || c.Latency.P99 <= 0 || c.Latency.P50 > c.Latency.Max {
+			t.Fatalf("slo class %s missing or incoherent: %+v", class, load.Classes)
+		}
 	}
-	// Round-trip through disk and self-compare: no regression vs self.
 	path := filepath.Join(t.TempDir(), "BENCH_now.json")
 	if err := res.WriteFile(path); err != nil {
 		t.Fatal(err)
@@ -298,7 +404,7 @@ func TestRunQuickEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	regs, warns, err := Compare(res, again, 0.10)
+	regs, warns, err := Compare(res, again, nil, 0.10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,16 +413,13 @@ func TestRunQuickEndToEnd(t *testing.T) {
 	}
 }
 
-// satPoint builds a result carrying only a saturation section (plus the
-// base sim/service sections point() provides).
+// satPoint builds a result carrying only a saturation section.
 func satPoint(offered, goodput, p99ms float64) *Result {
-	r := point(1e6, 10, 50)
-	r.Saturation = &SaturationPoint{
+	return &Result{SchemaVersion: SchemaVersion, Saturation: &SaturationPoint{
 		Spec: "sweep-smoke", SpecID: "aaaaaaaaaaaaaaaa", Seed: 42, Target: "daemon",
 		KneeFound: true, KneeStep: 1, KneeReason: "goodput_slope",
 		KneeOfferedPerSec: offered, KneeGoodputPerSec: goodput, KneeP99Ms: p99ms,
-	}
-	return r
+	}}
 }
 
 // TestCompareSaturationSection: the saturation section follows the same
@@ -324,29 +427,20 @@ func satPoint(offered, goodput, p99ms float64) *Result {
 // it, identity-gate when both have it, knee metrics as regressions.
 func TestCompareSaturationSection(t *testing.T) {
 	// Old point predates the section: warning, never a regression.
-	old := point(1e6, 10, 50)
-	cur := satPoint(40, 38, 120)
-	regs, warns, err := Compare(old, cur, 0.10)
+	regs, warns, err := Compare(&Result{SchemaVersion: SchemaVersion}, satPoint(40, 38, 120), nil, 0.10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(regs) != 0 {
 		t.Fatalf("additive saturation section misread as regression: %v", regs)
 	}
-	found := false
-	for _, w := range warns {
-		if strings.Contains(w, "predates the saturation section") {
-			found = true
-		}
-	}
-	if !found {
+	if !hasMatch(warns, "predates the saturation section") {
 		t.Fatalf("missing predates warning: %v", warns)
 	}
 
 	// Same sweep identity: a knee collapse is a regression on every axis.
 	oldSat := satPoint(40, 38, 120)
-	worse := satPoint(20, 15, 400)
-	regs, warns, err = Compare(oldSat, worse, 0.10)
+	regs, warns, err = Compare(oldSat, satPoint(20, 15, 400), nil, 0.10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,13 +448,7 @@ func TestCompareSaturationSection(t *testing.T) {
 		t.Fatalf("matching sweep identities should not warn: %v", warns)
 	}
 	for _, metric := range []string{"knee_offered_per_sec", "knee_goodput_per_sec", "knee_p99_ms"} {
-		found := false
-		for _, r := range regs {
-			if strings.Contains(r, metric) {
-				found = true
-			}
-		}
-		if !found {
+		if !hasMatch(regs, metric) {
 			t.Fatalf("knee metric %s regression not detected: %v", metric, regs)
 		}
 	}
@@ -368,49 +456,35 @@ func TestCompareSaturationSection(t *testing.T) {
 	// Different sweep spec: warn and skip, even with a huge delta.
 	other := satPoint(1, 1, 9999)
 	other.Saturation.SpecID = "bbbbbbbbbbbbbbbb"
-	regs, warns, err = Compare(oldSat, other, 0.10)
+	regs, warns, err = Compare(oldSat, other, nil, 0.10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range regs {
-		if strings.Contains(r, "saturation") {
-			t.Fatalf("cross-spec saturation sections were diffed: %v", regs)
-		}
+	if hasMatch(regs, "saturation") {
+		t.Fatalf("cross-spec saturation sections were diffed: %v", regs)
 	}
-	found = false
-	for _, w := range warns {
-		if strings.Contains(w, "different sweeps") {
-			found = true
-		}
-	}
-	if !found {
+	if !hasMatch(warns, "different sweeps") {
 		t.Fatalf("missing sweep-identity warning: %v", warns)
 	}
 
 	// A knee that vanishes under the same sweep is itself a regression.
 	noKnee := satPoint(40, 38, 120)
 	noKnee.Saturation.KneeFound = false
-	regs, _, err = Compare(oldSat, noKnee, 0.10)
+	regs, _, err = Compare(oldSat, noKnee, nil, 0.10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	found = false
-	for _, r := range regs {
-		if strings.Contains(r, "found none") {
-			found = true
-		}
-	}
-	if !found {
+	if !hasMatch(regs, "found none") {
 		t.Fatalf("vanished knee not detected: %v", regs)
 	}
 }
 
-// TestRunSweepPhaseEndToEnd runs the sweep-smoke shape: LoadOnly +
-// SweepSpec replaces the load phase with the saturation ladder, and the
-// knee must be found — against the loopback daemon Run boots, and
-// against an externally booted daemon named by URL. The model knobs are
-// pinned slow (one server, few cycles/sec) so the top rungs always
-// overrun capacity regardless of the calibrated workload cost.
+// TestRunSweepPhaseEndToEnd runs the sweep-smoke shape: a SweepSpec
+// runs the saturation ladder and nothing else, and the knee must be
+// found — against the loopback daemon Run boots, and against an
+// externally booted daemon named by URL. The model knobs are pinned
+// slow (one server, few cycles/sec) so the top rungs always overrun
+// capacity regardless of the calibrated workload cost.
 func TestRunSweepPhaseEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full harness run")
@@ -443,12 +517,12 @@ func TestRunSweepPhaseEndToEnd(t *testing.T) {
 		{"external", ext.URL, ext.URL},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := Run(Options{LoadOnly: true, SweepSpec: spec, URL: tc.url, Compress: 20})
+			res, err := Run(Options{SweepSpec: spec, URL: tc.url, Compress: 20})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Load != nil || res.Service != nil {
-				t.Fatal("sweep-only run still produced a load phase")
+			if res.Load != nil || res.Perf != nil {
+				t.Fatal("sweep run still produced another section")
 			}
 			sat := res.Saturation
 			if sat == nil {
@@ -477,18 +551,32 @@ func TestRunSweepPhaseEndToEnd(t *testing.T) {
 // before booting anything.
 func TestRunRejectsRetargetWithoutSweep(t *testing.T) {
 	spec := &saturate.SweepSpec{Name: "unused"}
+	load := &workspec.Spec{Name: "unused"}
 	for _, tc := range []struct {
 		name string
 		o    Options
 	}{
-		{"fleet without sweep", Options{LoadOnly: true, Fleet: true}},
-		{"url without sweep", Options{LoadOnly: true, URL: "http://127.0.0.1:1"}},
-		{"fleet and url", Options{LoadOnly: true, Fleet: true, URL: "http://127.0.0.1:1", SweepSpec: spec}},
+		{"fleet without sweep", Options{Spec: load, Fleet: true}},
+		{"url without sweep", Options{Spec: load, URL: "http://127.0.0.1:1"}},
+		{"fleet and url", Options{Fleet: true, URL: "http://127.0.0.1:1", SweepSpec: spec}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if res, err := Run(tc.o); err == nil {
 				t.Fatalf("Run accepted %+v: %+v", tc.o, res)
 			}
 		})
+	}
+}
+
+// TestRunNeedsExactlyOnePhase: a load spec and a sweep are separate
+// runs, and a run with neither has nothing to do.
+func TestRunNeedsExactlyOnePhase(t *testing.T) {
+	for _, o := range []Options{
+		{Spec: &workspec.Spec{Name: "unused"}, SweepSpec: &saturate.SweepSpec{Name: "unused"}},
+		{},
+	} {
+		if res, err := Run(o); err == nil {
+			t.Fatalf("Run accepted %+v: %+v", o, res)
+		}
 	}
 }

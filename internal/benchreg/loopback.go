@@ -42,14 +42,13 @@ func (lb *loopback) serve(h http.Handler, closeBackend func()) (string, error) {
 
 // instance boots a started gpusimd service with the given executor
 // count and queue depth.
-func (lb *loopback) instance(workers, queueDepth int) (*service.Service, string, error) {
+func (lb *loopback) instance(workers, queueDepth int) (string, error) {
 	svc, err := service.New(service.Config{Workers: workers, QueueDepth: queueDepth})
 	if err != nil {
-		return nil, "", err
+		return "", err
 	}
 	svc.Start()
-	url, err := lb.serve(service.Handler(svc), svc.Close)
-	return svc, url, err
+	return lb.serve(service.Handler(svc), svc.Close)
 }
 
 // router boots a started gpusimrouter over the instance URLs.

@@ -12,8 +12,7 @@ import (
 // headline metric, with the full ladder attached for inspection. The
 // numbers come from the analyzer's virtual-time model (see package
 // saturate), so the section is byte-deterministic for a given sweep
-// spec and seed; Compare diffs knee metrics across commits the same way
-// it diffs cycles_per_sec.
+// spec and seed; Compare diffs knee metrics across commits.
 type SaturationPoint struct {
 	Spec   string `json:"spec"`
 	SpecID string `json:"spec_id"`
@@ -47,7 +46,7 @@ func runSweepPhase(spec *saturate.SweepSpec, o Options) (*SaturationPoint, error
 	case o.Fleet:
 		var urls []string
 		for i := 0; i < 3; i++ {
-			_, url, err := lb.instance(2, 4096)
+			url, err := lb.instance(2, 4096)
 			if err != nil {
 				return nil, err
 			}
@@ -59,7 +58,7 @@ func runSweepPhase(spec *saturate.SweepSpec, o Options) (*SaturationPoint, error
 		}
 		baseURL = url
 	default:
-		_, url, err := lb.instance(4, 4096)
+		url, err := lb.instance(4, 4096)
 		if err != nil {
 			return nil, err
 		}

@@ -638,6 +638,99 @@ func TestDrainReroutesWithoutDroppingInFlight(t *testing.T) {
 	}
 }
 
+// backendAt finds the backend whose proxy the router knows by name.
+func backendAt(t *testing.T, fleet []*backend, name string) *backend {
+	t.Helper()
+	for _, b := range fleet {
+		if strings.Contains(b.px.URL(), name) {
+			return b
+		}
+	}
+	t.Fatalf("no backend behind instance %s", name)
+	return nil
+}
+
+// TestCancelAfterPlacement: canceling a job the router has already
+// placed sends the DELETE to the instance that holds it, and that
+// instance's job ends canceled; the other instance sees no cancel.
+func TestCancelAfterPlacement(t *testing.T) {
+	fleet := startFleet(t, []chaos.Schedule{chaos.Clean, chaos.Clean}, 0)
+	r := startRouter(t, testRouterConfig(fleetURLs(fleet)))
+
+	j, body := r.Submit(service.SubmitRequest{Kasm: slowKasm, Policy: "static"})
+	if body != nil {
+		t.Fatal(body)
+	}
+	holder := backendAt(t, fleet, waitAssigned(t, j, 10*time.Second))
+	_, remoteID, _ := j.placement()
+	remote := holder.svc.Job(remoteID)
+	if remote == nil {
+		t.Fatalf("instance holds no job %s", remoteID)
+	}
+	waitFor(t, 10*time.Second, func() bool { return remote.State() == service.StateRunning })
+
+	if _, ok := r.Cancel(j.ID); !ok {
+		t.Fatal("router does not know its own job")
+	}
+	select {
+	case <-remote.Done():
+	case <-time.After(30 * time.Second):
+		t.Fatal("instance job never ended after the router's cancel")
+	}
+	if got := remote.State(); got != service.StateCanceled {
+		t.Fatalf("instance job state = %q, want canceled", got)
+	}
+	if v := waitRouterJob(t, j, 30*time.Second); v.State != service.StateCanceled {
+		t.Fatalf("router job state = %q, want canceled", v.State)
+	}
+	for _, b := range fleet {
+		want := int64(0)
+		if b == holder {
+			want = 1
+		}
+		if got := b.svc.Metrics().Counter("service.jobs_canceled").Value(); got != want {
+			t.Fatalf("instance %s canceled %d jobs, want %d", b.px.URL(), got, want)
+		}
+	}
+}
+
+// TestPassiveDrainReroutes: an instance starts draining between probes.
+// With a probe interval far longer than the test, only the 503 draining
+// answer to the submit can mark it; the job then reroutes to the
+// healthy instance, and the instance view reports the drain.
+func TestPassiveDrainReroutes(t *testing.T) {
+	fleet := startFleet(t, []chaos.Schedule{chaos.Clean, chaos.Clean}, 0)
+	cfg := testRouterConfig(fleetURLs(fleet))
+	cfg.ProbeInterval = time.Hour
+	r := startRouter(t, cfg)
+
+	req := service.SubmitRequest{Workload: "bfs", Policy: "static", Scale: 8, SMs: 2}
+	first := r.pickFor(req.Fingerprint(), nil)
+	drained := backendAt(t, fleet, first.name)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if err := drained.svc.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	j, body := r.Submit(req)
+	if body != nil {
+		t.Fatal(body)
+	}
+	v := waitRouterJob(t, j, 60*time.Second)
+	if v.State != service.StateDone || v.Instance == first.name {
+		t.Fatalf("job across a passive drain: state %q on %s, want done off %s", v.State, v.Instance, first.name)
+	}
+	if got := drained.svc.Metrics().Counter("service.rejected_draining").Value(); got != 1 {
+		t.Fatalf("draining instance refused %d submits, want 1", got)
+	}
+	for _, iv := range r.Instances() {
+		if iv.Draining != (iv.Name == first.name) {
+			t.Fatalf("instance view %s: draining = %v", iv.Name, iv.Draining)
+		}
+	}
+}
+
 // waitFleetIdle waits until every instance's probed load hints and the
 // router's in-flight counts are zero, so placement scores on affinity.
 func waitFleetIdle(t *testing.T, r *Router) {

@@ -8,12 +8,12 @@ import (
 	"regmutex/internal/workloads"
 )
 
-// BenchmarkSimCell is the end-to-end hot-path regression benchmark: one
-// full device run per iteration, the same bfs cells benchreg's quick
-// matrix measures. Watch allocs/op (the issue loop, watchdog, and event
-// heaps must not allocate per cycle) and cycles_per_sec; the committed
-// BENCH_<date>.json trajectory files gate the latter in CI, this
-// benchmark is for bisecting locally with benchstat.
+// BenchmarkSimCell is the hot-path regression benchmark: one full
+// device run of a bfs cell per iteration. Watch allocs/op (the issue
+// loop, watchdog, and event heaps must not allocate per cycle) and
+// cycles_per_sec; the perf section of the committed BENCH_<date>.json
+// trajectory files (perfbench's sim workloads) gates throughput in CI,
+// this benchmark is for bisecting locally with benchstat.
 func BenchmarkSimCell(b *testing.B) {
 	machine := occupancy.GTX480()
 	machine.NumSMs = 2

@@ -14,7 +14,7 @@ var PolicyNames = []string{"static", "regmutex", "paired", "owf", "rfv"}
 // PreparePolicy compiles kernel k for the named policy on the given
 // machine and returns the kernel to simulate together with the policy.
 // It is prepare with the heuristic's |Es|, for callers that drive
-// sim.New themselves (benchreg, perfbench, simfuzz and the
+// sim.New themselves (perfbench, simfuzz and the
 // observability tests), so every tool agrees on what "run policy X"
 // means.
 func PreparePolicy(machine occupancy.Config, k *isa.Kernel, name string) (*isa.Kernel, sim.Policy, error) {

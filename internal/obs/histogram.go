@@ -78,8 +78,8 @@ func (h *Histogram) Observe(v float64) {
 
 // Snapshot captures a point-in-time copy. Under concurrent Observes the
 // fields are each individually consistent but may straddle an update
-// (count can momentarily lead sum by one observation); mergeable and
-// exact once writers quiesce.
+// (count can momentarily lead sum by one observation); exact once
+// writers quiesce.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	var s HistogramSnapshot
 	for i := range h.buckets {
@@ -92,24 +92,12 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 }
 
 // HistogramSnapshot is a frozen histogram: plain values, no atomics, so
-// snapshots can be merged across shards/processes and serialized.
+// snapshots can be compared and serialized.
 type HistogramSnapshot struct {
 	Count   int64
 	Sum     float64
 	Max     float64
 	Buckets [histBucketCount]int64
-}
-
-// Merge folds o into s (bucket-wise addition; max of maxes).
-func (s *HistogramSnapshot) Merge(o HistogramSnapshot) {
-	s.Count += o.Count
-	s.Sum += o.Sum
-	if o.Max > s.Max {
-		s.Max = o.Max
-	}
-	for i := range s.Buckets {
-		s.Buckets[i] += o.Buckets[i]
-	}
 }
 
 // Mean is Sum/Count (0 when empty).

@@ -107,37 +107,6 @@ func TestHistogramQuantileEdgeCases(t *testing.T) {
 	if hi != s.Max || hi != 100 {
 		t.Fatalf("Quantile(1) = %v, want exact max 100", hi)
 	}
-
-	// Merging empty into populated and vice versa keeps quantiles.
-	m := s
-	m.Merge(empty)
-	if m.Quantile(1) != 100 || m.Count != 100 {
-		t.Fatalf("merge(empty) changed the histogram: p100=%v count=%d", m.Quantile(1), m.Count)
-	}
-	e := empty
-	e.Merge(s)
-	if e.Quantile(1) != 100 || e.Count != 100 {
-		t.Fatalf("empty.Merge(s) lost data: p100=%v count=%d", e.Quantile(1), e.Count)
-	}
-}
-
-func TestHistogramMerge(t *testing.T) {
-	var a, b obs.Histogram
-	for i := 0; i < 100; i++ {
-		a.Observe(0.010) // fast shard
-		b.Observe(1.000) // slow shard
-	}
-	m := a.Snapshot()
-	m.Merge(b.Snapshot())
-	if m.Count != 200 {
-		t.Fatalf("merged count = %d, want 200", m.Count)
-	}
-	within(t, "merged sum", m.Sum, 101)
-	within(t, "merged p50", m.Quantile(0.50), 0.010)
-	within(t, "merged p99", m.Quantile(0.99), 1.000)
-	if m.Max != 1.000 {
-		t.Fatalf("merged max = %v", m.Max)
-	}
 }
 
 // TestHistogramConcurrent hammers one histogram from many goroutines;

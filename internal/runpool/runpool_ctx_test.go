@@ -198,17 +198,19 @@ func TestStaleFlightReplaced(t *testing.T) {
 	p := NewBounded(4, 0)
 	ctx, cancel := context.WithCancel(context.Background())
 	started := make(chan struct{})
+	sawCancel := make(chan struct{})
 	block := make(chan struct{})
 	f1, _ := p.SubmitKeyedCtx(ctx, "stale", func(tctx context.Context) (any, error) {
 		close(started)
 		<-tctx.Done()
+		close(sawCancel)
 		<-block // doomed, but slow to actually return
 		return nil, tctx.Err()
 	})
 	<-started
 	cancel()
 	// Wait until the flight's private context is observably canceled.
-	time.Sleep(20 * time.Millisecond)
+	<-sawCancel
 	f2, hit := p.SubmitKeyedCtx(context.Background(), "stale", func(context.Context) (any, error) {
 		return "fresh", nil
 	})

@@ -57,6 +57,17 @@ func newTestService(t *testing.T, cfg Config) *Service {
 	return s
 }
 
+func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(timeout)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatal("condition not reached in time")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func postJob(t *testing.T, ts *httptest.Server, body string, query string) (*http.Response, JobView) {
 	t.Helper()
 	resp, err := http.Post(ts.URL+"/v1/jobs"+query, "application/json", strings.NewReader(body))
@@ -289,11 +300,21 @@ func TestCancelQueuedJob(t *testing.T) {
 	if canceled.State != StateCanceled {
 		t.Fatalf("state = %q, want canceled", canceled.State)
 	}
-	// The executor must skip it once started.
+	// The executor must skip it once started. With one worker, a
+	// sentinel accepted after the cancel runs only once the canceled job
+	// has been dequeued, so its completion is the moment to look.
+	_, sentinel := postJob(t, ts, `{"workload":"bfs","seed":2}`, "")
 	s.Start()
-	time.Sleep(50 * time.Millisecond)
+	select {
+	case <-s.Job(sentinel.ID).Done():
+	case <-time.After(time.Minute):
+		t.Fatal("sentinel job never finished")
+	}
 	if got := s.Job(view.ID).State(); got != StateCanceled {
 		t.Fatalf("state after start = %q", got)
+	}
+	if got := s.Metrics().Counter("service.jobs_done").Value(); got != 1 {
+		t.Fatalf("service.jobs_done = %d, want 1 (the sentinel only)", got)
 	}
 }
 
@@ -489,7 +510,7 @@ func TestDrainRefusesNewAndFinishesAccepted(t *testing.T) {
 	go func() { drained <- s.Drain(ctx) }()
 
 	// While draining, new submissions bounce with 503.
-	time.Sleep(10 * time.Millisecond)
+	waitFor(t, 10*time.Second, s.Draining)
 	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json",
 		strings.NewReader(`{"workload":"bfs"}`))
 	if err != nil {

@@ -420,7 +420,7 @@ func TestReadTraceTornAndCorrupt(t *testing.T) {
 // parse, and bursty-mix must keep the shape the docs promise (Poisson
 // and diurnal cohorts, at least two SLO classes, skewed popularity).
 func TestExampleSpecsParse(t *testing.T) {
-	for _, name := range []string{"legacy-quick", "bursty-mix", "load-smoke"} {
+	for _, name := range []string{"bursty-mix", "load-smoke"} {
 		if _, err := ParseFile("../../examples/workloads/" + name + ".yaml"); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
@@ -447,25 +447,5 @@ func TestExampleSpecsParse(t *testing.T) {
 	}
 	if !skewed {
 		t.Fatal("bursty-mix lost its weighted workload draw")
-	}
-}
-
-// TestLegacyFileMatchesBuiltin pins examples/workloads/legacy-quick.yaml
-// to workspec.Legacy — the builtin benchreg runs without -spec — so the
-// committed file and the code path cannot drift apart.
-func TestLegacyFileMatchesBuiltin(t *testing.T) {
-	fromFile, err := ParseFile("../../examples/workloads/legacy-quick.yaml")
-	if err != nil {
-		t.Fatal(err)
-	}
-	builtin := Legacy(true)
-	if !reflect.DeepEqual(fromFile, builtin) {
-		t.Fatalf("example file and builtin legacy spec drifted:\n file    %+v\n builtin %+v", fromFile, builtin)
-	}
-	if fromFile.Identity() != builtin.Identity() {
-		t.Fatalf("identities differ: %s vs %s", fromFile.Identity(), builtin.Identity())
-	}
-	if full := Legacy(false); full.Name != "legacy" || full.TotalRequests() != 64 {
-		t.Fatalf("full-mode legacy spec wrong: %+v", full)
 	}
 }
