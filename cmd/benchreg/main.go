@@ -17,7 +17,8 @@
 // jobs with a populated latency histogram. -sweep climbs a saturation
 // ladder. -compare judges perf metrics by their BENCHMARK.json bounds
 // (or -threshold, whichever is looser) and load and saturation metrics
-// by -threshold. Combining modes exits 2.
+// by -threshold. Combining modes exits 2, and so does a run without
+// -out when today's BENCH_<date>.json already exists.
 package main
 
 import (
@@ -37,7 +38,7 @@ import (
 const definitionFile = "BENCHMARK.json"
 
 func main() {
-	out := flag.String("out", "", "output path (default BENCH_<date>.json)")
+	out := flag.String("out", "", "output path (default BENCH_<date>.json, which must not exist yet)")
 	spec := flag.String("spec", "", "run the loopback load phase driven by this workload spec (YAML-subset or JSON)")
 	replay := flag.String("replay", "", "run the loopback load phase replaying this recorded JSONL trace (gpusimd -record)")
 	compress := flag.Float64("compress", 0, "divide schedule arrival offsets by this factor (0 or 1 = real time)")
@@ -108,7 +109,9 @@ func main() {
 
 	path := *out
 	if path == "" {
-		path = benchreg.DefaultFilename()
+		if path, err = benchreg.DefaultPath("."); err != nil {
+			fail(2, "%v; pass -out to choose another path", err)
+		}
 	}
 	if modes == 0 {
 		def, err := benchreg.ReadDefinition(definitionFile)

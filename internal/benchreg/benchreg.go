@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"log/slog"
 	"os"
+	"path/filepath"
 	"runtime"
 	"sort"
 	"time"
@@ -283,6 +284,17 @@ func ReadFile(path string) (*Result, error) {
 // DefaultFilename names a trajectory file for today: BENCH_<date>.json.
 func DefaultFilename() string {
 	return "BENCH_" + time.Now().UTC().Format("2006-01-02") + ".json"
+}
+
+// DefaultPath is DefaultFilename in dir, refused when that file already
+// exists: a committed point of the same date is never silently
+// overwritten (the caller names another path instead).
+func DefaultPath(dir string) (string, error) {
+	path := filepath.Join(dir, DefaultFilename())
+	if _, err := os.Stat(path); err == nil {
+		return "", fmt.Errorf("%s already exists", path)
+	}
+	return path, nil
 }
 
 // Compare diffs two trajectory points and lists every regression. The

@@ -367,6 +367,22 @@ func TestDefaultFilename(t *testing.T) {
 	}
 }
 
+// TestDefaultPathRefusesExistingPoint: today's default point is refused
+// once it exists, so a second run on the same day cannot overwrite it.
+func TestDefaultPathRefusesExistingPoint(t *testing.T) {
+	dir := t.TempDir()
+	path, err := DefaultPath(dir)
+	if err != nil || path != filepath.Join(dir, DefaultFilename()) {
+		t.Fatalf("DefaultPath on an empty dir = %q, %v", path, err)
+	}
+	if err := os.WriteFile(path, []byte("{}"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DefaultPath(dir); err == nil || !strings.Contains(err.Error(), DefaultFilename()) {
+		t.Fatalf("DefaultPath over an existing point: err %v, want one naming %s", err, DefaultFilename())
+	}
+}
+
 // TestRunLoadPhaseEndToEnd runs the `make load-smoke` spec through the
 // loopback daemon and checks the load section is coherent: stamped with
 // the spec identity, one populated entry per SLO class, and equal to

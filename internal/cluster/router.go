@@ -56,25 +56,15 @@ type Config struct {
 	// when no frame (data or keepalive) arrives for this long
 	// (default 60s — instance keepalives tick every 15s).
 	StreamStallTimeout time.Duration
-	// StreamReconnects bounds Last-Event-ID resume attempts per placement
-	// before the instance is declared lost (default 2).
-	StreamReconnects int
 	// JobTimeout bounds one job's total routing lifetime across all
 	// failovers (default 10m).
 	JobTimeout time.Duration
-	// Weights blends the routing scorers (default affinity 3, queue 2,
-	// in-flight 1).
-	Weights Weights
 	// JournalPath enables the failover-replay journal ("" = off).
 	JournalPath string
 	// JournalNoSync skips the per-append fsync.
 	JournalNoSync bool
 	// Seed makes the retry jitter reproducible (0 = 1).
 	Seed int64
-	// SpanCap bounds the routing-span ring (route/attempt/backoff/
-	// failover spans merged by the fleet-trace exporter); 0 picks
-	// obs.DefaultSpanCap.
-	SpanCap int
 	// Logger receives routing lifecycle logs; nil discards.
 	Logger *slog.Logger
 }
@@ -100,9 +90,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.StreamStallTimeout <= 0 {
 		c.StreamStallTimeout = 60 * time.Second
-	}
-	if c.StreamReconnects <= 0 {
-		c.StreamReconnects = 2
 	}
 	if c.JobTimeout <= 0 {
 		c.JobTimeout = 10 * time.Minute
@@ -166,7 +153,7 @@ func New(cfg Config) (*Router, error) {
 		probeClient: &http.Client{Timeout: cfg.ProbeTimeout},
 		journal:     jn,
 		metrics:     obs.NewRegistry(),
-		spans:       obs.NewSpanRecorder(cfg.SpanCap, "r"),
+		spans:       obs.NewSpanRecorder(0, "r"),
 		log:         log,
 		jobs:        service.NewJobTable[*Job]("r"),
 		flights:     make(map[uint64]*Job),
@@ -458,7 +445,7 @@ func (r *Router) pickFor(fp uint64, tried map[string]bool) *instance {
 			candidates = append(candidates, in)
 		}
 	}
-	return pick(candidates, fp, r.cfg.Weights)
+	return pick(candidates, fp)
 }
 
 // attempt outcomes, classified for the routing loop.

@@ -96,7 +96,6 @@ func testRouterConfig(urls []string) Config {
 		Retry:              RetryPolicy{MaxAttempts: 2, BaseDelay: 5 * time.Millisecond, MaxDelay: 25 * time.Millisecond},
 		RequestTimeout:     3 * time.Second,
 		StreamStallTimeout: 1500 * time.Millisecond,
-		StreamReconnects:   2,
 		JobTimeout:         90 * time.Second,
 		Seed:               7,
 	}

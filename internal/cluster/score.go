@@ -6,23 +6,6 @@ import (
 	"sort"
 )
 
-// Weights tunes the routing scorer blend. Affinity dominates by default
-// (duplicate jobs should land where the memo already holds the answer);
-// queue depth and in-flight load break the instance out of a hot spot
-// when the affinity target is saturated.
-type Weights struct {
-	Affinity float64
-	Queue    float64
-	InFlight float64
-}
-
-func (w Weights) withDefaults() Weights {
-	if w.Affinity == 0 && w.Queue == 0 && w.InFlight == 0 {
-		return Weights{Affinity: 3, Queue: 2, InFlight: 1}
-	}
-	return w
-}
-
 // rendezvous is the highest-random-weight hash of (fingerprint,
 // instance): every router ranks instances for a fingerprint identically
 // with no shared state, and removing an instance only remaps the jobs
@@ -48,12 +31,14 @@ func rendezvous(fp uint64, name string) uint64 {
 //   - queue: 1/(1+queued+running) from the last /readyz probe.
 //   - in-flight: 1/(1+inflight) from the router's own live counter.
 //
-// Ties break on instance name so placement is deterministic.
-func pick(candidates []*instance, fp uint64, w Weights) *instance {
+// They blend 3:2:1. Affinity dominates (duplicate jobs should land
+// where the memo already holds the answer); queue depth and in-flight
+// load break the instance out of a hot spot when the affinity target is
+// saturated. Ties break on instance name so placement is deterministic.
+func pick(candidates []*instance, fp uint64) *instance {
 	if len(candidates) == 0 {
 		return nil
 	}
-	w = w.withDefaults()
 	ranked := append([]*instance(nil), candidates...)
 	sort.Slice(ranked, func(i, k int) bool {
 		ri, rk := rendezvous(fp, ranked[i].name), rendezvous(fp, ranked[k].name)
@@ -67,9 +52,9 @@ func pick(candidates []*instance, fp uint64, w Weights) *instance {
 	n := float64(len(ranked))
 	for rank, in := range ranked {
 		queued, flight := in.load()
-		score := w.Affinity*(n-float64(rank))/n +
-			w.Queue/float64(1+queued) +
-			w.InFlight/float64(1+flight)
+		score := 3*(n-float64(rank))/n +
+			2/float64(1+queued) +
+			1/float64(1+flight)
 		if best == nil || score > bestScore ||
 			(score == bestScore && in.name < best.name) {
 			best, bestScore = in, score

@@ -15,19 +15,23 @@ import (
 	"regmutex/internal/service"
 )
 
+// streamReconnects bounds Last-Event-ID resume attempts per placement
+// before the instance is declared lost.
+const streamReconnects = 2
+
 var errStreamStalled = errors.New("event stream stalled (no frames within the stall budget)")
 
 // followEvents follows a placed job's SSE stream to its terminal state,
 // forwarding sample/log events into the router job's own buffer (re-
 // sequenced, so router-side watchers resume against stable IDs). A
 // dropped or black-holed connection is resumed with Last-Event-ID up to
-// StreamReconnects times — the instance replays exactly the missed
+// streamReconnects times — the instance replays exactly the missed
 // frames; past that the instance is declared lost and the caller fails
 // the placement over.
 func (r *Router) followEvents(ctx context.Context, in *instance, remoteID string, j *Job) error {
 	lastID := -1
 	var lastErr error
-	for attempt := 0; attempt <= r.cfg.StreamReconnects; attempt++ {
+	for attempt := 0; attempt <= streamReconnects; attempt++ {
 		if attempt > 0 {
 			r.metrics.Counter("cluster.stream_resumes").Inc()
 			if err := sleepCtx(ctx, 20*time.Millisecond<<uint(attempt-1)); err != nil {
@@ -44,7 +48,7 @@ func (r *Router) followEvents(ctx context.Context, in *instance, remoteID string
 		lastErr = err
 	}
 	return fmt.Errorf("instance %s: stream for %s lost after %d resumes: %w",
-		in.name, remoteID, r.cfg.StreamReconnects, lastErr)
+		in.name, remoteID, streamReconnects, lastErr)
 }
 
 // streamOnce reads one SSE connection until a terminal state event

@@ -13,10 +13,11 @@ import (
 
 // FleetSpans merges the router's own routing spans for one trace with
 // the lifecycle spans each instance recorded for it (fetched from
-// GET /v1/spans?trace=), in canonical order. Instances that cannot be
-// reached are skipped — a trace must remain exportable after the
-// instance that served (or dropped) the job died; the router-side
-// attempt and failover spans still tell that story.
+// GET /v1/spans?trace=), in canonical order. Each fetched span's Proc is
+// the instance's name, so Perfetto shows one process lane per instance.
+// Instances that cannot be reached are skipped — a trace must remain
+// exportable after the instance that served (or dropped) the job died;
+// the router-side attempt and failover spans still tell that story.
 func (r *Router) FleetSpans(ctx context.Context, trace string) []obs.Span {
 	spans := r.spans.ByTrace(trace)
 	for _, in := range r.insts {
@@ -25,7 +26,10 @@ func (r *Router) FleetSpans(ctx context.Context, trace string) []obs.Span {
 			r.log.Debug("span fetch failed", "instance", in.name, "trace", trace, "err", err)
 			continue
 		}
-		spans = append(spans, fetched...)
+		for _, sp := range fetched {
+			sp.Proc = in.name
+			spans = append(spans, sp)
+		}
 	}
 	obs.SortSpans(spans)
 	return spans

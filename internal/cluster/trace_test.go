@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -348,5 +349,42 @@ func TestFleetTraceGolden(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown trace status = %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestFleetSpansOneLanePerInstance: one trace recorded on two instances
+// merges into one process lane per instance, named after the instance,
+// even though every instance records its own spans under the same lane.
+func TestFleetSpansOneLanePerInstance(t *testing.T) {
+	fleet := startFleet(t, []chaos.Schedule{chaos.Clean, chaos.Clean}, 0)
+	r := startRouter(t, testRouterConfig(fleetURLs(fleet)))
+
+	const trace = "two-lanes"
+	for _, b := range fleet {
+		req, _ := http.NewRequest("POST", b.ts.URL+"/v1/jobs?wait=1",
+			strings.NewReader(`{"workload":"bfs","policy":"static","scale":8,"sms":2}`))
+		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set(obs.TraceContextHeader, trace)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("direct submit status %d", resp.StatusCode)
+		}
+	}
+
+	procs := map[string]int{}
+	for _, sp := range r.FleetSpans(context.Background(), trace) {
+		procs[sp.Proc]++
+	}
+	if len(procs) != len(r.insts) {
+		t.Fatalf("merged spans show lanes %v, want one per instance", procs)
+	}
+	for _, in := range r.insts {
+		if procs[in.name] == 0 {
+			t.Fatalf("no spans on lane %s; lanes %v", in.name, procs)
+		}
 	}
 }

@@ -90,11 +90,11 @@ func TestRendezvousAffinityStability(t *testing.T) {
 	full := []*instance{newTestInstance(names[0]), newTestInstance(names[1]), newTestInstance(names[2])}
 	moved := 0
 	for fp := uint64(0); fp < 200; fp++ {
-		winner := pick(full, fp, Weights{})
+		winner := pick(full, fp)
 		if winner == nil {
 			t.Fatal("pick returned nil with healthy candidates")
 		}
-		if again := pick(full, fp, Weights{}); again != winner {
+		if again := pick(full, fp); again != winner {
 			t.Fatalf("fp %d: pick is not deterministic (%s vs %s)", fp, winner.name, again.name)
 		}
 		// Drop one non-winner: the placement must not move.
@@ -105,13 +105,13 @@ func TestRendezvousAffinityStability(t *testing.T) {
 			}
 		}
 		reduced := append([]*instance{winner}, without[:1]...)
-		if got := pick(reduced, fp, Weights{}); got != winner {
+		if got := pick(reduced, fp); got != winner {
 			t.Fatalf("fp %d: removing a non-affinity instance moved the job %s -> %s",
 				fp, winner.name, got.name)
 		}
 		// Drop the winner: the job lands on the next-ranked instance —
 		// graceful degradation, not an error.
-		if got := pick(without, fp, Weights{}); got == nil {
+		if got := pick(without, fp); got == nil {
 			t.Fatalf("fp %d: no fallback when the affinity target is gone", fp)
 		}
 		moved++
@@ -127,18 +127,18 @@ func TestPickLoadBreaksAffinity(t *testing.T) {
 	a, b, c := newTestInstance("a:1"), newTestInstance("b:1"), newTestInstance("c:1")
 	all := []*instance{a, b, c}
 	const fp = 7
-	winner := pick(all, fp, Weights{})
+	winner := pick(all, fp)
 	winner.mu.Lock()
 	winner.queued = 1000
 	winner.mu.Unlock()
-	shifted := pick(all, fp, Weights{})
+	shifted := pick(all, fp)
 	if shifted == winner {
 		t.Fatalf("1000 queued jobs on %s did not shift placement", winner.name)
 	}
 	winner.mu.Lock()
 	winner.queued = 0
 	winner.mu.Unlock()
-	if got := pick(all, fp, Weights{}); got != winner {
+	if got := pick(all, fp); got != winner {
 		t.Fatalf("idle affinity target must win again (got %s, want %s)", got.name, winner.name)
 	}
 }

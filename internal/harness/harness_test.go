@@ -2,8 +2,11 @@ package harness
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
+
+	"regmutex/internal/runpool"
 )
 
 // tiny returns options that keep experiment tests fast while preserving
@@ -219,7 +222,14 @@ func TestFig1Traces(t *testing.T) {
 	if len(rows) != len(Fig1Apps) {
 		t.Fatalf("rows = %d, want %d", len(rows), len(Fig1Apps))
 	}
+	// Thread 0's dynamic instruction counts, as the scalar interpreter
+	// Fig1 used to run alongside the simulator counted them.
+	want := map[string]int{"cutcp": 590, "dwt2d": 418, "heartwall": 354,
+		"hotspot3d": 414, "particlefilter": 366, "sad": 606}
 	for _, r := range rows {
+		if len(r.Trace) != want[r.Name] {
+			t.Errorf("%s: %d dynamic instructions, want %d", r.Name, len(r.Trace), want[r.Name])
+		}
 		if len(r.Trace) < 50 {
 			t.Errorf("%s: suspiciously short trace (%d)", r.Name, len(r.Trace))
 		}
@@ -244,6 +254,24 @@ func TestFig1Traces(t *testing.T) {
 	PrintFig1(&buf, rows)
 	if buf.Len() == 0 {
 		t.Error("empty printout")
+	}
+
+	// Fig7 and Fig8 memoize the same static runs on a shared pool; a
+	// memo hit skips observers, so Fig1 must not reuse them.
+	o := tiny()
+	o.Pool = runpool.New(0)
+	if _, err := Fig7(o); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Fig8(o); err != nil {
+		t.Fatal(err)
+	}
+	again, err := Fig1(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(again, rows) {
+		t.Error("Fig1 after Fig7 and Fig8 on a shared pool differs from a fresh run")
 	}
 }
 

@@ -4,13 +4,13 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math"
 	"strings"
 
 	"regmutex/internal/cfg"
 	"regmutex/internal/isa"
 	"regmutex/internal/liveness"
 	"regmutex/internal/occupancy"
+	"regmutex/internal/runpool"
 	"regmutex/internal/sim"
 	"regmutex/internal/workloads"
 )
@@ -26,14 +26,19 @@ type Fig1Row struct {
 	Trace []float64
 }
 
-// Fig1 follows a sample thread (thread 0 of CTA 0) through its dynamic
-// instruction stream and records live-register utilisation at every step,
-// reproducing the methodology behind Figure 1 ("results are extracted
-// using our extension to GPGPU-Sim").
+// Fig1 follows a sample thread (thread 0 of CTA 0) through the cycle
+// simulator and records live-register utilisation at every instruction
+// it issues, the methodology behind Figure 1 ("results are extracted
+// using our extension to GPGPU-Sim"). Liveness comes from the source
+// kernel; the static run executes the same instructions at the same PCs.
+// The runs go through a private pool: a memo hit skips observers, so a
+// pool shared with earlier experiments would hand back empty traces.
 func Fig1(o Options) ([]Fig1Row, error) {
 	o = o.normalize()
-	var out []Fig1Row
-	for _, name := range Fig1Apps {
+	o.Pool = runpool.New(o.Jobs)
+	rows := make([]Fig1Row, len(Fig1Apps))
+	pend := make([]Pending, len(Fig1Apps))
+	for i, name := range Fig1Apps {
 		w, err := workloads.ByName(name)
 		if err != nil {
 			return nil, err
@@ -44,190 +49,28 @@ func Fig1(o Options) ([]Fig1Row, error) {
 			return nil, err
 		}
 		inf := liveness.Analyze(k, g)
-		cfg.AnnotateReconvergence(k, g)
-		trace, err := traceThread(k, w.Input(k, o.Seed), inf)
-		if err != nil {
-			return nil, fmt.Errorf("fig1 %s: %w", name, err)
-		}
-		out = append(out, Fig1Row{Name: name, Trace: trace})
-	}
-	return out, nil
-}
-
-// traceThread runs a scalar interpreter for thread 0 of CTA 0 and emits
-// the utilisation profile along its path.
-func traceThread(k *isa.Kernel, global []uint64, inf *liveness.Info) ([]float64, error) {
-	regs := make([]uint64, k.NumRegs)
-	preds := make([]bool, k.NumPRegs)
-	shared := make([]uint64, max(k.SharedMemWords, 1))
-	alloc := float64(k.AllocRegs())
-
-	read := func(o isa.Operand) uint64 {
-		if o.Kind == isa.OpndImm {
-			return uint64(o.Imm)
-		}
-		return regs[o.Reg]
-	}
-	readF := func(o isa.Operand) float64 { return isa.B2F(read(o)) }
-	ldGlobal := func(addr int64) uint64 {
-		n := int64(len(global))
-		addr = ((addr % n) + n) % n
-		return global[addr]
-	}
-
-	var trace []float64
-	pc := 0
-	const maxSteps = 1 << 20
-	for step := 0; step < maxSteps; step++ {
-		if pc < 0 || pc >= len(k.Instrs) {
-			return nil, fmt.Errorf("trace: pc %d out of range", pc)
-		}
-		in := &k.Instrs[pc]
-		trace = append(trace, float64(inf.CountAt(pc))/alloc)
-
-		exec := true
-		if !in.Guard.Unguarded() && in.Op != isa.OpSelp {
-			exec = preds[in.Guard.Pred] != in.Guard.Neg
-		}
-		next := pc + 1
-		if exec {
-			switch in.Op {
-			case isa.OpExit:
-				return trace, nil
-			case isa.OpBra:
-				next = in.Target
-			case isa.OpMov:
-				regs[in.Dst] = read(in.Srcs[0])
-			case isa.OpMovSpecial:
-				switch in.Spec {
-				case isa.SpecNTID:
-					regs[in.Dst] = uint64(k.ThreadsPerCTA)
-				case isa.SpecNCTAID:
-					regs[in.Dst] = uint64(k.GridCTAs)
-				default:
-					regs[in.Dst] = 0 // tid, ctaid, laneid, warpid of thread 0
+		alloc := float64(k.AllocRegs())
+		row := &rows[i]
+		row.Name = name
+		spec := o.Spec(o.machine(occupancy.GTX480()), w, k)
+		spec.Observe = func(string) ([]sim.Option, func(sim.Stats)) {
+			return []sim.Option{sim.WithObserver(sim.ObserverFuncs{Stall: func(s sim.StallSlot) {
+				if s.Cause != sim.CauseIssued || s.Warp.CTA.ID != 0 || s.Warp.CTA.Warps()[0] != s.Warp {
+					return
 				}
-			case isa.OpIAdd:
-				regs[in.Dst] = uint64(int64(read(in.Srcs[0])) + int64(read(in.Srcs[1])))
-			case isa.OpISub:
-				regs[in.Dst] = uint64(int64(read(in.Srcs[0])) - int64(read(in.Srcs[1])))
-			case isa.OpIMul:
-				regs[in.Dst] = uint64(int64(read(in.Srcs[0])) * int64(read(in.Srcs[1])))
-			case isa.OpIMad:
-				regs[in.Dst] = uint64(int64(read(in.Srcs[0]))*int64(read(in.Srcs[1])) + int64(read(in.Srcs[2])))
-			case isa.OpIMin:
-				regs[in.Dst] = uint64(min(int64(read(in.Srcs[0])), int64(read(in.Srcs[1]))))
-			case isa.OpIMax:
-				regs[in.Dst] = uint64(max(int64(read(in.Srcs[0])), int64(read(in.Srcs[1]))))
-			case isa.OpIAbs:
-				v := int64(read(in.Srcs[0]))
-				if v < 0 {
-					v = -v
+				if pc, active := s.Warp.LastIssue(); active&1 != 0 {
+					row.Trace = append(row.Trace, float64(inf.CountAt(pc))/alloc)
 				}
-				regs[in.Dst] = uint64(v)
-			case isa.OpShl:
-				regs[in.Dst] = read(in.Srcs[0]) << (read(in.Srcs[1]) & 63)
-			case isa.OpShr:
-				regs[in.Dst] = uint64(int64(read(in.Srcs[0])) >> (read(in.Srcs[1]) & 63))
-			case isa.OpAnd:
-				regs[in.Dst] = read(in.Srcs[0]) & read(in.Srcs[1])
-			case isa.OpOr:
-				regs[in.Dst] = read(in.Srcs[0]) | read(in.Srcs[1])
-			case isa.OpXor:
-				regs[in.Dst] = read(in.Srcs[0]) ^ read(in.Srcs[1])
-			case isa.OpFAdd:
-				regs[in.Dst] = isa.F2B(readF(in.Srcs[0]) + readF(in.Srcs[1]))
-			case isa.OpFSub:
-				regs[in.Dst] = isa.F2B(readF(in.Srcs[0]) - readF(in.Srcs[1]))
-			case isa.OpFMul:
-				regs[in.Dst] = isa.F2B(readF(in.Srcs[0]) * readF(in.Srcs[1]))
-			case isa.OpFFma:
-				regs[in.Dst] = isa.F2B(readF(in.Srcs[0])*readF(in.Srcs[1]) + readF(in.Srcs[2]))
-			case isa.OpFMin:
-				regs[in.Dst] = isa.F2B(math.Min(readF(in.Srcs[0]), readF(in.Srcs[1])))
-			case isa.OpFMax:
-				regs[in.Dst] = isa.F2B(math.Max(readF(in.Srcs[0]), readF(in.Srcs[1])))
-			case isa.OpFAbs:
-				regs[in.Dst] = isa.F2B(math.Abs(readF(in.Srcs[0])))
-			case isa.OpI2F:
-				regs[in.Dst] = isa.F2B(float64(int64(read(in.Srcs[0]))))
-			case isa.OpF2I:
-				regs[in.Dst] = uint64(int64(readF(in.Srcs[0])))
-			case isa.OpFSqrt:
-				regs[in.Dst] = isa.F2B(math.Sqrt(math.Abs(readF(in.Srcs[0]))))
-			case isa.OpFRcp:
-				d := readF(in.Srcs[0])
-				if d == 0 {
-					d = 1e-30
-				}
-				regs[in.Dst] = isa.F2B(1 / d)
-			case isa.OpFSin:
-				regs[in.Dst] = isa.F2B(math.Sin(readF(in.Srcs[0])))
-			case isa.OpFCos:
-				regs[in.Dst] = isa.F2B(math.Cos(readF(in.Srcs[0])))
-			case isa.OpFExp:
-				regs[in.Dst] = isa.F2B(math.Exp(min(64, max(-64, readF(in.Srcs[0])))))
-			case isa.OpFLog:
-				regs[in.Dst] = isa.F2B(math.Log(math.Abs(readF(in.Srcs[0])) + 1e-30))
-			case isa.OpSetp:
-				preds[in.PDst] = cmpI(in.Cmp, int64(read(in.Srcs[0])), int64(read(in.Srcs[1])))
-			case isa.OpSetpF:
-				preds[in.PDst] = cmpF(in.Cmp, readF(in.Srcs[0]), readF(in.Srcs[1]))
-			case isa.OpSelp:
-				if preds[in.Guard.Pred] != in.Guard.Neg {
-					regs[in.Dst] = read(in.Srcs[0])
-				} else {
-					regs[in.Dst] = read(in.Srcs[1])
-				}
-			case isa.OpLdGlobal:
-				regs[in.Dst] = ldGlobal(int64(read(in.Srcs[0])) + in.Off)
-			case isa.OpStGlobal:
-				// a single thread's store cannot affect its own trace
-			case isa.OpLdShared:
-				regs[in.Dst] = shared[int(uint64(int64(read(in.Srcs[0]))+in.Off)%uint64(len(shared)))]
-			case isa.OpStShared:
-				shared[int(uint64(int64(read(in.Srcs[0]))+in.Off)%uint64(len(shared)))] = read(in.Srcs[1])
-			case isa.OpBarSync, isa.OpAcq, isa.OpRel, isa.OpNop:
-				// no scalar effect
-			}
+			}})}, nil
 		}
-		pc = next
+		pend[i] = Submit(o.Ctx, spec, "static")
 	}
-	return nil, fmt.Errorf("trace: thread did not exit within %d steps", 1<<20)
-}
-
-func cmpI(c isa.CmpOp, a, b int64) bool {
-	switch c {
-	case isa.CmpEQ:
-		return a == b
-	case isa.CmpNE:
-		return a != b
-	case isa.CmpLT:
-		return a < b
-	case isa.CmpLE:
-		return a <= b
-	case isa.CmpGT:
-		return a > b
-	default:
-		return a >= b
+	for _, p := range pend {
+		if _, err := p.Wait(o.Ctx); err != nil {
+			return nil, fmt.Errorf("fig1: %w", err)
+		}
 	}
-}
-
-func cmpF(c isa.CmpOp, a, b float64) bool {
-	switch c {
-	case isa.CmpEQ:
-		return a == b
-	case isa.CmpNE:
-		return a != b
-	case isa.CmpLT:
-		return a < b
-	case isa.CmpLE:
-		return a <= b
-	case isa.CmpGT:
-		return a > b
-	default:
-		return a >= b
-	}
+	return rows, nil
 }
 
 // PrintFig1 renders each application's utilisation trace as a sparkline

@@ -6,7 +6,7 @@ import (
 	"io"
 	"sort"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -68,13 +68,9 @@ const DefaultSpanCap = 4096
 // cheap enough to stay always-on: recording is one mutex'd slice write,
 // and the ring drops the oldest trace's spans once full.
 type SpanRecorder struct {
-	prefix  string
-	mu      sync.Mutex
-	buf     []Span
-	next    int
-	size    int
-	dropped int64
-	idSeq   int64
+	prefix string
+	idSeq  atomic.Int64
+	ring   ring[Span]
 }
 
 // NewSpanRecorder creates a recorder holding up to capacity spans
@@ -85,41 +81,27 @@ func NewSpanRecorder(capacity int, prefix string) *SpanRecorder {
 	if capacity <= 0 {
 		capacity = DefaultSpanCap
 	}
-	return &SpanRecorder{prefix: prefix, buf: make([]Span, capacity)}
+	return &SpanRecorder{prefix: prefix, ring: newRing[Span](capacity)}
 }
 
 // NextID mints a process-unique span ID.
 func (r *SpanRecorder) NextID() string {
-	r.mu.Lock()
-	r.idSeq++
-	id := fmt.Sprintf("%s-%d", r.prefix, r.idSeq)
-	r.mu.Unlock()
-	return id
+	return fmt.Sprintf("%s-%d", r.prefix, r.idSeq.Add(1))
 }
 
 // Record stores a completed span, minting an ID if the caller left it
 // empty and overwriting the oldest span once the ring is full.
 func (r *SpanRecorder) Record(s Span) {
-	r.mu.Lock()
 	if s.ID == "" {
-		r.idSeq++
-		s.ID = fmt.Sprintf("%s-%d", r.prefix, r.idSeq)
+		s.ID = r.NextID()
 	}
-	r.buf[r.next] = s
-	r.next = (r.next + 1) % len(r.buf)
-	if r.size < len(r.buf) {
-		r.size++
-	} else {
-		r.dropped++
-	}
-	r.mu.Unlock()
+	r.ring.add(s)
 }
 
 // Dropped reports how many spans were overwritten by newer ones.
 func (r *SpanRecorder) Dropped() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.dropped
+	_, d := r.ring.stats()
+	return d
 }
 
 // All returns the retained spans sorted by start time (ID as the
@@ -131,19 +113,11 @@ func (r *SpanRecorder) All() []Span {
 // ByTrace returns the retained spans of one trace ("" for all), sorted
 // by start time then ID.
 func (r *SpanRecorder) ByTrace(trace string) []Span {
-	r.mu.Lock()
-	out := make([]Span, 0, r.size)
-	start := r.next - r.size
-	if start < 0 {
-		start += len(r.buf)
+	var keep func(*Span) bool
+	if trace != "" {
+		keep = func(s *Span) bool { return s.Trace == trace }
 	}
-	for i := 0; i < r.size; i++ {
-		s := r.buf[(start+i)%len(r.buf)]
-		if trace == "" || s.Trace == trace {
-			out = append(out, s)
-		}
-	}
-	r.mu.Unlock()
+	out := r.ring.items(keep)
 	SortSpans(out)
 	return out
 }

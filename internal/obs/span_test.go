@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -45,6 +46,48 @@ func TestSpanRecorderRingAndByTrace(t *testing.T) {
 		if s.ID == "" || !strings.HasPrefix(s.ID, "t-") {
 			t.Fatalf("span ID %q not minted with prefix", s.ID)
 		}
+	}
+}
+
+// TestSpanRecorderConcurrent: writers minting IDs and readers filtering
+// the ring at once keep every minted ID unique and every record either
+// held or counted as dropped.
+func TestSpanRecorderConcurrent(t *testing.T) {
+	const writers, each, capacity = 4, 200, 64
+	r := NewSpanRecorder(capacity, "c")
+	var wg sync.WaitGroup
+	ids := make([][]string, writers)
+	for w := 0; w < writers; w++ {
+		wg.Add(2)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				ids[w] = append(ids[w], r.NextID())
+				r.Record(Span{Trace: "x", Stage: StageRun})
+			}
+		}(w)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				r.ByTrace("x")
+			}
+		}()
+	}
+	wg.Wait()
+	seen := map[string]bool{}
+	for _, s := range r.All() {
+		seen[s.ID] = true
+	}
+	for _, list := range ids {
+		for _, id := range list {
+			if seen[id] {
+				t.Fatalf("ID %s minted twice", id)
+			}
+			seen[id] = true
+		}
+	}
+	if held := len(r.All()); held != capacity || int64(held)+r.Dropped() != writers*each {
+		t.Fatalf("held %d + dropped %d, want %d held of %d", held, r.Dropped(), capacity, writers*each)
 	}
 }
 

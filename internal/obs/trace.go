@@ -46,13 +46,7 @@ type TraceEvent struct {
 // Trace is a bounded, thread-safe ring buffer of trace events: cheap
 // enough to leave attached to long simulations, with the oldest events
 // overwritten once the capacity is reached.
-type Trace struct {
-	mu      sync.Mutex
-	buf     []TraceEvent
-	next    int   // ring write position
-	size    int   // live events (<= cap(buf))
-	dropped int64 // events overwritten so far
-}
+type Trace struct{ ring ring[TraceEvent] }
 
 // DefaultTraceEvents is the ring capacity NewTrace(0) selects.
 const DefaultTraceEvents = 1 << 18
@@ -63,47 +57,73 @@ func NewTrace(capacity int) *Trace {
 	if capacity <= 0 {
 		capacity = DefaultTraceEvents
 	}
-	return &Trace{buf: make([]TraceEvent, capacity)}
+	return &Trace{ring: newRing[TraceEvent](capacity)}
 }
 
 // Add appends an event, overwriting the oldest once full.
-func (t *Trace) Add(ev TraceEvent) {
-	t.mu.Lock()
-	t.buf[t.next] = ev
-	t.next = (t.next + 1) % len(t.buf)
-	if t.size < len(t.buf) {
-		t.size++
-	} else {
-		t.dropped++
-	}
-	t.mu.Unlock()
-}
+func (t *Trace) Add(ev TraceEvent) { t.ring.add(ev) }
 
 // Len returns the number of events currently held.
 func (t *Trace) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.size
+	n, _ := t.ring.stats()
+	return n
 }
 
 // Dropped returns how many events were overwritten by newer ones.
 func (t *Trace) Dropped() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
+	_, d := t.ring.stats()
+	return d
 }
 
 // Events returns the retained events, oldest first.
-func (t *Trace) Events() []TraceEvent {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]TraceEvent, 0, t.size)
-	start := t.next - t.size
-	if start < 0 {
-		start += len(t.buf)
+func (t *Trace) Events() []TraceEvent { return t.ring.items(nil) }
+
+// ring is the bounded, mutex-guarded buffer under Trace and
+// SpanRecorder: once full, each add overwrites the oldest element and
+// counts it as dropped.
+type ring[T any] struct {
+	mu      sync.Mutex
+	buf     []T
+	next    int   // write position
+	size    int   // live elements (<= len(buf))
+	dropped int64 // elements overwritten so far
+}
+
+func newRing[T any](capacity int) ring[T] { return ring[T]{buf: make([]T, capacity)} }
+
+func (r *ring[T]) add(v T) {
+	r.mu.Lock()
+	r.buf[r.next] = v
+	r.next = (r.next + 1) % len(r.buf)
+	if r.size < len(r.buf) {
+		r.size++
+	} else {
+		r.dropped++
 	}
-	for i := 0; i < t.size; i++ {
-		out = append(out, t.buf[(start+i)%len(t.buf)])
+	r.mu.Unlock()
+}
+
+// stats returns how many elements are held and how many were dropped.
+func (r *ring[T]) stats() (held int, dropped int64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.size, r.dropped
+}
+
+// items returns the retained elements keep accepts (every one when
+// keep is nil), oldest first.
+func (r *ring[T]) items(keep func(*T) bool) []T {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make([]T, 0, r.size)
+	start := r.next - r.size
+	if start < 0 {
+		start += len(r.buf)
+	}
+	for i := 0; i < r.size; i++ {
+		if v := &r.buf[(start+i)%len(r.buf)]; keep == nil || keep(v) {
+			out = append(out, *v)
+		}
 	}
 	return out
 }

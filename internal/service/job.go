@@ -37,9 +37,10 @@ type Lifecycle struct {
 
 // NewLifecycle starts a job's lifecycle: queued, accepted now, with the
 // queued state as event 0. The terminal transition books the outcome
-// once in metrics as <tier>.jobs_done, jobs_failed or jobs_canceled,
-// before the state is visible and before Done closes, so whoever sees
-// the terminal state also sees the count.
+// once in metrics as <tier>.jobs_done, jobs_failed or jobs_canceled
+// (and, on an instance, the job.queue_wait_seconds, job.run_seconds and
+// job.e2e_seconds histograms), before the state is visible and before
+// Done closes, so whoever sees the terminal state also sees the count.
 func NewLifecycle(id string, req SubmitRequest, metrics *obs.Registry, tier string) *Lifecycle {
 	if req.TraceID == "" {
 		req.TraceID = id
@@ -105,6 +106,12 @@ func (l *Lifecycle) SetState(state string, err *ErrorBody, result *JobResult) bo
 	if Terminal(state) {
 		l.finishedAt = time.Now()
 		l.metrics.Counter(l.tier + ".jobs_" + state).Inc()
+		if l.tier == "service" {
+			wait, run, e2e := latencies(l.acceptedAt, l.startedAt, l.finishedAt)
+			l.metrics.Histogram("job.queue_wait_seconds").Observe(wait.Seconds())
+			l.metrics.Histogram("job.run_seconds").Observe(run.Seconds())
+			l.metrics.Histogram("job.e2e_seconds").Observe(e2e.Seconds())
+		}
 		close(l.done)
 	}
 	return true
@@ -190,10 +197,12 @@ func newJob(id string, req SubmitRequest, seq int64, metrics *obs.Registry) *Job
 }
 
 // spans reports the job's queue-wait, run, and end-to-end durations.
-// A job canceled while queued never ran: its run span is zero and its
-// queue wait ends at the terminal transition.
-func (j *Job) spans() (queueWait, run, e2e time.Duration) {
-	accepted, started, finished := j.Times()
+func (j *Job) spans() (queueWait, run, e2e time.Duration) { return latencies(j.Times()) }
+
+// latencies splits a job's life into queue wait, run and end to end. A
+// job canceled while queued never ran: its run is zero and its queue
+// wait ends at the terminal transition. An unfinished job has none.
+func latencies(accepted, started, finished time.Time) (queueWait, run, e2e time.Duration) {
 	if finished.IsZero() {
 		return 0, 0, 0
 	}

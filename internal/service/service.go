@@ -50,15 +50,6 @@ type Config struct {
 	// Logger receives structured job-lifecycle logs (accept, finish,
 	// drain) with job IDs for correlation. Nil discards them.
 	Logger *slog.Logger
-	// SpanCap bounds the lifecycle-span ring the tracing layer keeps
-	// (accept/queue/run/stream spans served by GET /v1/spans); 0 picks
-	// obs.DefaultSpanCap. The ring is always on — recording is one
-	// mutex'd write per stage.
-	SpanCap int
-	// SpanProc names this process's lane in merged fleet traces
-	// (default "gpusimd"). Fleet boots give each instance a distinct
-	// name so Perfetto shows one process row per instance.
-	SpanProc string
 	// OnAccept observes every freshly accepted submission (after
 	// admission control, before execution) — the trace-record hook:
 	// gpusimd -record wires a workspec.TraceWriter here so production
@@ -77,9 +68,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MemoLimit == 0 {
 		c.MemoLimit = 256
-	}
-	if c.SpanProc == "" {
-		c.SpanProc = "gpusimd"
 	}
 	return c
 }
@@ -131,7 +119,7 @@ func New(cfg Config) (*Service, error) {
 		limiter: newRateLimiter(cfg.RatePerSec, cfg.Burst),
 		journal: jn,
 		metrics: obs.NewRegistry(),
-		spans:   obs.NewSpanRecorder(cfg.SpanCap, cfg.SpanProc),
+		spans:   obs.NewSpanRecorder(0, spanProc),
 		ctx:     ctx,
 		cancel:  cancel,
 		jobs:    NewJobTable[*Job]("j"),
@@ -279,21 +267,19 @@ func (s *Service) Cancel(id string) (*Job, bool) {
 }
 
 // finishRecord journals a job's terminal state and closes out its
-// telemetry: lifecycle spans into the queue-wait/run/e2e histograms and
-// one structured finish log with the measured durations.
+// telemetry: the queue and run trace spans and one structured finish
+// log with the measured durations (the terminal transition already
+// booked the histograms).
 func (s *Service) finishRecord(j *Job) {
 	s.journal.Append(JournalRecord{Op: "finish", ID: j.ID, End: j.State()})
 	queueWait, run, e2e := j.spans()
 	if e2e <= 0 {
 		return // rollback of a never-admitted job: nothing to measure
 	}
-	// Histogram observations and trace spans use the job's OWN anchors:
-	// a follower coalesced onto a leader's in-flight simulation still
+	// Trace spans, like the histograms, use the job's OWN anchors: a
+	// follower coalesced onto a leader's in-flight simulation still
 	// waited from its own acceptedAt, so memo-heavy load doesn't skew
 	// the queue-wait distribution with the leader's timeline.
-	s.metrics.Histogram("job.queue_wait_seconds").Observe(queueWait.Seconds())
-	s.metrics.Histogram("job.run_seconds").Observe(run.Seconds())
-	s.metrics.Histogram("job.e2e_seconds").Observe(e2e.Seconds())
 	accepted, started, finished := j.Times()
 	queueEnd := started
 	if started.IsZero() {
@@ -444,6 +430,11 @@ func (s *Service) runExperiment(ctx context.Context, j *Job) (*JobResult, *Error
 	return &JobResult{Report: buf.String(), FailedRows: failed, MemoHits: int(hits1 - hits0)}, nil
 }
 
+// spanProc is the trace lane and span-ID prefix of every lifecycle
+// span an instance records; the router's fleet export restamps the lane
+// with the instance's name.
+const spanProc = "gpusimd"
+
 // recordSpan stores one lifecycle span for j, stamped with this
 // process's trace lane and the job's SLO class.
 func (s *Service) recordSpan(j *Job, stage string, start, end time.Time, note string) {
@@ -454,7 +445,7 @@ func (s *Service) recordSpan(j *Job, stage string, start, end time.Time, note st
 		Trace:  j.Trace(),
 		Parent: j.Req.TraceParent,
 		Stage:  stage,
-		Proc:   s.cfg.SpanProc,
+		Proc:   spanProc,
 		Class:  j.Req.SLOClass,
 		Note:   note,
 		Start:  start,

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -280,6 +281,30 @@ func TestJobSpanHistograms(t *testing.T) {
 	}
 	if run.Sum <= 0 || e2e.Sum <= 0 {
 		t.Fatalf("zero-length spans: run %v, e2e %v", run.Sum, e2e.Sum)
+	}
+}
+
+// TestJobHistogramsBookedBeforeDone: a job's latency histograms are
+// booked by the time its Done channel closes, so a ?wait=1 client that
+// scrapes /metrics right after its reply always sees its job counted.
+// The fsynced journal widens the window between the terminal transition
+// and the finish record, where the histograms used to be booked.
+func TestJobHistogramsBookedBeforeDone(t *testing.T) {
+	s := newTestService(t, Config{Workers: 2, PoolWorkers: 4,
+		JournalPath: filepath.Join(t.TempDir(), "journal.jsonl")})
+	s.Start()
+	const jobs = 5
+	for i := int64(1); i <= jobs; i++ {
+		j, body := s.Submit(SubmitRequest{Workload: "bfs", Policy: "static", Scale: 8, SMs: 2})
+		if body != nil {
+			t.Fatalf("submit %d: %+v", i, body)
+		}
+		<-j.Done()
+		for _, name := range []string{"job.queue_wait_seconds", "job.run_seconds", "job.e2e_seconds"} {
+			if n := s.Metrics().Histogram(name).Snapshot().Count; n != i {
+				t.Fatalf("after Done of job %d: %s count = %d, want %d", i, name, n, i)
+			}
+		}
 	}
 }
 

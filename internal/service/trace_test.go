@@ -33,7 +33,7 @@ func getSpans(t *testing.T, ts *httptest.Server, trace string) []obs.Span {
 // land in the recorder under the caller's trace, parented on the
 // caller's span, with the SLO class attributed.
 func TestLifecycleSpans(t *testing.T) {
-	s := newTestService(t, Config{Workers: 2, PoolWorkers: 4, SpanProc: "inst-a"})
+	s := newTestService(t, Config{Workers: 2, PoolWorkers: 4})
 	s.Start()
 	ts := httptest.NewServer(Handler(s))
 	defer ts.Close()
@@ -62,8 +62,8 @@ func TestLifecycleSpans(t *testing.T) {
 		if sp.Parent != "r-12" {
 			t.Fatalf("span %s parent %q, want r-12", sp.Stage, sp.Parent)
 		}
-		if sp.Proc != "inst-a" {
-			t.Fatalf("span %s proc %q, want inst-a", sp.Stage, sp.Proc)
+		if sp.Proc != "gpusimd" {
+			t.Fatalf("span %s proc %q, want gpusimd", sp.Stage, sp.Proc)
 		}
 		if sp.Class != "interactive" {
 			t.Fatalf("span %s class %q, want interactive", sp.Stage, sp.Class)

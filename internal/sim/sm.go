@@ -638,6 +638,7 @@ func (sm *SM) tryIssue(w *Warp, now int64) issueOutcome {
 
 	// Commit: the instruction issues this cycle.
 	active := w.activeMask()
+	w.lastPC, w.lastActive = pc, active
 	exec := w.guardMask(in, active)
 	if in.Op == isa.OpSelp {
 		exec = active // guard is a selector, not an execution filter

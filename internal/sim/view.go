@@ -37,6 +37,12 @@ func (sm *SM) SlotTaken(i int) bool { return i >= 0 && i < len(sm.slots) && sm.s
 // kernel end), its sum equals Now() × SchedulersPerSM exactly.
 func (sm *SM) Stalls() StallBreakdown { return sm.stalls }
 
+// LastIssue returns the PC of the warp's most recent issued instruction
+// and the lanes active on it (guarded-off lanes included: they follow
+// the instruction's path without executing it). An observer reading it
+// on a CauseIssued slot sees the instruction that slot issued.
+func (w *Warp) LastIssue() (pc int, active uint32) { return w.lastPC, uint32(w.lastActive) }
+
 // Kernel returns the kernel this CTA belongs to.
 func (c *CTAState) Kernel() *isa.Kernel { return c.kern }
 

@@ -63,6 +63,11 @@ type Warp struct {
 	snapIssued int64
 	snapEpoch  uint64
 
+	// lastPC / lastActive record the most recent issue: its PC and the
+	// lanes active on it (LastIssue).
+	lastPC     int
+	lastActive laneMask
+
 	// Per-warp counters. Stalls is the warp's share of the per-cycle
 	// scheduler-slot attribution: a warp is charged only on cycles a
 	// scheduler charged its slot to this warp (so per-warp breakdowns

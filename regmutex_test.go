@@ -1,6 +1,8 @@
 package regmutex_test
 
 import (
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -129,5 +131,39 @@ func TestFacadeWorkloads(t *testing.T) {
 	}
 	if w.PaperBs != 18 {
 		t.Errorf("bfs paper Bs = %d", w.PaperBs)
+	}
+}
+
+// TestExamples builds the examples/ programs, the facade's documented
+// callers, and runs each one: it must exit 0 and print its headline.
+func TestExamples(t *testing.T) {
+	goBin, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("no go toolchain on PATH")
+	}
+	bin := t.TempDir()
+	if out, err := exec.Command(goBin, "build", "-o", bin, "./examples/...").CombinedOutput(); err != nil {
+		t.Fatalf("go build ./examples/...: %v\n%s", err, out)
+	}
+	cases := []struct{ name, want string }{
+		{"coschedule", "transformed kernel refused"},
+		{"halfregfile", "64 KB register file, RegMutex"},
+		{"liveness", "split: base set"},
+		{"occupancy", "baseline (Figure 2a)"},
+		{"quickstart", "compiler picked |Bs|"},
+	}
+	if mains, _ := filepath.Glob("examples/*/main.go"); len(mains) != len(cases) {
+		t.Fatalf("examples/ has %d programs, the table %d: add the new one", len(mains), len(cases))
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			out, err := exec.Command(filepath.Join(bin, tc.name)).CombinedOutput()
+			if err != nil {
+				t.Fatalf("%v\n%s", err, out)
+			}
+			if !strings.Contains(string(out), tc.want) {
+				t.Fatalf("output lacks %q:\n%s", tc.want, out)
+			}
+		})
 	}
 }
