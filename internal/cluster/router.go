@@ -290,14 +290,14 @@ func (r *Router) Submit(req service.SubmitRequest) (*Job, *service.ErrorBody) {
 	return j, nil
 }
 
-// finish journals the terminal state and closes out the e2e histogram
-// plus the job's root route span (accept to terminal, every failover
-// included). The outcome counter is already booked by the Lifecycle.
+// finish journals the terminal state and closes out the job's root route
+// span (accept to terminal, every failover included). The outcome counter
+// and the cluster.route_e2e_seconds histogram are already booked by the
+// Lifecycle, before Done closed.
 func (r *Router) finish(j *Job) {
 	state := j.State()
 	r.journal.Append(service.JournalRecord{Op: "finish", ID: j.ID, End: state})
 	accepted, _, _ := j.Times()
-	r.metrics.Histogram("cluster.route_e2e_seconds").Observe(time.Since(accepted).Seconds())
 	v0 := j.View()
 	note := state
 	if v0.Instance != "" {

@@ -997,3 +997,25 @@ func TestRouterDrainRejectsAndCompletes(t *testing.T) {
 		t.Fatalf("accepted job across router drain: %q", v.State)
 	}
 }
+
+// TestRouteHistogramBookedBeforeDone: cluster.route_e2e_seconds is booked
+// by the terminal transition, before Done closes, so a reader woken by
+// Done always sees its job counted, even when finish then fsyncs the
+// journal before closing out the route span.
+func TestRouteHistogramBookedBeforeDone(t *testing.T) {
+	fleet := startFleet(t, []chaos.Schedule{chaos.Clean}, 0)
+	cfg := testRouterConfig(fleetURLs(fleet))
+	cfg.JournalPath = t.TempDir() + "/router.jsonl"
+	r := startRouter(t, cfg)
+	const jobs = 5
+	for i := int64(1); i <= jobs; i++ {
+		j, body := r.Submit(service.SubmitRequest{Workload: "bfs", Policy: "static", Scale: 8, SMs: 2})
+		if body != nil {
+			t.Fatalf("submit %d: %+v", i, body)
+		}
+		<-j.Done()
+		if n := r.Metrics().Histogram("cluster.route_e2e_seconds").Snapshot().Count; n != i {
+			t.Fatalf("after Done of job %d: cluster.route_e2e_seconds count = %d, want %d", i, n, i)
+		}
+	}
+}

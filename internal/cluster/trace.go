@@ -15,6 +15,9 @@ import (
 // the lifecycle spans each instance recorded for it (fetched from
 // GET /v1/spans?trace=), in canonical order. Each fetched span's Proc is
 // the instance's name, so Perfetto shows one process lane per instance.
+// Every instance mints IDs from the same prefix, so each fetched span's
+// ID, and any Parent naming a span of the same fetch, is qualified as
+// "<instance>/<id>"; parents naming router spans are kept as they are.
 // Instances that cannot be reached are skipped — a trace must remain
 // exportable after the instance that served (or dropped) the job died;
 // the router-side attempt and failover spans still tell that story.
@@ -26,8 +29,16 @@ func (r *Router) FleetSpans(ctx context.Context, trace string) []obs.Span {
 			r.log.Debug("span fetch failed", "instance", in.name, "trace", trace, "err", err)
 			continue
 		}
+		local := make(map[string]bool, len(fetched))
+		for _, sp := range fetched {
+			local[sp.ID] = true
+		}
 		for _, sp := range fetched {
 			sp.Proc = in.name
+			sp.ID = in.name + "/" + sp.ID
+			if local[sp.Parent] {
+				sp.Parent = in.name + "/" + sp.Parent
+			}
 			spans = append(spans, sp)
 		}
 	}

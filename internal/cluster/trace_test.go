@@ -388,3 +388,56 @@ func TestFleetSpansOneLanePerInstance(t *testing.T) {
 		}
 	}
 }
+
+// TestFleetSpansUniqueIDs: two instances that each served one job of a
+// trace mint the same instance-local span IDs; the merged fleet trace
+// must still name every span once, and every instance span's parent must
+// resolve inside the merged set.
+func TestFleetSpansUniqueIDs(t *testing.T) {
+	fleet := startFleet(t, []chaos.Schedule{chaos.Clean, chaos.Clean}, 0)
+	r := startRouter(t, testRouterConfig(fleetURLs(fleet)))
+
+	// Rendezvous placement on an idle fleet follows the fingerprint:
+	// pick one request that lands on each instance.
+	const trace = "unique-ids"
+	served := map[string]bool{}
+	for scale := 16; scale < 80 && len(served) < len(r.insts); scale++ {
+		req := service.SubmitRequest{Workload: "bfs", Policy: "static", Scale: scale, SMs: 1, TraceID: trace}
+		if in := r.pickFor(req.Fingerprint(), nil); served[in.name] {
+			continue
+		}
+		j, body := r.Submit(req)
+		if body != nil {
+			t.Fatal(body)
+		}
+		if v := waitRouterJob(t, j, 60*time.Second); v.State != service.StateDone {
+			t.Fatalf("job %s state = %q", j.ID, v.State)
+		}
+		served[j.View().Instance] = true
+	}
+	if len(served) != len(r.insts) {
+		t.Fatalf("jobs served by %v, want every instance", served)
+	}
+
+	spans := r.FleetSpans(context.Background(), trace)
+	ids := map[string]bool{}
+	instanceSpans := 0
+	for _, sp := range spans {
+		if ids[sp.ID] {
+			t.Fatalf("span ID %q appears twice in the merged trace", sp.ID)
+		}
+		ids[sp.ID] = true
+	}
+	for _, sp := range spans {
+		if sp.Proc == "router" {
+			continue
+		}
+		instanceSpans++
+		if sp.Parent != "" && !ids[sp.Parent] {
+			t.Errorf("%s span %s: parent %q is not in the merged trace", sp.Proc, sp.ID, sp.Parent)
+		}
+	}
+	if instanceSpans == 0 {
+		t.Fatal("merged trace holds no instance spans")
+	}
+}

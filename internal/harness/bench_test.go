@@ -10,7 +10,7 @@ import (
 
 // BenchmarkSimCell is the hot-path regression benchmark: one full
 // device run of a bfs cell per iteration. Watch allocs/op (the issue
-// loop, watchdog, and event heaps must not allocate per cycle) and
+// loop, watchdog, and event wheels must not allocate per cycle) and
 // cycles_per_sec; the perf section of the committed BENCH_<date>.json
 // trajectory files (perfbench's sim workloads) gates throughput in CI,
 // this benchmark is for bisecting locally with benchstat.

@@ -21,7 +21,8 @@ type Span struct {
 	// an explicit X-Trace-Context.
 	Trace string `json:"trace"`
 	// ID names this span within the trace; recorders mint them with a
-	// per-process prefix so merged traces stay collision-free.
+	// per-process prefix, and the fleet merge qualifies instance spans
+	// with the instance name, so merged traces stay collision-free.
 	ID string `json:"id"`
 	// Parent is the enclosing span's ID ("" for the root).
 	Parent string `json:"parent,omitempty"`

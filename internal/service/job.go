@@ -37,10 +37,12 @@ type Lifecycle struct {
 
 // NewLifecycle starts a job's lifecycle: queued, accepted now, with the
 // queued state as event 0. The terminal transition books the outcome
-// once in metrics as <tier>.jobs_done, jobs_failed or jobs_canceled
-// (and, on an instance, the job.queue_wait_seconds, job.run_seconds and
-// job.e2e_seconds histograms), before the state is visible and before
-// Done closes, so whoever sees the terminal state also sees the count.
+// once in metrics as <tier>.jobs_done, jobs_failed or jobs_canceled,
+// plus the tier's latency histograms (on an instance
+// job.queue_wait_seconds, job.run_seconds and job.e2e_seconds; on the
+// router cluster.route_e2e_seconds), before the state is visible and
+// before Done closes, so whoever sees the terminal state also sees the
+// counts.
 func NewLifecycle(id string, req SubmitRequest, metrics *obs.Registry, tier string) *Lifecycle {
 	if req.TraceID == "" {
 		req.TraceID = id
@@ -106,11 +108,14 @@ func (l *Lifecycle) SetState(state string, err *ErrorBody, result *JobResult) bo
 	if Terminal(state) {
 		l.finishedAt = time.Now()
 		l.metrics.Counter(l.tier + ".jobs_" + state).Inc()
-		if l.tier == "service" {
+		switch l.tier {
+		case "service":
 			wait, run, e2e := latencies(l.acceptedAt, l.startedAt, l.finishedAt)
 			l.metrics.Histogram("job.queue_wait_seconds").Observe(wait.Seconds())
 			l.metrics.Histogram("job.run_seconds").Observe(run.Seconds())
 			l.metrics.Histogram("job.e2e_seconds").Observe(e2e.Seconds())
+		case "cluster":
+			l.metrics.Histogram("cluster.route_e2e_seconds").Observe(l.finishedAt.Sub(l.acceptedAt).Seconds())
 		}
 		close(l.done)
 	}

@@ -2,34 +2,24 @@ package sim
 
 import "testing"
 
-// BenchmarkEventHeap is the regression guard for the typed int64
-// min-heap that replaced the container/heap implementation: the old one
-// boxed every push into an interface{}, which made the mem-completion
-// path allocate on every global access. The pattern below mimics that
-// traffic — bursts of pushes (issues) drained from the minimum
-// (completions) — and must report 0 allocs/op.
-func BenchmarkEventHeap(b *testing.B) {
+// BenchmarkWheel is the allocation guard for the event wheel behind
+// memory completions and scoreboard wakeups. Each iteration is one SM
+// cycle: drain through now, issue an ALU writeback and, every third
+// cycle, a global load, then look up the next event. It must report 0
+// allocs/op.
+func BenchmarkWheel(b *testing.B) {
 	b.ReportAllocs()
-	var h eventHeap
-	// Warm capacity outside the measured region so steady-state cost is
-	// what's measured, exactly like a long-running SM's heap.
-	for i := 0; i < 64; i++ {
-		h.push(int64(i))
-	}
-	for len(h) > 0 {
-		h.pop()
-	}
+	wh := newWheel(DefaultTiming().MaxLatency())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		base := int64(i * 8)
-		for j := int64(0); j < 8; j++ {
-			h.push(base + (j*37)%11) // mildly shuffled deadlines
+		now := int64(i)
+		wh.expire(now)
+		wh.push(now + 4)
+		if i%3 == 0 {
+			wh.push(now + 400)
 		}
-		for len(h) > 4 {
-			h.pop()
-		}
-		for len(h) > 0 {
-			h.pop()
+		if wh.next() < 0 {
+			b.Fatal("wheel lost an event")
 		}
 	}
 }

@@ -2,163 +2,232 @@ package sim
 
 import (
 	"math"
+	"math/bits"
 
 	"regmutex/internal/isa"
 )
 
+// row is one architected register across a warp's lanes.
+type row = [isa.WarpSize]uint64
+
 // execute functionally performs instruction in for warp w over lanes in
 // exec (guard already applied). Branch-taken lanes are returned for
 // control-flow handling. Memory traffic goes through the SM's device.
-func (sm *SM) execute(w *Warp, in *isa.Instr, pc int, exec laneMask) (taken laneMask) {
-	k := w.CTA.kern
-	read := func(o isa.Operand, lane int) uint64 {
-		if o.Kind == isa.OpndImm {
-			return uint64(o.Imm)
-		}
-		return w.regs[o.Reg][lane]
+//
+// Each source operand resolves once to a register row (an immediate is
+// broadcast into one of the SM's scratch rows), the destination row
+// resolves once, and the opcode switch runs once per warp instruction;
+// each case then loops over the set bits of exec.
+func (sm *SM) execute(w *Warp, in *isa.Instr, exec laneMask) (taken laneMask) {
+	var a, b, c *row
+	switch isa.NumSrcs(in.Op) {
+	case 3:
+		c = sm.source(w, in, 2)
+		fallthrough
+	case 2:
+		b = sm.source(w, in, 1)
+		fallthrough
+	case 1:
+		a = sm.source(w, in, 0)
 	}
-	readF := func(o isa.Operand, lane int) float64 {
-		return isa.B2F(read(o, lane))
-	}
-	write := func(lane int, v uint64) {
-		w.regs[in.Dst][lane] = v
-	}
-	writeF := func(lane int, v float64) {
-		w.regs[in.Dst][lane] = isa.F2B(v)
+	var d *row
+	if isa.HasDst(in.Op) {
+		d = &w.regs[in.Dst]
 	}
 
-	for lane := 0; lane < isa.WarpSize; lane++ {
-		if exec&(1<<uint(lane)) == 0 {
-			continue
+	switch in.Op {
+	case isa.OpNop, isa.OpExit, isa.OpBarSync, isa.OpAcq, isa.OpRel:
+		// EXIT is handled by the caller via exitLanes; BAR/ACQ/REL at
+		// issue by the SM and the policy.
+	case isa.OpMov:
+		un(exec, d, a, func(x uint64) uint64 { return x })
+	case isa.OpMovSpecial:
+		// Every special register is affine in the lane: v0 + step·lane.
+		k := w.CTA.kern
+		var v0, step uint64
+		switch in.Spec {
+		case isa.SpecTID:
+			v0, step = uint64(w.CTA.warpBase(w)*isa.WarpSize), 1
+		case isa.SpecNTID:
+			v0 = uint64(k.ThreadsPerCTA)
+		case isa.SpecCTAID:
+			v0 = uint64(w.CTA.ID)
+		case isa.SpecNCTAID:
+			v0 = uint64(k.GridCTAs)
+		case isa.SpecLaneID:
+			step = 1
+		case isa.SpecWarpID:
+			v0 = uint64(w.CTA.warpBase(w))
 		}
-		switch in.Op {
-		case isa.OpNop:
-		case isa.OpMov:
-			write(lane, read(in.Srcs[0], lane))
-		case isa.OpMovSpecial:
-			write(lane, w.special(in.Spec, lane, k))
-		case isa.OpIAdd:
-			write(lane, uint64(int64(read(in.Srcs[0], lane))+int64(read(in.Srcs[1], lane))))
-		case isa.OpISub:
-			write(lane, uint64(int64(read(in.Srcs[0], lane))-int64(read(in.Srcs[1], lane))))
-		case isa.OpIMul:
-			write(lane, uint64(int64(read(in.Srcs[0], lane))*int64(read(in.Srcs[1], lane))))
-		case isa.OpIMad:
-			write(lane, uint64(int64(read(in.Srcs[0], lane))*int64(read(in.Srcs[1], lane))+int64(read(in.Srcs[2], lane))))
-		case isa.OpIMin:
-			a, b := int64(read(in.Srcs[0], lane)), int64(read(in.Srcs[1], lane))
-			write(lane, uint64(min(a, b)))
-		case isa.OpIMax:
-			a, b := int64(read(in.Srcs[0], lane)), int64(read(in.Srcs[1], lane))
-			write(lane, uint64(max(a, b)))
-		case isa.OpIAbs:
-			a := int64(read(in.Srcs[0], lane))
-			if a < 0 {
-				a = -a
+		for m := uint32(exec); m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m)
+			d[l] = v0 + step*uint64(l)
+		}
+	case isa.OpIAdd:
+		bin(exec, d, a, b, func(x, y uint64) uint64 { return x + y })
+	case isa.OpISub:
+		bin(exec, d, a, b, func(x, y uint64) uint64 { return x - y })
+	case isa.OpIMul:
+		bin(exec, d, a, b, func(x, y uint64) uint64 { return uint64(int64(x) * int64(y)) })
+	case isa.OpIMad:
+		tern(exec, d, a, b, c, func(x, y, z uint64) uint64 { return uint64(int64(x)*int64(y) + int64(z)) })
+	case isa.OpIMin:
+		bin(exec, d, a, b, func(x, y uint64) uint64 { return uint64(min(int64(x), int64(y))) })
+	case isa.OpIMax:
+		bin(exec, d, a, b, func(x, y uint64) uint64 { return uint64(max(int64(x), int64(y))) })
+	case isa.OpIAbs:
+		un(exec, d, a, func(x uint64) uint64 {
+			if int64(x) < 0 {
+				return -x
 			}
-			write(lane, uint64(a))
-		case isa.OpShl:
-			write(lane, read(in.Srcs[0], lane)<<(read(in.Srcs[1], lane)&63))
-		case isa.OpShr:
-			write(lane, uint64(int64(read(in.Srcs[0], lane))>>(read(in.Srcs[1], lane)&63)))
-		case isa.OpAnd:
-			write(lane, read(in.Srcs[0], lane)&read(in.Srcs[1], lane))
-		case isa.OpOr:
-			write(lane, read(in.Srcs[0], lane)|read(in.Srcs[1], lane))
-		case isa.OpXor:
-			write(lane, read(in.Srcs[0], lane)^read(in.Srcs[1], lane))
-		case isa.OpFAdd:
-			writeF(lane, readF(in.Srcs[0], lane)+readF(in.Srcs[1], lane))
-		case isa.OpFSub:
-			writeF(lane, readF(in.Srcs[0], lane)-readF(in.Srcs[1], lane))
-		case isa.OpFMul:
-			writeF(lane, readF(in.Srcs[0], lane)*readF(in.Srcs[1], lane))
-		case isa.OpFFma:
-			writeF(lane, readF(in.Srcs[0], lane)*readF(in.Srcs[1], lane)+readF(in.Srcs[2], lane))
-		case isa.OpFMin:
-			writeF(lane, math.Min(readF(in.Srcs[0], lane), readF(in.Srcs[1], lane)))
-		case isa.OpFMax:
-			writeF(lane, math.Max(readF(in.Srcs[0], lane), readF(in.Srcs[1], lane)))
-		case isa.OpFAbs:
-			writeF(lane, math.Abs(readF(in.Srcs[0], lane)))
-		case isa.OpI2F:
-			writeF(lane, float64(int64(read(in.Srcs[0], lane))))
-		case isa.OpF2I:
-			write(lane, uint64(int64(readF(in.Srcs[0], lane))))
-		case isa.OpFSqrt:
-			writeF(lane, math.Sqrt(math.Abs(readF(in.Srcs[0], lane))))
-		case isa.OpFRcp:
-			d := readF(in.Srcs[0], lane)
-			if d == 0 {
-				d = 1e-30
+			return x
+		})
+	case isa.OpShl:
+		bin(exec, d, a, b, func(x, y uint64) uint64 { return x << (y & 63) })
+	case isa.OpShr:
+		bin(exec, d, a, b, func(x, y uint64) uint64 { return uint64(int64(x) >> (y & 63)) })
+	case isa.OpAnd:
+		bin(exec, d, a, b, func(x, y uint64) uint64 { return x & y })
+	case isa.OpOr:
+		bin(exec, d, a, b, func(x, y uint64) uint64 { return x | y })
+	case isa.OpXor:
+		bin(exec, d, a, b, func(x, y uint64) uint64 { return x ^ y })
+	case isa.OpFAdd:
+		binF(exec, d, a, b, func(x, y float64) float64 { return x + y })
+	case isa.OpFSub:
+		binF(exec, d, a, b, func(x, y float64) float64 { return x - y })
+	case isa.OpFMul:
+		binF(exec, d, a, b, func(x, y float64) float64 { return x * y })
+	case isa.OpFFma:
+		tern(exec, d, a, b, c, func(x, y, z uint64) uint64 {
+			return isa.F2B(isa.B2F(x)*isa.B2F(y) + isa.B2F(z))
+		})
+	case isa.OpFMin:
+		binF(exec, d, a, b, math.Min)
+	case isa.OpFMax:
+		binF(exec, d, a, b, math.Max)
+	case isa.OpFAbs:
+		unF(exec, d, a, math.Abs)
+	case isa.OpI2F:
+		un(exec, d, a, func(x uint64) uint64 { return isa.F2B(float64(int64(x))) })
+	case isa.OpF2I:
+		un(exec, d, a, func(x uint64) uint64 { return uint64(int64(isa.B2F(x))) })
+	case isa.OpFSqrt:
+		unF(exec, d, a, func(x float64) float64 { return math.Sqrt(math.Abs(x)) })
+	case isa.OpFRcp:
+		unF(exec, d, a, func(x float64) float64 {
+			if x == 0 {
+				x = 1e-30
 			}
-			writeF(lane, 1/d)
-		case isa.OpFSin:
-			writeF(lane, math.Sin(readF(in.Srcs[0], lane)))
-		case isa.OpFCos:
-			writeF(lane, math.Cos(readF(in.Srcs[0], lane)))
-		case isa.OpFExp:
-			writeF(lane, math.Exp(clampExp(readF(in.Srcs[0], lane))))
-		case isa.OpFLog:
-			writeF(lane, math.Log(math.Abs(readF(in.Srcs[0], lane))+1e-30))
-		case isa.OpSetp:
-			a, b := int64(read(in.Srcs[0], lane)), int64(read(in.Srcs[1], lane))
-			w.preds[in.PDst][lane] = compare(in.Cmp, a, b)
-		case isa.OpSetpF:
-			w.preds[in.PDst][lane] = compareF(in.Cmp, readF(in.Srcs[0], lane), readF(in.Srcs[1], lane))
-		case isa.OpSelp:
-			// Guard is the selector; exec already filtered to
-			// guard-true lanes, so Selp needs its own handling: it
-			// executes for all *active* lanes, choosing by predicate.
-			// The issue path special-cases this; here exec is the
-			// full active mask and we re-read the predicate.
-			sel := w.preds[in.Guard.Pred][lane] != in.Guard.Neg
-			if sel {
-				write(lane, read(in.Srcs[0], lane))
+			return 1 / x
+		})
+	case isa.OpFSin:
+		unF(exec, d, a, math.Sin)
+	case isa.OpFCos:
+		unF(exec, d, a, math.Cos)
+	case isa.OpFExp:
+		unF(exec, d, a, func(x float64) float64 { return math.Exp(clampExp(x)) })
+	case isa.OpFLog:
+		unF(exec, d, a, func(x float64) float64 { return math.Log(math.Abs(x) + 1e-30) })
+	case isa.OpSetp:
+		p := &w.preds[in.PDst]
+		for m := uint32(exec); m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m)
+			p[l] = compare(in.Cmp, int64(a[l]), int64(b[l]))
+		}
+	case isa.OpSetpF:
+		p := &w.preds[in.PDst]
+		for m := uint32(exec); m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m)
+			p[l] = compareF(in.Cmp, isa.B2F(a[l]), isa.B2F(b[l]))
+		}
+	case isa.OpSelp:
+		// The guard is the selector, not an execution filter: the issue
+		// path passes the full active mask, and each lane picks by its
+		// predicate.
+		p := &w.preds[in.Guard.Pred]
+		for m := uint32(exec); m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m)
+			if p[l] != in.Guard.Neg {
+				d[l] = a[l]
 			} else {
-				write(lane, read(in.Srcs[1], lane))
+				d[l] = b[l]
 			}
-		case isa.OpBra:
-			taken |= 1 << uint(lane)
-		case isa.OpExit:
-			// handled by caller via exitLanes
-		case isa.OpLdGlobal:
-			addr := int64(read(in.Srcs[0], lane)) + in.Off
-			write(lane, sm.loadGlobal(w.CTA.global, addr))
-		case isa.OpStGlobal:
-			addr := int64(read(in.Srcs[0], lane)) + in.Off
-			sm.storeGlobal(w.CTA.global, addr, read(in.Srcs[1], lane))
-		case isa.OpLdShared:
-			addr := int64(read(in.Srcs[0], lane)) + in.Off
-			write(lane, w.CTA.loadShared(addr))
-		case isa.OpStShared:
-			addr := int64(read(in.Srcs[0], lane)) + in.Off
-			w.CTA.storeShared(addr, read(in.Srcs[1], lane))
-		case isa.OpBarSync, isa.OpAcq, isa.OpRel:
-			// handled at issue by the SM / policy
+		}
+	case isa.OpBra:
+		taken = exec
+	case isa.OpLdGlobal:
+		for m := uint32(exec); m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m)
+			d[l] = sm.loadGlobal(w.CTA.global, int64(a[l])+in.Off)
+		}
+	case isa.OpStGlobal:
+		for m := uint32(exec); m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m)
+			sm.storeGlobal(w.CTA.global, int64(a[l])+in.Off, b[l])
+		}
+	case isa.OpLdShared:
+		for m := uint32(exec); m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m)
+			d[l] = w.CTA.loadShared(int64(a[l]) + in.Off)
+		}
+	case isa.OpStShared:
+		for m := uint32(exec); m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m)
+			w.CTA.storeShared(int64(a[l])+in.Off, b[l])
 		}
 	}
-	_ = pc
 	return taken
 }
 
-// special returns the value of a special register for a lane.
-func (w *Warp) special(s isa.SpecialReg, lane int, k *isa.Kernel) uint64 {
-	switch s {
-	case isa.SpecTID:
-		return uint64(w.CTA.warpBase(w)*isa.WarpSize + lane)
-	case isa.SpecNTID:
-		return uint64(k.ThreadsPerCTA)
-	case isa.SpecCTAID:
-		return uint64(w.CTA.ID)
-	case isa.SpecNCTAID:
-		return uint64(k.GridCTAs)
-	case isa.SpecLaneID:
-		return uint64(lane)
-	case isa.SpecWarpID:
-		return uint64(w.CTA.warpBase(w))
-	default:
-		return 0
+// source resolves source operand i of in: the register's row, or the
+// immediate broadcast into the SM's scratch row i.
+func (sm *SM) source(w *Warp, in *isa.Instr, i int) *row {
+	o := &in.Srcs[i]
+	if o.Kind != isa.OpndImm {
+		return &w.regs[o.Reg]
+	}
+	r := &sm.imm[i]
+	for l := range r {
+		r[l] = uint64(o.Imm)
+	}
+	return r
+}
+
+// un, bin and tern apply f lane-wise over the set bits of exec; unF and
+// binF do the same on float64 lane values.
+func un(exec laneMask, d, a *row, f func(x uint64) uint64) {
+	for m := uint32(exec); m != 0; m &= m - 1 {
+		l := bits.TrailingZeros32(m)
+		d[l] = f(a[l])
+	}
+}
+
+func bin(exec laneMask, d, a, b *row, f func(x, y uint64) uint64) {
+	for m := uint32(exec); m != 0; m &= m - 1 {
+		l := bits.TrailingZeros32(m)
+		d[l] = f(a[l], b[l])
+	}
+}
+
+func tern(exec laneMask, d, a, b, c *row, f func(x, y, z uint64) uint64) {
+	for m := uint32(exec); m != 0; m &= m - 1 {
+		l := bits.TrailingZeros32(m)
+		d[l] = f(a[l], b[l], c[l])
+	}
+}
+
+func unF(exec laneMask, d, a *row, f func(x float64) float64) {
+	for m := uint32(exec); m != 0; m &= m - 1 {
+		l := bits.TrailingZeros32(m)
+		d[l] = isa.F2B(f(isa.B2F(a[l])))
+	}
+}
+
+func binF(exec laneMask, d, a, b *row, f func(x, y float64) float64) {
+	for m := uint32(exec); m != 0; m &= m - 1 {
+		l := bits.TrailingZeros32(m)
+		d[l] = isa.F2B(f(isa.B2F(a[l]), isa.B2F(b[l])))
 	}
 }
 

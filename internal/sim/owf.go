@@ -67,6 +67,7 @@ func (p *OWFPolicy) NewSMState(sm *SM) PolicyState {
 		return nopState{}
 	}
 	return &owfState{
+		sm:        sm,
 		threshold: p.Threshold,
 		owner:     make([]int, p.cfg.MaxWarpsPerSM/2+1),
 	}
@@ -74,6 +75,7 @@ func (p *OWFPolicy) NewSMState(sm *SM) PolicyState {
 
 type owfState struct {
 	nopState
+	sm        *SM // nil in unit tests
 	threshold int
 	owner     []int // per pair: owner Widx + 1, or 0 while unowned
 	attempts  uint64
@@ -85,9 +87,8 @@ func (s *owfState) TryIssue(w *Warp, in *isa.Instr, now int64) bool {
 		// Deadlock avoidance: an owner arriving at a CTA barrier must
 		// drop the pair lock, or its locked-out partner could never
 		// reach the same barrier.
-		pair := w.Widx / 2
-		if s.owner[pair] == w.Widx+1 {
-			s.owner[pair] = 0
+		if pair := w.Widx / 2; s.owner[pair] == w.Widx+1 {
+			s.setOwner(pair, 0)
 		}
 		return true
 	}
@@ -101,7 +102,7 @@ func (s *owfState) TryIssue(w *Warp, in *isa.Instr, now int64) bool {
 	case 0:
 		s.attempts++
 		s.successes++
-		s.owner[pair] = w.Widx + 1 // one-time acquire
+		s.setOwner(pair, w.Widx+1) // one-time acquire
 		return true
 	default:
 		s.attempts++
@@ -112,9 +113,17 @@ func (s *owfState) TryIssue(w *Warp, in *isa.Instr, now int64) bool {
 // OnWarpExit releases the pair's shared registers — the only release
 // point in this scheme.
 func (s *owfState) OnWarpExit(w *Warp) {
-	pair := w.Widx / 2
-	if s.owner[pair] == w.Widx+1 {
-		s.owner[pair] = 0
+	if pair := w.Widx / 2; s.owner[pair] == w.Widx+1 {
+		s.setOwner(pair, 0)
+	}
+}
+
+// setOwner records a pair's owner (Widx + 1, or 0 for none). Ownership is
+// the warp's scheduling Priority, so the SM's pick order is invalidated.
+func (s *owfState) setOwner(pair, owner int) {
+	s.owner[pair] = owner
+	if s.sm != nil {
+		s.sm.orderGen++
 	}
 }
 

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"regmutex/internal/isa"
 )
@@ -53,62 +54,88 @@ func (c *CTAState) storeShared(addr int64, v uint64) {
 // liveWarps returns warps that have not finished.
 func (c *CTAState) liveWarps() int { return len(c.warps) - c.doneWarps }
 
-// eventHeap is a typed min-heap of future completion times, used both for
-// idle-cycle skipping and in-flight memory accounting. It deliberately
-// does not go through container/heap: the interface{} round-trip there
-// boxes every int64 push, which on the memory-completion path means an
-// allocation per issued load/store.
-type eventHeap []int64
-
-// push inserts t, keeping the min-heap property.
-func (h *eventHeap) push(t int64) {
-	*h = append(*h, t)
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if s[p] <= s[i] {
-			break
-		}
-		s[p], s[i] = s[i], s[p]
-		i = p
-	}
+// wheel is a calendar of future event cycles: an event count per cycle
+// slot plus a bitmap of the nonzero slots. Its span is a power of two
+// above every issue-to-writeback latency, so every live event lies in
+// [base, base+span) and its slot is its cycle mod span. Slots of cycles
+// before base are zero; a push that would alias one of them first clears
+// the cycles it overtakes, so stale events never shadow fresh ones.
+// Push, expire and next cost O(span/64) words at most and allocate
+// nothing.
+type wheel struct {
+	counts []int32
+	nz     []uint64 // bit i set iff counts[i] > 0
+	mask   int64    // span - 1
+	base   int64    // earliest cycle a counted event can be at
 }
 
-// pop removes and returns the minimum. The heap must be non-empty.
-func (h *eventHeap) pop() int64 {
-	s := *h
-	min := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	*h = s[:n]
-	i := 0
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		m := l
-		if r := l + 1; r < n && s[r] < s[l] {
-			m = r
-		}
-		if s[i] <= s[m] {
-			break
-		}
-		s[i], s[m] = s[m], s[i]
-		i = m
+// newWheel sizes a wheel for events at most maxLatency cycles ahead.
+func newWheel(maxLatency int64) wheel {
+	span := int64(64)
+	for span <= maxLatency {
+		span <<= 1
 	}
-	return min
+	return wheel{counts: make([]int32, span), nz: make([]uint64, span/64), mask: span - 1}
 }
 
-// min returns the smallest element without removing it.
-func (h eventHeap) min() int64 { return h[0] }
+// push records one event at cycle t. An event before base (a zero
+// latency) lands at base. Events more than a span before t are dropped:
+// callers either expire the wheel before pushing (memory completions) or
+// only ask for events after the current cycle (writebacks).
+func (wh *wheel) push(t int64) {
+	if t < wh.base {
+		t = wh.base
+	}
+	if t-wh.base > wh.mask {
+		wh.expire(t - wh.mask - 1)
+	}
+	i := t & wh.mask
+	wh.counts[i]++
+	wh.nz[i>>6] |= 1 << uint(i&63)
+}
 
-// schedCand is one runnable warp in a scheduler's pick order.
-type schedCand struct {
-	w    *Warp
-	p    int // policy priority (lower runs first)
-	rank int // tiebreak: Seq (oldest-first) or rotated Widx (round-robin)
+// expire removes every event at a cycle <= now and returns how many
+// there were.
+func (wh *wheel) expire(now int64) int {
+	if now < wh.base {
+		return 0
+	}
+	n := 0
+	end := min(now, wh.base+wh.mask) // one span past base covers every slot
+	for c := wh.base; c <= end; {
+		i := c & wh.mask
+		bit := i & 63
+		k := min(64-bit, end-c+1)
+		m := ^uint64(0) >> uint(64-k) << uint(bit)
+		word := &wh.nz[i>>6]
+		for set := *word & m; set != 0; set &= set - 1 {
+			j := i&^63 + int64(bits.TrailingZeros64(set))
+			n += int(wh.counts[j])
+			wh.counts[j] = 0
+		}
+		*word &^= m
+		c += k
+	}
+	wh.base = now + 1
+	return n
+}
+
+// next returns the earliest counted event cycle, or -1 when the wheel is
+// empty.
+func (wh *wheel) next() int64 {
+	start := wh.base & wh.mask
+	w0 := int(start >> 6)
+	if x := wh.nz[w0] >> uint(start&63); x != 0 {
+		return wh.base + int64(bits.TrailingZeros64(x))
+	}
+	for k := 1; k <= len(wh.nz); k++ {
+		w := (w0 + k) % len(wh.nz)
+		if x := wh.nz[w]; x != 0 {
+			i := int64(w)<<6 + int64(bits.TrailingZeros64(x))
+			return wh.base + (i-start)&wh.mask
+		}
+	}
+	return -1
 }
 
 // scheduler is one of the SM's warp schedulers (greedy-then-oldest).
@@ -120,25 +147,53 @@ type scheduler struct {
 	// multiplies it over cycles the SM slept through.
 	lastRes slotResult
 
-	// cands caches the warps mapped to this scheduler (Widx % nsched ==
-	// id), rebuilt only when SM warp membership changes (launch/retire);
-	// order is the scratch pick list reused every cycle.
-	cands   []*Warp
-	candGen uint64
-	order   []schedCand
+	// order is the scheduler's pick list: the warps mapped to it (Widx %
+	// nsched == id) sorted by (policy Priority, rank). It is rebuilt only
+	// when sm.orderGen moves past orderGen, or every cycle under
+	// LooseRoundRobin, whose rank rotates with the cycle.
+	order    []*Warp
+	orderGen uint64
+	orderAt  int64
 }
 
-// rebuildCands refreshes the scheduler's mapped-warp cache from sm.warps
-// (which is kept in launch = Seq order).
-func (sched *scheduler) rebuildCands(sm *SM) {
-	sched.cands = sched.cands[:0]
+// rank is w's tiebreak within one priority: launch order (oldest
+// first), or under loose round-robin the slot index rotated by the
+// cycle.
+func (sm *SM) rank(w *Warp, now int64) int {
+	if !sm.dev.Timing.LooseRoundRobin {
+		return w.Seq
+	}
+	max := sm.dev.Config.MaxWarpsPerSM
+	return (w.Widx - int(now)%max + max) % max
+}
+
+// rebuildOrder refreshes the scheduler's pick list from sm.warps, which
+// is kept in launch (Seq) order, so the common all-equal-priority
+// greedy-then-oldest case is already sorted and the insertion sort does
+// no moves.
+func (sched *scheduler) rebuildOrder(sm *SM, now int64) {
+	order := sched.order[:0]
 	n := len(sm.schedulers)
 	for _, w := range sm.warps {
 		if w.Widx%n == sched.id {
-			sched.cands = append(sched.cands, w)
+			order = append(order, w)
 		}
 	}
-	sched.candGen = sm.warpGen
+	less := func(a, b *Warp) bool {
+		pa, pb := sm.policy.Priority(a), sm.policy.Priority(b)
+		return pa < pb || (pa == pb && sm.rank(a, now) < sm.rank(b, now))
+	}
+	for i := 1; i < len(order); i++ {
+		w := order[i]
+		j := i - 1
+		for ; j >= 0 && less(w, order[j]); j-- {
+			order[j+1] = order[j]
+		}
+		order[j+1] = w
+	}
+	sched.order = order
+	sched.orderGen = sm.orderGen
+	sched.orderAt = now
 }
 
 // slotResult is one scheduler slot's attribution for one cycle: the
@@ -203,13 +258,15 @@ type SM struct {
 	policy PolicyState
 
 	memInFlight  int
-	memComplete  eventHeap // completion times of outstanding global requests
-	wakeups      eventHeap // scoreboard writeback times (idle skipping)
+	memComplete  wheel // completion times of outstanding global requests
+	wakeups      wheel // scoreboard writeback times (idle skipping)
 	sfuThisCycle int
 
-	// warpGen bumps whenever warp membership changes (CTA launch or
-	// retire); schedulers rebuild their mapped-warp caches lazily on it.
-	warpGen uint64
+	// orderGen bumps whenever the schedulers' pick order can change: warp
+	// membership (CTA launch or retire) or a policy priority (an OWF
+	// owner taken or dropped). Schedulers rebuild their order lazily on
+	// it, at their next slot.
+	orderGen uint64
 
 	// wakeAt is the next cycle this SM must step. An SM that issued
 	// nothing, saw no policy-gate retry, and has no pending event sleeps
@@ -227,6 +284,10 @@ type SM struct {
 	// stores holds this cycle's global-memory writes (committed at cycle
 	// end in SM order).
 	stores []pendingStore
+
+	// imm holds immediate source operands broadcast across the lanes, one
+	// row per source position (execute).
+	imm [3]row
 
 	// Stats.
 	issued        int64
@@ -248,6 +309,8 @@ type SM struct {
 func newSM(dev *Device, id int) *SM {
 	sm := &SM{dev: dev, id: id}
 	sm.slots = make([]bool, dev.Config.MaxWarpsPerSM)
+	sm.memComplete = newWheel(dev.Timing.MaxLatency())
+	sm.wakeups = newWheel(dev.Timing.MaxLatency())
 	for s := 0; s < dev.Config.SchedulersPerSM; s++ {
 		sm.schedulers = append(sm.schedulers, scheduler{id: s})
 	}
@@ -299,7 +362,7 @@ func (sm *SM) launchCTAOf(k *isa.Kernel, kidx, id int) {
 		sm.warpsLaunched++
 	}
 	sm.ctas = append(sm.ctas, cta)
-	sm.warpGen++
+	sm.orderGen++
 	sm.policy.OnCTALaunch(cta)
 }
 
@@ -342,34 +405,23 @@ func (sm *SM) retireCTA(cta *CTAState) {
 		sm.warps[i] = nil
 	}
 	sm.warps = live
-	sm.warpGen++
+	sm.orderGen++
 	sm.policy.OnCTARetire(cta)
 }
 
 // drainMemCompletions retires finished global requests.
 func (sm *SM) drainMemCompletions(now int64) {
-	for len(sm.memComplete) > 0 && sm.memComplete.min() <= now {
-		sm.memComplete.pop()
-		sm.memInFlight--
-	}
+	sm.memInFlight -= sm.memComplete.expire(now)
 }
 
 // nextEvent returns the earliest future time anything changes on this SM,
-// or -1 if nothing is pending.
+// or -1 if nothing is pending. Memory completions were drained through
+// now at the start of the step, so every one left is in the future.
 func (sm *SM) nextEvent(now int64) int64 {
-	next := int64(-1)
-	if len(sm.memComplete) > 0 {
-		if t := sm.memComplete.min(); t > now {
-			next = t
-		}
-	}
-	for len(sm.wakeups) > 0 && sm.wakeups.min() <= now {
-		sm.wakeups.pop()
-	}
-	if len(sm.wakeups) > 0 {
-		if t := sm.wakeups.min(); next < 0 || t < next {
-			next = t
-		}
+	next := sm.memComplete.next()
+	sm.wakeups.expire(now)
+	if t := sm.wakeups.next(); t >= 0 && (next < 0 || t < next) {
+		next = t
 	}
 	return next
 }
@@ -511,47 +563,15 @@ func (sm *SM) issueSlot(sched *scheduler, now int64) slotResult {
 			charged = slotResult{cause: c, warp: last}
 		}
 	}
-	if sched.candGen != sm.warpGen {
-		sched.rebuildCands(sm)
+	if sched.orderGen != sm.orderGen || (rr && sched.orderAt != now) {
+		sched.rebuildOrder(sm, now)
 	}
-	// Build the pick order: one pass over the mapped warps collecting
-	// (priority, rank); the list is already in Seq order, so the common
-	// all-equal-priority case needs no sort at all. Priorities cannot
-	// change while a scan fails (only successful issues mutate policy
-	// state), so a single fetch per warp is exact.
-	order := sched.order[:0]
-	needSort := false
-	for _, w := range sched.cands {
+	// Walk the kept pick list once. Priorities change only through
+	// orderGen, so a change during the walk takes effect at the next slot.
+	for _, w := range sched.order {
 		if w == last || w.finished || w.atBarrier {
 			continue
 		}
-		p := sm.policy.Priority(w)
-		rank := w.Seq
-		if rr {
-			max := sm.dev.Config.MaxWarpsPerSM
-			rank = (w.Widx - int(now)%max + max) % max
-		}
-		if n := len(order); n > 0 {
-			if prev := &order[n-1]; p < prev.p || (p == prev.p && rank < prev.rank) {
-				needSort = true
-			}
-		}
-		order = append(order, schedCand{w: w, p: p, rank: rank})
-	}
-	sched.order = order
-	if needSort {
-		for i := 1; i < len(order); i++ {
-			c := order[i]
-			j := i - 1
-			for j >= 0 && (order[j].p > c.p || (order[j].p == c.p && order[j].rank > c.rank)) {
-				order[j+1] = order[j]
-				j--
-			}
-			order[j+1] = c
-		}
-	}
-	for i := range order {
-		w := order[i].w
 		if w.blockedUntil > now {
 			// Scoreboard-blocked until a known future cycle: charge
 			// without re-decoding the instruction. The cached bound is
@@ -581,13 +601,15 @@ func (sm *SM) issueSlot(sched *scheduler, now int64) slotResult {
 
 // classifyIdleSlot attributes a slot that had no blocked candidate:
 // the SM is empty, every mapped live warp is parked at a barrier, or no
-// live warp maps to the scheduler at all.
+// live warp maps to the scheduler at all. A barrier slot is charged to
+// the oldest mapped warp at the barrier.
 func (sm *SM) classifyIdleSlot(sched *scheduler) slotResult {
 	if len(sm.warps) == 0 {
 		return slotResult{cause: CauseEmpty}
 	}
-	for _, w := range sched.cands {
-		if w.Finished() {
+	n := len(sm.schedulers)
+	for _, w := range sm.warps {
+		if w.Widx%n != sched.id || w.Finished() {
 			continue
 		}
 		if w.atBarrier {
@@ -655,7 +677,7 @@ func (sm *SM) tryIssue(w *Warp, now int64) issueOutcome {
 			sm.onWarpFinished(w)
 		}
 	default:
-		taken := sm.execute(w, in, pc, exec)
+		taken := sm.execute(w, in, exec)
 		lat := sm.dev.Timing.latency(in.Op)
 		w.markWrite(in, now+lat)
 		if isa.HasDst(in.Op) || in.Op == isa.OpSetp || in.Op == isa.OpSetpF {

@@ -1,7 +1,7 @@
 package sim
 
 import (
-	"sort"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -208,27 +208,112 @@ func TestGuardMask(t *testing.T) {
 	}
 }
 
-func TestEventHeap(t *testing.T) {
-	var h eventHeap
-	in := []int64{50, 10, 30, 20, 40, 10, 5, 70}
-	for _, v := range in {
-		h.push(v)
-	}
-	if len(h) != len(in) {
-		t.Fatalf("len = %d, want %d", len(h), len(in))
-	}
-	if h.min() != 5 {
-		t.Fatalf("min = %d, want 5", h.min())
-	}
-	want := append([]int64(nil), in...)
-	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-	for i, exp := range want {
-		if got := h.pop(); got != exp {
-			t.Fatalf("pop %d = %d, want %d", i, got, exp)
+func TestWheel(t *testing.T) {
+	for _, c := range []struct{ maxLat, span int64 }{{0, 64}, {63, 64}, {64, 128}, {400, 512}, {512, 1024}} {
+		if got := newWheel(c.maxLat).mask + 1; got != c.span {
+			t.Errorf("newWheel(%d) span = %d, want %d", c.maxLat, got, c.span)
 		}
 	}
-	if len(h) != 0 {
-		t.Fatalf("heap not drained: %v", h)
+
+	// Latencies above one bitmap word, drained in cycle order.
+	wh := newWheel(400)
+	for _, lat := range []int64{400, 70, 4, 70} {
+		wh.push(10 + lat)
+	}
+	for _, step := range []struct {
+		now       int64
+		expired   int
+		nextEvent int64
+	}{{10, 0, 14}, {14, 1, 80}, {79, 0, 80}, {100, 2, 410}, {410, 1, -1}} {
+		if n := wh.expire(step.now); n != step.expired {
+			t.Errorf("expire(%d) = %d, want %d", step.now, n, step.expired)
+		}
+		if got := wh.next(); got != step.nextEvent {
+			t.Errorf("after expire(%d): next = %d, want %d", step.now, got, step.nextEvent)
+		}
+	}
+
+	// A skip longer than the span expires everything exactly once.
+	wh = newWheel(100) // span 128
+	for _, t0 := range []int64{3, 50, 127, 130} {
+		wh.push(t0)
+	}
+	if n := wh.expire(10_000); n != 4 {
+		t.Errorf("expire past the span = %d, want 4", n)
+	}
+	if got := wh.next(); got != -1 {
+		t.Errorf("next after a full expire = %d, want -1", got)
+	}
+	wh.push(10_001 + 127)
+	if got := wh.next(); got != 10_128 {
+		t.Errorf("next after push = %d, want 10128", got)
+	}
+
+	// A push after a long sleep must not see stale slots: cycles 5 and 6
+	// alias slots of 901 and 902 and were never expired.
+	wh = newWheel(100)
+	wh.push(5)
+	wh.push(6)
+	wh.push(1000)
+	if got := wh.next(); got != 1000 {
+		t.Fatalf("next after aliasing push = %d, want 1000 (stale slot shadowed it)", got)
+	}
+	wh.push(901)
+	if got := wh.next(); got != 901 {
+		t.Errorf("next = %d, want 901", got)
+	}
+	if n := wh.expire(1000); n != 2 {
+		t.Errorf("expire(1000) = %d, want 2 (stale events dropped)", n)
+	}
+}
+
+// TestWheelMatchesMultiset drives a wheel the way an SM drives its
+// memory-completion wheel (expire through now, then push at now + a
+// latency in [1, maxLat]) across random sleeps, some longer than the
+// span, and checks every expire count and next event against a plain
+// list.
+func TestWheelMatchesMultiset(t *testing.T) {
+	const maxLat = 400
+	rng := rand.New(rand.NewSource(7))
+	wh := newWheel(maxLat)
+	var ref []int64
+	now := int64(0)
+	for step := 0; step < 20_000; step++ {
+		switch r := rng.Intn(100); {
+		case r < 2:
+			now += 512 + rng.Int63n(2000)
+		case r < 30:
+			now += 1 + rng.Int63n(64)
+		default:
+			now++
+		}
+		want := 0
+		live := ref[:0]
+		for _, e := range ref {
+			if e <= now {
+				want++
+			} else {
+				live = append(live, e)
+			}
+		}
+		ref = live
+		if got := wh.expire(now); got != want {
+			t.Fatalf("step %d: expire(%d) = %d, want %d", step, now, got, want)
+		}
+		for n := rng.Intn(4); n > 0; n-- {
+			e := now + 1 + rng.Int63n(maxLat)
+			wh.push(e)
+			ref = append(ref, e)
+		}
+		next := int64(-1)
+		for _, e := range ref {
+			if next < 0 || e < next {
+				next = e
+			}
+		}
+		if got := wh.next(); got != next {
+			t.Fatalf("step %d: next = %d, want %d", step, got, next)
+		}
 	}
 }
 
