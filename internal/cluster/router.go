@@ -295,6 +295,8 @@ func (r *Router) Submit(req service.SubmitRequest) (*Job, *service.ErrorBody) {
 // and the cluster.route_e2e_seconds histogram are already booked by the
 // Lifecycle, before Done closed.
 func (r *Router) finish(j *Job) {
+	// The table may forget the job once its finish is fully recorded.
+	defer r.jobs.Finished(j.ID)
 	state := j.State()
 	r.journal.Append(service.JournalRecord{Op: "finish", ID: j.ID, End: state})
 	accepted, _, _ := j.Times()

@@ -19,8 +19,12 @@ type SRP struct {
 	nw       int
 	sections int
 
-	warpStatus []bool  // Nw bits: warp has acquired its extended set
-	srpMask    []bool  // Nw bits: SRP section in use
+	// warpStatus and srpMask are Nw-bit bitmasks packed into 64-bit
+	// words (bit i of word i/64). free counts the usable sections whose
+	// srpMask bit is clear, so a failed acquire costs O(1).
+	warpStatus []uint64 // Nw bits: warp has acquired its extended set
+	srpMask    []uint64 // Nw bits: SRP section in use
+	free       int
 	lut        []uint8 // Nw entries × ceil(log2 Nw) bits: warp -> section
 
 	// Counters for the Figure 11/13 experiments.
@@ -41,24 +45,44 @@ func NewSRP(nw, sections int) *SRP {
 	if sections < 0 {
 		sections = 0
 	}
+	words := (nw + 63) / 64
 	s := &SRP{
 		nw:         nw,
 		sections:   sections,
-		warpStatus: make([]bool, nw),
-		srpMask:    make([]bool, nw),
+		warpStatus: make([]uint64, words),
+		srpMask:    make([]uint64, words),
+		free:       sections,
 		lut:        make([]uint8, nw),
 	}
-	for i := sections; i < nw; i++ {
-		s.srpMask[i] = true
+	// Bits past Nw in the last word are set too, so ffz never finds them.
+	for i := sections; i < words*64; i++ {
+		s.srpMask[i/64] |= 1 << uint(i%64)
 	}
 	return s
+}
+
+// busy reports whether section i's SRP-bitmask bit is set.
+func (s *SRP) busy(i int) bool { return s.srpMask[i/64]&(1<<uint(i%64)) != 0 }
+
+// setBusy sets or clears usable section i's SRP-bitmask bit, keeping the
+// free count in step.
+func (s *SRP) setBusy(i int, busy bool) {
+	if s.busy(i) == busy {
+		return
+	}
+	s.srpMask[i/64] ^= 1 << uint(i%64)
+	if busy {
+		s.free--
+	} else {
+		s.free++
+	}
 }
 
 // Sections returns the number of usable SRP sections.
 func (s *SRP) Sections() int { return s.sections }
 
 // Holding reports whether warp w currently holds an extended set.
-func (s *SRP) Holding(w int) bool { return s.warpStatus[w] }
+func (s *SRP) Holding(w int) bool { return s.warpStatus[w/64]&(1<<uint(w%64)) != 0 }
 
 // Section returns the SRP section warp w holds; only meaningful while
 // Holding(w) is true.
@@ -67,9 +91,9 @@ func (s *SRP) Section(w int) int { return int(s.lut[w]) }
 // ffz returns the index of the first zero bit, or -1 if none — the Find
 // First Zero operation of Figure 5(a).
 func (s *SRP) ffz() int {
-	for i, busy := range s.srpMask {
-		if !busy {
-			return i
+	for i, m := range s.srpMask {
+		if m != ^uint64(0) {
+			return i*64 + bits.TrailingZeros64(^m)
 		}
 	}
 	return -1
@@ -82,17 +106,17 @@ func (s *SRP) ffz() int {
 // must wait and retry at a later scheduling round.
 func (s *SRP) Acquire(w int) bool {
 	s.AcquireAttempts++
-	if s.warpStatus[w] {
+	if s.Holding(w) {
 		s.AcquireSuccesses++ // architectural no-op, does not stall
 		return true
 	}
-	loc := s.ffz()
-	if loc < 0 {
+	if s.free == 0 {
 		return false
 	}
+	loc := s.ffz()
 	s.lut[w] = uint8(loc)
-	s.srpMask[loc] = true
-	s.warpStatus[w] = true
+	s.setBusy(loc, true)
+	s.warpStatus[w/64] |= 1 << uint(w%64)
 	s.AcquireSuccesses++
 	return true
 }
@@ -100,24 +124,16 @@ func (s *SRP) Acquire(w int) bool {
 // Release implements Figure 5(b): clear the warp's status bit and free
 // its section. A redundant release (not holding) is a no-op.
 func (s *SRP) Release(w int) {
-	if !s.warpStatus[w] {
+	if !s.Holding(w) {
 		return
 	}
 	s.Releases++
-	s.warpStatus[w] = false
-	s.srpMask[s.lut[w]] = false
+	s.warpStatus[w/64] &^= 1 << uint(w%64)
+	s.setBusy(int(s.lut[w]), false)
 }
 
 // InUse returns the number of sections currently acquired.
-func (s *SRP) InUse() int {
-	n := 0
-	for i := 0; i < s.sections; i++ {
-		if s.srpMask[i] {
-			n++
-		}
-	}
-	return n
-}
+func (s *SRP) InUse() int { return s.sections - s.free }
 
 // CheckConservation validates the core allocator invariant: every busy
 // usable section is held by exactly one warp whose LUT entry points at it.
@@ -125,14 +141,14 @@ func (s *SRP) InUse() int {
 func (s *SRP) CheckConservation() error {
 	owners := make(map[int]int)
 	for w := 0; w < s.nw; w++ {
-		if !s.warpStatus[w] {
+		if !s.Holding(w) {
 			continue
 		}
 		sec := int(s.lut[w])
 		if sec >= s.sections {
 			return fmt.Errorf("core: warp %d holds out-of-range section %d", w, sec)
 		}
-		if !s.srpMask[sec] {
+		if !s.busy(sec) {
 			return fmt.Errorf("core: warp %d holds section %d whose SRP bit is clear", w, sec)
 		}
 		if prev, dup := owners[sec]; dup {
@@ -140,12 +156,16 @@ func (s *SRP) CheckConservation() error {
 		}
 		owners[sec] = w
 	}
+	clear := 0
 	for sec := 0; sec < s.sections; sec++ {
-		if s.srpMask[sec] {
-			if _, held := owners[sec]; !held {
-				return fmt.Errorf("core: section %d busy but unowned", sec)
-			}
+		if !s.busy(sec) {
+			clear++
+		} else if _, held := owners[sec]; !held {
+			return fmt.Errorf("core: section %d busy but unowned", sec)
 		}
+	}
+	if clear != s.free {
+		return fmt.Errorf("core: free count %d, but %d sections are clear", s.free, clear)
 	}
 	return nil
 }
@@ -156,7 +176,7 @@ func (s *SRP) CheckConservation() error {
 // catch as either a busy-but-unowned or held-but-clear section.
 func (s *SRP) FlipSection(i int) {
 	if i >= 0 && i < s.sections {
-		s.srpMask[i] = !s.srpMask[i]
+		s.setBusy(i, !s.busy(i))
 	}
 }
 

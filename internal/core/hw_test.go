@@ -187,3 +187,52 @@ func TestSRPConservationProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// The bitmasks span several 64-bit words past Nw = 64: sections are
+// handed out lowest-first across the word boundary, a full pool refuses
+// every further acquire, and a freed section in the second word is the
+// next one found.
+func TestSRPWordWide(t *testing.T) {
+	s := NewSRP(100, 70)
+	for w := 0; w < 70; w++ {
+		if !s.Acquire(w) || s.Section(w) != w {
+			t.Fatalf("warp %d: holding %v section %d, want section %d", w, s.Holding(w), s.Section(w), w)
+		}
+	}
+	for w := 70; w < 100; w++ {
+		if s.Acquire(w) {
+			t.Fatalf("warp %d acquired from a full pool", w)
+		}
+	}
+	s.Release(66)
+	if !s.Acquire(99) || s.Section(99) != 66 {
+		t.Errorf("warp 99: section %d, want the freed 66", s.Section(99))
+	}
+	if s.InUse() != 70 || s.AcquireAttempts != 101 || s.AcquireSuccesses != 71 {
+		t.Errorf("InUse %d attempts %d successes %d, want 70/101/71", s.InUse(), s.AcquireAttempts, s.AcquireSuccesses)
+	}
+	if err := s.CheckConservation(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A soft error flipped into the SRP bitmask keeps the free count in step
+// with the mask, so the flipped section is handed out again and the
+// conservation check reports the double ownership.
+func TestSRPFlipSectionCaught(t *testing.T) {
+	s := NewSRP(48, 2)
+	s.Acquire(3)
+	s.FlipSection(s.Section(3))
+	if s.InUse() != 0 {
+		t.Errorf("InUse = %d after clearing the only busy bit, want 0", s.InUse())
+	}
+	if err := s.CheckConservation(); err == nil {
+		t.Error("held-but-clear section not caught")
+	}
+	if !s.Acquire(5) || s.Section(5) != s.Section(3) {
+		t.Fatalf("warp 5: section %d, want the flipped %d", s.Section(5), s.Section(3))
+	}
+	if err := s.CheckConservation(); err == nil {
+		t.Error("doubly owned section not caught")
+	}
+}

@@ -110,7 +110,7 @@ func (m *Mux) RouteMetrics(refresh func()) {
 //	POST   /v1/jobs             submit (202; ?wait=1 blocks for the result,
 //	                            and a client disconnect while waiting
 //	                            cancels the job)
-//	GET    /v1/jobs             list all jobs
+//	GET    /v1/jobs             list the tracked jobs (JobTable retention)
 //	GET    /v1/jobs/{id}        job status + result
 //	DELETE /v1/jobs/{id}        cancel
 //	GET    /v1/jobs/{id}/events SSE event stream; every frame carries a

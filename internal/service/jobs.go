@@ -55,6 +55,14 @@ func jobNumber(prefix, id string) (int64, bool) {
 	return n, err == nil
 }
 
+// KeepTerminalJobs is how many terminal jobs a JobTable keeps for status
+// lookups, newest first by finish. Older terminal jobs are forgotten and
+// answer like unknown IDs; queued and running jobs are always kept. It
+// bounds a long-lived tier's memory, and the cost of every scan of the
+// table (readiness probes, scrape-time gauges), by the jobs in flight
+// rather than by every job the process has served.
+const KeepTerminalJobs = 256
+
 // JobTable is the ID-keyed job set a tier serves: it mints IDs
 // (prefix + six-digit number) past every journaled one, looks jobs up,
 // and counts what a drain still waits for.
@@ -63,6 +71,10 @@ type JobTable[J interface{ State() string }] struct {
 	mu     sync.Mutex
 	jobs   map[string]J
 	last   int64 // highest job number minted or journaled
+
+	// finished holds the kept terminal jobs' IDs in finish order,
+	// oldest first (Finished).
+	finished []string
 }
 
 // NewJobTable builds an empty table minting IDs under prefix.
@@ -118,6 +130,26 @@ func (t *JobTable[J]) Forget(id string) {
 	t.mu.Lock()
 	delete(t.jobs, id)
 	t.mu.Unlock()
+}
+
+// Finished records that job id reached a terminal state, and forgets the
+// oldest terminal jobs beyond the newest KeepTerminalJobs. An ID the
+// table does not hold (a refused job already forgotten) is ignored.
+func (t *JobTable[J]) Finished(id string) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if _, ok := t.jobs[id]; !ok {
+		return
+	}
+	t.finished = append(t.finished, id)
+	if n := len(t.finished) - KeepTerminalJobs; n > 0 {
+		for _, old := range t.finished[:n] {
+			delete(t.jobs, old)
+		}
+		// Reslicing drops the forgotten IDs; append reallocates with
+		// only the live ones once the capacity runs out.
+		t.finished = t.finished[n:]
+	}
 }
 
 // All snapshots every tracked job, in no particular order.

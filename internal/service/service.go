@@ -271,6 +271,8 @@ func (s *Service) Cancel(id string) (*Job, bool) {
 // log with the measured durations (the terminal transition already
 // booked the histograms).
 func (s *Service) finishRecord(j *Job) {
+	// The table may forget the job once its finish is fully recorded.
+	defer s.jobs.Finished(j.ID)
 	s.journal.Append(JournalRecord{Op: "finish", ID: j.ID, End: j.State()})
 	queueWait, run, e2e := j.spans()
 	if e2e <= 0 {

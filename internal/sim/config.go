@@ -12,8 +12,6 @@
 // paper measures; the scoreboard and memory pipeline impose the timing.
 package sim
 
-import "regmutex/internal/isa"
-
 // Timing holds the simulator's latency and structural parameters.
 // Values approximate the GTX480 model that ships with GPGPU-Sim; the
 // experiments depend on their ratios (global memory latency vs. ALU
@@ -104,22 +102,3 @@ func (t Timing) maxLatency() int64 {
 
 // MaxLatency is the exported form of maxLatency for the audit layer.
 func (t Timing) MaxLatency() int64 { return t.maxLatency() }
-
-// latency returns the issue-to-writeback latency for op.
-func (t Timing) latency(op isa.Opcode) int64 {
-	switch isa.ClassOf(op) {
-	case isa.ClassFP:
-		return t.FPLatency
-	case isa.ClassSFU:
-		return t.SFULatency
-	case isa.ClassMem:
-		switch op {
-		case isa.OpLdShared, isa.OpStShared:
-			return t.SharedLatency
-		default:
-			return t.GlobalLatency
-		}
-	default:
-		return t.ALULatency
-	}
-}

@@ -52,6 +52,23 @@ type Device struct {
 	// obs is the attached Observer (nil when detached); set via
 	// WithObserver so it sees the initial CTA wave.
 	obs Observer
+
+	// code caches each launched kernel's issue table (decodedOf).
+	code map[*isa.Kernel][]decoded
+}
+
+// decodedOf returns k's issue table, decoding k the first time one of its
+// CTAs launches.
+func (d *Device) decodedOf(k *isa.Kernel) []decoded {
+	code, ok := d.code[k]
+	if !ok {
+		if d.code == nil {
+			d.code = make(map[*isa.Kernel][]decoded)
+		}
+		code = decodeKernel(k, d.Timing)
+		d.code[k] = code
+	}
+	return code
 }
 
 // Sample is a point-in-time utilisation snapshot across the device.

@@ -10,28 +10,29 @@ import (
 // row is one architected register across a warp's lanes.
 type row = [isa.WarpSize]uint64
 
-// execute functionally performs instruction in for warp w over lanes in
+// execute functionally performs instruction dc for warp w over lanes in
 // exec (guard already applied). Branch-taken lanes are returned for
 // control-flow handling. Memory traffic goes through the SM's device.
 //
-// Each source operand resolves once to a register row (an immediate is
-// broadcast into one of the SM's scratch rows), the destination row
+// Each source operand resolves once to a register row or to its
+// pre-broadcast immediate row (decodeKernel), the destination row
 // resolves once, and the opcode switch runs once per warp instruction;
 // each case then loops over the set bits of exec.
-func (sm *SM) execute(w *Warp, in *isa.Instr, exec laneMask) (taken laneMask) {
+func (sm *SM) execute(w *Warp, dc *decoded, exec laneMask) (taken laneMask) {
+	in := dc.in
 	var a, b, c *row
-	switch isa.NumSrcs(in.Op) {
+	switch dc.nsrc {
 	case 3:
-		c = sm.source(w, in, 2)
+		c = dc.source(w, 2)
 		fallthrough
 	case 2:
-		b = sm.source(w, in, 1)
+		b = dc.source(w, 1)
 		fallthrough
 	case 1:
-		a = sm.source(w, in, 0)
+		a = dc.source(w, 0)
 	}
 	var d *row
-	if isa.HasDst(in.Op) {
+	if dc.flags&flagDst != 0 {
 		d = &w.regs[in.Dst]
 	}
 
@@ -47,7 +48,7 @@ func (sm *SM) execute(w *Warp, in *isa.Instr, exec laneMask) (taken laneMask) {
 		var v0, step uint64
 		switch in.Spec {
 		case isa.SpecTID:
-			v0, step = uint64(w.CTA.warpBase(w)*isa.WarpSize), 1
+			v0, step = uint64(w.ctaIdx*isa.WarpSize), 1
 		case isa.SpecNTID:
 			v0 = uint64(k.ThreadsPerCTA)
 		case isa.SpecCTAID:
@@ -57,7 +58,7 @@ func (sm *SM) execute(w *Warp, in *isa.Instr, exec laneMask) (taken laneMask) {
 		case isa.SpecLaneID:
 			step = 1
 		case isa.SpecWarpID:
-			v0 = uint64(w.CTA.warpBase(w))
+			v0 = uint64(w.ctaIdx)
 		}
 		for m := uint32(exec); m != 0; m &= m - 1 {
 			l := bits.TrailingZeros32(m)
@@ -178,20 +179,6 @@ func (sm *SM) execute(w *Warp, in *isa.Instr, exec laneMask) (taken laneMask) {
 		}
 	}
 	return taken
-}
-
-// source resolves source operand i of in: the register's row, or the
-// immediate broadcast into the SM's scratch row i.
-func (sm *SM) source(w *Warp, in *isa.Instr, i int) *row {
-	o := &in.Srcs[i]
-	if o.Kind != isa.OpndImm {
-		return &w.regs[o.Reg]
-	}
-	r := &sm.imm[i]
-	for l := range r {
-		r[l] = uint64(o.Imm)
-	}
-	return r
 }
 
 // un, bin and tern apply f lane-wise over the set bits of exec; unF and

@@ -223,7 +223,7 @@ type execFixture struct {
 func newExecFixture() execFixture {
 	k := &isa.Kernel{Name: "fixture", NumRegs: 5, NumPRegs: 2, ThreadsPerCTA: 64, GridCTAs: 4}
 	cta := &CTAState{ID: 3, kern: k, global: make([]uint64, 64), shared: make([]uint64, 16)}
-	cta.warps = []*Warp{newWarp(k, 0, 0, cta, 32), newWarp(k, 1, 1, cta, 32)}
+	cta.warps = []*Warp{newWarp(k, 0, 0, cta, 0, 32), newWarp(k, 1, 1, cta, 1, 32)}
 	w := cta.warps[1]
 	for i := range cta.global {
 		cta.global[i] = uint64(10*i + 1)
@@ -406,7 +406,7 @@ func TestExecuteEveryOpcodePartialMask(t *testing.T) {
 						}
 					}
 				}
-				taken := fx.sm.execute(w, &in, exec)
+				taken := fx.sm.execute(w, dec(in), exec)
 				name := op.String() + "/" + form.name
 				if op == isa.OpMovSpecial {
 					name += "/" + spec.String()

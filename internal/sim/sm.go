@@ -12,21 +12,13 @@ import (
 type CTAState struct {
 	ID     int
 	kern   *isa.Kernel
-	global []uint64 // the kernel's global memory
+	code   []decoded // kern's issue table, one entry per instruction
+	global []uint64  // the kernel's global memory
 	warps  []*Warp
 	shared []uint64
 
 	barWaiting int // warps currently parked at the barrier
 	doneWarps  int
-}
-
-func (c *CTAState) warpBase(w *Warp) int {
-	for i, x := range c.warps {
-		if x == w {
-			return i
-		}
-	}
-	return 0
 }
 
 func (c *CTAState) loadShared(addr int64) uint64 {
@@ -100,6 +92,15 @@ func (wh *wheel) expire(now int64) int {
 	if now < wh.base {
 		return 0
 	}
+	if now == wh.base {
+		// One cycle, the common step: clear its slot alone.
+		i := now & wh.mask
+		n := int(wh.counts[i])
+		wh.counts[i] = 0
+		wh.nz[i>>6] &^= 1 << uint(i&63)
+		wh.base++
+		return n
+	}
 	n := 0
 	end := min(now, wh.base+wh.mask) // one span past base covers every slot
 	for c := wh.base; c <= end; {
@@ -154,7 +155,17 @@ type scheduler struct {
 	order    []*Warp
 	orderGen uint64
 	orderAt  int64
+
+	// until is the walk's dense view of order: until[i] is order[i]'s
+	// walkUntil, so the walk skips parked and scoreboard-blocked warps
+	// without loading them. SM.syncWalk keeps it current wherever a
+	// warp's finished, atBarrier or blockedUntil changes.
+	until []int64
 }
+
+// parked marks a finished warp, or one waiting at a barrier, in a
+// scheduler's walk state: never a candidate, never charged.
+const parked = int64(math.MaxInt64)
 
 // rank is w's tiebreak within one priority: launch order (oldest
 // first), or under loose round-robin the slot index rotated by the
@@ -191,9 +202,24 @@ func (sched *scheduler) rebuildOrder(sm *SM, now int64) {
 		}
 		order[j+1] = w
 	}
-	sched.order = order
+	until := sched.until[:0]
+	for i, w := range order {
+		w.orderPos = i
+		until = append(until, w.walkUntil())
+	}
+	sched.order, sched.until = order, until
 	sched.orderGen = sm.orderGen
 	sched.orderAt = now
+}
+
+// syncWalk copies w's walk facts into its scheduler's dense walk state.
+// A warp launched since the scheduler's last rebuild has no entry yet;
+// the rebuild that adds it reads its facts.
+func (sm *SM) syncWalk(w *Warp) {
+	sched := &sm.schedulers[w.sched]
+	if i := w.orderPos; i < len(sched.order) && sched.order[i] == w {
+		sched.until[i] = w.walkUntil()
+	}
 }
 
 // slotResult is one scheduler slot's attribution for one cycle: the
@@ -285,10 +311,6 @@ type SM struct {
 	// end in SM order).
 	stores []pendingStore
 
-	// imm holds immediate source operands broadcast across the lanes, one
-	// row per source position (execute).
-	imm [3]row
-
 	// Stats.
 	issued        int64
 	acqRelIssued  int64 // ACQ/REL primitives among issued (differential runs subtract these)
@@ -311,8 +333,12 @@ func newSM(dev *Device, id int) *SM {
 	sm.slots = make([]bool, dev.Config.MaxWarpsPerSM)
 	sm.memComplete = newWheel(dev.Timing.MaxLatency())
 	sm.wakeups = newWheel(dev.Timing.MaxLatency())
-	for s := 0; s < dev.Config.SchedulersPerSM; s++ {
-		sm.schedulers = append(sm.schedulers, scheduler{id: s})
+	// Each scheduler's pick list holds at most its share of the slots.
+	nsched := dev.Config.SchedulersPerSM
+	per := (dev.Config.MaxWarpsPerSM + nsched - 1) / max(nsched, 1)
+	for s := 0; s < nsched; s++ {
+		sm.schedulers = append(sm.schedulers, scheduler{id: s,
+			order: make([]*Warp, 0, per), until: make([]int64, 0, per)})
 	}
 	return sm
 }
@@ -341,7 +367,7 @@ func (sm *SM) launchCTAOf(k *isa.Kernel, kidx, id int) {
 			sm.id, ErrNoWarpSlot, id, k.Name, sm.freeSlots(), k.WarpsPerCTA()))
 		return
 	}
-	cta := &CTAState{ID: id, kern: k, global: sm.dev.GlobalOf(kidx)}
+	cta := &CTAState{ID: id, kern: k, code: sm.dev.decodedOf(k), global: sm.dev.GlobalOf(kidx)}
 	if k.SharedMemWords > 0 {
 		cta.shared = make([]uint64, k.SharedMemWords)
 	}
@@ -355,7 +381,8 @@ func (sm *SM) launchCTAOf(k *isa.Kernel, kidx, id int) {
 		if widx < 0 {
 			return
 		}
-		w := newWarp(k, int(sm.dev.warpSeq), widx, cta, lanes)
+		w := newWarp(k, int(sm.dev.warpSeq), widx, cta, wi, lanes)
+		w.sched = widx % len(sm.schedulers)
 		sm.dev.warpSeq++
 		cta.warps = append(cta.warps, w)
 		sm.warps = append(sm.warps, w)
@@ -554,7 +581,13 @@ func (sm *SM) issueSlot(sched *scheduler, now int64) slotResult {
 	}
 	last := sched.last
 	charged := slotResult{cause: causeInvalid}
-	if last != nil {
+	switch {
+	case last == nil, last.atBarrier:
+		// Nothing to retry: tryIssue skips a warp at a barrier.
+	case last.blockedUntil > now:
+		// Known scoreboard-blocked, as in the walk below.
+		charged = slotResult{cause: CauseScoreboard, warp: last}
+	default:
 		out := sm.tryIssue(last, now)
 		if out == outIssued {
 			return slotResult{cause: CauseIssued, warp: last}
@@ -566,22 +599,31 @@ func (sm *SM) issueSlot(sched *scheduler, now int64) slotResult {
 	if sched.orderGen != sm.orderGen || (rr && sched.orderAt != now) {
 		sched.rebuildOrder(sm, now)
 	}
-	// Walk the kept pick list once. Priorities change only through
-	// orderGen, so a change during the walk takes effect at the next slot.
-	for _, w := range sched.order {
-		if w == last || w.finished || w.atBarrier {
+	lastPos := -1 // the greedy warp's walk entry, already tried above
+	if last != nil && last.orderPos < len(sched.order) && sched.order[last.orderPos] == last {
+		lastPos = last.orderPos
+	}
+	// Walk the kept pick list once, reading each warp's facts from the
+	// dense until array and loading only the warps it tries or charges.
+	// Priorities change only through orderGen, so a change during the
+	// walk takes effect at the next slot; until entries an attempt
+	// changes (a barrier released by a warp exit) are read as the walk
+	// reaches them.
+	for i, t := range sched.until {
+		if t == parked || i == lastPos {
 			continue
 		}
-		if w.blockedUntil > now {
+		if t > now {
 			// Scoreboard-blocked until a known future cycle: charge
 			// without re-decoding the instruction. The cached bound is
 			// conservative (fault injection only delays writebacks), so
 			// an expired bound is simply recomputed by tryIssue.
 			if charged.cause == causeInvalid {
-				charged = slotResult{cause: CauseScoreboard, warp: w}
+				charged = slotResult{cause: CauseScoreboard, warp: sched.order[i]}
 			}
 			continue
 		}
+		w := sched.order[i]
 		out := sm.tryIssue(w, now)
 		if out == outIssued {
 			sched.last = w
@@ -633,24 +675,20 @@ func (sm *SM) tryIssue(w *Warp, now int64) issueOutcome {
 		sm.onWarpFinished(w)
 		return outSkip
 	}
-	in := &w.CTA.kern.Instrs[pc]
+	dc := &w.CTA.code[pc]
+	in := dc.in
 
-	if t := w.scoreboardReadyAt(in); t > now {
+	if t := dc.readyAt(w); t > now {
 		w.blockedUntil = t
+		sm.syncWalk(w)
 		return outScoreboard
 	}
 	// Structural hazards.
-	switch isa.ClassOf(in.Op) {
-	case isa.ClassSFU:
-		if sm.sfuThisCycle >= sm.dev.Timing.SFUPortsPerSM {
-			return outSFU
-		}
-	case isa.ClassMem:
-		if in.Op == isa.OpLdGlobal || in.Op == isa.OpStGlobal {
-			if sm.memInFlight >= sm.dev.Timing.MaxInFlightMem {
-				return outMem
-			}
-		}
+	if dc.flags&flagSFU != 0 && sm.sfuThisCycle >= sm.dev.Timing.SFUPortsPerSM {
+		return outSFU
+	}
+	if dc.flags&flagGlobal != 0 && sm.memInFlight >= sm.dev.Timing.MaxInFlightMem {
+		return outMem
 	}
 	// Policy gate (acquire/release, OWF locks, RFV allocation).
 	if !sm.policy.TryIssue(w, in, now) {
@@ -677,15 +715,15 @@ func (sm *SM) tryIssue(w *Warp, now int64) issueOutcome {
 			sm.onWarpFinished(w)
 		}
 	default:
-		taken := sm.execute(w, in, exec)
-		lat := sm.dev.Timing.latency(in.Op)
-		w.markWrite(in, now+lat)
-		if isa.HasDst(in.Op) || in.Op == isa.OpSetp || in.Op == isa.OpSetpF {
-			sm.wakeups.push(now + lat)
+		taken := sm.execute(w, dc, exec)
+		ready := now + dc.lat
+		dc.markWrite(w, ready)
+		if dc.wakes() {
+			sm.wakeups.push(ready)
 		}
-		if in.Op == isa.OpLdGlobal || in.Op == isa.OpStGlobal {
+		if dc.flags&flagGlobal != 0 {
 			sm.memInFlight++
-			sm.memComplete.push(now + lat)
+			sm.memComplete.push(ready)
 		}
 		if in.Op == isa.OpBra {
 			// taken = guard-true lanes; everyone else in the active
@@ -694,23 +732,19 @@ func (sm *SM) tryIssue(w *Warp, now int64) issueOutcome {
 		} else {
 			w.advance(in, pc, active, 0)
 		}
-		if isa.ClassOf(in.Op) == isa.ClassSFU {
+		if dc.flags&flagSFU != 0 {
 			sm.sfuThisCycle++
 		}
 	}
 
 	// Register file traffic accounting (warp-row granularity, the unit
 	// the energy model charges).
-	for si := 0; si < isa.NumSrcs(in.Op); si++ {
-		if in.Srcs[si].Kind == isa.OpndReg {
-			sm.rfReads++
-		}
-	}
-	if isa.HasDst(in.Op) {
+	sm.rfReads += int64(dc.rfReads)
+	if dc.flags&flagDst != 0 {
 		sm.rfWrites++
 	}
 
-	if in.Op == isa.OpAcq || in.Op == isa.OpRel {
+	if dc.flags&flagAcqRel != 0 {
 		sm.acqRelIssued++
 	}
 	w.Issued++
@@ -725,10 +759,12 @@ func (sm *SM) tryIssue(w *Warp, now int64) issueOutcome {
 func (sm *SM) arriveBarrier(w *Warp) {
 	cta := w.CTA
 	w.atBarrier = true
+	sm.syncWalk(w)
 	cta.barWaiting++
 	if cta.barWaiting >= cta.liveWarps() {
 		for _, x := range cta.warps {
 			x.atBarrier = false
+			sm.syncWalk(x)
 		}
 		cta.barWaiting = 0
 	}
@@ -744,6 +780,7 @@ func (sm *SM) onWarpFinished(w *Warp) {
 	}
 	w.retired = true
 	w.finished = true
+	sm.syncWalk(w)
 	sm.warpsRetired++
 	sm.policy.OnWarpExit(w)
 	cta := w.CTA
@@ -754,6 +791,7 @@ func (sm *SM) onWarpFinished(w *Warp) {
 		for _, x := range cta.warps {
 			if !x.Finished() {
 				x.atBarrier = false
+				sm.syncWalk(x)
 			}
 		}
 		cta.barWaiting = 0

@@ -32,6 +32,7 @@ type Warp struct {
 	Seq     int // global launch order, for oldest-first scheduling
 	Widx    int // warp slot index within the SM (the paper's Widx)
 	CTA     *CTAState
+	ctaIdx  int // index within the CTA (%warpid; %tid is ctaIdx·32 + lane)
 	LaneCnt int // live threads (last warp of a CTA may be partial)
 
 	stack []stackEntry
@@ -57,6 +58,12 @@ type Warp struct {
 	// re-decoding until it expires, then recompute.
 	blockedUntil int64
 
+	// sched is the warp's scheduler (Widx mod SchedulersPerSM); orderPos
+	// is its index in that scheduler's pick list as of the list's last
+	// rebuild (SM.syncWalk).
+	sched    int
+	orderPos int
+
 	// snapIssued / snapEpoch are the forward-progress watchdog's per-warp
 	// snapshot (Issued as of the epoch tagged snapEpoch). Keeping them on
 	// the warp replaces the map the watchdog used to allocate per check.
@@ -76,11 +83,12 @@ type Warp struct {
 	Stalls StallBreakdown
 }
 
-func newWarp(k *isa.Kernel, seq, widx int, cta *CTAState, lanes int) *Warp {
+func newWarp(k *isa.Kernel, seq, widx int, cta *CTAState, idx, lanes int) *Warp {
 	w := &Warp{
 		Seq:       seq,
 		Widx:      widx,
 		CTA:       cta,
+		ctaIdx:    idx,
 		LaneCnt:   lanes,
 		stack:     []stackEntry{{pc: 0, rpc: -1, mask: maskFor(lanes)}},
 		regs:      make([][isa.WarpSize]uint64, k.NumRegs),
@@ -139,11 +147,9 @@ func (w *Warp) guardMask(in *isa.Instr, active laneMask) laneMask {
 		return active
 	}
 	var m laneMask
-	p := w.preds[in.Guard.Pred]
-	for l := 0; l < isa.WarpSize; l++ {
-		if active&(1<<uint(l)) == 0 {
-			continue
-		}
+	p := &w.preds[in.Guard.Pred]
+	for a := uint32(active); a != 0; a &= a - 1 {
+		l := bits.TrailingZeros32(a)
 		if p[l] != in.Guard.Neg {
 			m |= 1 << uint(l)
 		}
@@ -151,42 +157,13 @@ func (w *Warp) guardMask(in *isa.Instr, active laneMask) laneMask {
 	return m
 }
 
-// scoreboardReady reports whether the instruction's source and destination
-// registers have no pending writes at the given cycle.
-func (w *Warp) scoreboardReady(in *isa.Instr, now int64) bool {
-	return w.scoreboardReadyAt(in) <= now
-}
-
-// scoreboardReadyAt returns the earliest cycle at which every register
-// and predicate the instruction touches has no pending write — the value
-// the schedulers cache in blockedUntil to skip re-decoding blocked warps.
-func (w *Warp) scoreboardReadyAt(in *isa.Instr) int64 {
-	t := int64(0)
-	if isa.HasDst(in.Op) && w.regReady[in.Dst] > t {
-		t = w.regReady[in.Dst]
+// walkUntil is the warp's entry in its scheduler's dense pick state: parked
+// while finished or at a barrier, else the cached scoreboard bound.
+func (w *Warp) walkUntil() int64 {
+	if w.finished || w.atBarrier {
+		return parked
 	}
-	for s := 0; s < isa.NumSrcs(in.Op); s++ {
-		if in.Srcs[s].Kind == isa.OpndReg && w.regReady[in.Srcs[s].Reg] > t {
-			t = w.regReady[in.Srcs[s].Reg]
-		}
-	}
-	if (in.Op == isa.OpSetp || in.Op == isa.OpSetpF) && w.predReady[in.PDst] > t {
-		t = w.predReady[in.PDst]
-	}
-	if !in.Guard.Unguarded() && w.predReady[in.Guard.Pred] > t {
-		t = w.predReady[in.Guard.Pred]
-	}
-	return t
-}
-
-// markWrite records the writeback time of the instruction's destination.
-func (w *Warp) markWrite(in *isa.Instr, ready int64) {
-	if isa.HasDst(in.Op) {
-		w.regReady[in.Dst] = ready
-	}
-	if in.Op == isa.OpSetp || in.Op == isa.OpSetpF {
-		w.predReady[in.PDst] = ready
-	}
+	return w.blockedUntil
 }
 
 // advance moves control flow past the just-executed instruction.

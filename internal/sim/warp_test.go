@@ -10,7 +10,7 @@ import (
 
 func testWarp(lanes int) *Warp {
 	k := &isa.Kernel{NumRegs: 8, NumPRegs: 2}
-	return newWarp(k, 0, 0, &CTAState{}, lanes)
+	return newWarp(k, 0, 0, &CTAState{}, 0, lanes)
 }
 
 func TestMaskFor(t *testing.T) {
@@ -132,6 +132,11 @@ func TestSIMTExitInsideDivergence(t *testing.T) {
 	}
 }
 
+// dec decodes one instruction under the default timing.
+func dec(in isa.Instr) *decoded {
+	return &decodeKernel(&isa.Kernel{Instrs: []isa.Instr{in}}, DefaultTiming())[0]
+}
+
 func TestScoreboard(t *testing.T) {
 	w := testWarp(32)
 	write := isa.NewInstr(isa.OpIAdd)
@@ -139,29 +144,29 @@ func TestScoreboard(t *testing.T) {
 	write.Srcs[0] = isa.R(1)
 	write.Srcs[1] = isa.Imm(1)
 
-	if !w.scoreboardReady(&write, 0) {
+	if dec(write).readyAt(w) > 0 {
 		t.Fatal("fresh warp must be ready")
 	}
-	w.markWrite(&write, 100) // r3 busy until cycle 100
+	dec(write).markWrite(w, 100) // r3 busy until cycle 100
 
 	readR3 := isa.NewInstr(isa.OpMov)
 	readR3.Dst = 4
 	readR3.Srcs[0] = isa.R(3)
-	if w.scoreboardReady(&readR3, 50) {
+	if dec(readR3).readyAt(w) <= 50 {
 		t.Error("RAW hazard not detected")
 	}
-	if !w.scoreboardReady(&readR3, 100) {
+	if dec(readR3).readyAt(w) > 100 {
 		t.Error("ready at writeback time")
 	}
 	// WAW on r3 also blocks.
-	if w.scoreboardReady(&write, 50) {
+	if dec(write).readyAt(w) <= 50 {
 		t.Error("WAW hazard not detected")
 	}
 	// Unrelated registers unaffected.
 	other := isa.NewInstr(isa.OpMov)
 	other.Dst = 6
 	other.Srcs[0] = isa.R(1)
-	if !w.scoreboardReady(&other, 50) {
+	if dec(other).readyAt(w) > 50 {
 		t.Error("independent instruction blocked")
 	}
 }
@@ -172,16 +177,16 @@ func TestScoreboardPredicates(t *testing.T) {
 	setp.PDst = 1
 	setp.Srcs[0] = isa.R(0)
 	setp.Srcs[1] = isa.Imm(0)
-	w.markWrite(&setp, 40)
+	dec(setp).markWrite(w, 40)
 
 	guarded := isa.NewInstr(isa.OpMov)
 	guarded.Dst = 2
 	guarded.Srcs[0] = isa.Imm(1)
 	guarded.Guard = isa.Guard{Pred: 1}
-	if w.scoreboardReady(&guarded, 10) {
+	if dec(guarded).readyAt(w) <= 10 {
 		t.Error("guard predicate hazard not detected")
 	}
-	if !w.scoreboardReady(&guarded, 40) {
+	if dec(guarded).readyAt(w) > 40 {
 		t.Error("ready once the predicate lands")
 	}
 }
@@ -343,22 +348,23 @@ func TestSIMTLaneConservationProperty(t *testing.T) {
 
 func TestTimingLatencyTable(t *testing.T) {
 	tm := DefaultTiming()
-	if tm.latency(isa.OpIAdd) != tm.ALULatency {
+	lat := func(op isa.Opcode) int64 { return dec(isa.NewInstr(op)).lat }
+	if lat(isa.OpIAdd) != tm.ALULatency {
 		t.Error("ALU latency")
 	}
-	if tm.latency(isa.OpFFma) != tm.FPLatency {
+	if lat(isa.OpFFma) != tm.FPLatency {
 		t.Error("FP latency")
 	}
-	if tm.latency(isa.OpFSin) != tm.SFULatency {
+	if lat(isa.OpFSin) != tm.SFULatency {
 		t.Error("SFU latency")
 	}
-	if tm.latency(isa.OpLdGlobal) != tm.GlobalLatency {
+	if lat(isa.OpLdGlobal) != tm.GlobalLatency {
 		t.Error("global latency")
 	}
-	if tm.latency(isa.OpLdShared) != tm.SharedLatency {
+	if lat(isa.OpLdShared) != tm.SharedLatency {
 		t.Error("shared latency")
 	}
-	if tm.latency(isa.OpLdGlobal) <= tm.latency(isa.OpIAdd) {
+	if lat(isa.OpLdGlobal) <= lat(isa.OpIAdd) {
 		t.Error("memory must dominate ALU for latency hiding to matter")
 	}
 }
