@@ -54,13 +54,15 @@ quick:
 	$(GO) run ./cmd/paperbench -quick
 
 # Regenerate every table and figure at paper scale and require stdout to
-# match the committed paperbench_output.txt byte for byte (about 50 s on
+# match the committed paperbench_output.txt byte for byte (about 28 s on
 # 2 vCPUs). A change that moves a figure updates the golden in the same
 # diff; the paperbench footer goes to stderr, so it never enters the diff.
+# The output goes to a fresh mktemp file, so two runs on one host do not
+# overwrite each other's output.
 paper-golden:
-	$(GO) run ./cmd/paperbench > /tmp/paperbench-golden.txt
-	diff paperbench_output.txt /tmp/paperbench-golden.txt
-	rm -f /tmp/paperbench-golden.txt
+	@out=$$(mktemp); \
+	$(GO) run ./cmd/paperbench > $$out && diff paperbench_output.txt $$out; \
+	status=$$?; rm -f $$out; exit $$status
 
 # Capture a Chrome trace of one audited regmutex run and schema-check
 # the JSON; proves the gpusim -> Perfetto pipeline end to end.
@@ -100,18 +102,19 @@ load-smoke:
 # two report trees and require byte-identical FINDINGS/JSON (the
 # determinism contract), assert each spec's pinned verdict, and check
 # that -gate turns the designed-Refuted negative control (h4) into a
-# failing exit.
+# failing exit. The trees live under a fresh mktemp directory.
 hypo-smoke:
-	rm -rf /tmp/hypo-smoke-j1 /tmp/hypo-smoke-jN
-	$(GO) run ./cmd/hypo -j 1 -out /tmp/hypo-smoke-j1 examples/hypotheses
-	$(GO) run ./cmd/hypo -j 8 -out /tmp/hypo-smoke-jN examples/hypotheses
-	diff -r /tmp/hypo-smoke-j1 /tmp/hypo-smoke-jN
-	grep -q '^\*\*Status:\*\* Confirmed$$' /tmp/hypo-smoke-j1/h1-regmutex-pareto/FINDINGS.md
-	grep -q '^\*\*Status:\*\* Confirmed$$' /tmp/hypo-smoke-j1/h2-occupancy-cliff/FINDINGS.md
-	grep -q '^\*\*Status:\*\* Confirmed$$' /tmp/hypo-smoke-j1/h3-policy-equivalence/FINDINGS.md
-	grep -q '^\*\*Status:\*\* Refuted$$' /tmp/hypo-smoke-j1/h4-static-matches-regmutex/FINDINGS.md
-	! $(GO) run ./cmd/hypo -gate -out /tmp/hypo-smoke-jN examples/hypotheses
-	rm -rf /tmp/hypo-smoke-j1 /tmp/hypo-smoke-jN
+	@dir=$$(mktemp -d); \
+	( set -e; \
+	$(GO) run ./cmd/hypo -j 1 -out $$dir/j1 examples/hypotheses; \
+	$(GO) run ./cmd/hypo -j 8 -out $$dir/jN examples/hypotheses; \
+	diff -r $$dir/j1 $$dir/jN; \
+	grep -q '^\*\*Status:\*\* Confirmed$$' $$dir/j1/h1-regmutex-pareto/FINDINGS.md; \
+	grep -q '^\*\*Status:\*\* Confirmed$$' $$dir/j1/h2-occupancy-cliff/FINDINGS.md; \
+	grep -q '^\*\*Status:\*\* Confirmed$$' $$dir/j1/h3-policy-equivalence/FINDINGS.md; \
+	grep -q '^\*\*Status:\*\* Refuted$$' $$dir/j1/h4-static-matches-regmutex/FINDINGS.md; \
+	! $(GO) run ./cmd/hypo -gate -out $$dir/jN examples/hypotheses ); \
+	status=$$?; rm -rf $$dir; exit $$status
 
 # Climb the tiny 3-rung saturation ladder against a fresh loopback
 # daemon: live-drive each rung (any failed job aborts), calibrate the

@@ -245,26 +245,11 @@ func TestFleetTraceGolden(t *testing.T) {
 	// happen before any instance accepts); the failed placements must
 	// still show up below as attempt + failover spans.
 
-	// The merged Chrome trace validates and names both process lanes.
-	resp, err = http.Get(ts.URL + "/v1/traces/" + trace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chromeJSON, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err := obs.ValidateChromeTrace(bytes.NewReader(chromeJSON)); err != nil {
-		t.Fatalf("ValidateChromeTrace: %v\n%s", err, chromeJSON)
-	}
-	for _, want := range []string{`"router"`, "failover", "attempt", "run"} {
-		if !strings.Contains(string(chromeJSON), want) {
-			t.Fatalf("fleet trace missing %q:\n%s", want, chromeJSON)
-		}
-	}
-
 	// The raw merged spans carry the whole retry tree. The instance
-	// records its stream span when its SSE handler returns, which can
-	// be after the router's ?wait=1 reply, so poll (bounded) until all
-	// four instance stages have landed.
+	// records its queue and run spans in finishRecord and its stream
+	// span when its SSE handler returns; both can come after the
+	// router's ?wait=1 reply, so poll (bounded) until all four instance
+	// stages have landed.
 	instanceStages := []string{obs.StageAccept, obs.StageQueue, obs.StageRun, obs.StageStream}
 	var spans []obs.Span
 	for deadline := time.Now().Add(10 * time.Second); ; {
@@ -292,6 +277,23 @@ func TestFleetTraceGolden(t *testing.T) {
 			t.Fatalf("missing instance %s span after 10s: %+v", missing, spans)
 		}
 	}
+	// The merged Chrome trace validates and names both process lanes.
+	// It is fetched only after the poll has seen the run span.
+	resp, err = http.Get(ts.URL + "/v1/traces/" + trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chromeJSON, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err := obs.ValidateChromeTrace(bytes.NewReader(chromeJSON)); err != nil {
+		t.Fatalf("ValidateChromeTrace: %v\n%s", err, chromeJSON)
+	}
+	for _, want := range []string{`"router"`, "failover", "attempt", "run"} {
+		if !strings.Contains(string(chromeJSON), want) {
+			t.Fatalf("fleet trace missing %q:\n%s", want, chromeJSON)
+		}
+	}
+
 	count := map[string]int{}
 	var route obs.Span
 	var stageSum time.Duration

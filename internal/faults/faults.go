@@ -173,9 +173,7 @@ func (f *faultState) OnWarpExit(w *sim.Warp) {
 	f.inner.OnWarpExit(w)
 }
 
-func (f *faultState) OnCTALaunch(cta *sim.CTAState) { f.inner.OnCTALaunch(cta) }
-func (f *faultState) OnCTARetire(cta *sim.CTAState) { f.inner.OnCTARetire(cta) }
-func (f *faultState) Priority(w *sim.Warp) int      { return f.inner.Priority(w) }
+func (f *faultState) Priority(w *sim.Warp) int { return f.inner.Priority(w) }
 
 func (f *faultState) Counters() (uint64, uint64, uint64) { return f.inner.Counters() }
 

@@ -37,47 +37,45 @@ type Table1Row struct {
 }
 
 // Table1 reruns the |Es| selection heuristic for every workload on its
-// study machine and compares against the paper's Table I.
+// study machine and compares against the paper's Table I. It compiles
+// and simulates nothing, so a failed transform fails the whole table.
 func Table1(o Options) ([]Table1Row, error) {
 	o = o.normalize()
-	type pending struct {
-		w *workloads.Workload
-		k *isa.Kernel
-		f *runpool.Future
-	}
-	var pend []pending
-	for _, w := range workloads.All() {
-		w := w
+	set := workloads.All()
+	ks := make([]*isa.Kernel, len(set))
+	fs := make([]*runpool.Future, len(set))
+	for i, w := range set {
 		machine := occupancy.GTX480()
 		if !w.RegisterLimited {
 			machine = occupancy.GTX480Half()
 		}
 		k := w.Build(o.Scale)
+		ks[i] = k
 		key := fmt.Sprintf("transform|%016x|%+v", k.Fingerprint(), machine)
-		pend = append(pend, pending{w: w, k: k, f: o.Pool.SubmitKeyed(key, func() (any, error) {
+		fs[i] = o.Pool.SubmitKeyed(key, func() (any, error) {
 			res, err := core.Transform(k, core.Options{Config: machine})
 			if err != nil {
 				return nil, fmt.Errorf("table1 %s: %w", w.Name, err)
 			}
 			return res, nil
-		})})
+		})
 	}
-	var rows []Table1Row
-	for _, p := range pend {
-		v, err := p.f.Wait()
+	rows := make([]Table1Row, len(set))
+	for i, f := range fs {
+		v, err := f.Wait()
 		if err != nil {
 			return nil, err
 		}
-		res := v.(*core.Result)
+		w, k, res := set[i], ks[i], v.(*core.Result)
 		bs := res.Split.Bs
 		if res.Disabled() {
-			bs = p.k.AllocRegs()
+			bs = k.AllocRegs()
 		}
-		rows = append(rows, Table1Row{
-			Name: p.w.Name, Regs: p.k.NumRegs, RegsRounded: p.k.AllocRegs(),
-			Bs: bs, PaperRegs: p.w.PaperRegs, PaperBs: p.w.PaperBs,
-			Matches: bs == p.w.PaperBs,
-		})
+		rows[i] = Table1Row{
+			Name: w.Name, Regs: k.NumRegs, RegsRounded: k.AllocRegs(),
+			Bs: bs, PaperRegs: w.PaperRegs, PaperBs: w.PaperBs,
+			Matches: bs == w.PaperBs,
+		}
 	}
 	return rows, nil
 }
@@ -101,33 +99,21 @@ func PrintTable1(wr io.Writer, rows []Table1Row) {
 func Fig7(o Options) ([]AppResult, error) {
 	o = o.normalize()
 	cfg := o.machine(occupancy.GTX480())
-	type pending struct {
-		w        *workloads.Workload
-		base, rm Pending
-	}
-	var pend []pending
-	for _, w := range workloads.Fig7Set() {
+	set := fig7Set()
+	rows := make([][]Cell, len(set))
+	for i, w := range set {
 		spec := o.Spec(cfg, w, w.Build(o.Scale))
-		pend = append(pend, pending{
-			w:    w,
-			base: Submit(o.Ctx, spec, "static"),
-			rm:   Submit(o.Ctx, spec, "regmutex"),
-		})
+		rows[i] = []Cell{{spec, "static"}, {spec, "regmutex"}}
 	}
-	var out []AppResult
-	for _, p := range pend {
-		base, err := p.base.Wait(o.Ctx)
-		if err != nil {
-			out = append(out, AppResult{Name: p.w.Name, Err: err})
+	out := make([]AppResult, len(set))
+	for i, runs := range o.study(rows) {
+		if err := rowErr(runs); err != nil {
+			out[i] = AppResult{Name: set[i].Name, Err: err}
 			continue
 		}
-		rm, err := p.rm.Wait(o.Ctx)
-		if err != nil {
-			out = append(out, AppResult{Name: p.w.Name, Err: err})
-			continue
-		}
-		out = append(out, AppResult{
-			Name:           p.w.Name,
+		base, rm := runs[0], runs[1]
+		out[i] = AppResult{
+			Name:           set[i].Name,
 			BaselineCycles: base.Stats.Cycles,
 			Cycles:         rm.Stats.Cycles,
 			ReductionPct:   reductionPct(base.Stats.Cycles, rm.Stats.Cycles),
@@ -135,7 +121,7 @@ func Fig7(o Options) ([]AppResult, error) {
 			OccAfter:       rm.RegMutexOcc.Occupancy,
 			AcquireRate:    rm.Stats.AcquireSuccessRate(),
 			Split:          rm.Split,
-		})
+		}
 	}
 	return out, nil
 }
@@ -147,8 +133,7 @@ func PrintFig7(wr io.Writer, rows []AppResult) {
 		"application", "base cycles", "RM cycles", "red.%", "occ init", "occ RM", "acq ok%")
 	var reds []float64
 	for _, r := range rows {
-		if r.Err != nil {
-			fmt.Fprintf(wr, "%-16s %12s\n", r.Name, "ERR("+ErrKind(r.Err)+")")
+		if errRow(wr, r.Name, r.Err) {
 			continue
 		}
 		fmt.Fprintf(wr, "%-16s %12d %12d %8.1f%% %8.0f%% %8.0f%% %7.1f%%\n",
@@ -183,51 +168,32 @@ func Fig8(o Options) ([]Fig8Result, error) {
 	o = o.normalize()
 	full := o.machine(occupancy.GTX480())
 	half := o.machine(occupancy.GTX480Half())
-	type pending struct {
-		w                 *workloads.Workload
-		fullF, halfF, rmF Pending
-	}
-	var pend []pending
-	for _, w := range workloads.Fig8Set() {
+	set := fig8Set()
+	rows := make([][]Cell, len(set))
+	for i, w := range set {
 		k := w.Build(o.Scale)
 		halfSpec := o.Spec(half, w, k)
-		pend = append(pend, pending{
-			w:     w,
-			fullF: Submit(o.Ctx, o.Spec(full, w, k), "static"),
-			halfF: Submit(o.Ctx, halfSpec, "static"),
-			rmF:   Submit(o.Ctx, halfSpec, "regmutex"),
-		})
+		rows[i] = []Cell{{o.Spec(full, w, k), "static"}, {halfSpec, "static"}, {halfSpec, "regmutex"}}
 	}
-	var out []Fig8Result
-	for _, p := range pend {
-		fullRun, err := p.fullF.Wait(o.Ctx)
-		if err != nil {
-			out = append(out, Fig8Result{Name: p.w.Name, Err: err})
+	out := make([]Fig8Result, len(set))
+	for i, runs := range o.study(rows) {
+		if err := rowErr(runs); err != nil {
+			out[i] = Fig8Result{Name: set[i].Name, Err: err}
 			continue
 		}
-		halfRun, err := p.halfF.Wait(o.Ctx)
-		if err != nil {
-			out = append(out, Fig8Result{Name: p.w.Name, Err: err})
-			continue
-		}
-		rm, err := p.rmF.Wait(o.Ctx)
-		if err != nil {
-			out = append(out, Fig8Result{Name: p.w.Name, Err: err})
-			continue
-		}
-		fullCycles := fullRun.Stats.Cycles
-		out = append(out, Fig8Result{
-			Name:           p.w.Name,
+		fullCycles, halfCycles, rm := runs[0].Stats.Cycles, runs[1].Stats.Cycles, runs[2]
+		out[i] = Fig8Result{
+			Name:           set[i].Name,
 			FullRFCycles:   fullCycles,
-			HalfNoRMCycles: halfRun.Stats.Cycles,
+			HalfNoRMCycles: halfCycles,
 			HalfRMCycles:   rm.Stats.Cycles,
-			IncreaseNoRM:   increasePct(fullCycles, halfRun.Stats.Cycles),
+			IncreaseNoRM:   increasePct(fullCycles, halfCycles),
 			IncreaseRM:     increasePct(fullCycles, rm.Stats.Cycles),
 			OccHalfNoRM:    rm.BaselineOcc.Occupancy,
 			OccHalfRM:      rm.RegMutexOcc.Occupancy,
 			AcquireRate:    rm.Stats.AcquireSuccessRate(),
 			Split:          rm.Split,
-		})
+		}
 	}
 	return out, nil
 }
@@ -239,8 +205,7 @@ func PrintFig8(wr io.Writer, rows []Fig8Result) {
 		"application", "full cycles", "half noRM", "half RM", "inc noRM", "inc RM", "occ noRM", "occ RM")
 	var incNo, incRM []float64
 	for _, r := range rows {
-		if r.Err != nil {
-			fmt.Fprintf(wr, "%-16s %12s\n", r.Name, "ERR("+ErrKind(r.Err)+")")
+		if errRow(wr, r.Name, r.Err) {
 			continue
 		}
 		fmt.Fprintf(wr, "%-16s %12d %11d %11d %8.1f%% %8.1f%% %8.0f%% %8.0f%%\n",
@@ -260,21 +225,8 @@ type CmpResult struct {
 	RFV      int64
 	RegMutex int64
 	NoTech   int64 // only meaningful on the half-RF study
-	// Err is set when the reference baseline itself failed — there is
-	// nothing to compare against, so the whole row renders as ERR.
+	// Err marks a failed row; see AppResult.Err.
 	Err error
-	// TechErr records per-technique failures by column ("none", "owf",
-	// "rfv", "regmutex"); the row's other columns still render, so one
-	// wedged technique doesn't take down the sweep.
-	TechErr map[string]error
-}
-
-// setTechErr records one technique column's failure on the row.
-func (r *CmpResult) setTechErr(col string, err error) {
-	if r.TechErr == nil {
-		r.TechErr = map[string]error{}
-	}
-	r.TechErr[col] = err
 }
 
 // Fig9a compares OWF, RFV, and RegMutex on the baseline architecture over
@@ -282,7 +234,7 @@ func (r *CmpResult) setTechErr(col string, err error) {
 func Fig9a(o Options) ([]CmpResult, error) {
 	o = o.normalize()
 	cfg := o.machine(occupancy.GTX480())
-	return compareTechniques(o, cfg, cfg, workloads.Fig7Set())
+	return compareTechniques(o, cfg, cfg, fig7Set()), nil
 }
 
 // Fig9b repeats the comparison on the half-register-file machine, against
@@ -291,107 +243,71 @@ func Fig9b(o Options) ([]CmpResult, error) {
 	o = o.normalize()
 	full := o.machine(occupancy.GTX480())
 	half := o.machine(occupancy.GTX480Half())
-	return compareTechniques(o, full, half, workloads.Fig8Set())
+	return compareTechniques(o, full, half, fig8Set()), nil
 }
 
-func compareTechniques(o Options, refCfg, runCfg occupancy.Config, set []*workloads.Workload) ([]CmpResult, error) {
-	type pending struct {
-		w                         *workloads.Workload
-		ref, noTech, rm, owf, rfv Pending
-		hasNoTech                 bool
-	}
-	var pend []pending
-	for _, w := range set {
+// compareTechniques runs static on refCfg and regmutex, owf and rfv on
+// runCfg; when the machines differ it adds static on runCfg (the
+// "none" column).
+func compareTechniques(o Options, refCfg, runCfg occupancy.Config, set []*workloads.Workload) []CmpResult {
+	rows := make([][]Cell, len(set))
+	for i, w := range set {
 		k := w.Build(o.Scale)
 		spec := o.Spec(runCfg, w, k)
-		p := pending{
-			w:   w,
-			ref: Submit(o.Ctx, o.Spec(refCfg, w, k), "static"),
-			rm:  Submit(o.Ctx, spec, "regmutex"),
-			owf: Submit(o.Ctx, spec, "owf"),
-			rfv: Submit(o.Ctx, spec, "rfv"),
-		}
+		rows[i] = []Cell{{o.Spec(refCfg, w, k), "static"}, {spec, "regmutex"}, {spec, "owf"}, {spec, "rfv"}}
 		if refCfg.Name != runCfg.Name {
-			p.noTech = Submit(o.Ctx, spec, "static")
-			p.hasNoTech = true
+			rows[i] = append(rows[i], Cell{spec, "static"})
 		}
-		pend = append(pend, p)
 	}
-	var out []CmpResult
-	for _, p := range pend {
-		r := CmpResult{Name: p.w.Name}
-		ref, err := p.ref.Wait(o.Ctx)
-		if err != nil {
-			r.Err = err
-			out = append(out, r)
+	out := make([]CmpResult, len(set))
+	for i, runs := range o.study(rows) {
+		out[i] = CmpResult{Name: set[i].Name, Err: rowErr(runs)}
+		if out[i].Err != nil {
 			continue
 		}
-		r.Baseline = ref.Stats.Cycles
-		// cell fills one technique column, or records its failure.
-		cell := func(f Pending, col string, cycles *int64) {
-			if run, err := f.Wait(o.Ctx); err != nil {
-				r.setTechErr(col, err)
-			} else {
-				*cycles = run.Stats.Cycles
-			}
+		out[i].Baseline, out[i].RegMutex = runs[0].Stats.Cycles, runs[1].Stats.Cycles
+		out[i].OWF, out[i].RFV = runs[2].Stats.Cycles, runs[3].Stats.Cycles
+		if len(runs) == 5 {
+			out[i].NoTech = runs[4].Stats.Cycles
 		}
-		if p.hasNoTech {
-			cell(p.noTech, "none", &r.NoTech)
-		}
-		cell(p.rm, "regmutex", &r.RegMutex)
-		cell(p.owf, "owf", &r.OWF)
-		cell(p.rfv, "rfv", &r.RFV)
-		out = append(out, r)
 	}
-	return out, nil
-}
-
-// pctCell renders one technique cell: the percentage when the run
-// succeeded (also accumulated into acc for the average line), or
-// ERR(<kind>) when it failed.
-func pctCell(base, v int64, err error, f func(int64, int64) float64, acc *[]float64) string {
-	if err != nil {
-		return "ERR(" + ErrKind(err) + ")"
-	}
-	x := f(base, v)
-	*acc = append(*acc, x)
-	return fmt.Sprintf("%.1f%%", x)
+	return out
 }
 
 // PrintFig9 renders either comparison figure.
 func PrintFig9(wr io.Writer, rows []CmpResult, half bool) {
+	title, f := "Figure 9a: technique comparison on the baseline (cycle reduction)", reductionPct
+	cols, paper := []string{"OWF", "RFV", "RegMutex"}, "1.9/16.2/12.8"
 	if half {
-		section(wr, "Figure 9b: technique comparison, half-size RF (increase vs full-RF baseline)")
-		fmt.Fprintf(wr, "%-16s %10s %9s %9s %9s %9s\n", "application", "base", "none", "OWF", "RFV", "RegMutex")
-		var n, ow, rf, rm []float64
-		for _, r := range rows {
-			if r.Err != nil {
-				fmt.Fprintf(wr, "%-16s %10s\n", r.Name, "ERR("+ErrKind(r.Err)+")")
-				continue
-			}
-			fmt.Fprintf(wr, "%-16s %10d %9s %9s %9s %9s\n", r.Name, r.Baseline,
-				pctCell(r.Baseline, r.NoTech, r.TechErr["none"], increasePct, &n),
-				pctCell(r.Baseline, r.OWF, r.TechErr["owf"], increasePct, &ow),
-				pctCell(r.Baseline, r.RFV, r.TechErr["rfv"], increasePct, &rf),
-				pctCell(r.Baseline, r.RegMutex, r.TechErr["regmutex"], increasePct, &rm))
-		}
-		fmt.Fprintf(wr, "%-16s %10s %8.1f%% %8.1f%% %8.1f%% %8.1f%%  (paper: 22.9/20.6/5.9/10.8)\n",
-			"average", "", mean(n), mean(ow), mean(rf), mean(rm))
-		return
+		title, f = "Figure 9b: technique comparison, half-size RF (increase vs full-RF baseline)", increasePct
+		cols, paper = append([]string{"none"}, cols...), "22.9/20.6/5.9/10.8"
 	}
-	section(wr, "Figure 9a: technique comparison on the baseline (cycle reduction)")
-	fmt.Fprintf(wr, "%-16s %10s %9s %9s %9s\n", "application", "base", "OWF", "RFV", "RegMutex")
-	var ow, rf, rm []float64
+	section(wr, title)
+	fmt.Fprintf(wr, "%-16s %10s", "application", "base")
+	for _, c := range cols {
+		fmt.Fprintf(wr, " %9s", c)
+	}
+	fmt.Fprintln(wr)
+	avgs := make([][]float64, len(cols))
 	for _, r := range rows {
-		if r.Err != nil {
-			fmt.Fprintf(wr, "%-16s %10s\n", r.Name, "ERR("+ErrKind(r.Err)+")")
+		if errRow(wr, r.Name, r.Err) {
 			continue
 		}
-		fmt.Fprintf(wr, "%-16s %10d %9s %9s %9s\n", r.Name, r.Baseline,
-			pctCell(r.Baseline, r.OWF, r.TechErr["owf"], reductionPct, &ow),
-			pctCell(r.Baseline, r.RFV, r.TechErr["rfv"], reductionPct, &rf),
-			pctCell(r.Baseline, r.RegMutex, r.TechErr["regmutex"], reductionPct, &rm))
+		vals := []int64{r.OWF, r.RFV, r.RegMutex}
+		if half {
+			vals = append([]int64{r.NoTech}, vals...)
+		}
+		fmt.Fprintf(wr, "%-16s %10d", r.Name, r.Baseline)
+		for j, v := range vals {
+			x := f(r.Baseline, v)
+			avgs[j] = append(avgs[j], x)
+			fmt.Fprintf(wr, " %9s", fmt.Sprintf("%.1f%%", x))
+		}
+		fmt.Fprintln(wr)
 	}
-	fmt.Fprintf(wr, "%-16s %10s %8.1f%% %8.1f%% %8.1f%%  (paper: 1.9/16.2/12.8)\n",
-		"average", "", mean(ow), mean(rf), mean(rm))
+	fmt.Fprintf(wr, "%-16s %10s", "average", "")
+	for _, a := range avgs {
+		fmt.Fprintf(wr, " %8.1f%%", mean(a))
+	}
+	fmt.Fprintf(wr, "  (paper: %s)\n", paper)
 }

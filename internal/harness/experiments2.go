@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"regmutex/internal/core"
-	"regmutex/internal/isa"
 	"regmutex/internal/occupancy"
 	"regmutex/internal/workloads"
 )
@@ -27,57 +26,51 @@ type EsPoint struct {
 type EsSweepRow struct {
 	Name        string
 	HeuristicEs int
-	Points      map[int]*EsPoint // nil entry: configuration infeasible
+	Points      map[int]*EsPoint // no entry: configuration infeasible
+	// Err marks a failed static baseline; see AppResult.Err.
+	Err error
 }
 
 // EsSweep manually sets |Es| to each sweep value for the register-limited
 // applications and measures cycle reduction, theoretical occupancy, and
-// the successful-acquire ratio.
+// the successful-acquire ratio. Only a failed baseline fails a row: a
+// failed |Es| point is an infeasible configuration (deadlock rules,
+// compaction) and prints as n/a.
 func EsSweep(o Options) ([]EsSweepRow, error) {
 	o = o.normalize()
 	cfg := o.machine(occupancy.GTX480())
-	type pending struct {
-		w    *workloads.Workload
-		heur *core.Result
-		base Pending
-		es   map[int]Pending
-	}
-	var pend []pending
-	for _, w := range workloads.Fig7Set() {
+	set := fig7Set()
+	out := make([]EsSweepRow, len(set))
+	rows := make([][]Cell, len(set))
+	for i, w := range set {
 		k := w.Build(o.Scale)
 		heur, err := core.Transform(k, core.Options{Config: cfg})
 		if err != nil {
 			return nil, err
 		}
+		out[i] = EsSweepRow{Name: w.Name, HeuristicEs: heur.Split.Es, Points: map[int]*EsPoint{}}
 		spec := o.Spec(cfg, w, k)
-		p := pending{w: w, heur: heur, base: Submit(o.Ctx, spec, "static"), es: map[int]Pending{}}
+		rows[i] = []Cell{{spec, "static"}}
 		for _, es := range SweepEsValues {
 			spec.ForceEs = es
-			p.es[es] = Submit(o.Ctx, spec, "regmutex")
+			rows[i] = append(rows[i], Cell{spec, "regmutex"})
 		}
-		pend = append(pend, p)
 	}
-	var out []EsSweepRow
-	for _, p := range pend {
-		base, err := p.base.Wait(o.Ctx)
-		if err != nil {
-			return nil, err
+	for i, runs := range o.study(rows) {
+		base := runs[0]
+		if out[i].Err = base.Err; base.Err != nil {
+			continue
 		}
-		row := EsSweepRow{Name: p.w.Name, HeuristicEs: p.heur.Split.Es, Points: map[int]*EsPoint{}}
-		for _, es := range SweepEsValues {
-			rm, err := p.es[es].Wait(o.Ctx)
-			if err != nil {
-				row.Points[es] = nil // infeasible (deadlock rules, compaction)
-				continue
-			}
-			row.Points[es] = &EsPoint{
-				ReductionPct: reductionPct(base.Stats.Cycles, rm.Stats.Cycles),
-				Occupancy:    rm.RegMutexOcc.Occupancy,
-				AcquireRate:  rm.Stats.AcquireSuccessRate(),
-				Sections:     rm.Split.Sections,
+		for j, es := range SweepEsValues {
+			if rm := runs[j+1]; rm.Err == nil {
+				out[i].Points[es] = &EsPoint{
+					ReductionPct: reductionPct(base.Stats.Cycles, rm.Stats.Cycles),
+					Occupancy:    rm.RegMutexOcc.Occupancy,
+					AcquireRate:  rm.Stats.AcquireSuccessRate(),
+					Sections:     rm.Split.Sections,
+				}
 			}
 		}
-		out = append(out, row)
 	}
 	return out, nil
 }
@@ -103,6 +96,9 @@ func printSweep(wr io.Writer, rows []EsSweepRow, cell func(*EsPoint) string) {
 	}
 	fmt.Fprintln(wr)
 	for _, r := range rows {
+		if errRow(wr, r.Name, r.Err) {
+			continue
+		}
 		fmt.Fprintf(wr, "%-16s", r.Name)
 		for _, es := range SweepEsValues {
 			p := r.Points[es]
@@ -129,6 +125,8 @@ type PairedResult struct {
 	PairedOcc      float64
 	DefaultRate    float64 // acquire success, default RegMutex
 	PairedRate     float64 // acquire success, paired
+	// Err marks a failed row; see AppResult.Err.
+	Err error
 }
 
 // Fig12a evaluates the paired-warps specialisation on the baseline
@@ -136,7 +134,7 @@ type PairedResult struct {
 func Fig12a(o Options) ([]PairedResult, error) {
 	o = o.normalize()
 	cfg := o.machine(occupancy.GTX480())
-	return pairedStudy(o, cfg, cfg, workloads.Fig7Set())
+	return pairedStudy(o, cfg, cfg, fig7Set()), nil
 }
 
 // Fig12b evaluates it on the half-size register file over the Figure 8
@@ -145,55 +143,37 @@ func Fig12b(o Options) ([]PairedResult, error) {
 	o = o.normalize()
 	full := o.machine(occupancy.GTX480())
 	half := o.machine(occupancy.GTX480Half())
-	return pairedStudy(o, full, half, workloads.Fig8Set())
+	return pairedStudy(o, full, half, fig8Set()), nil
 }
 
-func pairedStudy(o Options, refCfg, runCfg occupancy.Config, set []*workloads.Workload) ([]PairedResult, error) {
-	type pending struct {
-		w             *workloads.Workload
-		k             *isa.Kernel
-		ref, rm, pair Pending
-	}
-	var pend []pending
-	for _, w := range set {
+func pairedStudy(o Options, refCfg, runCfg occupancy.Config, set []*workloads.Workload) []PairedResult {
+	rows := make([][]Cell, len(set))
+	for i, w := range set {
 		k := w.Build(o.Scale)
 		spec := o.Spec(runCfg, w, k)
-		pend = append(pend, pending{
-			w:    w,
-			k:    k,
-			ref:  Submit(o.Ctx, o.Spec(refCfg, w, k), "static"),
-			rm:   Submit(o.Ctx, spec, "regmutex"),
-			pair: Submit(o.Ctx, spec, "paired"),
-		})
+		rows[i] = []Cell{{o.Spec(refCfg, w, k), "static"}, {spec, "regmutex"}, {spec, "paired"}}
 	}
-	var out []PairedResult
-	for _, p := range pend {
-		ref, err := p.ref.Wait(o.Ctx)
-		if err != nil {
-			return nil, err
+	out := make([]PairedResult, len(set))
+	for i, runs := range o.study(rows) {
+		if err := rowErr(runs); err != nil {
+			out[i] = PairedResult{Name: set[i].Name, Err: err}
+			continue
 		}
-		def, err := p.rm.Wait(o.Ctx)
-		if err != nil {
-			return nil, err
-		}
-		pair, err := p.pair.Wait(o.Ctx)
-		if err != nil {
-			return nil, err
-		}
+		ref, def, pair := runs[0], runs[1], runs[2]
 		// The transform keeps the CTA shape, so the source kernel prices
 		// the paired occupancy.
-		occ := occupancy.PairedPairs(runCfg, p.k, def.Split.Bs, def.Split.Es)
-		out = append(out, PairedResult{
-			Name:           p.w.Name,
+		occ := occupancy.PairedPairs(runCfg, rows[i][1].Spec.Kernel, def.Split.Bs, def.Split.Es)
+		out[i] = PairedResult{
+			Name:           set[i].Name,
 			BaselineCycles: ref.Stats.Cycles,
 			DefaultCycles:  def.Stats.Cycles,
 			PairedCycles:   pair.Stats.Cycles,
 			PairedOcc:      occ.Occupancy,
 			DefaultRate:    def.Stats.AcquireSuccessRate(),
 			PairedRate:     pair.Stats.AcquireSuccessRate(),
-		})
+		}
 	}
-	return out, nil
+	return out
 }
 
 // PrintFig12 renders the paired-warps performance figures.
@@ -207,6 +187,9 @@ func PrintFig12(wr io.Writer, rows []PairedResult, half bool) {
 		"application", "base cycles", "default RM", "paired", "metric", "pair occ")
 	var def, pair []float64
 	for _, r := range rows {
+		if errRow(wr, r.Name, r.Err) {
+			continue
+		}
 		var md, mp float64
 		if half {
 			md, mp = increasePct(r.BaselineCycles, r.DefaultCycles), increasePct(r.BaselineCycles, r.PairedCycles)
@@ -233,6 +216,8 @@ type Fig13Row struct {
 	HalfRF      bool
 	DefaultRate float64
 	PairedRate  float64
+	// Err marks a failed row; see AppResult.Err.
+	Err error
 }
 
 // Fig13 measures the acquire-instruction success rate with and without
@@ -240,39 +225,24 @@ type Fig13Row struct {
 // register-limited eight on the baseline, the rest on the half-size RF.
 func Fig13(o Options) ([]Fig13Row, error) {
 	o = o.normalize()
-	type pending struct {
-		w        *workloads.Workload
-		half     bool
-		rm, pair Pending
+	set7 := fig7Set()
+	set := append(set7[:len(set7):len(set7)], fig8Set()...)
+	rows := make([][]Cell, len(set))
+	for i, w := range set {
+		cfg := o.machine(occupancy.GTX480())
+		if i >= len(set7) {
+			cfg = o.machine(occupancy.GTX480Half())
+		}
+		spec := o.Spec(cfg, w, w.Build(o.Scale))
+		rows[i] = []Cell{{spec, "regmutex"}, {spec, "paired"}}
 	}
-	var pend []pending
-	submit := func(set []*workloads.Workload, cfg occupancy.Config, half bool) {
-		for _, w := range set {
-			spec := o.Spec(cfg, w, w.Build(o.Scale))
-			pend = append(pend, pending{
-				w: w, half: half,
-				rm:   Submit(o.Ctx, spec, "regmutex"),
-				pair: Submit(o.Ctx, spec, "paired"),
-			})
+	out := make([]Fig13Row, len(set))
+	for i, runs := range o.study(rows) {
+		out[i] = Fig13Row{Name: set[i].Name, HalfRF: i >= len(set7), Err: rowErr(runs)}
+		if out[i].Err == nil {
+			out[i].DefaultRate = runs[0].Stats.AcquireSuccessRate()
+			out[i].PairedRate = runs[1].Stats.AcquireSuccessRate()
 		}
-	}
-	submit(workloads.Fig7Set(), o.machine(occupancy.GTX480()), false)
-	submit(workloads.Fig8Set(), o.machine(occupancy.GTX480Half()), true)
-	var out []Fig13Row
-	for _, p := range pend {
-		def, err := p.rm.Wait(o.Ctx)
-		if err != nil {
-			return nil, err
-		}
-		pair, err := p.pair.Wait(o.Ctx)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, Fig13Row{
-			Name: p.w.Name, HalfRF: p.half,
-			DefaultRate: def.Stats.AcquireSuccessRate(),
-			PairedRate:  pair.Stats.AcquireSuccessRate(),
-		})
 	}
 	sort.SliceStable(out, func(i, j int) bool {
 		if out[i].HalfRF != out[j].HalfRF {
@@ -288,6 +258,9 @@ func PrintFig13(wr io.Writer, rows []Fig13Row) {
 	section(wr, "Figure 13: acquire success rate, default RegMutex vs paired-warps")
 	fmt.Fprintf(wr, "%-16s %9s %12s %12s\n", "application", "machine", "default", "paired")
 	for _, r := range rows {
+		if errRow(wr, r.Name, r.Err) {
+			continue
+		}
 		m := "full RF"
 		if r.HalfRF {
 			m = "half RF"

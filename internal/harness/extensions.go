@@ -6,7 +6,6 @@ import (
 
 	"regmutex/internal/energy"
 	"regmutex/internal/occupancy"
-	"regmutex/internal/workloads"
 )
 
 // EnergyRow quantifies the paper's performance-per-dollar argument for
@@ -24,6 +23,9 @@ type EnergyRow struct {
 	EnergySavePct float64 // RF energy saved by halving + RegMutex
 	CycleCostPct  float64 // cycles paid for it
 	EDPSavePct    float64 // energy-delay product improvement
+
+	// Err marks a failed row; see AppResult.Err.
+	Err error
 }
 
 // Energy runs the Figure 8 set on the full-size register file (static)
@@ -37,34 +39,21 @@ func Energy(o Options) ([]EnergyRow, error) {
 	full := o.machine(occupancy.GTX480())
 	half := o.machine(occupancy.GTX480Half())
 	model := energy.DefaultModel()
-
-	type pending struct {
-		w        *workloads.Workload
-		full, rm Pending
-	}
-	var pend []pending
-	for _, w := range workloads.Fig8Set() {
+	set := fig8Set()
+	rows := make([][]Cell, len(set))
+	for i, w := range set {
 		k := w.Build(o.Scale)
-		pend = append(pend, pending{
-			w:    w,
-			full: Submit(o.Ctx, o.Spec(full, w, k), "static"),
-			rm:   Submit(o.Ctx, o.Spec(half, w, k), "regmutex"),
-		})
+		rows[i] = []Cell{{o.Spec(full, w, k), "static"}, {o.Spec(half, w, k), "regmutex"}}
 	}
-	var out []EnergyRow
-	for _, p := range pend {
-		w := p.w
-		fullRun, err := p.full.Wait(o.Ctx)
-		if err != nil {
-			return nil, err
+	out := make([]EnergyRow, len(set))
+	for i, runs := range o.study(rows) {
+		if err := rowErr(runs); err != nil {
+			out[i] = EnergyRow{Name: set[i].Name, Err: err}
+			continue
 		}
-		rmRun, err := p.rm.Wait(o.Ctx)
-		if err != nil {
-			return nil, err
-		}
-		fullSt, rmSt := fullRun.Stats, rmRun.Stats
+		fullSt, rmSt := runs[0].Stats, runs[1].Stats
 		row := EnergyRow{
-			Name:       w.Name,
+			Name:       set[i].Name,
 			FullCycles: fullSt.Cycles,
 			HalfCycles: rmSt.Cycles,
 			FullRF:     model.Estimate(full, fullSt),
@@ -75,7 +64,7 @@ func Energy(o Options) ([]EnergyRow, error) {
 		if row.FullRF.EDP > 0 {
 			row.EDPSavePct = 100 * (1 - row.HalfRF.EDP/row.FullRF.EDP)
 		}
-		out = append(out, row)
+		out[i] = row
 	}
 	return out, nil
 }
@@ -87,6 +76,9 @@ func PrintEnergy(wr io.Writer, rows []EnergyRow) {
 		"application", "full RF uJ", "half+RM uJ", "E save", "cycle cost", "EDP save")
 	var es, cs, eds []float64
 	for _, r := range rows {
+		if errRow(wr, r.Name, r.Err) {
+			continue
+		}
 		fmt.Fprintf(wr, "%-16s %12.1f %12.1f %9.1f%% %9.1f%% %9.1f%%\n",
 			r.Name, r.FullRF.TotalUJ, r.HalfRF.TotalUJ,
 			r.EnergySavePct, r.CycleCostPct, r.EDPSavePct)
@@ -108,6 +100,8 @@ type GeneralityRow struct {
 	OccAfter       float64
 	Bs, Es         int
 	Disabled       bool
+	// Err marks a failed row; see AppResult.Err.
+	Err error
 }
 
 // Generality reruns the RegMutex pipeline on a Kepler-class machine (K20:
@@ -120,34 +114,24 @@ type GeneralityRow struct {
 func Generality(o Options) ([]GeneralityRow, error) {
 	o = o.normalize()
 	cfg := o.machine(occupancy.K20())
-	type pending struct {
-		w        *workloads.Workload
-		base, rm Pending
-	}
-	var pend []pending
-	for _, w := range workloads.All() {
+	set := allSet()
+	rows := make([][]Cell, len(set))
+	for i, w := range set {
 		k := w.Build(o.Scale)
 		// The K20 hosts more CTAs per SM; double the grid so multiple
 		// waves still form.
 		k.GridCTAs *= 2
 		spec := o.Spec(cfg, w, k)
-		pend = append(pend, pending{
-			w:    w,
-			base: Submit(o.Ctx, spec, "static"),
-			rm:   Submit(o.Ctx, spec, "regmutex"),
-		})
+		rows[i] = []Cell{{spec, "static"}, {spec, "regmutex"}}
 	}
-	var out []GeneralityRow
-	for _, p := range pend {
-		w := p.w
-		base, err := p.base.Wait(o.Ctx)
-		if err != nil {
-			return nil, err
+	out := make([]GeneralityRow, len(set))
+	for i, runs := range o.study(rows) {
+		w := set[i]
+		if err := rowErr(runs); err != nil {
+			out[i] = GeneralityRow{Name: w.Name, Err: err}
+			continue
 		}
-		rm, err := p.rm.Wait(o.Ctx)
-		if err != nil {
-			return nil, err
-		}
+		base, rm := runs[0], runs[1]
 		// "RegMutex does not disturb the performance of an application
 		// that does not utilize it": a zero-sized extended set (as in
 		// core.Result.Disabled) must run cycle-identically to the
@@ -157,7 +141,7 @@ func Generality(o Options) ([]GeneralityRow, error) {
 			return nil, fmt.Errorf("generality %s: disabled RegMutex changed cycles (%d vs %d)",
 				w.Name, rm.Stats.Cycles, base.Stats.Cycles)
 		}
-		out = append(out, GeneralityRow{
+		out[i] = GeneralityRow{
 			Name:           w.Name,
 			BaselineCycles: base.Stats.Cycles,
 			Cycles:         rm.Stats.Cycles,
@@ -167,7 +151,7 @@ func Generality(o Options) ([]GeneralityRow, error) {
 			Bs:             rm.Split.Bs,
 			Es:             rm.Split.Es,
 			Disabled:       disabled,
-		})
+		}
 	}
 	return out, nil
 }
@@ -179,6 +163,9 @@ func PrintGenerality(wr io.Writer, rows []GeneralityRow) {
 		"application", "base cycles", "RM cycles", "red.%", "occ init", "occ RM", "split")
 	active := 0
 	for _, r := range rows {
+		if errRow(wr, r.Name, r.Err) {
+			continue
+		}
 		split := fmt.Sprintf("%d+%d", r.Bs, r.Es)
 		if r.Disabled {
 			split = "untouched"
@@ -201,6 +188,9 @@ type SeedRow struct {
 	Reductions []float64 // one per seed
 	Mean       float64
 	Min, Max   float64
+	// Err marks a row with a failed run under any seed; see
+	// AppResult.Err.
+	Err error
 }
 
 // SeedStability reruns the Figure 7 comparison under several input seeds.
@@ -214,56 +204,30 @@ func SeedStability(o Options, seeds []uint64) ([]SeedRow, error) {
 		seeds = []uint64{11, 42, 1789}
 	}
 	cfg := o.machine(occupancy.GTX480())
-	type pending struct {
-		w        *workloads.Workload
-		base, rm Pending
-	}
-	var pend []pending
-	for _, seed := range seeds {
-		so := o
-		so.Seed = seed
-		so.SeedSet = true
-		for _, w := range workloads.Fig7Set() {
-			spec := so.Spec(cfg, w, w.Build(so.Scale))
-			pend = append(pend, pending{
-				w:    w,
-				base: Submit(o.Ctx, spec, "static"),
-				rm:   Submit(o.Ctx, spec, "regmutex"),
-			})
+	set := fig7Set()
+	rows := make([][]Cell, len(set))
+	for i, w := range set {
+		k := w.Build(o.Scale)
+		for _, seed := range seeds {
+			spec := o.Spec(cfg, w, k)
+			spec.Seed = seed
+			rows[i] = append(rows[i], Cell{spec, "static"}, Cell{spec, "regmutex"})
 		}
 	}
-	rows := map[string]*SeedRow{}
-	var order []string
-	for _, p := range pend {
-		baseRun, err := p.base.Wait(o.Ctx)
-		if err != nil {
-			return nil, err
+	out := make([]SeedRow, len(set))
+	for i, runs := range o.study(rows) {
+		if err := rowErr(runs); err != nil {
+			out[i] = SeedRow{Name: set[i].Name, Err: err}
+			continue
 		}
-		rmRun, err := p.rm.Wait(o.Ctx)
-		if err != nil {
-			return nil, err
+		r := SeedRow{Name: set[i].Name, Min: 1e18, Max: -1e18}
+		for j := 0; j < len(runs); j += 2 {
+			red := reductionPct(runs[j].Stats.Cycles, runs[j+1].Stats.Cycles)
+			r.Reductions = append(r.Reductions, red)
+			r.Min, r.Max = min(r.Min, red), max(r.Max, red)
 		}
-		base, st := baseRun.Stats, rmRun.Stats
-		r := rows[p.w.Name]
-		if r == nil {
-			r = &SeedRow{Name: p.w.Name, Min: 1e18, Max: -1e18}
-			rows[p.w.Name] = r
-			order = append(order, p.w.Name)
-		}
-		red := reductionPct(base.Cycles, st.Cycles)
-		r.Reductions = append(r.Reductions, red)
-		if red < r.Min {
-			r.Min = red
-		}
-		if red > r.Max {
-			r.Max = red
-		}
-	}
-	var out []SeedRow
-	for _, name := range order {
-		r := rows[name]
 		r.Mean = mean(r.Reductions)
-		out = append(out, *r)
+		out[i] = r
 	}
 	return out, nil
 }
@@ -274,6 +238,9 @@ func PrintSeedStability(wr io.Writer, rows []SeedRow) {
 	fmt.Fprintf(wr, "%-16s %9s %9s %9s %9s\n", "application", "mean", "min", "max", "spread")
 	var spreads []float64
 	for _, r := range rows {
+		if errRow(wr, r.Name, r.Err) {
+			continue
+		}
 		fmt.Fprintf(wr, "%-16s %8.1f%% %8.1f%% %8.1f%% %8.1f\n",
 			r.Name, r.Mean, r.Min, r.Max, r.Max-r.Min)
 		spreads = append(spreads, r.Max-r.Min)

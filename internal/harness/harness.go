@@ -2,6 +2,12 @@
 // evaluation (section IV) on the simulator: the same applications, the
 // same machine configurations, the same metrics, printed as the rows the
 // plots were drawn from.
+//
+// There is one study path. A driver lays out its rows as cells (a
+// RunSpec plus a policy), runs them all through one RunCells call and
+// computes each row from its cells' Runs. One failure rule covers every
+// study: a failed cell fails only its row, which prints as ERR(<kind>),
+// stays out of the averages and is counted by RunExperiment.
 package harness
 
 import (
@@ -144,6 +150,50 @@ func ErrKind(err error) string {
 	default:
 		return "error"
 	}
+}
+
+// The study sets. They are variables so a test can put a wedging kernel
+// into every study.
+var (
+	fig7Set = workloads.Fig7Set
+	fig8Set = workloads.Fig8Set
+	allSet  = workloads.All
+)
+
+// study runs every row's cells through one RunCells call and returns
+// each row's outcomes in cell order.
+func (o Options) study(rows [][]Cell) [][]CellRun {
+	var cells []Cell
+	for _, r := range rows {
+		cells = append(cells, r...)
+	}
+	runs, _ := RunCells(o.Ctx, cells)
+	out := make([][]CellRun, len(rows))
+	for i, r := range rows {
+		out[i], runs = runs[:len(r)], runs[len(r):]
+	}
+	return out
+}
+
+// rowErr is the one failure rule: a row fails with its first failed
+// cell's error, and only that row fails.
+func rowErr(runs []CellRun) error {
+	for _, r := range runs {
+		if r.Err != nil {
+			return r.Err
+		}
+	}
+	return nil
+}
+
+// errRow prints a failed row as its name and ERR(<kind>) and reports
+// whether it did, so printers skip the row's values and averages.
+func errRow(wr io.Writer, name string, err error) bool {
+	if err == nil {
+		return false
+	}
+	fmt.Fprintf(wr, "%-16s %12s\n", name, "ERR("+ErrKind(err)+")")
+	return true
 }
 
 // pct returns the percentage change from base to v: positive = reduction.

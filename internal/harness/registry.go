@@ -15,31 +15,48 @@ type experiment struct {
 	run  func(o Options, w io.Writer) (int, error)
 }
 
+// entry registers a study: run computes its rows, print renders them,
+// and the failed rows are counted.
+func entry[R interface{ err() error }](name string, run func(Options) ([]R, error), print func(io.Writer, []R)) experiment {
+	return experiment{name, func(o Options, w io.Writer) (int, error) {
+		rows, err := run(o)
+		if err != nil {
+			return 0, err
+		}
+		print(w, rows)
+		failed := 0
+		for _, r := range rows {
+			if r.err() != nil {
+				failed++
+			}
+		}
+		return failed, nil
+	}}
+}
+
+func (r Table1Row) err() error     { return nil } // Table I compiles only
+func (r Fig1Row) err() error       { return r.Err }
+func (r AppResult) err() error     { return r.Err }
+func (r Fig8Result) err() error    { return r.Err }
+func (r CmpResult) err() error     { return r.Err }
+func (r EsSweepRow) err() error    { return r.Err }
+func (r PairedResult) err() error  { return r.Err }
+func (r Fig13Row) err() error      { return r.Err }
+func (r EnergyRow) err() error     { return r.Err }
+func (r SeedRow) err() error       { return r.Err }
+func (r GeneralityRow) err() error { return r.Err }
+
 // experimentOrder lists every experiment in paperbench's report order.
 // fig10 and fig11 are independent entries over the same EsSweep; the
 // pool's memo cache makes the second rendering free.
 var experimentOrder = []experiment{
-	{"table1", func(o Options, w io.Writer) (int, error) {
-		rows, err := Table1(o)
-		if err != nil {
-			return 0, err
-		}
-		PrintTable1(w, rows)
-		return 0, nil
-	}},
-	{"storage", func(o Options, w io.Writer) (int, error) {
+	entry("table1", Table1, PrintTable1),
+	{"storage", func(_ Options, w io.Writer) (int, error) {
 		PrintStorage(w)
 		return 0, nil
 	}},
-	{"fig1", func(o Options, w io.Writer) (int, error) {
-		rows, err := Fig1(o)
-		if err != nil {
-			return 0, err
-		}
-		PrintFig1(w, rows)
-		return 0, nil
-	}},
-	{"fig2", func(o Options, w io.Writer) (int, error) {
+	entry("fig1", Fig1, PrintFig1),
+	{"fig2", func(_ Options, w io.Writer) (int, error) {
 		tl, err := Fig2()
 		if err != nil {
 			return 0, err
@@ -47,139 +64,19 @@ var experimentOrder = []experiment{
 		PrintFig2(w, tl)
 		return 0, nil
 	}},
-	{"fig3", func(o Options, w io.Writer) (int, error) {
-		return 0, PrintFig3(w)
-	}},
-	{"fig7", func(o Options, w io.Writer) (int, error) {
-		rows, err := Fig7(o)
-		if err != nil {
-			return 0, err
-		}
-		PrintFig7(w, rows)
-		return countAppErrs(rows), nil
-	}},
-	{"fig8", func(o Options, w io.Writer) (int, error) {
-		rows, err := Fig8(o)
-		if err != nil {
-			return 0, err
-		}
-		PrintFig8(w, rows)
-		n := 0
-		for _, r := range rows {
-			if r.Err != nil {
-				n++
-			}
-		}
-		return n, nil
-	}},
-	{"fig9a", func(o Options, w io.Writer) (int, error) {
-		rows, err := Fig9a(o)
-		if err != nil {
-			return 0, err
-		}
-		PrintFig9(w, rows, false)
-		return countCmpErrs(rows), nil
-	}},
-	{"fig9b", func(o Options, w io.Writer) (int, error) {
-		rows, err := Fig9b(o)
-		if err != nil {
-			return 0, err
-		}
-		PrintFig9(w, rows, true)
-		return countCmpErrs(rows), nil
-	}},
-	{"fig10", func(o Options, w io.Writer) (int, error) {
-		rows, err := EsSweep(o)
-		if err != nil {
-			return 0, err
-		}
-		PrintFig10(w, rows)
-		return 0, nil
-	}},
-	{"fig11", func(o Options, w io.Writer) (int, error) {
-		rows, err := EsSweep(o)
-		if err != nil {
-			return 0, err
-		}
-		PrintFig11(w, rows)
-		return 0, nil
-	}},
-	{"fig12a", func(o Options, w io.Writer) (int, error) {
-		rows, err := Fig12a(o)
-		if err != nil {
-			return 0, err
-		}
-		PrintFig12(w, rows, false)
-		return 0, nil
-	}},
-	{"fig12b", func(o Options, w io.Writer) (int, error) {
-		rows, err := Fig12b(o)
-		if err != nil {
-			return 0, err
-		}
-		PrintFig12(w, rows, true)
-		return 0, nil
-	}},
-	{"fig13", func(o Options, w io.Writer) (int, error) {
-		rows, err := Fig13(o)
-		if err != nil {
-			return 0, err
-		}
-		PrintFig13(w, rows)
-		return 0, nil
-	}},
-	{"energy", func(o Options, w io.Writer) (int, error) {
-		rows, err := Energy(o)
-		if err != nil {
-			return 0, err
-		}
-		PrintEnergy(w, rows)
-		return 0, nil
-	}},
-	{"seeds", func(o Options, w io.Writer) (int, error) {
-		rows, err := SeedStability(o, nil)
-		if err != nil {
-			return 0, err
-		}
-		PrintSeedStability(w, rows)
-		return 0, nil
-	}},
-	{"generality", func(o Options, w io.Writer) (int, error) {
-		rows, err := Generality(o)
-		if err != nil {
-			return 0, err
-		}
-		PrintGenerality(w, rows)
-		return 0, nil
-	}},
-}
-
-func countAppErrs(rows []AppResult) int {
-	n := 0
-	for _, r := range rows {
-		if r.Err != nil {
-			n++
-		}
-	}
-	return n
-}
-
-// countCmpErrs counts the ERR cells in a comparison sweep: whole-row
-// failures plus per-technique column failures.
-func countCmpErrs(rows []CmpResult) int {
-	n := 0
-	for _, r := range rows {
-		if r.Err != nil {
-			n++
-			continue
-		}
-		for _, err := range r.TechErr {
-			if err != nil {
-				n++
-			}
-		}
-	}
-	return n
+	{"fig3", func(_ Options, w io.Writer) (int, error) { return 0, PrintFig3(w) }},
+	entry("fig7", Fig7, PrintFig7),
+	entry("fig8", Fig8, PrintFig8),
+	entry("fig9a", Fig9a, func(w io.Writer, rows []CmpResult) { PrintFig9(w, rows, false) }),
+	entry("fig9b", Fig9b, func(w io.Writer, rows []CmpResult) { PrintFig9(w, rows, true) }),
+	entry("fig10", EsSweep, PrintFig10),
+	entry("fig11", EsSweep, PrintFig11),
+	entry("fig12a", Fig12a, func(w io.Writer, rows []PairedResult) { PrintFig12(w, rows, false) }),
+	entry("fig12b", Fig12b, func(w io.Writer, rows []PairedResult) { PrintFig12(w, rows, true) }),
+	entry("fig13", Fig13, PrintFig13),
+	entry("energy", Energy, PrintEnergy),
+	entry("seeds", func(o Options) ([]SeedRow, error) { return SeedStability(o, nil) }, PrintSeedStability),
+	entry("generality", Generality, PrintGenerality),
 }
 
 // ExperimentNames lists every named experiment in report order; these

@@ -17,7 +17,7 @@ import (
 // RunSpec is one simulation's identity plus how to run and watch it: a
 // kernel on one machine under a register-allocation policy. Every
 // simulation paperbench, hypo, gpusim and gpusimd run goes through
-// Submit with a RunSpec, so they share one compile step, one run body
+// RunCells with a RunSpec, so they share one compile step, one run body
 // and one memo key, and a daemon-served report is byte-identical to the
 // CLI's for the same request.
 type RunSpec struct {
@@ -31,8 +31,8 @@ type RunSpec struct {
 	// heap sized by the kernel (assembly input).
 	Workload *workloads.Workload
 	Seed     uint64
-	// Policies are the policies RunPolicies compares; Submit takes its
-	// policy as an argument instead.
+	// Policies are the policies RunPolicies compares; a Cell names its
+	// policy instead.
 	Policies []string
 	// ForceEs pins the RegMutex extended-set size for the policies that
 	// run the transform; 0 keeps the heuristic's pick.
@@ -60,24 +60,6 @@ type Run struct {
 	RegMutexOcc occupancy.Result
 }
 
-// Pending is a submitted simulation.
-type Pending struct {
-	f *runpool.Future
-	// hit reports that the pool's memo cache (or an identical run
-	// already in flight) served the submission.
-	hit bool
-}
-
-// Wait blocks until the simulation finishes, or ctx is done, and
-// returns its outcome.
-func (p Pending) Wait(ctx context.Context) (Run, error) {
-	v, err := p.f.WaitCtx(ctx)
-	if err != nil {
-		return Run{}, err
-	}
-	return v.(Run), nil
-}
-
 // key identifies one simulation for the pool's memo cache. It holds
 // everything that can change the Run: the policy and forced |Es|, the
 // source kernel's fingerprint (code, grid, resource demands; Scale is
@@ -103,24 +85,59 @@ func (s RunSpec) timing() sim.Timing {
 	return s.Timing
 }
 
-// Submit schedules one simulation of spec's kernel under the named
-// policy through spec's pool, memoized under spec.key(policy). ctx joins
-// the pool's single-flight interest group: canceling it abandons the
-// run unless another live submitter shares it. An unknown policy fails
-// the run with a *NotFoundError listing PolicyNames; every error is
-// prefixed with the "<kernel>/<policy>" it came from.
-func Submit(ctx context.Context, spec RunSpec, policy string) Pending {
-	if spec.Pool == nil {
-		spec.Pool = runpool.New(0)
-	}
-	f, hit := spec.Pool.SubmitKeyedCtx(ctx, spec.key(policy), func(tctx context.Context) (any, error) {
-		run, err := spec.run(tctx, policy)
-		if err != nil {
-			return nil, fmt.Errorf("%s/%s: %w", spec.Kernel.Name, policy, err)
+// Cell is one simulation of a study: a RunSpec under one policy.
+type Cell struct {
+	Spec   RunSpec
+	Policy string
+}
+
+// CellRun is one cell's outcome: its Run, or the error that failed it.
+type CellRun struct {
+	Run
+	Err error
+}
+
+// RunCells is the one run path. It submits every cell to its spec's
+// pool, memoized under spec.key(policy), before it waits on any, so the
+// pool sees a whole study at once; then it returns each cell's outcome
+// in cell order and how many submissions the memo cache (or an
+// identical run already in flight) served. ctx joins the pool's
+// single-flight interest group: canceling it abandons every run no
+// other live submitter shares, and outcomes not yet collected report
+// the cancellation. An unknown policy fails its cell with a
+// *NotFoundError listing PolicyNames; every error is prefixed with the
+// "<kernel>/<policy>" it came from. A cell with no Pool runs on a
+// private all-cores pool.
+func RunCells(ctx context.Context, cells []Cell) ([]CellRun, int) {
+	futs := make([]*runpool.Future, len(cells))
+	hits := 0
+	for i, c := range cells {
+		spec, policy := c.Spec, c.Policy
+		if spec.Pool == nil {
+			spec.Pool = runpool.New(0)
 		}
-		return run, nil
-	})
-	return Pending{f: f, hit: hit}
+		f, hit := spec.Pool.SubmitKeyedCtx(ctx, spec.key(policy), func(tctx context.Context) (any, error) {
+			run, err := spec.run(tctx, policy)
+			if err != nil {
+				return nil, fmt.Errorf("%s/%s: %w", spec.Kernel.Name, policy, err)
+			}
+			return run, nil
+		})
+		futs[i] = f
+		if hit {
+			hits++
+		}
+	}
+	out := make([]CellRun, len(cells))
+	for i, f := range futs {
+		v, err := f.WaitCtx(ctx)
+		if err != nil {
+			out[i].Err = err
+			continue
+		}
+		out[i].Run = v.(Run)
+	}
+	return out, hits
 }
 
 // run compiles the kernel through prepare, generates the input, and
@@ -169,31 +186,22 @@ type PolicyRow struct {
 	Err    error
 }
 
-// RunPolicies submits the spec's kernel under every requested policy
-// and collects the rows in request order; a failed policy fails only its
-// own row. The returned hit count says how many of the submissions were
-// served by the memo cache (the daemon's dedup metric).
-//
-// ctx cancels the whole comparison: in-flight simulations are abandoned
-// via the pool's refcounted single-flight contexts (a simulation shared
-// with another live submitter keeps running for them), and rows not yet
-// collected report the cancellation.
+// RunPolicies runs the spec's kernel under every requested policy
+// through one RunCells call and returns the rows in request order plus
+// the memo-hit count (the daemon's dedup metric); a failed policy fails
+// only its own row. With no Pool, the policies share one private pool.
 func RunPolicies(ctx context.Context, spec RunSpec) ([]PolicyRow, int) {
 	if spec.Pool == nil {
 		spec.Pool = runpool.New(0)
 	}
-	hits := 0
-	pend := make([]Pending, len(spec.Policies))
+	cells := make([]Cell, len(spec.Policies))
 	for i, name := range spec.Policies {
-		pend[i] = Submit(ctx, spec, name)
-		if pend[i].hit {
-			hits++
-		}
+		cells[i] = Cell{spec, name}
 	}
-	rows := make([]PolicyRow, len(spec.Policies))
-	for i, p := range pend {
-		run, err := p.Wait(ctx)
-		rows[i] = PolicyRow{Policy: spec.Policies[i], Stats: run.Stats, Err: err}
+	runs, hits := RunCells(ctx, cells)
+	rows := make([]PolicyRow, len(runs))
+	for i, r := range runs {
+		rows[i] = PolicyRow{Policy: spec.Policies[i], Stats: r.Stats, Err: r.Err}
 	}
 	return rows, hits
 }

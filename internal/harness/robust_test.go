@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"regmutex/internal/isa"
-	"regmutex/internal/occupancy"
 	"regmutex/internal/sim"
 	"regmutex/internal/workloads"
 )
@@ -58,59 +57,61 @@ func quickWorkload() *workloads.Workload {
 }
 
 // TestSweepSurvivesWedgedKernel is the acceptance check for row-level
-// error tolerance: a sweep containing a kernel that wedges still renders
-// every other row, and the wedged row carries a typed, classified error.
+// error tolerance: with a kernel that wedges in every study's workload
+// set, every simulation study still renders its healthy row, renders
+// the wedged row as a typed ERR(<kind>) and keeps it out of the
+// averages, and RunExperiment counts it.
 func TestSweepSurvivesWedgedKernel(t *testing.T) {
+	defer func(f7, f8, all func() []*workloads.Workload) {
+		fig7Set, fig8Set, allSet = f7, f8, all
+	}(fig7Set, fig8Set, allSet)
+	set := func() []*workloads.Workload { return []*workloads.Workload{quickWorkload(), spinWorkload()} }
+	fig7Set, fig8Set, allSet = set, set, set
+
 	timing := sim.DefaultTiming()
 	timing.MaxCycles = 50_000
 	o := Options{Scale: 1, Seed: 7, NumSMs: 2, Jobs: 2, Timing: timing}.normalize()
-	cfg := o.machine(occupancy.GTX480())
-
-	rows, err := compareTechniques(o, cfg, cfg, []*workloads.Workload{quickWorkload(), spinWorkload()})
-	if err != nil {
-		t.Fatalf("sweep aborted instead of isolating the bad row: %v", err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d, want 2", len(rows))
-	}
-	byName := map[string]CmpResult{}
-	for _, r := range rows {
-		byName[r.Name] = r
-	}
-
-	good, ok := byName["quick"]
-	if !ok {
-		t.Fatal("healthy row missing from sweep")
-	}
-	if good.Err != nil || len(good.TechErr) != 0 {
-		t.Fatalf("healthy row errored: row=%v tech=%v", good.Err, good.TechErr)
-	}
-	if good.Baseline <= 0 || good.RegMutex <= 0 || good.OWF <= 0 || good.RFV <= 0 {
-		t.Fatalf("healthy row missing cycles: %+v", good)
-	}
-
-	bad, ok := byName["spin"]
-	if !ok {
-		t.Fatal("wedged row missing from sweep")
-	}
-	if bad.Err == nil {
-		t.Fatalf("wedged row carries no error: %+v", bad)
-	}
-	if kind := ErrKind(bad.Err); kind != "livelock" && kind != "deadlock" {
-		t.Fatalf("wedged row kind = %q (%v), want a wedge class", kind, bad.Err)
-	}
-
-	var buf bytes.Buffer
-	PrintFig9(&buf, rows, false)
-	out := buf.String()
-	if !strings.Contains(out, "ERR(") {
-		t.Fatalf("printout lacks ERR cell:\n%s", out)
-	}
-	if !strings.Contains(out, "quick") {
-		t.Fatalf("printout lost the healthy row:\n%s", out)
-	}
-	if strings.Contains(out, "NaN") {
-		t.Fatalf("averages corrupted by the failed row:\n%s", out)
+	studies := []string{"fig7", "fig8", "fig9a", "fig9b", "fig10", "fig11",
+		"fig12a", "fig12b", "fig13", "energy", "seeds", "generality"}
+	for _, name := range studies {
+		t.Run(name, func(t *testing.T) {
+			var buf bytes.Buffer
+			failed, err := RunExperiment(name, o, &buf)
+			if err != nil {
+				t.Fatalf("study aborted instead of isolating the wedged row: %v", err)
+			}
+			out := buf.String()
+			want := 1
+			if name == "fig13" {
+				want = 2 // both machines run the set
+			}
+			if failed != want {
+				t.Errorf("RunExperiment counted %d failed rows, want %d:\n%s", failed, want, out)
+			}
+			var wedged, healthy int
+			for _, line := range strings.Split(out, "\n") {
+				f := strings.Fields(line)
+				switch {
+				case len(f) == 0:
+				case f[0] == "spin":
+					wedged++
+					if len(f) != 2 || (f[1] != "ERR(livelock)" && f[1] != "ERR(deadlock)") {
+						t.Errorf("wedged row is not a typed ERR row: %q", line)
+					}
+				case f[0] == "quick":
+					healthy++
+					if strings.Contains(line, "ERR") {
+						t.Errorf("healthy row failed: %q", line)
+					}
+				}
+			}
+			if wedged == 0 || healthy == 0 {
+				t.Errorf("printout has %d wedged and %d healthy rows:\n%s", wedged, healthy, out)
+			}
+			if strings.Contains(out, "NaN") {
+				t.Errorf("averages corrupted by the failed row:\n%s", out)
+			}
+		})
 	}
 }
 

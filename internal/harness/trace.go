@@ -24,6 +24,8 @@ var Fig1Apps = []string{"cutcp", "dwt2d", "heartwall", "hotspot3d", "particlefil
 type Fig1Row struct {
 	Name  string
 	Trace []float64
+	// Err marks a failed row; see AppResult.Err.
+	Err error
 }
 
 // Fig1 follows a sample thread (thread 0 of CTA 0) through the cycle
@@ -36,8 +38,8 @@ type Fig1Row struct {
 func Fig1(o Options) ([]Fig1Row, error) {
 	o = o.normalize()
 	o.Pool = runpool.New(o.Jobs)
-	rows := make([]Fig1Row, len(Fig1Apps))
-	pend := make([]Pending, len(Fig1Apps))
+	out := make([]Fig1Row, len(Fig1Apps))
+	rows := make([][]Cell, len(Fig1Apps))
 	for i, name := range Fig1Apps {
 		w, err := workloads.ByName(name)
 		if err != nil {
@@ -50,7 +52,7 @@ func Fig1(o Options) ([]Fig1Row, error) {
 		}
 		inf := liveness.Analyze(k, g)
 		alloc := float64(k.AllocRegs())
-		row := &rows[i]
+		row := &out[i]
 		row.Name = name
 		spec := o.Spec(o.machine(occupancy.GTX480()), w, k)
 		spec.Observe = func(string) ([]sim.Option, func(sim.Stats)) {
@@ -63,14 +65,12 @@ func Fig1(o Options) ([]Fig1Row, error) {
 				}
 			}})}, nil
 		}
-		pend[i] = Submit(o.Ctx, spec, "static")
+		rows[i] = []Cell{{spec, "static"}}
 	}
-	for _, p := range pend {
-		if _, err := p.Wait(o.Ctx); err != nil {
-			return nil, fmt.Errorf("fig1: %w", err)
-		}
+	for i, runs := range o.study(rows) {
+		out[i].Err = rowErr(runs)
 	}
-	return rows, nil
+	return out, nil
 }
 
 // PrintFig1 renders each application's utilisation trace as a sparkline
@@ -79,6 +79,9 @@ func PrintFig1(wr io.Writer, rows []Fig1Row) {
 	section(wr, "Figure 1: live-register utilisation of a sample thread")
 	ramp := []rune("▁▂▃▄▅▆▇█")
 	for _, r := range rows {
+		if errRow(wr, r.Name, r.Err) {
+			continue
+		}
 		const buckets = 64
 		spark := make([]rune, 0, buckets)
 		for b := 0; b < buckets; b++ {

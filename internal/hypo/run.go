@@ -134,10 +134,10 @@ func Run(spec *Spec, ro RunOptions) (*Result, error) {
 		return k, w, nil
 	}
 
-	// Fan out every (cell, seed) submission before waiting on any, so
-	// the pool sees the whole matrix at once; collection order is the
+	// One harness.RunCells call runs every (cell, seed): the pool sees
+	// the whole matrix at once, and outcomes come back in the
 	// deterministic cell × seed order regardless of completion order.
-	pend := make([]harness.Pending, 0, len(cells)*len(spec.Seeds))
+	runCells := make([]harness.Cell, 0, len(cells)*len(spec.Seeds))
 	for _, c := range cells {
 		k, w, err := kernel(c)
 		if err != nil {
@@ -150,33 +150,32 @@ func Run(spec *Spec, ro RunOptions) (*Result, error) {
 				Scale: c.Scale, Seed: seed, SeedSet: true,
 				Timing: timing, Pool: pool,
 			}
-			pend = append(pend, harness.Submit(context.Background(), o.Spec(cfg, w, k), c.Policy))
+			runCells = append(runCells, harness.Cell{Spec: o.Spec(cfg, w, k), Policy: c.Policy})
 		}
 	}
+	runs, _ := harness.RunCells(context.Background(), runCells)
 
 	res := &Result{
 		Name: spec.Name, Title: spec.Title, Hypothesis: spec.Hypothesis,
 		CompareType: spec.Compare.Type, Seeds: spec.Seeds, Metrics: spec.Metrics,
 		spec: spec,
 	}
-	i := 0
-	for _, c := range cells {
+	for ci, c := range cells {
 		cr := CellResult{Cell: c, Agg: map[string]Agg{}}
 		hists := make([]*obs.Histogram, len(spec.Metrics))
 		for m := range hists {
 			hists[m] = &obs.Histogram{}
 		}
-		for _, seed := range spec.Seeds {
-			run, err := pend[i].Wait(context.Background())
-			i++
+		for si, seed := range spec.Seeds {
+			run := runs[ci*len(spec.Seeds)+si]
 			sr := SeedRun{Seed: seed}
-			if err != nil {
+			if run.Err != nil {
 				// A policy no tool knows is a spec error, not a failed run.
 				var nf *harness.NotFoundError
-				if errors.As(err, &nf) {
-					return nil, err
+				if errors.As(run.Err, &nf) {
+					return nil, run.Err
 				}
-				sr.Err = harness.ErrKind(err)
+				sr.Err = harness.ErrKind(run.Err)
 				cr.Failed++
 				res.FailedRuns++
 			} else {

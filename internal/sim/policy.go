@@ -24,9 +24,8 @@ type PolicyState interface {
 	TryIssue(w *Warp, in *isa.Instr, now int64) bool
 	// OnIssued runs after in has issued (frees dead registers etc.).
 	OnIssued(w *Warp, in *isa.Instr, now int64)
-	// OnCTALaunch / OnCTARetire / OnWarpExit track residency changes.
-	OnCTALaunch(cta *CTAState)
-	OnCTARetire(cta *CTAState)
+	// OnWarpExit runs when a warp finishes, so the policy can free what
+	// the warp still holds.
 	OnWarpExit(w *Warp)
 	// Priority orders warps for scheduling: lower runs first; 0 is the
 	// default.
@@ -40,8 +39,6 @@ type nopState struct{}
 
 func (nopState) TryIssue(*Warp, *isa.Instr, int64) bool { return true }
 func (nopState) OnIssued(*Warp, *isa.Instr, int64)      {}
-func (nopState) OnCTALaunch(*CTAState)                  {}
-func (nopState) OnCTARetire(*CTAState)                  {}
 func (nopState) OnWarpExit(*Warp)                       {}
 func (nopState) Priority(*Warp) int                     { return 0 }
 func (nopState) Counters() (uint64, uint64, uint64)     { return 0, 0, 0 }

@@ -153,8 +153,6 @@ func (s *blockAcqState) TryIssue(w *Warp, in *isa.Instr, now int64) bool {
 	return s.inner.TryIssue(w, in, now)
 }
 func (s *blockAcqState) OnIssued(w *Warp, in *isa.Instr, now int64) { s.inner.OnIssued(w, in, now) }
-func (s *blockAcqState) OnCTALaunch(cta *CTAState)                  { s.inner.OnCTALaunch(cta) }
-func (s *blockAcqState) OnCTARetire(cta *CTAState)                  { s.inner.OnCTARetire(cta) }
 func (s *blockAcqState) OnWarpExit(w *Warp)                         { s.inner.OnWarpExit(w) }
 func (s *blockAcqState) Priority(w *Warp) int                       { return s.inner.Priority(w) }
 func (s *blockAcqState) Counters() (uint64, uint64, uint64) {

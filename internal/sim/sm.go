@@ -390,7 +390,6 @@ func (sm *SM) launchCTAOf(k *isa.Kernel, kidx, id int) {
 	}
 	sm.ctas = append(sm.ctas, cta)
 	sm.orderGen++
-	sm.policy.OnCTALaunch(cta)
 }
 
 func (sm *SM) takeSlot() int {
@@ -433,7 +432,6 @@ func (sm *SM) retireCTA(cta *CTAState) {
 	}
 	sm.warps = live
 	sm.orderGen++
-	sm.policy.OnCTARetire(cta)
 }
 
 // drainMemCompletions retires finished global requests.
