@@ -119,7 +119,9 @@ func Generality(o Options) ([]GeneralityRow, error) {
 	for i, w := range set {
 		k := w.Build(o.Scale)
 		// The K20 hosts more CTAs per SM; double the grid so multiple
-		// waves still form.
+		// waves still form, and grow the result region at the end of
+		// memory by one word per added thread.
+		k.GlobalMemWords += k.GridCTAs * k.ThreadsPerCTA
 		k.GridCTAs *= 2
 		spec := o.Spec(cfg, w, k)
 		rows[i] = []Cell{{spec, "static"}, {spec, "regmutex"}}

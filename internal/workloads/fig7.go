@@ -24,8 +24,12 @@ import "regmutex/internal/isa"
 const (
 	memMask   = 1<<15 - 1 // load region word-space (power of two)
 	storeBase = 1 << 16   // per-thread results land here, clear of all loads
-	memWords  = storeBase + memMask + 1
 )
+
+// memWords sizes k's global memory: the load region below storeBase,
+// then one result word per thread of the grid, so no store wraps onto
+// the inputs.
+func memWords(k *isa.Kernel) int { return storeBase + k.GridCTAs*k.ThreadsPerCTA }
 
 func prologue(b *isa.Builder, threads int) {
 	b.MovSpecial(0, isa.SpecTID)
@@ -97,7 +101,7 @@ func bfs() *Workload {
 		b.Exit()
 		k := b.MustKernel()
 		k.GridCTAs = scaled(90, scale)
-		k.GlobalMemWords = memWords
+		k.GlobalMemWords = memWords(k)
 		return k
 	}
 	return &Workload{
@@ -143,7 +147,7 @@ func cutcp() *Workload {
 		b.Exit()
 		k := b.MustKernel()
 		k.GridCTAs = scaled(180, scale)
-		k.GlobalMemWords = memWords
+		k.GlobalMemWords = memWords(k)
 		return k
 	}
 	return &Workload{
@@ -190,7 +194,7 @@ func dwt2d() *Workload {
 		k := b.MustKernel()
 		k.GridCTAs = scaled(90, scale)
 		k.SharedMemWords = 1800
-		k.GlobalMemWords = memWords
+		k.GlobalMemWords = memWords(k)
 		return k
 	}
 	return &Workload{
@@ -225,7 +229,7 @@ func hotspot3d() *Workload {
 		b.Exit()
 		k := b.MustKernel()
 		k.GridCTAs = scaled(180, scale)
-		k.GlobalMemWords = memWords
+		k.GlobalMemWords = memWords(k)
 		return k
 	}
 	return &Workload{
@@ -267,7 +271,7 @@ func mriq() *Workload {
 		b.Exit()
 		k := b.MustKernel()
 		k.GridCTAs = scaled(90, scale)
-		k.GlobalMemWords = memWords
+		k.GlobalMemWords = memWords(k)
 		return k
 	}
 	return &Workload{
@@ -322,7 +326,7 @@ func particlefilter() *Workload {
 		b.Exit()
 		k := b.MustKernel()
 		k.GridCTAs = scaled(180, scale)
-		k.GlobalMemWords = memWords
+		k.GlobalMemWords = memWords(k)
 		return k
 	}
 	return &Workload{
@@ -373,7 +377,7 @@ func radixsort() *Workload {
 		k := b.MustKernel()
 		k.GridCTAs = scaled(180, scale)
 		k.SharedMemWords = threads
-		k.GlobalMemWords = memWords
+		k.GlobalMemWords = memWords(k)
 		return k
 	}
 	return &Workload{
@@ -421,7 +425,7 @@ func sad() *Workload {
 		b.Exit()
 		k := b.MustKernel()
 		k.GridCTAs = scaled(180, scale)
-		k.GlobalMemWords = memWords
+		k.GlobalMemWords = memWords(k)
 		return k
 	}
 	return &Workload{

@@ -45,7 +45,7 @@ func gaussian() *Workload {
 		b.Exit()
 		k := b.MustKernel()
 		k.GridCTAs = scaled(120, scale)
-		k.GlobalMemWords = memWords
+		k.GlobalMemWords = memWords(k)
 		return k
 	}
 	return &Workload{
@@ -84,7 +84,7 @@ func heartwall() *Workload {
 		k := b.MustKernel()
 		k.GridCTAs = scaled(60, scale)
 		k.SharedMemWords = 1536
-		k.GlobalMemWords = memWords
+		k.GlobalMemWords = memWords(k)
 		return k
 	}
 	return &Workload{
@@ -122,7 +122,7 @@ func lavamd() *Workload {
 		b.Exit()
 		k := b.MustKernel()
 		k.GridCTAs = scaled(240, scale)
-		k.GlobalMemWords = memWords
+		k.GlobalMemWords = memWords(k)
 		return k
 	}
 	return &Workload{
@@ -177,7 +177,7 @@ func mergesort() *Workload {
 		k := b.MustKernel()
 		k.GridCTAs = scaled(60, scale)
 		k.SharedMemWords = 2048
-		k.GlobalMemWords = memWords
+		k.GlobalMemWords = memWords(k)
 		return k
 	}
 	return &Workload{
@@ -217,7 +217,7 @@ func montecarlo() *Workload {
 		b.Exit()
 		k := b.MustKernel()
 		k.GridCTAs = scaled(90, scale)
-		k.GlobalMemWords = memWords
+		k.GlobalMemWords = memWords(k)
 		return k
 	}
 	return &Workload{
@@ -258,7 +258,7 @@ func spmv() *Workload {
 		b.Exit()
 		k := b.MustKernel()
 		k.GridCTAs = scaled(90, scale)
-		k.GlobalMemWords = memWords
+		k.GlobalMemWords = memWords(k)
 		return k
 	}
 	return &Workload{
@@ -297,7 +297,7 @@ func srad() *Workload {
 		b.Exit()
 		k := b.MustKernel()
 		k.GridCTAs = scaled(90, scale)
-		k.GlobalMemWords = memWords
+		k.GlobalMemWords = memWords(k)
 		return k
 	}
 	return &Workload{
@@ -338,7 +338,7 @@ func tpacf() *Workload {
 		k := b.MustKernel()
 		k.GridCTAs = scaled(60, scale)
 		k.SharedMemWords = 1536
-		k.GlobalMemWords = memWords
+		k.GlobalMemWords = memWords(k)
 		return k
 	}
 	return &Workload{
