@@ -15,15 +15,15 @@ type experiment struct {
 	run  func(o Options, w io.Writer) (int, error)
 }
 
-// entry registers a study: run computes its rows, print renders them,
+// entry registers a study: run computes its rows, render prints them,
 // and the failed rows are counted.
-func entry[R interface{ err() error }](name string, run func(Options) ([]R, error), print func(io.Writer, []R)) experiment {
+func entry[R interface{ err() error }](name string, run func(Options) ([]R, error), render func(io.Writer, []R)) experiment {
 	return experiment{name, func(o Options, w io.Writer) (int, error) {
 		rows, err := run(o)
 		if err != nil {
 			return 0, err
 		}
-		print(w, rows)
+		render(w, rows)
 		failed := 0
 		for _, r := range rows {
 			if r.err() != nil {
