@@ -6,6 +6,7 @@ import (
 
 	"regmutex/internal/energy"
 	"regmutex/internal/occupancy"
+	"regmutex/internal/workloads"
 )
 
 // EnergyRow quantifies the paper's performance-per-dollar argument for
@@ -119,10 +120,8 @@ func Generality(o Options) ([]GeneralityRow, error) {
 	for i, w := range set {
 		k := w.Build(o.Scale)
 		// The K20 hosts more CTAs per SM; double the grid so multiple
-		// waves still form, and grow the result region at the end of
-		// memory by one word per added thread.
-		k.GlobalMemWords += k.GridCTAs * k.ThreadsPerCTA
-		k.GridCTAs *= 2
+		// waves still form.
+		workloads.Regrid(k, 2*k.GridCTAs)
 		spec := o.Spec(cfg, w, k)
 		rows[i] = []Cell{{spec, "static"}, {spec, "regmutex"}}
 	}

@@ -45,7 +45,8 @@ type RunSpec struct {
 	// actually simulates is observed: a memo hit skips both.
 	Observe func(policy string) (opts []sim.Option, after func(sim.Stats))
 	// Pool fans runs out and deduplicates identical ones via its keyed
-	// memo cache. Nil creates a private all-cores pool.
+	// memo cache. RunCells requires it; RunPolicies supplies a private
+	// all-cores pool when it is nil.
 	Pool *runpool.Pool
 }
 
@@ -106,16 +107,12 @@ type CellRun struct {
 // other live submitter shares, and outcomes not yet collected report
 // the cancellation. An unknown policy fails its cell with a
 // *NotFoundError listing PolicyNames; every error is prefixed with the
-// "<kernel>/<policy>" it came from. A cell with no Pool runs on a
-// private all-cores pool.
+// "<kernel>/<policy>" it came from. Every cell's spec must carry a Pool.
 func RunCells(ctx context.Context, cells []Cell) ([]CellRun, int) {
 	futs := make([]*runpool.Future, len(cells))
 	hits := 0
 	for i, c := range cells {
 		spec, policy := c.Spec, c.Policy
-		if spec.Pool == nil {
-			spec.Pool = runpool.New(0)
-		}
 		f, hit := spec.Pool.SubmitKeyedCtx(ctx, spec.key(policy), func(tctx context.Context) (any, error) {
 			run, err := spec.run(tctx, policy)
 			if err != nil {

@@ -62,16 +62,16 @@ func quickWorkload() *workloads.Workload {
 // the wedged row as a typed ERR(<kind>) and keeps it out of the
 // averages, and RunExperiment counts it.
 func TestSweepSurvivesWedgedKernel(t *testing.T) {
-	defer func(f7, f8, all func() []*workloads.Workload) {
-		fig7Set, fig8Set, allSet = f7, f8, all
-	}(fig7Set, fig8Set, allSet)
+	defer func(f7, f8, all func() []*workloads.Workload, f1 []string) {
+		fig7Set, fig8Set, allSet, Fig1Apps = f7, f8, all, f1
+	}(fig7Set, fig8Set, allSet, Fig1Apps)
 	set := func() []*workloads.Workload { return []*workloads.Workload{quickWorkload(), spinWorkload()} }
-	fig7Set, fig8Set, allSet = set, set, set
+	fig7Set, fig8Set, allSet, Fig1Apps = set, set, set, []string{"quick", "spin"}
 
 	timing := sim.DefaultTiming()
 	timing.MaxCycles = 50_000
 	o := Options{Scale: 1, Seed: 7, NumSMs: 2, Jobs: 2, Timing: timing}.normalize()
-	studies := []string{"fig7", "fig8", "fig9a", "fig9b", "fig10", "fig11",
+	studies := []string{"fig1", "fig7", "fig8", "fig9a", "fig9b", "fig10", "fig11",
 		"fig12a", "fig12b", "fig13", "energy", "seeds", "generality"}
 	for _, name := range studies {
 		t.Run(name, func(t *testing.T) {
@@ -112,6 +112,23 @@ func TestSweepSurvivesWedgedKernel(t *testing.T) {
 				t.Errorf("averages corrupted by the failed row:\n%s", out)
 			}
 		})
+	}
+
+	// The healthy row keeps every column's cycles, not just its line.
+	for name, run := range map[string]func(Options) ([]CmpResult, error){"fig9a": Fig9a, "fig9b": Fig9b} {
+		rows, err := run(o)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, r := range rows {
+			if r.Name != "quick" {
+				continue
+			}
+			if r.Err != nil || r.Baseline <= 0 || r.RegMutex <= 0 || r.OWF <= 0 || r.RFV <= 0 ||
+				(name == "fig9b" && r.NoTech <= 0) {
+				t.Errorf("%s: healthy row missing cycles: %+v", name, r)
+			}
+		}
 	}
 }
 

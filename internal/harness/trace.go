@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"regmutex/internal/cfg"
@@ -40,11 +41,13 @@ func Fig1(o Options) ([]Fig1Row, error) {
 	o.Pool = runpool.New(o.Jobs)
 	out := make([]Fig1Row, len(Fig1Apps))
 	rows := make([][]Cell, len(Fig1Apps))
+	set := allSet()
 	for i, name := range Fig1Apps {
-		w, err := workloads.ByName(name)
-		if err != nil {
-			return nil, err
+		j := slices.IndexFunc(set, func(w *workloads.Workload) bool { return w.Name == name })
+		if j < 0 {
+			return nil, fmt.Errorf("fig1: no workload %q", name)
 		}
+		w := set[j]
 		k := w.Build(o.Scale)
 		g, err := cfg.Build(k)
 		if err != nil {

@@ -31,6 +31,14 @@ const (
 // the inputs.
 func memWords(k *isa.Kernel) int { return storeBase + k.GridCTAs*k.ThreadsPerCTA }
 
+// Regrid relaunches a built workload kernel over ctas CTAs and re-sizes
+// its global memory so the result region still holds one word per
+// thread.
+func Regrid(k *isa.Kernel, ctas int) {
+	k.GridCTAs = ctas
+	k.GlobalMemWords = memWords(k)
+}
+
 func prologue(b *isa.Builder, threads int) {
 	b.MovSpecial(0, isa.SpecTID)
 	b.MovSpecial(1, isa.SpecCTAID)

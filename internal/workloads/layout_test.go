@@ -12,27 +12,32 @@ import (
 // TestResultRegionFitsGrid checks the memory layout without simulating:
 // at scale 1 (the paper golden's grids) every kernel stores its result
 // at storeBase plus the thread's global id, and the last thread's word
-// lies inside the kernel's memory.
+// lies inside the kernel's memory; Regrid keeps that true for a doubled
+// grid.
 func TestResultRegionFitsGrid(t *testing.T) {
 	for _, w := range All() {
-		k := w.Build(1)
-		for i, in := range k.Instrs {
-			if in.Op != isa.OpStGlobal {
-				continue
-			}
-			gid := isa.Instr{}
-			if i > 0 {
-				gid = k.Instrs[i-1]
-			}
-			if gid.Op != isa.OpIMad || gid.Dst != in.Srcs[0].Reg ||
-				gid.Srcs[0] != isa.R(1) || gid.Srcs[1] != isa.Imm(int64(k.ThreadsPerCTA)) || gid.Srcs[2] != isa.R(0) {
-				t.Errorf("%s: store at %d does not address the thread's global id", w.Name, i)
-			}
-			if in.Off != storeBase {
-				t.Errorf("%s: store at %d has offset %d, want storeBase %d", w.Name, i, in.Off, storeBase)
-			}
-			if last := in.Off + int64(k.GridCTAs*k.ThreadsPerCTA) - 1; last >= int64(k.GlobalMemWords) {
-				t.Errorf("%s: last thread stores at word %d, memory holds %d words", w.Name, last, k.GlobalMemWords)
+		doubled := w.Build(1)
+		Regrid(doubled, 2*doubled.GridCTAs)
+		for _, k := range []*isa.Kernel{w.Build(1), doubled} {
+			for i, in := range k.Instrs {
+				if in.Op != isa.OpStGlobal {
+					continue
+				}
+				gid := isa.Instr{}
+				if i > 0 {
+					gid = k.Instrs[i-1]
+				}
+				if gid.Op != isa.OpIMad || gid.Dst != in.Srcs[0].Reg ||
+					gid.Srcs[0] != isa.R(1) || gid.Srcs[1] != isa.Imm(int64(k.ThreadsPerCTA)) || gid.Srcs[2] != isa.R(0) {
+					t.Errorf("%s: store at %d does not address the thread's global id", w.Name, i)
+				}
+				if in.Off != storeBase {
+					t.Errorf("%s: store at %d has offset %d, want storeBase %d", w.Name, i, in.Off, storeBase)
+				}
+				if last := in.Off + int64(k.GridCTAs*k.ThreadsPerCTA) - 1; last >= int64(k.GlobalMemWords) {
+					t.Errorf("%s (%d CTAs): last thread stores at word %d, memory holds %d words",
+						w.Name, k.GridCTAs, last, k.GlobalMemWords)
+				}
 			}
 		}
 	}
