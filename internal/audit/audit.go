@@ -10,8 +10,9 @@
 // immediate abort naming the SM, warp, and rule that broke. internal/faults
 // injects exactly these corruptions to prove the net has no holes.
 //
-// Checks run per audit epoch (Every cycles, default every step when
-// attached with Attach(d, 0)):
+// Attach an auditor through the device constructor, as
+// sim.WithAudit(audit.Standard(every)). Checks run per audit epoch (every
+// Every cycles; Standard(0) checks every simulated step):
 //
 //   - policy self-audit: SRP section conservation and leak-at-end for
 //     RegMutex (free + held == total, unique owners), RFV physical-row
@@ -113,13 +114,6 @@ func Standard(every int64) *Auditor {
 		SlotChecker{},
 		StallChecker{},
 	)
-}
-
-// Attach wires a Standard auditor into the device and returns it.
-func Attach(d *sim.Device, every int64) *Auditor {
-	a := Standard(every)
-	d.Audit = a
-	return a
 }
 
 // CheckCycle implements sim.AuditHook.

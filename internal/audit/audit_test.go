@@ -50,11 +50,11 @@ func TestCleanRunsPassEveryPolicy(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			mem := append([]uint64(nil), input...)
-			d, err := sim.New(sim.DeviceSpec{Config: cfg, Timing: sim.DefaultTiming(), Kernel: tc.kern}, sim.WithPolicy(tc.pol), sim.WithGlobal(mem))
+			d, err := sim.New(sim.DeviceSpec{Config: cfg, Timing: sim.DefaultTiming(), Kernel: tc.kern},
+				sim.WithPolicy(tc.pol), sim.WithGlobal(mem), sim.WithAudit(Standard(0))) // audit every simulated step
 			if err != nil {
 				t.Fatalf("device: %v", err)
 			}
-			Attach(d, 0) // audit every simulated step
 			if _, err := d.Run(); err != nil {
 				t.Fatalf("audited run failed: %v", err)
 			}
@@ -101,3 +101,37 @@ type checkerFunc func(d *sim.Device, now int64) *Violation
 
 func (checkerFunc) Name() string                                { return "test" }
 func (f checkerFunc) Check(d *sim.Device, now int64) *Violation { return f(d, now) }
+
+// TestCoScheduledRunPassesAudit audits a co-scheduled device every step:
+// the auditor attaches through NewMultiDevice's options, as on New.
+func TestCoScheduledRunPassesAudit(t *testing.T) {
+	var kernels []*isa.Kernel
+	var mems [][]uint64
+	for _, name := range []string{"bfs", "mriq"} {
+		w, err := workloads.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := w.Build(8)
+		pre, err := core.Prepare(k)
+		if err != nil {
+			t.Fatalf("prepare %s: %v", name, err)
+		}
+		kernels, mems = append(kernels, pre), append(mems, w.Input(k, 1))
+	}
+	a := Standard(0)
+	d, err := sim.NewMultiDevice(smallCfg(), sim.DefaultTiming(), kernels, mems, sim.WithAudit(a))
+	if err != nil {
+		t.Fatalf("device: %v", err)
+	}
+	st, err := d.Run()
+	if err != nil {
+		t.Fatalf("audited co-scheduled run failed: %v", err)
+	}
+	if want := kernels[0].GridCTAs + kernels[1].GridCTAs; st.CTAs != want {
+		t.Errorf("CTAs = %d, want %d", st.CTAs, want)
+	}
+	if !a.ran {
+		t.Error("the auditor never ran")
+	}
+}

@@ -65,11 +65,11 @@ func runInjected(t *testing.T, k *isa.Kernel, pol sim.Policy, plan Plan, input [
 	timing := sim.DefaultTiming()
 	timing.MaxCycles = 2_000_000
 	mem := append([]uint64(nil), input...)
-	d, err := sim.New(sim.DeviceSpec{Config: testCfg(), Timing: timing, Kernel: k}, sim.WithPolicy(Inject(pol, plan)), sim.WithGlobal(mem))
+	d, err := sim.New(sim.DeviceSpec{Config: testCfg(), Timing: timing, Kernel: k},
+		sim.WithPolicy(Inject(pol, plan)), sim.WithGlobal(mem), sim.WithAudit(audit.Standard(0)))
 	if err != nil {
 		t.Fatalf("device: %v", err)
 	}
-	audit.Attach(d, 0)
 	_, err = d.Run()
 	return err
 }

@@ -87,18 +87,9 @@ func DefaultTiming() Timing {
 	}
 }
 
-// maxLatency returns the largest issue-to-writeback latency any opcode can
+// MaxLatency returns the largest issue-to-writeback latency any opcode can
 // take under this timing model; the audit layer uses it to bound how far
 // in the future a pending scoreboard write may legally land.
-func (t Timing) maxLatency() int64 {
-	m := t.ALULatency
-	for _, l := range []int64{t.FPLatency, t.SFULatency, t.SharedLatency, t.GlobalLatency} {
-		if l > m {
-			m = l
-		}
-	}
-	return m
+func (t Timing) MaxLatency() int64 {
+	return max(t.ALULatency, t.FPLatency, t.SFULatency, t.SharedLatency, t.GlobalLatency)
 }
-
-// MaxLatency is the exported form of maxLatency for the audit layer.
-func (t Timing) MaxLatency() int64 { return t.maxLatency() }

@@ -12,24 +12,27 @@ import (
 type Device struct {
 	Config occupancy.Config
 	Timing Timing
-	Kernel *isa.Kernel
 	Policy Policy
 
+	// Kernel and Global are the first grid's kernel and memory: a
+	// single-kernel device's only ones.
+	Kernel *isa.Kernel
 	Global []uint64
 	sms    []*SM
 
-	nextCTA  int
+	// grids are the kernels the dispatcher launches (one for New, one per
+	// co-scheduled kernel for NewMultiDevice); rr is the grid whose turn
+	// it is, and targetCTAs the CTAs of every grid together.
+	grids      []grid
+	rr         int
+	targetCTAs int
+	// fits reports whether sm has room for one more CTA of k: the
+	// policy's residency for New, canHost for NewMultiDevice.
+	fits func(sm *SM, k *isa.Kernel) bool
+
 	doneCTAs int
 	warpSeq  int64
 	now      int64
-
-	// Multi-kernel co-scheduling state (NewMultiDevice); nil kernels
-	// means the normal single-kernel mode.
-	kernels   []*isa.Kernel
-	globals   [][]uint64
-	multiNext []int
-	multiRR   int
-	totalCTAs int
 
 	// snapEpoch tags the forward-progress watchdog's per-warp snapshots
 	// (see markWarpProgress); it replaces the per-check map allocation.
@@ -39,15 +42,14 @@ type Device struct {
 	// warp-slot accounting violation); Run surfaces it.
 	fatalErr error
 
-	// Audit, when non-nil, is consulted every cycle and at kernel end;
-	// a returned error aborts the run (see internal/audit). Keep it nil
-	// for performance runs.
-	Audit AuditHook
+	// audit, when non-nil, is consulted every cycle and at kernel end;
+	// a returned error aborts the run (see WithAudit).
+	audit AuditHook
 
-	// SampleInterval spaces the utilisation samples delivered to the
+	// sampleEvery spaces the utilisation samples delivered to the
 	// attached Observer's OnCycleSample (see WithSampleInterval).
-	SampleInterval int64
-	nextSample     int64
+	sampleEvery int64
+	nextSample  int64
 
 	// obs is the attached Observer (nil when detached); set via
 	// WithObserver so it sees the initial CTA wave.
@@ -55,6 +57,14 @@ type Device struct {
 
 	// code caches each launched kernel's issue table (decodedOf).
 	code map[*isa.Kernel][]decoded
+}
+
+// grid is one kernel's launch state: the kernel, its global memory, and
+// the next of its CTAs to launch.
+type grid struct {
+	kern   *isa.Kernel
+	global []uint64
+	next   int
 }
 
 // decodedOf returns k's issue table, decoding k the first time one of its
@@ -112,32 +122,48 @@ func (d *Device) emit(ev Event) {
 }
 
 // onCTAComplete runs at cycle end (finishCycle) for each CTA that retired
-// this cycle (in SM order); the dispatcher backfills from the pending
-// grid onto the SM that freed the slots.
+// this cycle (in SM order); the dispatcher backfills the SM that freed
+// the slots.
 func (d *Device) onCTAComplete(sm *SM, cta *CTAState) {
 	d.doneCTAs++
 	d.emit(Event{Cycle: d.now, SM: sm.id, Kind: "cta-retire", Data: cta.ID})
-	if d.multi() {
-		for d.multiBackfill(sm) {
+	for d.backfill(sm) {
+	}
+}
+
+// backfill launches at most one pending CTA onto sm, rotating over the
+// grids, and reports whether anything launched. The rotation index only
+// advances past a grid when it launches, so a grid that was merely
+// skipped (drained, no room) keeps its turn and rr stays within
+// [0, len(grids)).
+func (d *Device) backfill(sm *SM) bool {
+	for n := range d.grids {
+		gi := (d.rr + n) % len(d.grids)
+		g := &d.grids[gi]
+		if g.next >= g.kern.GridCTAs || !d.fits(sm, g.kern) {
+			continue
 		}
-		return
+		sm.launchCTA(g)
+		d.emit(Event{Cycle: d.now, SM: sm.id, Kind: "cta-launch", Data: g.next})
+		g.next++
+		d.rr = (gi + 1) % len(d.grids)
+		return true
 	}
-	k := d.Kernel
-	ctasPerSM := d.Policy.CTAsPerSM(k)
-	for d.nextCTA < k.GridCTAs && len(sm.ctas) < ctasPerSM && sm.freeSlots() >= k.WarpsPerCTA() {
-		sm.launchCTA(d.nextCTA)
-		d.emit(Event{Cycle: d.now, SM: sm.id, Kind: "cta-launch", Data: d.nextCTA})
-		d.nextCTA++
-	}
+	return false
 }
 
 // GlobalOf returns kernel i's global memory (i = the kernel's position in
 // the NewMultiDevice slice; 0 for single-kernel devices).
-func (d *Device) GlobalOf(i int) []uint64 {
-	if d.multi() {
-		return d.globals[i]
+func (d *Device) GlobalOf(i int) []uint64 { return d.grids[i].global }
+
+// kernelNames names the device's kernels for diagnostics, joined by "+"
+// on a co-scheduled device.
+func (d *Device) kernelNames() string {
+	names := make([]string, len(d.grids))
+	for i, g := range d.grids {
+		names[i] = g.kern.Name
 	}
-	return d.Global
+	return strings.Join(names, "+")
 }
 
 // Stats summarises a finished run.
@@ -316,22 +342,9 @@ const ctxCheckStride = 4096
 // the old whole-device fast-forward. The due SMs of each cycle step in
 // SM order, then finishCycle applies the cycle's global effects.
 func (d *Device) RunContext(ctx context.Context) (Stats, error) {
-	target := d.Kernel.GridCTAs
-	if d.multi() {
-		target = d.totalCTAs
-	}
-	idleThr := d.Timing.IdleDeadlockThreshold
-	if idleThr <= 0 {
-		idleThr = DefaultIdleDeadlockThreshold
-	}
-	epoch := d.Timing.ProgressEpoch
-	if epoch <= 0 {
-		epoch = DefaultProgressEpoch
-	}
-	livelockEpochs := d.Timing.LivelockEpochs
-	if livelockEpochs <= 0 {
-		livelockEpochs = DefaultLivelockEpochs
-	}
+	idleThr := orDefault(d.Timing.IdleDeadlockThreshold, DefaultIdleDeadlockThreshold)
+	epoch := orDefault(d.Timing.ProgressEpoch, DefaultProgressEpoch)
+	livelockEpochs := orDefault(d.Timing.LivelockEpochs, DefaultLivelockEpochs)
 
 	cancelable := ctx.Done() != nil
 	ctxCountdown := 0
@@ -340,12 +353,12 @@ func (d *Device) RunContext(ctx context.Context) (Stats, error) {
 	nextEpoch := d.now + epoch
 	prev := d.progressTotals()
 	d.markWarpProgress()
-	for d.doneCTAs < target {
+	for d.doneCTAs < d.targetCTAs {
 		if cancelable {
 			if ctxCountdown--; ctxCountdown <= 0 {
 				if err := ctx.Err(); err != nil {
 					return Stats{}, &CanceledError{
-						Kernel: d.Kernel.Name, Policy: d.Policy.Name(),
+						Kernel: d.kernelNames(), Policy: d.Policy.Name(),
 						Cycle: d.now, Cause: err,
 					}
 				}
@@ -358,9 +371,9 @@ func (d *Device) RunContext(ctx context.Context) (Stats, error) {
 		if d.now > d.Timing.MaxCycles {
 			return Stats{}, d.wedgeError(WedgeMaxCycles)
 		}
-		if d.Audit != nil {
+		if d.audit != nil {
 			d.settleAll()
-			if err := d.Audit.CheckCycle(d, d.now); err != nil {
+			if err := d.audit.CheckCycle(d, d.now); err != nil {
 				return Stats{}, err
 			}
 		}
@@ -391,10 +404,7 @@ func (d *Device) RunContext(ctx context.Context) (Stats, error) {
 		}
 		if d.obs != nil && d.now >= d.nextSample {
 			d.obs.OnCycleSample(d.sample())
-			if d.SampleInterval <= 0 {
-				d.SampleInterval = 256
-			}
-			d.nextSample = d.now + d.SampleInterval
+			d.nextSample = d.now + d.sampleEvery
 		}
 		// Find SMs due this cycle; with none due, hop straight to the
 		// earliest wake-up (the widened fast-forward: it no longer needs
@@ -436,25 +446,35 @@ func (d *Device) RunContext(ctx context.Context) (Stats, error) {
 		return Stats{}, d.fatalErr
 	}
 	d.settleAll()
-	if d.Audit != nil {
-		if err := d.Audit.CheckEnd(d); err != nil {
+	if d.audit != nil {
+		if err := d.audit.CheckEnd(d); err != nil {
 			return Stats{}, err
 		}
 	}
 	return d.collectStats(), nil
 }
 
-// wedgeError builds the structured *DeadlockError diagnostic. In
-// multi-kernel mode each warp may belong to a different kernel, so the
+// orDefault is v, or def when v is not positive.
+func orDefault[T int | int64](v, def T) T {
+	if v <= 0 {
+		return def
+	}
+	return v
+}
+
+// wedgeError builds the structured *DeadlockError diagnostic. On a
+// co-scheduled device each warp may belong to a different kernel, so the
 // stalled instruction is decoded against the warp's own kernel and the
 // CTA target is the combined grid. The snapshot includes current SRP
 // occupancy when the policy exposes one.
 func (d *Device) wedgeError(kind WedgeKind) *DeadlockError {
 	e := &DeadlockError{
 		Kind:        kind,
+		Kernel:      d.kernelNames(),
 		Policy:      d.Policy.Name(),
 		Cycle:       d.now,
 		DoneCTAs:    d.doneCTAs,
+		TargetCTAs:  d.targetCTAs,
 		MaxCycles:   d.Timing.MaxCycles,
 		SRPHeld:     -1,
 		SRPSections: -1,
@@ -497,14 +517,6 @@ func (d *Device) wedgeError(kind WedgeKind) *DeadlockError {
 				}
 			}
 		}
-	}
-	e.Kernel, e.TargetCTAs = d.Kernel.Name, d.Kernel.GridCTAs
-	if d.multi() {
-		names := make([]string, len(d.kernels))
-		for i, k := range d.kernels {
-			names[i] = k.Name
-		}
-		e.Kernel, e.TargetCTAs = strings.Join(names, "+"), d.totalCTAs
 	}
 	return e
 }

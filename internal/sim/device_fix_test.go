@@ -52,7 +52,7 @@ func TestDeadlockErrorMultiKernel(t *testing.T) {
 	if !strings.Contains(msg, "bfs+mriq") {
 		t.Errorf("diagnostic does not name both kernels: %q", msg)
 	}
-	want := fmt.Sprintf("0/%d CTAs done", d.totalCTAs)
+	want := fmt.Sprintf("0/%d CTAs done", d.targetCTAs)
 	if !strings.Contains(msg, want) {
 		t.Errorf("diagnostic target is not the combined grid (want %q): %q", want, msg)
 	}
@@ -63,8 +63,8 @@ func TestDeadlockErrorMultiKernel(t *testing.T) {
 
 // TestMultiBackfillFairness pins the round-robin rotation: kernels take
 // strict turns while both have pending CTAs, a drained kernel's turn
-// passes to the next without stalling the rotation, and the pointer stays
-// within [0, len(kernels)).
+// passes to the next without stalling the rotation, and the index stays
+// within [0, len(grids)).
 func TestMultiBackfillFairness(t *testing.T) {
 	mk := func(name string, ctas int) *isa.Kernel {
 		k := vecAdd(64, isa.WarpSize, ctas)
@@ -75,24 +75,23 @@ func TestMultiBackfillFairness(t *testing.T) {
 	cfg := smallCfg()
 	cfg.NumSMs = 1
 	d := &Device{
-		Config:    cfg,
-		Timing:    DefaultTiming(),
-		Kernel:    ka,
-		Policy:    NewStaticPolicy(cfg),
-		kernels:   []*isa.Kernel{ka, kb},
-		globals:   [][]uint64{make([]uint64, 64), make([]uint64, 64)},
-		multiNext: make([]int, 2),
-		totalCTAs: ka.GridCTAs + kb.GridCTAs,
+		Config:     cfg,
+		Timing:     DefaultTiming(),
+		Kernel:     ka,
+		Policy:     NewStaticPolicy(cfg),
+		grids:      []grid{{kern: ka, global: make([]uint64, 64)}, {kern: kb, global: make([]uint64, 64)}},
+		fits:       (*SM).canHost,
+		targetCTAs: ka.GridCTAs + kb.GridCTAs,
 	}
 	sm := newSM(d, 0)
 	sm.policy = nopState{}
 	d.sms = []*SM{sm}
 
 	var order []string
-	for d.multiBackfill(sm) {
+	for d.backfill(sm) {
 		order = append(order, sm.ctas[len(sm.ctas)-1].kern.Name)
-		if d.multiRR < 0 || d.multiRR >= len(d.kernels) {
-			t.Fatalf("rotation pointer %d out of [0,%d)", d.multiRR, len(d.kernels))
+		if d.rr < 0 || d.rr >= len(d.grids) {
+			t.Fatalf("rotation index %d out of [0,%d)", d.rr, len(d.grids))
 		}
 	}
 	// Strict alternation while both grids are live (a:3 + b:3), then b
@@ -101,8 +100,8 @@ func TestMultiBackfillFairness(t *testing.T) {
 	if got := strings.Join(order, " "); got != want {
 		t.Errorf("launch order %q, want %q", got, want)
 	}
-	if d.multiNext[0] != 3 || d.multiNext[1] != 5 {
+	if d.grids[0].next != 3 || d.grids[1].next != 5 {
 		t.Errorf("launched %d/%d CTAs of a, %d/%d of b",
-			d.multiNext[0], ka.GridCTAs, d.multiNext[1], kb.GridCTAs)
+			d.grids[0].next, ka.GridCTAs, d.grids[1].next, kb.GridCTAs)
 	}
 }

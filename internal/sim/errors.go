@@ -121,28 +121,25 @@ func (e *DeadlockError) Unwrap() error {
 }
 
 func (e *DeadlockError) Error() string {
-	srp := ""
+	var head, stuck, srp, first string
+	switch e.Kind {
+	case WedgeMaxCycles:
+		head = fmt.Sprintf("sim: kernel %s exceeded %d cycles (possible livelock): ", e.Kernel, e.MaxCycles)
+	case WedgeLivelock:
+		head = fmt.Sprintf("sim: livelock in kernel %s under %s at cycle %d: warps retry acquires without retiring; ", e.Kernel, e.Policy, e.Cycle)
+	default:
+		head = fmt.Sprintf("sim: deadlock in kernel %s under %s: ", e.Kernel, e.Policy)
+	}
+	if e.StuckWarps > 0 {
+		stuck = fmt.Sprintf(", %d issued nothing last epoch", e.StuckWarps)
+	}
 	if e.SRPSections >= 0 {
 		srp = fmt.Sprintf(", SRP %d/%d held", e.SRPHeld, e.SRPSections)
 	}
-	first := ""
 	if e.First != nil {
 		first = fmt.Sprintf("; first stalled: SM%d warp %d (kernel %s) at pc %d (%s), stack %d",
 			e.First.SM, e.First.Widx, e.First.Kernel, e.First.PC, e.First.Instr, e.First.Stack)
 	}
-	switch e.Kind {
-	case WedgeMaxCycles:
-		return fmt.Sprintf("sim: kernel %s exceeded %d cycles (possible livelock): %d live warps (%d at barriers, %d stalled), %d/%d CTAs done%s%s",
-			e.Kernel, e.MaxCycles, e.LiveWarps, e.AtBarrier, e.Stalled, e.DoneCTAs, e.TargetCTAs, srp, first)
-	case WedgeLivelock:
-		stuck := ""
-		if e.StuckWarps > 0 {
-			stuck = fmt.Sprintf(", %d issued nothing last epoch", e.StuckWarps)
-		}
-		return fmt.Sprintf("sim: livelock in kernel %s under %s at cycle %d: warps retry acquires without retiring; %d live warps (%d at barriers, %d stalled%s), %d/%d CTAs done%s%s",
-			e.Kernel, e.Policy, e.Cycle, e.LiveWarps, e.AtBarrier, e.Stalled, stuck, e.DoneCTAs, e.TargetCTAs, srp, first)
-	default:
-		return fmt.Sprintf("sim: deadlock in kernel %s under %s: %d live warps (%d at barriers, %d stalled), %d/%d CTAs done%s%s",
-			e.Kernel, e.Policy, e.LiveWarps, e.AtBarrier, e.Stalled, e.DoneCTAs, e.TargetCTAs, srp, first)
-	}
+	return head + fmt.Sprintf("%d live warps (%d at barriers, %d stalled%s), %d/%d CTAs done%s%s",
+		e.LiveWarps, e.AtBarrier, e.Stalled, stuck, e.DoneCTAs, e.TargetCTAs, srp, first)
 }

@@ -252,12 +252,4 @@ func compareF(c isa.CmpOp, a, b float64) bool {
 	}
 }
 
-func clampExp(x float64) float64 {
-	if x > 64 {
-		return 64
-	}
-	if x < -64 {
-		return -64
-	}
-	return x
-}
+func clampExp(x float64) float64 { return max(-64, min(x, 64)) }

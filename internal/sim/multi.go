@@ -15,21 +15,23 @@ import (
 // results in falling back to the default execution mode (zero-sized
 // extended set)" — so the mode refuses kernels carrying an extended set
 // and always uses static, exclusive allocation with direct resource
-// accounting.
+// accounting (canHost). The grids take turns launching, one CTA each.
 //
 // Each kernel gets its own global memory (globals[i]; nil entries are
-// allocated zero-filled).
-func NewMultiDevice(cfg occupancy.Config, timing Timing, kernels []*isa.Kernel, globals [][]uint64) (*Device, error) {
+// allocated zero-filled). The options are New's; WithPolicy and
+// WithGlobal are refused, since the policy and memories are fixed here.
+func NewMultiDevice(cfg occupancy.Config, timing Timing, kernels []*isa.Kernel, globals [][]uint64, opts ...Option) (*Device, error) {
+	b := collect(opts)
+	if b.policy != nil || b.global != nil {
+		return nil, fmt.Errorf("sim: co-scheduled kernels run under static allocation on their own memories; WithPolicy and WithGlobal do not apply")
+	}
 	if len(kernels) == 0 {
 		return nil, fmt.Errorf("sim: no kernels to co-schedule")
 	}
-	if globals == nil {
-		globals = make([][]uint64, len(kernels))
-	}
-	if len(globals) != len(kernels) {
+	if globals != nil && len(globals) != len(kernels) {
 		return nil, fmt.Errorf("sim: %d kernels but %d memories", len(kernels), len(globals))
 	}
-	totalCTAs := 0
+	grids := make([]grid, len(kernels))
 	for i, k := range kernels {
 		if err := k.Validate(); err != nil {
 			return nil, err
@@ -37,72 +39,16 @@ func NewMultiDevice(cfg occupancy.Config, timing Timing, kernels []*isa.Kernel, 
 		if k.HasExtendedSet() {
 			return nil, fmt.Errorf("sim: kernel %s carries an extended set; co-scheduling dissimilar kernels requires the default execution mode (strip the RegMutex transform first)", k.Name)
 		}
-		if globals[i] == nil {
-			words := k.GlobalMemWords
-			if words <= 0 {
-				words = 1 << 12
-			}
-			globals[i] = make([]uint64, words)
-		}
-		totalCTAs += k.GridCTAs
 		// Every kernel must fit an empty SM on its own.
 		if occupancy.Baseline(cfg, k).CTAsPerSM < 1 {
 			return nil, fmt.Errorf("sim: kernel %s does not fit on %s", k.Name, cfg.Name)
 		}
-	}
-	d := &Device{
-		Config:    cfg,
-		Timing:    timing,
-		Kernel:    kernels[0],
-		Policy:    NewStaticPolicy(cfg),
-		Global:    globals[0],
-		kernels:   kernels,
-		globals:   globals,
-		multiNext: make([]int, len(kernels)),
-		totalCTAs: totalCTAs,
-	}
-	for i := 0; i < cfg.NumSMs; i++ {
-		sm := newSM(d, i)
-		sm.policy = nopState{}
-		d.sms = append(d.sms, sm)
-	}
-	// Initial wave: round-robin over kernels and SMs.
-	for progress := true; progress; {
-		progress = false
-		for _, sm := range d.sms {
-			if d.multiBackfill(sm) {
-				progress = true
-			}
+		grids[i].kern = k
+		if globals != nil {
+			grids[i].global = globals[i]
 		}
 	}
-	return d, nil
-}
-
-// multi reports whether the device runs in co-scheduling mode.
-func (d *Device) multi() bool { return d.kernels != nil }
-
-// multiBackfill launches at most one pending CTA (rotating over kernels)
-// onto sm; reports whether anything launched. The rotation pointer only
-// advances past a kernel when it actually launches, so a kernel that was
-// merely skipped (drained grid, no room) does not lose its turn and
-// multiRR stays within [0, len(kernels)).
-func (d *Device) multiBackfill(sm *SM) bool {
-	for n := 0; n < len(d.kernels); n++ {
-		ki := (d.multiRR + n) % len(d.kernels)
-		k := d.kernels[ki]
-		if d.multiNext[ki] >= k.GridCTAs {
-			continue
-		}
-		if !sm.canHost(k) {
-			continue
-		}
-		sm.launchCTAOf(k, ki, d.multiNext[ki])
-		d.emit(Event{Cycle: d.now, SM: sm.id, Kind: "cta-launch", Data: d.multiNext[ki]})
-		d.multiNext[ki]++
-		d.multiRR = (ki + 1) % len(d.kernels)
-		return true
-	}
-	return false
+	return build(cfg, timing, NewStaticPolicy(cfg), (*SM).canHost, grids, b)
 }
 
 // canHost checks whether sm has room for one more CTA of k under static,

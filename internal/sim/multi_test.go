@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 
 	"regmutex/internal/core"
@@ -142,11 +143,7 @@ func TestMultiDeviceResourceAccounting(t *testing.T) {
 	// Never overcommit any SM resource, sampled during the run.
 	cfg := smallCfg()
 	ka, kb, ga, gb := twoKernels(t)
-	d, err := NewMultiDevice(cfg, DefaultTiming(), []*isa.Kernel{ka, kb},
-		[][]uint64{ga, gb})
-	if err != nil {
-		t.Fatal(err)
-	}
+	var d *Device
 	check := func() {
 		for _, sm := range d.sms {
 			threads, rows, shared := 0, 0, 0
@@ -162,9 +159,12 @@ func TestMultiDeviceResourceAccounting(t *testing.T) {
 			}
 		}
 	}
+	d, err := NewMultiDevice(cfg, DefaultTiming(), []*isa.Kernel{ka, kb}, [][]uint64{ga, gb},
+		WithObserver(ObserverFuncs{Sample: func(Sample) { check() }}), WithSampleInterval(64))
+	if err != nil {
+		t.Fatal(err)
+	}
 	check()
-	d.SampleInterval = 64
-	d.obs = ObserverFuncs{Sample: func(Sample) { check() }} // NewMultiDevice takes no options
 	if _, err := d.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -179,6 +179,13 @@ func TestMultiDeviceDegenerateInputs(t *testing.T) {
 	if _, err := NewMultiDevice(cfg, DefaultTiming(), []*isa.Kernel{ka}, [][]uint64{ga, ga}); err == nil {
 		t.Error("mismatched memory count must fail")
 	}
+	// Co-scheduling is static allocation on positional memories.
+	if _, err := NewMultiDevice(cfg, DefaultTiming(), []*isa.Kernel{ka}, nil, WithPolicy(NewRegMutexPolicy(cfg))); err == nil {
+		t.Error("WithPolicy must be refused")
+	}
+	if _, err := NewMultiDevice(cfg, DefaultTiming(), []*isa.Kernel{ka}, nil, WithGlobal(ga)); err == nil {
+		t.Error("WithGlobal must be refused")
+	}
 	// Single kernel through the multi path still works.
 	d, err := NewMultiDevice(cfg, DefaultTiming(), []*isa.Kernel{ka}, nil)
 	if err != nil {
@@ -189,8 +196,9 @@ func TestMultiDeviceDegenerateInputs(t *testing.T) {
 	}
 }
 
-// A single kernel must behave identically through the single- and
-// multi-kernel launch paths (the accounting generalisation is exact).
+// A single kernel must behave identically through New and a one-kernel
+// NewMultiDevice: the same Stats, memory, and launch/retire event stream
+// (the accounting generalisation is exact).
 func TestMultiDeviceSingleKernelEquivalence(t *testing.T) {
 	cfg := smallCfg()
 	w, err := workloads.ByName("mriq")
@@ -204,7 +212,12 @@ func TestMultiDeviceSingleKernelEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d1, err := New(DeviceSpec{Config: cfg, Timing: DefaultTiming(), Kernel: pre}, WithGlobal(append([]uint64(nil), g...)))
+	var ev1, ev2 []Event
+	record := func(evs *[]Event) Option {
+		return WithObserver(ObserverFuncs{Event: func(ev Event) { *evs = append(*evs, ev) }})
+	}
+	d1, err := New(DeviceSpec{Config: cfg, Timing: DefaultTiming(), Kernel: pre},
+		WithGlobal(append([]uint64(nil), g...)), record(&ev1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +225,8 @@ func TestMultiDeviceSingleKernelEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, err := NewMultiDevice(cfg, DefaultTiming(), []*isa.Kernel{pre}, [][]uint64{append([]uint64(nil), g...)})
+	d2, err := NewMultiDevice(cfg, DefaultTiming(), []*isa.Kernel{pre},
+		[][]uint64{append([]uint64(nil), g...)}, record(&ev2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,9 +234,11 @@ func TestMultiDeviceSingleKernelEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s1.Cycles != s2.Cycles || s1.Instructions != s2.Instructions {
-		t.Errorf("paths diverge: single %d/%d vs multi %d/%d cycles/instrs",
-			s1.Cycles, s1.Instructions, s2.Cycles, s2.Instructions)
+	if s1 != s2 {
+		t.Errorf("paths diverge:\nsingle %+v\nmulti  %+v", s1, s2)
+	}
+	if len(ev1) == 0 || !slices.Equal(ev1, ev2) {
+		t.Errorf("event streams diverge: %d single vs %d multi events", len(ev1), len(ev2))
 	}
 	for i := range d1.Global {
 		if d1.Global[i] != d2.GlobalOf(0)[i] {

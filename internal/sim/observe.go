@@ -123,7 +123,7 @@ type StallSlot struct {
 //
 // OnEvent receives coarse structural events (CTA launch/retire, SRP
 // acquire attempts with outcomes, releases). OnCycleSample receives a
-// utilisation snapshot every SampleInterval cycles. OnStall receives
+// utilisation snapshot every WithSampleInterval cycles. OnStall receives
 // every scheduler slot's per-cycle attribution — the hot hook; it is
 // only invoked while an observer is attached.
 type Observer interface {

@@ -45,14 +45,7 @@ func (p *RFVPolicy) CTAsPerSM(k *isa.Kernel) int {
 	// Nearest rounding: renaming absorbs brief over-subscription, so a
 	// CTA that fits "most of the time" is worth launching.
 	byRows := (2*p.cfg.WarpRegisters() + k.WarpsPerCTA()*demand) / (2 * k.WarpsPerCTA() * demand)
-	ctas := byRows
-	if ctas > free {
-		ctas = free
-	}
-	if ctas < base {
-		ctas = base
-	}
-	return ctas
+	return max(min(byRows, free), base)
 }
 
 // avgLiveDemand estimates the per-thread register rows a warp occupies on
@@ -72,13 +65,7 @@ func (p *RFVPolicy) avgLiveDemand(k *isa.Kernel) int {
 	}
 	sort.Ints(counts)
 	d := counts[len(counts)*3/4] + 2 // upper quartile + burst slack
-	if d < 4 {
-		d = 4
-	}
-	if d > k.AllocRegs() {
-		d = k.AllocRegs()
-	}
-	return d
+	return min(max(d, 4), k.AllocRegs())
 }
 
 // NewSMState implements Policy.

@@ -19,6 +19,7 @@ func TestIdleThresholdBoundary(t *testing.T) {
 			Kernel: k,
 			Policy: NewStaticPolicy(smallCfg()),
 			Timing: Timing{MaxCycles: 1000, IdleDeadlockThreshold: thr},
+			grids:  []grid{{kern: k}}, targetCTAs: 1,
 		}
 		_, err := d.Run()
 		if !errors.Is(err, ErrDeadlock) {
@@ -41,6 +42,7 @@ func TestIdleThresholdBoundary(t *testing.T) {
 		Kernel: k,
 		Policy: NewStaticPolicy(smallCfg()),
 		Timing: Timing{MaxCycles: 1000},
+		grids:  []grid{{kern: k}}, targetCTAs: 1,
 	}
 	_, err := d.Run()
 	var de *DeadlockError

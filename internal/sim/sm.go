@@ -354,29 +354,20 @@ func (sm *SM) freeSlots() int {
 	return n
 }
 
-// launchCTA places a CTA of the device's (single) kernel onto the SM.
-func (sm *SM) launchCTA(id int) {
-	sm.launchCTAOf(sm.dev.Kernel, 0, id)
-}
-
-// launchCTAOf places a CTA of an arbitrary kernel onto the SM (the
-// multi-kernel path; kidx selects its global memory).
-func (sm *SM) launchCTAOf(k *isa.Kernel, kidx, id int) {
+// launchCTA places g's next CTA onto the SM.
+func (sm *SM) launchCTA(g *grid) {
+	k, id := g.kern, g.next
 	if sm.freeSlots() < k.WarpsPerCTA() {
 		sm.dev.fail(fmt.Errorf("sim: SM%d: %w for CTA %d of kernel %s (%d free, %d needed)",
 			sm.id, ErrNoWarpSlot, id, k.Name, sm.freeSlots(), k.WarpsPerCTA()))
 		return
 	}
-	cta := &CTAState{ID: id, kern: k, code: sm.dev.decodedOf(k), global: sm.dev.GlobalOf(kidx)}
+	cta := &CTAState{ID: id, kern: k, code: sm.dev.decodedOf(k), global: g.global}
 	if k.SharedMemWords > 0 {
 		cta.shared = make([]uint64, k.SharedMemWords)
 	}
-	threads := k.ThreadsPerCTA
 	for wi := 0; wi < k.WarpsPerCTA(); wi++ {
-		lanes := threads - wi*isa.WarpSize
-		if lanes > isa.WarpSize {
-			lanes = isa.WarpSize
-		}
+		lanes := min(k.ThreadsPerCTA-wi*isa.WarpSize, isa.WarpSize)
 		widx := sm.takeSlot()
 		if widx < 0 {
 			return
@@ -770,7 +761,7 @@ func (sm *SM) arriveBarrier(w *Warp) {
 
 // onWarpFinished handles warp completion. CTA retirement is deferred to
 // cycle end (Device.finishCycle), so the dispatcher's global state —
-// nextCTA, doneCTAs, the multi-kernel rotation — changes only after
+// each grid's next CTA, doneCTAs, the rotation — changes only after
 // every SM has stepped, in SM order.
 func (sm *SM) onWarpFinished(w *Warp) {
 	if w.retired {

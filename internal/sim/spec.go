@@ -27,7 +27,7 @@ type buildOptions struct {
 	sampleEvery int64
 }
 
-// Option configures New.
+// Option configures New and NewMultiDevice.
 type Option func(*buildOptions)
 
 // WithPolicy selects the register-allocation policy; nil (or omitting
@@ -65,12 +65,10 @@ func WithSampleInterval(n int64) Option { return func(b *buildOptions) { b.sampl
 // perfbench next changes.
 func WithParallelism(int) Option { return func(*buildOptions) {} }
 
-// New builds a device from the spec and options.
+// New builds a device from the spec and options: one grid, launched
+// under the policy's residency.
 func New(spec DeviceSpec, opts ...Option) (*Device, error) {
-	var b buildOptions
-	for _, opt := range opts {
-		opt(&b)
-	}
+	b := collect(opts)
 	k := spec.Kernel
 	if k == nil {
 		return nil, fmt.Errorf("sim: DeviceSpec.Kernel is nil")
@@ -82,47 +80,63 @@ func New(spec DeviceSpec, opts ...Option) (*Device, error) {
 	if pol == nil {
 		pol = NewStaticPolicy(spec.Config)
 	}
-	d := &Device{
-		Config: spec.Config,
-		Timing: spec.Timing,
-		Kernel: k,
-		Policy: pol,
-		Global: b.global,
-		Audit:  b.audit,
-		obs:    MultiObserver(b.observers...),
-	}
-	if b.sampleEvery > 0 {
-		d.SampleInterval = b.sampleEvery
-	}
-	if d.Global == nil {
-		words := k.GlobalMemWords
-		if words <= 0 {
-			words = 1 << 12
-		}
-		d.Global = make([]uint64, words)
-	}
+	// Residency is a pure function of machine and kernel: evaluate it once.
 	ctasPerSM := pol.CTAsPerSM(k)
 	if ctasPerSM <= 0 {
 		return nil, fmt.Errorf("sim: kernel %s does not fit on %s under policy %s",
 			k.Name, spec.Config.Name, pol.Name())
 	}
-	for i := 0; i < spec.Config.NumSMs; i++ {
+	fits := func(sm *SM, k *isa.Kernel) bool {
+		return len(sm.ctas) < ctasPerSM && sm.freeSlots() >= k.WarpsPerCTA()
+	}
+	return build(spec.Config, spec.Timing, pol, fits, []grid{{kern: k, global: b.global}}, b)
+}
+
+func collect(opts []Option) buildOptions {
+	var b buildOptions
+	for _, opt := range opts {
+		opt(&b)
+	}
+	return b
+}
+
+// build is the body New and NewMultiDevice share: it allocates a
+// zero-filled heap for each grid given none, builds the SMs, and
+// launches the initial wave round-robin over the SMs (so CTAs spread
+// evenly) until nothing more fits. A launch-time machine error is
+// returned here rather than from Run.
+func build(cfg occupancy.Config, timing Timing, pol Policy, fits func(*SM, *isa.Kernel) bool, grids []grid, b buildOptions) (*Device, error) {
+	d := &Device{
+		Config:      cfg,
+		Timing:      timing,
+		Policy:      pol,
+		grids:       grids,
+		fits:        fits,
+		audit:       b.audit,
+		sampleEvery: orDefault(b.sampleEvery, 256),
+		obs:         MultiObserver(b.observers...),
+	}
+	for i := range grids {
+		g := &grids[i]
+		if g.global == nil {
+			words := g.kern.GlobalMemWords
+			if words <= 0 {
+				words = 1 << 12
+			}
+			g.global = make([]uint64, words)
+		}
+		d.targetCTAs += g.kern.GridCTAs
+	}
+	d.Kernel, d.Global = grids[0].kern, grids[0].global
+	for i := 0; i < cfg.NumSMs; i++ {
 		sm := newSM(d, i)
 		sm.policy = pol.NewSMState(sm)
 		d.sms = append(d.sms, sm)
 	}
-	// Initial wave: fill every SM up to its residency, round-robin so
-	// CTAs spread evenly across SMs.
 	for more := true; more; {
 		more = false
 		for _, sm := range d.sms {
-			if d.nextCTA >= k.GridCTAs {
-				break
-			}
-			if len(sm.ctas) < ctasPerSM && sm.freeSlots() >= k.WarpsPerCTA() {
-				sm.launchCTA(d.nextCTA)
-				d.emit(Event{Cycle: 0, SM: sm.id, Kind: "cta-launch", Data: d.nextCTA})
-				d.nextCTA++
+			if d.backfill(sm) {
 				more = true
 			}
 		}

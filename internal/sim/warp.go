@@ -212,14 +212,10 @@ func (w *Warp) AtBarrier() bool { return w.atBarrier }
 func (w *Warp) MaxPendingWriteback() int64 {
 	m := int64(0)
 	for _, t := range w.regReady {
-		if t > m {
-			m = t
-		}
+		m = max(m, t)
 	}
 	for _, t := range w.predReady {
-		if t > m {
-			m = t
-		}
+		m = max(m, t)
 	}
 	return m
 }

@@ -157,9 +157,10 @@ func WithObserver(o sim.Observer) sim.Option { return sim.WithObserver(o) }
 // same SMs. Per paper section IV, RegMutex does not support this mode:
 // kernels must carry no extended set (use Prepare, not Transform), and
 // execution falls back to static, exclusive allocation. Each kernel gets
-// its own global memory; read results back with Device.GlobalOf.
-func NewMultiDevice(cfg Config, t sim.Timing, kernels []*Kernel, globals [][]uint64) (*sim.Device, error) {
-	return sim.NewMultiDevice(cfg, t, kernels, globals)
+// its own global memory; read results back with Device.GlobalOf. The
+// options are New's, less WithPolicy and WithGlobal, which it refuses.
+func NewMultiDevice(cfg Config, t sim.Timing, kernels []*Kernel, globals [][]uint64, opts ...sim.Option) (*sim.Device, error) {
+	return sim.NewMultiDevice(cfg, t, kernels, globals, opts...)
 }
 
 // NewStaticPolicy is the baseline static, exclusive register allocation.
