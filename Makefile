@@ -65,11 +65,14 @@ paper-golden:
 	status=$$?; rm -f $$out; exit $$status
 
 # Capture a Chrome trace of one audited regmutex run and schema-check
-# the JSON; proves the gpusim -> Perfetto pipeline end to end.
+# the JSON; proves the gpusim -> Perfetto pipeline end to end. The trace
+# goes to a fresh mktemp file, removed whether or not a step fails.
 obs-smoke:
-	$(GO) run ./cmd/gpusim -w bfs -policy regmutex -scale 8 -sms 1 -audit -trace /tmp/gpusim-smoke.json
-	$(GO) run ./cmd/gpusim -validate /tmp/gpusim-smoke.json
-	rm -f /tmp/gpusim-smoke.json
+	@out=$$(mktemp); \
+	( set -e; \
+	$(GO) run ./cmd/gpusim -w bfs -policy regmutex -scale 8 -sms 1 -audit -trace $$out; \
+	$(GO) run ./cmd/gpusim -validate $$out ); \
+	status=$$?; rm -f $$out; exit $$status
 
 # Boot the gpusimd daemon on a loopback port, submit a job over real
 # HTTP, stream its SSE events to completion, check the telemetry
@@ -93,10 +96,11 @@ chaos-smoke:
 # and drive it through benchreg's loopback load phase, which requires
 # every SLO class to produce jobs with populated, nonzero latency
 # histograms — proves the spec -> schedule -> runner pipeline end to
-# end.
+# end. The BENCH output goes to a fresh mktemp file.
 load-smoke:
-	$(GO) run ./cmd/benchreg -spec examples/workloads/load-smoke.yaml -out /tmp/benchreg-load-smoke.json
-	rm -f /tmp/benchreg-load-smoke.json
+	@out=$$(mktemp); \
+	$(GO) run ./cmd/benchreg -spec examples/workloads/load-smoke.yaml -out $$out; \
+	status=$$?; rm -f $$out; exit $$status
 
 # Run every shipped hypothesis spec twice — at -j 1 and -j 8 — into
 # two report trees and require byte-identical FINDINGS/JSON (the
@@ -122,20 +126,26 @@ hypo-smoke:
 # and require both the knee (benchreg -sweep exits 1 without one) and
 # the BENCH saturation section. The knee numbers are byte-deterministic
 # — model time, not wall clock — so this gate cannot flake on slow CI.
+# The BENCH output goes to a fresh mktemp file.
 sweep-smoke:
-	$(GO) run ./cmd/benchreg -sweep examples/sweeps/sweep-smoke.yaml -compress 20 -out /tmp/benchreg-sweep-smoke.json
-	grep -q '"saturation"' /tmp/benchreg-sweep-smoke.json
-	grep -q '"knee_found": true' /tmp/benchreg-sweep-smoke.json
-	rm -f /tmp/benchreg-sweep-smoke.json
+	@out=$$(mktemp); \
+	( set -e; \
+	$(GO) run ./cmd/benchreg -sweep examples/sweeps/sweep-smoke.yaml -compress 20 -out $$out; \
+	grep -q '"saturation"' $$out; \
+	grep -q '"knee_found": true' $$out ); \
+	status=$$?; rm -f $$out; exit $$status
 
 # The fleet-sized sweep: the same ladder shape through a gpusimrouter
 # over three instances, so the knee prices in routing overhead. Not in
 # `make verify` (the daemon smoke already gates the analyzer); run it
-# when touching the router hot path.
+# when touching the router hot path. The BENCH output goes to a fresh
+# mktemp file.
 sweep-fleet:
-	$(GO) run ./cmd/benchreg -router -sweep examples/sweeps/sweep-fleet.yaml -compress 20 -out /tmp/benchreg-sweep-fleet.json
-	grep -q '"router-fleet-3"' /tmp/benchreg-sweep-fleet.json
-	rm -f /tmp/benchreg-sweep-fleet.json
+	@out=$$(mktemp); \
+	( set -e; \
+	$(GO) run ./cmd/benchreg -router -sweep examples/sweeps/sweep-fleet.yaml -compress 20 -out $$out; \
+	grep -q '"router-fleet-3"' $$out ); \
+	status=$$?; rm -f $$out; exit $$status
 
 # Boot a three-instance gpusimd fleet behind a gpusimrouter on loopback
 # ports, submit through the router, kill the instance that served the

@@ -94,7 +94,7 @@ func Handler(r *Router, opts ...service.HandlerOption) http.Handler {
 			service.WriteJSON(w, http.StatusOK, spans)
 		default:
 			w.Header().Set("Content-Type", "application/json")
-			WriteFleetTrace(w, spans)
+			obs.WriteChromeTrace(w, obs.SpanEvents(spans))
 		}
 	})
 	m.Route("GET /healthz", "healthz", func(w http.ResponseWriter, req *http.Request) {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 
@@ -66,11 +65,4 @@ func fetchSpans(ctx context.Context, hc *http.Client, base, trace string) ([]obs
 		return nil, err
 	}
 	return spans, nil
-}
-
-// WriteFleetTrace exports one trace's merged span tree as Chrome
-// trace-event JSON (Perfetto-loadable: one process lane per recording
-// process, one track per trace).
-func WriteFleetTrace(w io.Writer, spans []obs.Span) error {
-	return obs.WriteChromeTrace(w, obs.SpanEvents(spans))
 }

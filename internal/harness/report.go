@@ -234,7 +234,7 @@ func RenderReport(w io.Writer, machine occupancy.Config, rows []PolicyRow, befor
 			delta = fmt.Sprintf("  (%+.1f%% vs static)", 100*(float64(st.Cycles)/float64(baseCycles)-1))
 		}
 		stalls := fmt.Sprintf("%dk/%dk/%dk",
-			st.ScoreboardStalls/1000, st.MemStalls/1000, st.AcquireStalls/1000)
+			st.Stall[sim.CauseScoreboard]/1000, st.Stall[sim.CauseMemory]/1000, st.Stall[sim.CauseAcquire]/1000)
 		fmt.Fprintf(w, "%-10s %12d %12d %10.1f %9.1f%% %10.2f %12s%s\n",
 			r.Policy, st.Cycles, st.Instructions, st.AvgOccupancyWarps,
 			100*st.AcquireSuccessRate(), ipc, stalls, delta)

@@ -181,7 +181,7 @@ func Run(spec *Spec, ro RunOptions) (*Result, error) {
 			} else {
 				sr.Values = make(map[string]float64, len(spec.Metrics))
 				for mi, m := range spec.Metrics {
-					v := metricValue(run.Stats, m)
+					v, _ := run.Stats.Value(m)
 					sr.Values[m] = v
 					hists[mi].Observe(v)
 				}

@@ -18,6 +18,7 @@ import (
 	"strings"
 
 	"regmutex/internal/harness"
+	"regmutex/internal/sim"
 	"regmutex/internal/specfile"
 	"regmutex/internal/workloads"
 )
@@ -62,7 +63,7 @@ type Spec struct {
 	// seed, and the analysis pairs cells seed-by-seed. Zero is honored.
 	Seeds []uint64 `json:"seeds"`
 	// Metrics are the measured columns of the report, drawn from
-	// sim.Stats (see MetricNames). Every metric the comparison references
+	// sim.Stats (see sim.StatNames). Every metric the comparison references
 	// must be listed.
 	Metrics []string `json:"metrics"`
 	Compare Compare  `json:"compare"`
@@ -226,8 +227,8 @@ func (s *Spec) Validate() error {
 	}
 	metricSet := map[string]bool{}
 	for i, m := range s.Metrics {
-		if !KnownMetric(m) {
-			bad(fmt.Sprintf("metrics[%d]", i), "unknown metric %q (want one of %s)", m, strings.Join(MetricNames(), ", "))
+		if _, ok := (sim.Stats{}).Value(m); !ok {
+			bad(fmt.Sprintf("metrics[%d]", i), "unknown metric %q (want one of %s)", m, strings.Join(sim.StatNames(), ", "))
 		}
 		if metricSet[m] {
 			bad(fmt.Sprintf("metrics[%d]", i), "duplicate metric %q", m)
@@ -301,7 +302,7 @@ func (s *Spec) validateCompare(metricSet map[string]bool, bad func(string, strin
 			bad(path, "required")
 			return
 		}
-		if !KnownMetric(name) {
+		if _, ok := (sim.Stats{}).Value(name); !ok {
 			bad(path, "unknown metric %q", name)
 		} else if !metricSet[name] {
 			bad(path, "metric %q must also be listed under metrics", name)

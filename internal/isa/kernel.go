@@ -63,15 +63,12 @@ func (k *Kernel) AllocRegs() int { return RoundRegs(k.NumRegs) }
 func RoundRegs(n int) int { return (n + 3) &^ 3 }
 
 // HasExtendedSet reports whether the kernel was compiled with a non-empty
-// extended register set.
+// extended register set. The split covers the rounded allocation count,
+// since |Bs| + |Es| equals the total the kernel asks the hardware for
+// (section III-A2).
 func (k *Kernel) HasExtendedSet() bool {
-	return k.ExtSet > 0 && k.BaseSet > 0 && k.BaseSet < k.NumRegsEffective()
+	return k.ExtSet > 0 && k.BaseSet > 0 && k.BaseSet < k.AllocRegs()
 }
-
-// NumRegsEffective is the architected register budget the split must
-// cover: the rounded allocation count, since |Bs| + |Es| equals the total
-// the kernel asks the hardware for (section III-A2).
-func (k *Kernel) NumRegsEffective() int { return k.AllocRegs() }
 
 // Validate checks structural invariants: operand counts, register bounds,
 // branch targets, and RegMutex annotations. The simulator and the

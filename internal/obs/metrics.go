@@ -3,7 +3,6 @@ package obs
 import (
 	"encoding/csv"
 	"encoding/json"
-	"fmt"
 	"io"
 	"math"
 	"os"
@@ -209,27 +208,16 @@ func WriteMetricsDir(dir string, m MetricsReport) error {
 }
 
 // RecordStats publishes one finished run's Stats under the given prefix
-// (conventionally "<workload>/<policy>") and bumps the sim.runs counter.
-// Safe to call concurrently from pool workers.
+// (conventionally "<workload>/<policy>"), one gauge per sim.StatNames
+// measure, and bumps the sim.runs counter. Safe to call concurrently
+// from pool workers.
 func RecordStats(r *Registry, prefix string, st sim.Stats) {
 	if r == nil {
 		return
 	}
 	r.Counter("sim.runs").Inc()
-	set := func(suffix string, v float64) { r.Gauge(prefix + "." + suffix).Set(v) }
-	set("cycles", float64(st.Cycles))
-	set("instructions", float64(st.Instructions))
-	set("ctas", float64(st.CTAs))
-	set("avg_occupancy_warps", st.AvgOccupancyWarps)
-	set("acquire_attempts", float64(st.AcquireAttempts))
-	set("acquire_successes", float64(st.AcquireSuccesses))
-	set("acquire_success_rate", st.AcquireSuccessRate())
-	set("releases", float64(st.Releases))
-	set("rf_reads", float64(st.RFReads))
-	set("rf_writes", float64(st.RFWrites))
-	set("oob_accesses", float64(st.OOBAccesses))
-	set("sched_slots", float64(st.SchedSlots))
-	for _, c := range sim.StallCauses() {
-		set(fmt.Sprintf("stall.%s", c), float64(st.Stall[c]))
+	for _, name := range sim.StatNames() {
+		v, _ := st.Value(name)
+		r.Gauge(prefix + "." + name).Set(v)
 	}
 }

@@ -244,13 +244,19 @@ func TestMetricsRegistry(t *testing.T) {
 	}
 }
 
-// TestRecordStats checks the per-run stat publication, cause gauges
-// included.
+// TestRecordStats checks the per-run stat publication: one gauge per
+// sim.StatNames measure, cause gauges included.
 func TestRecordStats(t *testing.T) {
 	st, _ := runToy(t)
 	r := obs.NewRegistry()
 	obs.RecordStats(r, "obstoy/regmutex", st)
 	rep := r.Snapshot()
+	for _, name := range sim.StatNames() {
+		want, _ := st.Value(name)
+		if v, ok := rep.Get("obstoy/regmutex." + name); !ok || v != want {
+			t.Errorf("%s gauge = %v, %v; want %v", name, v, ok, want)
+		}
+	}
 	if v, ok := rep.Get("obstoy/regmutex.cycles"); !ok || v != float64(st.Cycles) {
 		t.Fatalf("cycles gauge = %v, %v; want %d", v, ok, st.Cycles)
 	}
@@ -402,13 +408,6 @@ func TestStallConservation(t *testing.T) {
 				}
 				if st.SchedSlots != want {
 					t.Fatalf("SchedSlots = %d, want %d", st.SchedSlots, want)
-				}
-				// The legacy counters are views into the attribution.
-				if st.ScoreboardStalls != st.Stall[sim.CauseScoreboard] ||
-					st.MemStalls != st.Stall[sim.CauseMemory] ||
-					st.AcquireStalls != st.Stall[sim.CauseAcquire] {
-					t.Fatalf("derived stall counters diverge from breakdown: %+v vs %+v",
-						[]int64{st.ScoreboardStalls, st.MemStalls, st.AcquireStalls}, st.Stall)
 				}
 			})
 		}

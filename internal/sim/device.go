@@ -2,6 +2,8 @@ package sim
 
 import (
 	"context"
+	"slices"
+	"sort"
 	"strings"
 
 	"regmutex/internal/isa"
@@ -195,14 +197,6 @@ type Stats struct {
 	// Cycles × NumSMs × SchedulersPerSM.
 	SchedSlots int64
 
-	// ScoreboardStalls, MemStalls, and AcquireStalls are views into
-	// Stall (kept for existing consumers). They are derived from the
-	// single-cause attribution, so a warp blocked on several hazards in
-	// one cycle is counted once, under the highest-priority cause.
-	ScoreboardStalls int64
-	MemStalls        int64
-	AcquireStalls    int64
-
 	// Register file traffic in warp-row accesses, the inputs to the
 	// energy model (internal/energy).
 	RFReads  int64
@@ -218,6 +212,64 @@ func (s Stats) AcquireSuccessRate() float64 {
 		return 1
 	}
 	return float64(s.AcquireSuccesses) / float64(s.AcquireAttempts)
+}
+
+// statFuncs is the one vocabulary of Stats measures: hypothesis specs
+// name them and obs.RecordStats publishes them all. Derived measures
+// (ipc, user_instructions, stall_frac.<cause>) are computed here, so no
+// consumer needs arithmetic.
+var statFuncs = map[string]func(Stats) float64{
+	"cycles":               func(s Stats) float64 { return float64(s.Cycles) },
+	"instructions":         func(s Stats) float64 { return float64(s.Instructions) },
+	"user_instructions":    func(s Stats) float64 { return float64(s.Instructions - s.AcqRelInstructions) },
+	"ctas":                 func(s Stats) float64 { return float64(s.CTAs) },
+	"avg_occupancy_warps":  func(s Stats) float64 { return s.AvgOccupancyWarps },
+	"acquire_attempts":     func(s Stats) float64 { return float64(s.AcquireAttempts) },
+	"acquire_successes":    func(s Stats) float64 { return float64(s.AcquireSuccesses) },
+	"acquire_success_rate": Stats.AcquireSuccessRate,
+	"releases":             func(s Stats) float64 { return float64(s.Releases) },
+	"rf_reads":             func(s Stats) float64 { return float64(s.RFReads) },
+	"rf_writes":            func(s Stats) float64 { return float64(s.RFWrites) },
+	"sched_slots":          func(s Stats) float64 { return float64(s.SchedSlots) },
+	"oob_accesses":         func(s Stats) float64 { return float64(s.OOBAccesses) },
+	"ipc":                  func(s Stats) float64 { return ratio(s.Instructions, s.Cycles) },
+}
+
+// statNames is statFuncs' keys, sorted.
+var statNames []string
+
+func init() {
+	// stall.<cause> (slot-cycles) and stall_frac.<cause> (share of the
+	// scheduler slots) for every attribution cause, "issued" included.
+	for _, c := range StallCauses() {
+		statFuncs["stall."+c.String()] = func(s Stats) float64 { return float64(s.Stall[c]) }
+		statFuncs["stall_frac."+c.String()] = func(s Stats) float64 { return ratio(s.Stall[c], s.SchedSlots) }
+	}
+	for name := range statFuncs {
+		statNames = append(statNames, name)
+	}
+	sort.Strings(statNames)
+}
+
+// ratio is a/b, or 0 when b is 0.
+func ratio(a, b int64) float64 {
+	if b == 0 {
+		return 0
+	}
+	return float64(a) / float64(b)
+}
+
+// StatNames lists every measure Stats.Value knows, sorted.
+func StatNames() []string { return slices.Clone(statNames) }
+
+// Value returns the named measure of s; ok is false when StatNames does
+// not list the name.
+func (s Stats) Value(name string) (v float64, ok bool) {
+	f, ok := statFuncs[name]
+	if !ok {
+		return 0, false
+	}
+	return f(s), true
 }
 
 // progressTotals is what the forward-progress watchdog compares across
@@ -542,9 +594,6 @@ func (d *Device) collectStats() Stats {
 	}
 	st.Stall = d.Breakdown()
 	st.SchedSlots = st.Stall.Total()
-	st.ScoreboardStalls = st.Stall[CauseScoreboard]
-	st.MemStalls = st.Stall[CauseMemory]
-	st.AcquireStalls = st.Stall[CauseAcquire]
 	return st
 }
 

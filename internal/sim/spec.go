@@ -92,6 +92,7 @@ func New(spec DeviceSpec, opts ...Option) (*Device, error) {
 	return build(spec.Config, spec.Timing, pol, fits, []grid{{kern: k, global: b.global}}, b)
 }
 
+// collect applies opts to an empty buildOptions.
 func collect(opts []Option) buildOptions {
 	var b buildOptions
 	for _, opt := range opts {
@@ -119,11 +120,7 @@ func build(cfg occupancy.Config, timing Timing, pol Policy, fits func(*SM, *isa.
 	for i := range grids {
 		g := &grids[i]
 		if g.global == nil {
-			words := g.kern.GlobalMemWords
-			if words <= 0 {
-				words = 1 << 12
-			}
-			g.global = make([]uint64, words)
+			g.global = make([]uint64, orDefault(g.kern.GlobalMemWords, 1<<12))
 		}
 		d.targetCTAs += g.kern.GridCTAs
 	}

@@ -251,12 +251,3 @@ func (s *Spec) Identity() string {
 	h.Write(data)
 	return fmt.Sprintf("%016x", h.Sum64())
 }
-
-// TotalRequests sums every cohort's request count.
-func (s *Spec) TotalRequests() int {
-	n := 0
-	for _, c := range s.Cohorts {
-		n += c.Requests
-	}
-	return n
-}
