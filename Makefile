@@ -46,7 +46,10 @@ verify:
 bench:
 	$(GO) run ./cmd/benchreg
 
-# The raw go-test microbenchmarks (the pre-trajectory `bench` target).
+# The raw go-test microbenchmarks (the pre-trajectory `bench` target),
+# one iteration each. BenchmarkFig7Pass (internal/sim) is one pass of the
+# eight Fig 7 kernels under static and regmutex; for a cycle-loop profile
+# run it alone: go test ./internal/sim -run '^$' -bench Fig7Pass -cpuprofile cpu.out
 microbench:
 	$(GO) test -bench=. -benchmem -benchtime=1x ./...
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"testing"
 
@@ -172,21 +173,84 @@ func broadcast(imm int64) row {
 }
 
 // walkAudit checks, before every simulated step, that each scheduler's
-// dense walk state agrees with the facts of the warps in its pick list.
+// dense walk state agrees with the facts of the warps in its pick list:
+// every live warp's scoreboard bound is exact (its next instruction's
+// readyAt), and each entry sits in the right set. An entry is ready iff
+// its bound expired by the cycle the scheduler's wake wheel was last
+// drained through (base-1, before now); the wheel holds exactly the
+// blocked entries, each at its bound.
 type walkAudit struct{ checked int }
 
 func (a *walkAudit) CheckCycle(d *Device, now int64) error {
 	for _, sm := range d.sms {
+		for _, w := range sm.warps {
+			if w.Finished() {
+				continue
+			}
+			if got, want := w.blockedUntil, w.CTA.code[w.NextPC()].readyAt(w); got != want {
+				return fmt.Errorf("cycle %d SM%d warp %d: bound %d, its next instruction is ready at %d",
+					now, sm.id, w.Widx, got, want)
+			}
+		}
 		for s := range sm.schedulers {
 			sched := &sm.schedulers[s]
 			if len(sched.until) != len(sched.order) {
 				return fmt.Errorf("cycle %d SM%d scheduler %d: %d walk entries for %d warps",
 					now, sm.id, s, len(sched.until), len(sched.order))
 			}
-			for i, w := range sched.order {
-				if got, want := sched.until[i], w.walkUntil(); got != want {
+			wh := &sched.wake
+			if wh.base > now {
+				return fmt.Errorf("cycle %d SM%d scheduler %d: wake wheel drained through %d, past the current cycle",
+					now, sm.id, s, wh.base-1)
+			}
+			for i := 0; i < 64*len(sched.ready); i++ {
+				ready, blocked := bitSet(sched.ready, i), bitSet(sched.blocked, i)
+				if i >= len(sched.order) {
+					if ready || blocked {
+						return fmt.Errorf("cycle %d SM%d scheduler %d: position %d past the %d-entry pick list is in a set",
+							now, sm.id, s, i, len(sched.order))
+					}
+					continue
+				}
+				w := sched.order[i]
+				u := sched.until[i]
+				if want := w.walkUntil(); u != want {
 					return fmt.Errorf("cycle %d SM%d scheduler %d: entry %d (warp %d) is %d, its facts say %d",
-						now, sm.id, s, i, w.Widx, got, want)
+						now, sm.id, s, i, w.Widx, u, want)
+				}
+				wantReady, wantBlocked := u != parked && u < wh.base, u != parked && u >= wh.base
+				if ready != wantReady || blocked != wantBlocked {
+					return fmt.Errorf("cycle %d SM%d scheduler %d: entry %d (warp %d, bound %d, drained through %d): ready %v blocked %v, want %v %v",
+						now, sm.id, s, i, w.Widx, u, wh.base-1, ready, blocked, wantReady, wantBlocked)
+				}
+				if wantBlocked && !wheelHolds(wh, u, i) {
+					return fmt.Errorf("cycle %d SM%d scheduler %d: blocked entry %d (warp %d) is not on the wake wheel at its bound %d",
+						now, sm.id, s, i, w.Widx, u)
+				}
+			}
+			// The wheel holds nothing else: every position on it is a
+			// blocked entry, in the row of its bound or far.
+			for c := wh.base; c <= wh.base+wh.mask; c++ {
+				r := c & wh.mask
+				row := wh.rows[r*int64(wh.words) : (r+1)*int64(wh.words)]
+				for k, x := range row {
+					if x != 0 && !bitSet(wh.nz, int(r)) {
+						return fmt.Errorf("cycle %d SM%d scheduler %d: row of cycle %d holds positions but is not marked",
+							now, sm.id, s, c)
+					}
+					for ; x != 0; x &= x - 1 {
+						i := k<<6 + bits.TrailingZeros64(x)
+						if i >= len(sched.order) || !bitSet(sched.blocked, i) || sched.until[i] != c {
+							return fmt.Errorf("cycle %d SM%d scheduler %d: position %d waits at cycle %d but is not blocked until then",
+								now, sm.id, s, i, c)
+						}
+					}
+				}
+			}
+			for i := 0; i < 64*wh.words; i++ {
+				if bitSet(wh.far, i) && (i >= len(sched.order) || !bitSet(sched.blocked, i) || sched.until[i] < wh.farAt) {
+					return fmt.Errorf("cycle %d SM%d scheduler %d: position %d waits far but is not blocked past %d",
+						now, sm.id, s, i, wh.farAt)
 				}
 			}
 			a.checked++
@@ -195,12 +259,25 @@ func (a *walkAudit) CheckCycle(d *Device, now int64) error {
 	return nil
 }
 
+// bitSet reports whether bit i of set is set.
+func bitSet(set []uint64, i int) bool { return set[i>>6]>>uint(i&63)&1 != 0 }
+
+// wheelHolds reports whether position i waits on wh under bound t: in
+// the row of cycle t, or far, where farAt is no later than t.
+func wheelHolds(wh *wakeWheel, t int64, i int) bool {
+	if bitSet(wh.far, i) {
+		return wh.farAt <= t
+	}
+	return t-wh.base <= wh.mask && bitSet(wh.rows[(t&wh.mask)*int64(wh.words):], i)
+}
+
 func (a *walkAudit) CheckEnd(*Device) error { return nil }
 
 // TestWalkStateMatchesWarps runs barrier-heavy Fig 7 kernels under both
-// policies with walkAudit attached: every barrier arrival and release,
-// warp exit and scoreboard-blocked attempt must reach the dense walk
-// state, not only the warp.
+// policies with walkAudit attached: every issue's new scoreboard bound,
+// every barrier arrival and release, every warp exit and every pick-list
+// rebuild must reach the dense walk state and the wake wheel, not only
+// the warp.
 func TestWalkStateMatchesWarps(t *testing.T) {
 	cfg := occupancy.GTX480()
 	cfg.NumSMs = 2

@@ -46,28 +46,83 @@ func (c *CTAState) storeShared(addr int64, v uint64) {
 // liveWarps returns warps that have not finished.
 func (c *CTAState) liveWarps() int { return len(c.warps) - c.doneWarps }
 
-// wheel is a calendar of future event cycles: an event count per cycle
-// slot plus a bitmap of the nonzero slots. Its span is a power of two
-// above every issue-to-writeback latency, so every live event lies in
-// [base, base+span) and its slot is its cycle mod span. Slots of cycles
-// before base are zero; a push that would alias one of them first clears
-// the cycles it overtakes, so stale events never shadow fresh ones.
-// Push, expire and next cost O(span/64) words at most and allocate
-// nothing.
-type wheel struct {
-	counts []int32
-	nz     []uint64 // bit i set iff counts[i] > 0
-	mask   int64    // span - 1
-	base   int64    // earliest cycle a counted event can be at
+// calendar is the bitmap half of the SM's event wheels: one bit per
+// cycle slot, set while the slot holds something. Its span is a power of
+// two above every issue-to-writeback latency, so every live entry lies in
+// [base, base+span) and its slot is its cycle mod span; every slot
+// before base is drained. drain and next cost O(span/64) words at most.
+type calendar struct {
+	nz   []uint64 // bit s set iff slot s holds something
+	mask int64    // span - 1
+	base int64    // earliest cycle an entry can be at
 }
 
-// newWheel sizes a wheel for events at most maxLatency cycles ahead.
-func newWheel(maxLatency int64) wheel {
+// newCalendar sizes a calendar for entries at most maxLatency cycles
+// ahead.
+func newCalendar(maxLatency int64) calendar {
 	span := int64(64)
 	for span <= maxLatency {
 		span <<= 1
 	}
-	return wheel{counts: make([]int32, span), nz: make([]uint64, span/64), mask: span - 1}
+	return calendar{nz: make([]uint64, span/64), mask: span - 1}
+}
+
+// mark sets cycle t's slot, which the caller fills, and returns it.
+func (c *calendar) mark(t int64) int64 {
+	s := t & c.mask
+	c.nz[s>>6] |= 1 << uint(s&63)
+	return s
+}
+
+// drain calls empty on every marked slot of a cycle in [base, now],
+// unmarks them, and moves base past now, which is at or after base.
+func (c *calendar) drain(now int64, empty func(s int64)) {
+	end := min(now, c.base+c.mask) // one span past base covers every slot
+	for t := c.base; t <= end; {
+		s := t & c.mask
+		bit := s & 63
+		n := min(64-bit, end-t+1)
+		m := ^uint64(0) >> uint(64-n) << uint(bit)
+		word := &c.nz[s>>6]
+		for set := *word & m; set != 0; set &= set - 1 {
+			empty(s&^63 + int64(bits.TrailingZeros64(set)))
+		}
+		*word &^= m
+		t += n
+	}
+	c.base = now + 1
+}
+
+// next returns the earliest marked cycle, or -1 when none is.
+func (c *calendar) next() int64 {
+	start := c.base & c.mask
+	w0 := int(start >> 6)
+	if x := c.nz[w0] >> uint(start&63); x != 0 {
+		return c.base + int64(bits.TrailingZeros64(x))
+	}
+	for k := 1; k <= len(c.nz); k++ {
+		w := (w0 + k) % len(c.nz)
+		if x := c.nz[w]; x != 0 {
+			i := int64(w)<<6 + int64(bits.TrailingZeros64(x))
+			return c.base + (i-start)&c.mask
+		}
+	}
+	return -1
+}
+
+// wheel is a calendar of future event cycles with an event count per
+// slot. Slots of cycles before base are zero; a push that would alias
+// one of them first clears the cycles it overtakes, so stale events
+// never shadow fresh ones. Push, expire and next allocate nothing.
+type wheel struct {
+	calendar
+	counts []int32
+}
+
+// newWheel sizes a wheel for events at most maxLatency cycles ahead.
+func newWheel(maxLatency int64) wheel {
+	c := newCalendar(maxLatency)
+	return wheel{calendar: c, counts: make([]int32, c.mask+1)}
 }
 
 // push records one event at cycle t. An event before base (a zero
@@ -81,9 +136,7 @@ func (wh *wheel) push(t int64) {
 	if t-wh.base > wh.mask {
 		wh.expire(t - wh.mask - 1)
 	}
-	i := t & wh.mask
-	wh.counts[i]++
-	wh.nz[i>>6] |= 1 << uint(i&63)
+	wh.counts[wh.mark(t)]++
 }
 
 // expire removes every event at a cycle <= now and returns how many
@@ -102,41 +155,60 @@ func (wh *wheel) expire(now int64) int {
 		return n
 	}
 	n := 0
-	end := min(now, wh.base+wh.mask) // one span past base covers every slot
-	for c := wh.base; c <= end; {
-		i := c & wh.mask
-		bit := i & 63
-		k := min(64-bit, end-c+1)
-		m := ^uint64(0) >> uint(64-k) << uint(bit)
-		word := &wh.nz[i>>6]
-		for set := *word & m; set != 0; set &= set - 1 {
-			j := i&^63 + int64(bits.TrailingZeros64(set))
-			n += int(wh.counts[j])
-			wh.counts[j] = 0
-		}
-		*word &^= m
-		c += k
-	}
-	wh.base = now + 1
+	wh.drain(now, func(s int64) {
+		n += int(wh.counts[s])
+		wh.counts[s] = 0
+	})
 	return n
 }
 
-// next returns the earliest counted event cycle, or -1 when the wheel is
-// empty.
-func (wh *wheel) next() int64 {
-	start := wh.base & wh.mask
-	w0 := int(start >> 6)
-	if x := wh.nz[w0] >> uint(start&63); x != 0 {
-		return wh.base + int64(bits.TrailingZeros64(x))
+// wakeWheel is a scheduler's calendar of scoreboard bounds: each slot's
+// row holds the pick-list positions whose bound expires in its cycle.
+// Bounds a span or more ahead, which only fault injection makes
+// (Warp.DelayWriteback), wait in far instead. The wheel holds exactly
+// the scheduler's blocked entries, each at its bound.
+type wakeWheel struct {
+	calendar
+	words int      // words per row
+	rows  []uint64 // one row of position bits per slot
+	far   []uint64 // positions whose bound was a span or more ahead
+	farAt int64    // earliest bound in far; parked when far is empty
+}
+
+// newWakeWheel sizes a wake wheel for bounds at most maxLatency cycles
+// ahead over positions held in words-word bit sets.
+func newWakeWheel(maxLatency int64, words int) wakeWheel {
+	c := newCalendar(maxLatency)
+	return wakeWheel{calendar: c, words: words, rows: make([]uint64, (c.mask+1)*int64(words)),
+		far: make([]uint64, words), farAt: parked}
+}
+
+// row returns slot s's position bits.
+func (wh *wakeWheel) row(s int64) []uint64 {
+	return wh.rows[s*int64(wh.words) : (s+1)*int64(wh.words)]
+}
+
+// push files position i under bound t, which is at or after base.
+func (wh *wakeWheel) push(t int64, i int) {
+	bit := uint64(1) << uint(i&63)
+	if t-wh.base > wh.mask {
+		wh.far[i>>6] |= bit
+		wh.farAt = min(wh.farAt, t)
+		return
 	}
-	for k := 1; k <= len(wh.nz); k++ {
-		w := (w0 + k) % len(wh.nz)
-		if x := wh.nz[w]; x != 0 {
-			i := int64(w)<<6 + int64(bits.TrailingZeros64(x))
-			return wh.base + (i-start)&wh.mask
+	wh.row(wh.mark(t))[i>>6] |= bit
+}
+
+// reset empties the wheel, keeping base.
+func (wh *wakeWheel) reset() {
+	for k, x := range wh.nz {
+		for ; x != 0; x &= x - 1 {
+			clear(wh.row(int64(k)<<6 + int64(bits.TrailingZeros64(x))))
 		}
+		wh.nz[k] = 0
 	}
-	return -1
+	clear(wh.far)
+	wh.farAt = parked
 }
 
 // scheduler is one of the SM's warp schedulers (greedy-then-oldest).
@@ -157,10 +229,17 @@ type scheduler struct {
 	orderAt  int64
 
 	// until is the walk's dense view of order: until[i] is order[i]'s
-	// walkUntil, so the walk skips parked and scoreboard-blocked warps
-	// without loading them. SM.syncWalk keeps it current wherever a
-	// warp's finished, atBarrier or blockedUntil changes.
-	until []int64
+	// walkUntil. ready and blocked are bit sets over order positions that
+	// split the entries that are not parked: ready holds those whose
+	// bound expired by the cycle wake was last drained through, blocked
+	// the rest, each of which waits on wake at its bound. So the walk
+	// visits only the warps that can issue, and finds the first
+	// scoreboard-blocked one by bit scan. SM.syncWalk keeps all four
+	// current wherever a warp's finished, atBarrier or blockedUntil
+	// changes; rebuildOrder refills them.
+	until          []int64
+	ready, blocked []uint64
+	wake           wakeWheel
 }
 
 // parked marks a finished warp, or one waiting at a barrier, in a
@@ -183,6 +262,13 @@ func (sm *SM) rank(w *Warp, now int64) int {
 // greedy-then-oldest case is already sorted and the insertion sort does
 // no moves.
 func (sched *scheduler) rebuildOrder(sm *SM, now int64) {
+	// Warps retired with their CTA leave the list here, and nothing else
+	// refers to them: their storage goes to the SM's free list.
+	for _, w := range sched.order {
+		if w.orderPos < 0 {
+			sm.free = append(sm.free, w)
+		}
+	}
 	order := sched.order[:0]
 	n := len(sm.schedulers)
 	for _, w := range sm.warps {
@@ -202,14 +288,108 @@ func (sched *scheduler) rebuildOrder(sm *SM, now int64) {
 		}
 		order[j+1] = w
 	}
-	until := sched.until[:0]
-	for i, w := range order {
-		w.orderPos = i
-		until = append(until, w.walkUntil())
-	}
-	sched.order, sched.until = order, until
+	sched.order, sched.until = order, sched.until[:len(order)]
 	sched.orderGen = sm.orderGen
 	sched.orderAt = now
+	// Positions moved: refile every entry.
+	sched.wake.reset()
+	clear(sched.ready)
+	clear(sched.blocked)
+	for i, w := range order {
+		w.orderPos = i
+		sched.refile(i, w.walkUntil())
+	}
+}
+
+// refile sets walk entry i's until to t and files the entry in the set
+// t says: none when parked, ready if the bound expired by the wheel's
+// last drain, else blocked and on the wheel at its bound. An entry is
+// refiled only while it is ready or parked (a warp's walk facts change
+// only when it issues, arrives at or leaves a barrier, or exits), or
+// after rebuildOrder empties the sets and the wheel, so no wheel entry is
+// left behind.
+func (sched *scheduler) refile(i int, t int64) {
+	k, bit := i>>6, uint64(1)<<uint(i&63)
+	sched.until[i] = t
+	sched.ready[k] &^= bit
+	switch {
+	case t == parked:
+	case t < sched.wake.base:
+		sched.ready[k] |= bit
+	default:
+		sched.blocked[k] |= bit
+		sched.wake.push(t, i)
+	}
+}
+
+// wakeUp drains the wake wheel through now: every blocked entry whose
+// bound has expired becomes ready. The common step, one cycle after the
+// last with no far entry due, reads one row.
+func (sched *scheduler) wakeUp(now int64) {
+	wh := &sched.wake
+	if now == wh.base && wh.farAt > now {
+		wh.base++
+		if s := now & wh.mask; wh.nz[s>>6]&(1<<uint(s&63)) != 0 {
+			wh.nz[s>>6] &^= 1 << uint(s&63)
+			sched.wakeRow(s)
+		}
+		return
+	}
+	if now >= wh.base {
+		wh.drain(now, sched.wakeRow)
+	}
+	if wh.farAt <= now {
+		sched.wakeFar(now)
+	}
+}
+
+// wakeRow makes ready the positions of slot s's row, all due, and
+// empties it.
+func (sched *scheduler) wakeRow(s int64) {
+	row := sched.wake.row(s)
+	for k, x := range row {
+		sched.ready[k] |= x
+		sched.blocked[k] &^= x
+		row[k] = 0
+	}
+}
+
+// wakeFar makes ready the far entries whose bound expired by now; the
+// rest stay far.
+func (sched *scheduler) wakeFar(now int64) {
+	wh := &sched.wake
+	wh.farAt = parked
+	for k, x := range wh.far {
+		for ; x != 0; x &= x - 1 {
+			b := bits.TrailingZeros64(x)
+			if t := sched.until[k<<6+b]; t > now {
+				wh.farAt = min(wh.farAt, t)
+				continue
+			}
+			bit := uint64(1) << uint(b)
+			sched.ready[k] |= bit
+			sched.blocked[k] &^= bit
+			wh.far[k] &^= bit
+		}
+	}
+}
+
+// nextEntry returns the first position at or after from whose bit is set
+// in set, skipping position skip, or -1.
+func nextEntry(set []uint64, from, skip int) int {
+	for k := from >> 6; k < len(set); k++ {
+		x := set[k]
+		if k == from>>6 {
+			x &= ^uint64(0) << uint(from&63)
+		}
+		if k == skip>>6 {
+			x &^= 1 << uint(skip&63)
+		}
+		if x != 0 {
+			return k<<6 + bits.TrailingZeros64(x)
+		}
+	}
+	return -1
 }
 
 // syncWalk copies w's walk facts into its scheduler's dense walk state.
@@ -217,8 +397,8 @@ func (sched *scheduler) rebuildOrder(sm *SM, now int64) {
 // the rebuild that adds it reads its facts.
 func (sm *SM) syncWalk(w *Warp) {
 	sched := &sm.schedulers[w.sched]
-	if i := w.orderPos; i < len(sched.order) && sched.order[i] == w {
-		sched.until[i] = w.walkUntil()
+	if i := w.orderPos; uint(i) < uint(len(sched.order)) && sched.order[i] == w {
+		sched.refile(i, w.walkUntil())
 	}
 }
 
@@ -234,20 +414,19 @@ type slotResult struct {
 type issueOutcome int8
 
 const (
-	outIssued     issueOutcome = iota
-	outSkip                    // finished / at barrier: not a chargeable stall
-	outScoreboard              // pending register or predicate writeback
-	outSFU                     // SFU port taken this cycle
-	outMem                     // global-memory queue full
-	outPolicy                  // policy gate refused (acquire-wait)
+	outIssued issueOutcome = iota
+	outSkip                // finished / at barrier: not a chargeable stall
+	outSFU                 // SFU port taken this cycle
+	outMem                 // global-memory queue full
+	outPolicy              // policy gate refused (acquire-wait)
 )
 
 // stallCause maps a failed attempt to its charged cause. Structural
-// back-pressure (memory queue, SFU port) folds into CauseMemory.
+// back-pressure (memory queue, SFU port) folds into CauseMemory. A
+// scoreboard stall is never an attempt: the walk charges it from the
+// warp's exact bound.
 func (o issueOutcome) stallCause() StallCause {
 	switch o {
-	case outScoreboard:
-		return CauseScoreboard
 	case outSFU, outMem:
 		return CauseMemory
 	case outPolicy:
@@ -280,6 +459,7 @@ type SM struct {
 	warps      []*Warp // all resident warps, in launch (Seq) order
 	slots      []bool  // warp slot occupancy, index = Widx
 	schedulers []scheduler
+	free       []*Warp // retired warps, their storage for the next launches
 
 	policy PolicyState
 
@@ -336,9 +516,12 @@ func newSM(dev *Device, id int) *SM {
 	// Each scheduler's pick list holds at most its share of the slots.
 	nsched := dev.Config.SchedulersPerSM
 	per := (dev.Config.MaxWarpsPerSM + nsched - 1) / max(nsched, 1)
+	words := (per + 63) / 64
 	for s := 0; s < nsched; s++ {
 		sm.schedulers = append(sm.schedulers, scheduler{id: s,
-			order: make([]*Warp, 0, per), until: make([]int64, 0, per)})
+			order: make([]*Warp, 0, per), until: make([]int64, 0, per),
+			ready: make([]uint64, words), blocked: make([]uint64, words),
+			wake: newWakeWheel(dev.Timing.MaxLatency(), words)})
 	}
 	return sm
 }
@@ -372,7 +555,12 @@ func (sm *SM) launchCTA(g *grid) {
 		if widx < 0 {
 			return
 		}
-		w := newWarp(k, int(sm.dev.warpSeq), widx, cta, wi, lanes)
+		var w *Warp
+		if w = sm.retiredWarp(k); w != nil {
+			w.recycle(int(sm.dev.warpSeq), widx, cta, wi, lanes)
+		} else {
+			w = newWarp(k, int(sm.dev.warpSeq), widx, cta, wi, lanes)
+		}
 		w.sched = widx % len(sm.schedulers)
 		sm.dev.warpSeq++
 		cta.warps = append(cta.warps, w)
@@ -381,6 +569,20 @@ func (sm *SM) launchCTA(g *grid) {
 	}
 	sm.ctas = append(sm.ctas, cta)
 	sm.orderGen++
+}
+
+// retiredWarp takes a warp off the free list whose register storage
+// fits k, or returns nil.
+func (sm *SM) retiredWarp(k *isa.Kernel) *Warp {
+	for i := len(sm.free) - 1; i >= 0; i-- {
+		if w := sm.free[i]; len(w.regs) == k.NumRegs && len(w.preds) == k.NumPRegs {
+			sm.free[i] = sm.free[len(sm.free)-1]
+			sm.free[len(sm.free)-1] = nil
+			sm.free = sm.free[:len(sm.free)-1]
+			return w
+		}
+	}
+	return nil
 }
 
 func (sm *SM) takeSlot() int {
@@ -403,6 +605,7 @@ func (sm *SM) takeSlot() int {
 func (sm *SM) retireCTA(cta *CTAState) {
 	for _, w := range cta.warps {
 		sm.slots[w.Widx] = false
+		w.orderPos = -1 // its scheduler frees it when its pick list drops it
 	}
 	for i, c := range sm.ctas {
 		if c == cta {
@@ -559,6 +762,7 @@ func (sm *SM) step(now int64) int {
 // hazard; slots with no runnable candidate classify as barrier,
 // no-warp, or empty.
 func (sm *SM) issueSlot(sched *scheduler, now int64) slotResult {
+	sched.wakeUp(now)
 	rr := sm.dev.Timing.LooseRoundRobin
 	if rr {
 		sched.last = nil // round-robin: no greedy stickiness
@@ -572,9 +776,9 @@ func (sm *SM) issueSlot(sched *scheduler, now int64) slotResult {
 	charged := slotResult{cause: causeInvalid}
 	switch {
 	case last == nil, last.atBarrier:
-		// Nothing to retry: tryIssue skips a warp at a barrier.
+		// Nothing to retry: a warp at a barrier cannot issue.
 	case last.blockedUntil > now:
-		// Known scoreboard-blocked, as in the walk below.
+		// Scoreboard-blocked, as a blocked walk entry below.
 		charged = slotResult{cause: CauseScoreboard, warp: last}
 	default:
 		out := sm.tryIssue(last, now)
@@ -589,40 +793,39 @@ func (sm *SM) issueSlot(sched *scheduler, now int64) slotResult {
 		sched.rebuildOrder(sm, now)
 	}
 	lastPos := -1 // the greedy warp's walk entry, already tried above
-	if last != nil && last.orderPos < len(sched.order) && sched.order[last.orderPos] == last {
+	if last != nil && uint(last.orderPos) < uint(len(sched.order)) && sched.order[last.orderPos] == last {
 		lastPos = last.orderPos
 	}
-	// Walk the kept pick list once, reading each warp's facts from the
-	// dense until array and loading only the warps it tries or charges.
-	// Priorities change only through orderGen, so a change during the
-	// walk takes effect at the next slot; until entries an attempt
-	// changes (a barrier released by a warp exit) are read as the walk
-	// reaches them.
-	for i, t := range sched.until {
-		if t == parked || i == lastPos {
-			continue
-		}
-		if t > now {
-			// Scoreboard-blocked until a known future cycle: charge
-			// without re-decoding the instruction. The cached bound is
-			// conservative (fault injection only delays writebacks), so
-			// an expired bound is simply recomputed by tryIssue.
-			if charged.cause == causeInvalid {
-				charged = slotResult{cause: CauseScoreboard, warp: sched.order[i]}
+	// Walk the kept pick list in order, bit-scanning for ready entries
+	// and loading only the warps it tries or charges. The charge goes to
+	// the first entry the walk passes that is blocked or fails its
+	// attempt. Priorities change only through orderGen, so a change
+	// during the walk takes effect at the next slot. The sets are re-read
+	// after each attempt, so an entry an attempt changed would be seen as
+	// the walk reaches it.
+	for from := 0; ; {
+		i := nextEntry(sched.ready, from, lastPos)
+		out := outSkip
+		if i >= 0 {
+			if out = sm.tryIssue(sched.order[i], now); out == outIssued {
+				sched.last = sched.order[i]
+				return slotResult{cause: CauseIssued, warp: sched.last}
 			}
-			continue
-		}
-		w := sched.order[i]
-		out := sm.tryIssue(w, now)
-		if out == outIssued {
-			sched.last = w
-			return slotResult{cause: CauseIssued, warp: w}
 		}
 		if charged.cause == causeInvalid {
-			if c := out.stallCause(); c != causeInvalid {
-				charged = slotResult{cause: c, warp: w}
+			// A blocked entry before i comes first; only an issue
+			// changes other entries, so the attempt left the sets as
+			// they were.
+			if b := nextEntry(sched.blocked, from, lastPos); b >= 0 && (i < 0 || b < i) {
+				charged = slotResult{cause: CauseScoreboard, warp: sched.order[b]}
+			} else if c := out.stallCause(); c != causeInvalid {
+				charged = slotResult{cause: c, warp: sched.order[i]}
 			}
 		}
+		if i < 0 {
+			break
+		}
+		from = i + 1
 	}
 	if charged.cause != causeInvalid {
 		return charged
@@ -652,26 +855,18 @@ func (sm *SM) classifyIdleSlot(sched *scheduler) slotResult {
 
 // tryIssue attempts to issue w's next instruction at cycle now and
 // reports the outcome: issued, skipped (not a chargeable stall), or the
-// first hazard that blocked the warp. Per-warp stall counters are NOT
-// bumped here — the charging site in step charges exactly one warp per
-// scheduler slot per cycle.
+// first hazard that blocked the warp. The caller has checked the
+// scoreboard: w's exact bound (blockedUntil) has expired. Per-warp stall
+// counters are NOT bumped here — the charging site in step charges
+// exactly one warp per scheduler slot per cycle.
 func (sm *SM) tryIssue(w *Warp, now int64) issueOutcome {
 	if w.Finished() || w.atBarrier {
 		return outSkip
 	}
 	pc := w.NextPC()
-	if pc < 0 {
-		sm.onWarpFinished(w)
-		return outSkip
-	}
-	dc := &w.CTA.code[pc]
+	dc := &w.code[pc]
 	in := dc.in
 
-	if t := dc.readyAt(w); t > now {
-		w.blockedUntil = t
-		sm.syncWalk(w)
-		return outScoreboard
-	}
 	// Structural hazards.
 	if dc.flags&flagSFU != 0 && sm.sfuThisCycle >= sm.dev.Timing.SFUPortsPerSM {
 		return outSFU
@@ -737,9 +932,15 @@ func (sm *SM) tryIssue(w *Warp, now int64) issueOutcome {
 		sm.acqRelIssued++
 	}
 	w.Issued++
+	// The scoreboard changes only here, so the next instruction's bound
+	// is computed once per issue. OnIssued may raise it (fault injection:
+	// Warp.DelayWriteback) before it reaches the walk state.
+	w.refreshBound()
 	sm.policy.OnIssued(w, in, now)
 	if w.top() == nil {
 		sm.onWarpFinished(w)
+	} else {
+		sm.syncWalk(w)
 	}
 	return outIssued
 }

@@ -26,37 +26,30 @@ type stackEntry struct {
 }
 
 // Warp is one resident warp: SIMT control state, per-lane register values,
-// and scoreboard timing.
+// and scoreboard timing. The fields an issue touches come first, so they
+// share as few cache lines as the struct allows.
 type Warp struct {
-	// Identity.
-	Seq     int // global launch order, for oldest-first scheduling
-	Widx    int // warp slot index within the SM (the paper's Widx)
-	CTA     *CTAState
-	ctaIdx  int // index within the CTA (%warpid; %tid is ctaIdx·32 + lane)
-	LaneCnt int // live threads (last warp of a CTA may be partial)
-
-	stack []stackEntry
+	// The SIMT reconvergence stack: cur is its top frame, the one that
+	// issues next (meaningless once the warp has finished), and below
+	// holds the frames under it, bottom first.
+	cur   stackEntry
+	below []stackEntry
 	done  laneMask // lanes that executed EXIT
-
-	// Functional state: per-architected-register, per-lane values.
-	regs  [][isa.WarpSize]uint64
-	preds [][isa.WarpSize]bool
-
-	// Scoreboard: cycle at which each register's pending write lands.
-	regReady  []int64
-	predReady []int64
 
 	// Wait states.
 	atBarrier bool
 	finished  bool
 	retired   bool
 
-	// blockedUntil caches the earliest cycle the warp's next instruction
-	// clears the scoreboard, set when an issue attempt fails on a pending
-	// writeback. It is a conservative lower bound (fault injection only
-	// pushes writebacks later), so schedulers may skip the warp without
-	// re-decoding until it expires, then recompute.
+	// blockedUntil is the earliest cycle the warp's next instruction
+	// clears the scoreboard: that instruction's decoded.readyAt, computed
+	// once at the end of every issue (and raised by DelayWriteback). The
+	// scoreboard changes only when the warp itself issues, so the bound is
+	// exact between issues and schedulers never re-decode to check it.
 	blockedUntil int64
+
+	// code is the CTA's issue table (CTAState.code), one load closer.
+	code []decoded
 
 	// sched is the warp's scheduler (Widx mod SchedulersPerSM); orderPos
 	// is its index in that scheduler's pick list as of the list's last
@@ -64,16 +57,31 @@ type Warp struct {
 	sched    int
 	orderPos int
 
-	// snapIssued / snapEpoch are the forward-progress watchdog's per-warp
-	// snapshot (Issued as of the epoch tagged snapEpoch). Keeping them on
-	// the warp replaces the map the watchdog used to allocate per check.
-	snapIssued int64
-	snapEpoch  uint64
+	// Scoreboard: cycle at which each register's pending write lands.
+	regReady  []int64
+	predReady []int64
+
+	// Functional state: per-architected-register, per-lane values.
+	regs  [][isa.WarpSize]uint64
+	preds [][isa.WarpSize]bool
 
 	// lastPC / lastActive record the most recent issue: its PC and the
 	// lanes active on it (LastIssue).
 	lastPC     int
 	lastActive laneMask
+
+	// Identity.
+	Seq     int // global launch order, for oldest-first scheduling
+	Widx    int // warp slot index within the SM (the paper's Widx)
+	CTA     *CTAState
+	ctaIdx  int // index within the CTA (%warpid; %tid is ctaIdx·32 + lane)
+	LaneCnt int // live threads (last warp of a CTA may be partial)
+
+	// snapIssued / snapEpoch are the forward-progress watchdog's per-warp
+	// snapshot (Issued as of the epoch tagged snapEpoch). Keeping them on
+	// the warp replaces the map the watchdog used to allocate per check.
+	snapIssued int64
+	snapEpoch  uint64
 
 	// Per-warp counters. Stalls is the warp's share of the per-cycle
 	// scheduler-slot attribution: a warp is charged only on cycles a
@@ -85,60 +93,89 @@ type Warp struct {
 
 func newWarp(k *isa.Kernel, seq, widx int, cta *CTAState, idx, lanes int) *Warp {
 	w := &Warp{
-		Seq:       seq,
-		Widx:      widx,
-		CTA:       cta,
-		ctaIdx:    idx,
-		LaneCnt:   lanes,
-		stack:     []stackEntry{{pc: 0, rpc: -1, mask: maskFor(lanes)}},
 		regs:      make([][isa.WarpSize]uint64, k.NumRegs),
 		preds:     make([][isa.WarpSize]bool, k.NumPRegs),
 		regReady:  make([]int64, k.NumRegs),
 		predReady: make([]int64, k.NumPRegs),
 	}
+	w.launch(seq, widx, cta, idx, lanes)
 	return w
+}
+
+// launch gives w, whose register storage is zero, a fresh launch: its
+// identity, one full-mask frame at PC 0, and zero counters.
+func (w *Warp) launch(seq, widx int, cta *CTAState, idx, lanes int) {
+	*w = Warp{
+		Seq:       seq,
+		Widx:      widx,
+		CTA:       cta,
+		code:      cta.code,
+		ctaIdx:    idx,
+		LaneCnt:   lanes,
+		cur:       stackEntry{pc: 0, rpc: -1, mask: maskFor(lanes)},
+		below:     w.below[:0],
+		regs:      w.regs,
+		preds:     w.preds,
+		regReady:  w.regReady,
+		predReady: w.predReady,
+	}
+}
+
+// recycle relaunches a retired warp of the same register shape in its
+// own storage, zeroing its registers and scoreboard first.
+func (w *Warp) recycle(seq, widx int, cta *CTAState, idx, lanes int) {
+	clear(w.regs)
+	clear(w.preds)
+	clear(w.regReady)
+	clear(w.predReady)
+	w.launch(seq, widx, cta, idx, lanes)
 }
 
 // Finished reports whether every lane has exited.
 func (w *Warp) Finished() bool { return w.finished }
 
-// top returns the current stack frame after popping reconverged and
-// fully-exited frames. Returns nil when the warp has finished.
+// top returns the current stack frame, or nil when the warp has
+// finished. The stack is kept normalised (see normalize), so this is a
+// plain load.
 func (w *Warp) top() *stackEntry {
-	for len(w.stack) > 0 {
-		t := &w.stack[len(w.stack)-1]
-		if t.mask&^w.done == 0 {
-			w.stack = w.stack[:len(w.stack)-1]
-			continue
-		}
-		if t.rpc >= 0 && t.pc == t.rpc {
-			// Reconverged: merge into the frame below, which waits at
-			// this PC.
-			w.stack = w.stack[:len(w.stack)-1]
-			continue
-		}
-		return t
+	if w.finished {
+		return nil
 	}
-	w.finished = true
-	return nil
+	return &w.cur
+}
+
+// normalize pops reconverged and fully exited frames, so the top frame,
+// if any, is the one that issues next; an emptied stack finishes the
+// warp. advance and exitLanes, the only writers of the stack and the
+// exit mask, call it after every change.
+func (w *Warp) normalize() {
+	for w.cur.mask&^w.done == 0 || (w.cur.rpc >= 0 && w.cur.pc == w.cur.rpc) {
+		// Fully exited, or reconverged: merge into the frame below,
+		// which waits at this PC.
+		n := len(w.below)
+		if n == 0 {
+			w.finished = true
+			return
+		}
+		w.cur = w.below[n-1]
+		w.below = w.below[:n-1]
+	}
 }
 
 // NextPC returns the warp's next instruction index, or -1 when finished.
 func (w *Warp) NextPC() int {
-	t := w.top()
-	if t == nil {
+	if w.finished {
 		return -1
 	}
-	return t.pc
+	return w.cur.pc
 }
 
 // activeMask returns the lanes that execute at the current frame.
 func (w *Warp) activeMask() laneMask {
-	t := w.top()
-	if t == nil {
+	if w.finished {
 		return 0
 	}
-	return t.mask &^ w.done
+	return w.cur.mask &^ w.done
 }
 
 // guardMask narrows active to the lanes passing the instruction's guard.
@@ -158,7 +195,7 @@ func (w *Warp) guardMask(in *isa.Instr, active laneMask) laneMask {
 }
 
 // walkUntil is the warp's entry in its scheduler's dense pick state: parked
-// while finished or at a barrier, else the cached scoreboard bound.
+// while finished or at a barrier, else its scoreboard bound.
 func (w *Warp) walkUntil() int64 {
 	if w.finished || w.atBarrier {
 		return parked
@@ -182,25 +219,32 @@ func (w *Warp) advance(in *isa.Instr, pc int, active, taken laneMask) {
 		t.pc = pc + 1
 	default: // divergence
 		rpc := in.Reconv
-		t.pc = rpc // this frame becomes the reconvergence continuation
-		if rpc < 0 {
-			// Paths only rejoin at exit: the parent frame dissolves
-			// into the two children.
-			w.stack = w.stack[:len(w.stack)-1]
+		if rpc >= 0 {
+			// This frame becomes the reconvergence continuation. When
+			// paths only rejoin at exit (rpc < 0), it dissolves into
+			// the two children instead.
+			t.pc = rpc
+			w.below = append(w.below, *t)
 		}
-		notTaken := active &^ taken
-		w.stack = append(w.stack,
-			stackEntry{pc: pc + 1, rpc: rpc, mask: notTaken},
-			stackEntry{pc: in.Target, rpc: rpc, mask: taken},
-		)
+		w.below = append(w.below, stackEntry{pc: pc + 1, rpc: rpc, mask: active &^ taken})
+		w.cur = stackEntry{pc: in.Target, rpc: rpc, mask: taken}
 	}
+	w.normalize()
 }
 
 // exitLanes marks lanes as done.
-func (w *Warp) exitLanes(m laneMask) { w.done |= m }
+func (w *Warp) exitLanes(m laneMask) {
+	w.done |= m
+	w.normalize()
+}
 
 // StackDepth reports the current divergence depth (diagnostics).
-func (w *Warp) StackDepth() int { return len(w.stack) }
+func (w *Warp) StackDepth() int {
+	if w.finished {
+		return 0
+	}
+	return len(w.below) + 1
+}
 
 // AtBarrier reports whether the warp is parked at a CTA barrier.
 func (w *Warp) AtBarrier() bool { return w.atBarrier }
@@ -224,12 +268,27 @@ func (w *Warp) MaxPendingWriteback() int64 {
 // given absolute cycle. FAULT INJECTION ONLY (internal/faults): it models
 // a memory response delayed past any architectural bound, which must be
 // caught by the scoreboard audit or the forward-progress watchdog.
+//
+// Besides the issue's own writeback it is the only scoreboard writer, so
+// it raises the warp's exact bound to match. Call it from a policy's
+// OnIssued hook: the issue that runs the hook then copies the raised
+// bound into its scheduler's walk state.
 func (w *Warp) DelayWriteback(until int64) {
 	for i := range w.regReady {
 		w.regReady[i] = until
 	}
 	for i := range w.predReady {
 		w.predReady[i] = until
+	}
+	w.refreshBound()
+}
+
+// refreshBound recomputes blockedUntil from the next instruction's
+// scoreboard operands. A finished warp keeps its last bound: it is
+// parked and never scheduled again.
+func (w *Warp) refreshBound() {
+	if pc := w.NextPC(); pc >= 0 {
+		w.blockedUntil = w.code[pc].readyAt(w)
 	}
 }
 

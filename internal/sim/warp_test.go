@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -322,6 +323,88 @@ func TestWheelMatchesMultiset(t *testing.T) {
 	}
 }
 
+// TestRecycledWarpIsFresh dirties every part of a warp, relaunches it
+// in its own storage, and checks it equals a newly allocated warp with
+// the same launch: zero registers, predicates and scoreboard, one frame
+// at PC 0, no counters.
+func TestRecycledWarpIsFresh(t *testing.T) {
+	k := &isa.Kernel{NumRegs: 8, NumPRegs: 2}
+	w := newWarp(k, 3, 5, &CTAState{}, 1, 32)
+	bra := isa.NewInstr(isa.OpBra)
+	bra.Target, bra.Reconv = 10, 20
+	w.advance(&bra, 5, fullMask, 0x0000FFFF)
+	w.exitLanes(0xFF)
+	w.regs[7][31], w.preds[1][0], w.regReady[2], w.predReady[1] = 9, true, 40, 41
+	w.atBarrier, w.retired, w.blockedUntil, w.orderPos, w.sched = true, true, 77, -1, 1
+	w.snapIssued, w.snapEpoch, w.lastPC, w.lastActive = 4, 2, 6, 0xF0
+	w.Issued, w.Stalls[CauseBarrier] = 12, 13
+
+	cta := &CTAState{ID: 4}
+	w.recycle(8, 9, cta, 0, 20)
+	want := newWarp(k, 8, 9, cta, 0, 20)
+	if len(w.below) != 0 {
+		t.Fatalf("recycled warp keeps %d stack frames", len(w.below))
+	}
+	w.below, want.below = nil, nil
+	if !reflect.DeepEqual(w, want) {
+		t.Errorf("recycled warp\n%+v\nwant\n%+v", *w, *want)
+	}
+}
+
+// TestWakeWheelMatchesBounds drives one scheduler's walk sets the way
+// the issue path does: it refiles ready or parked entries with a new
+// bound (expired, near, up to the slowest latency, or a fault-delayed
+// bound far past the span) and drains through random sleeps, some longer
+// than the span. After every drain each of the 100 entries (two bit-set
+// words) must be ready iff its bound has expired and blocked iff not.
+func TestWakeWheelMatchesBounds(t *testing.T) {
+	const n, maxLat = 100, 400
+	rng := rand.New(rand.NewSource(11))
+	words := (n + 63) / 64
+	sched := &scheduler{until: make([]int64, n), ready: make([]uint64, words),
+		blocked: make([]uint64, words), wake: newWakeWheel(maxLat, words)}
+	for i := range sched.until {
+		sched.refile(i, parked)
+	}
+	now := int64(0)
+	for step := 0; step < 20000; step++ {
+		switch r := rng.Intn(100); {
+		case r < 2:
+			now += 2*maxLat + rng.Int63n(maxLat)
+		case r < 10:
+			now += 1 + rng.Int63n(50)
+		default:
+			now++
+		}
+		sched.wakeUp(now)
+		for i, u := range sched.until {
+			ready := sched.ready[i>>6]>>uint(i&63)&1 != 0
+			blocked := sched.blocked[i>>6]>>uint(i&63)&1 != 0
+			if ready != (u != parked && u <= now) || blocked != (u != parked && u > now) {
+				t.Fatalf("step %d, cycle %d: entry %d bound %d: ready %v blocked %v", step, now, i, u, ready, blocked)
+			}
+		}
+		for k := rng.Intn(4); k > 0; k-- {
+			i := rng.Intn(n)
+			if sched.blocked[i>>6]>>uint(i&63)&1 != 0 {
+				continue // a blocked warp cannot issue, so is never refiled
+			}
+			var b int64
+			switch r := rng.Intn(10); {
+			case r == 0:
+				b = parked
+			case r == 1:
+				b = now - rng.Int63n(5)
+			case r == 2:
+				b = now + 2*maxLat + rng.Int63n(4*maxLat) // past the span, as Warp.DelayWriteback
+			default:
+				b = now + 1 + rng.Int63n(maxLat)
+			}
+			sched.refile(i, b)
+		}
+	}
+}
+
 // Property: advance never loses or duplicates lanes — the union of all
 // stack masks (minus exited lanes) equals the original active set.
 func TestSIMTLaneConservationProperty(t *testing.T) {
@@ -335,8 +418,8 @@ func TestSIMTLaneConservationProperty(t *testing.T) {
 		w.advance(&bra, 5, fullMask, taken)
 		w.exitLanes(laneMask(exitRaw))
 
-		var union laneMask
-		for _, e := range w.stack {
+		union := w.cur.mask
+		for _, e := range w.below {
 			union |= e.mask
 		}
 		return union&^w.done == fullMask&^w.done
