@@ -50,6 +50,9 @@ bench:
 # one iteration each. BenchmarkFig7Pass (internal/sim) is one pass of the
 # eight Fig 7 kernels under static and regmutex; for a cycle-loop profile
 # run it alone: go test ./internal/sim -run '^$' -bench Fig7Pass -cpuprofile cpu.out
+# BenchmarkCompileSuite (internal/core) is one op of the perfbench compile
+# workload (parse, Lint, Transform on two machines, 16 kernels); for a
+# compiler profile: go test ./internal/core -run '^$' -bench CompileSuite -benchmem -cpuprofile cpu.out
 microbench:
 	$(GO) test -bench=. -benchmem -benchtime=1x ./...
 

@@ -31,7 +31,7 @@ func main() {
 	workload := flag.String("w", "", "built-in workload name (see -list)")
 	list := flag.Bool("list", false, "list built-in workloads")
 	showLive := flag.Bool("liveness", false, "print the per-instruction liveness report and exit")
-	showCFG := flag.Bool("cfg", false, "print the control-flow graph (blocks, dominators, reconvergence) and exit")
+	showCFG := flag.Bool("cfg", false, "print the control-flow graph (blocks, edges, immediate post-dominators) and exit")
 	lint := flag.Bool("lint", false, "run advisory checks and exit")
 	forceEs := flag.Int("es", 0, "force the extended-set size (0 = heuristic)")
 	half := flag.Bool("half", false, "target the half-size register file")
@@ -127,11 +127,10 @@ func loadKernel(workload, path string) (*isa.Kernel, error) {
 }
 
 func printLiveness(k *isa.Kernel) error {
-	g, err := cfg.Build(k)
+	inf, err := liveness.Compute(k)
 	if err != nil {
 		return err
 	}
-	inf := liveness.Analyze(k, g)
 	fmt.Printf("; %s: max live %d of %d allocated; live at barriers %d\n",
 		k.Name, inf.MaxLive, k.AllocRegs(), inf.MaxLiveAtBarrier)
 	for i := range k.Instrs {
@@ -148,16 +147,12 @@ func printCFG(k *isa.Kernel) error {
 	}
 	fmt.Printf("; %s: %d basic blocks\n", k.Name, len(g.Blocks))
 	for _, blk := range g.Blocks {
-		idom := "entry"
-		if d := g.IDom(blk.ID); d >= 0 {
-			idom = fmt.Sprintf("B%d", d)
-		}
 		ipdom := "exit"
 		if p := g.IPDomBlock(blk.ID); p >= 0 {
 			ipdom = fmt.Sprintf("B%d", p)
 		}
-		fmt.Printf("B%d: [%d..%d) succs=%v preds=%v idom=%s ipdom=%s\n",
-			blk.ID, blk.Start, blk.End, blk.Succs, blk.Preds, idom, ipdom)
+		fmt.Printf("B%d: [%d..%d) succs=%v preds=%v ipdom=%s\n",
+			blk.ID, blk.Start, blk.End, blk.Succs, blk.Preds, ipdom)
 		for i := blk.Start; i < blk.End; i++ {
 			fmt.Printf("    %3d: %s\n", i, k.Instrs[i].String())
 		}

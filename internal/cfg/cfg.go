@@ -1,8 +1,9 @@
-// Package cfg builds control-flow graphs over ISA kernels and computes the
-// dominance information the RegMutex compiler needs: immediate
-// post-dominators give the SIMT reconvergence points for divergent
-// branches (paper section III-A1), and dominators let the injection pass
-// prove every extended-set access is covered by an acquire.
+// Package cfg builds the control-flow graph of an ISA kernel: the one
+// definition of "what can follow instruction i" that every compiler pass
+// reads. The graph holds basic blocks with their edges, the same edges at
+// instruction granularity, and immediate post-dominators, which give the
+// SIMT reconvergence points for divergent branches (paper section
+// III-A1).
 package cfg
 
 import (
@@ -23,15 +24,17 @@ type Block struct {
 
 // Graph is the CFG of a kernel. Block 0 is the entry. Exit is a virtual
 // node (ID == len(Blocks)) that every OpExit block and every block ending
-// the instruction stream flows into; it exists only in the dominance
-// computations, not in Blocks.
+// the instruction stream flows into; it exists only in the
+// post-dominance computation, not in Blocks.
 type Graph struct {
 	Kernel *isa.Kernel
 	Blocks []Block
 
 	blockOf []int // instruction index -> block ID
 
-	idom  []int // immediate dominator per block (-1 for entry)
+	succs [][]int // instruction index -> successor instructions
+	preds [][]int // instruction index -> predecessor instructions
+
 	ipdom []int // immediate post-dominator per block (exit for terminal)
 }
 
@@ -103,27 +106,63 @@ func Build(k *isa.Kernel) (*Graph, error) {
 			g.Blocks[s].Preds = append(g.Blocks[s].Preds, bi)
 		}
 	}
-	g.computeDominators()
+	g.instrEdges()
 	g.computePostDominators()
 	return g, nil
+}
+
+// instrEdges derives the instruction-level edges from the block edges:
+// inside a block control falls through, and a block's last instruction
+// flows to the first instruction of each successor block (once, when a
+// guarded branch targets its own fall-through). Predecessor lists are
+// the exact inverse, in increasing source order.
+func (g *Graph) instrEdges() {
+	n := len(g.Kernel.Instrs)
+	g.succs = make([][]int, n)
+	g.preds = make([][]int, n)
+	// Each instruction has at most one successor, except that a block's
+	// last one may have two: n+len(Blocks) bounds the edge count.
+	edges := make([]int, 0, n+len(g.Blocks))
+	for _, b := range g.Blocks {
+		for t := b.Start; t < b.End-1; t++ {
+			edges = append(edges, t+1)
+			g.succs[t] = edges[len(edges)-1 : len(edges) : len(edges)]
+		}
+		lo := len(edges)
+		for _, s := range b.Succs {
+			if start := g.Blocks[s].Start; len(edges) == lo || edges[lo] != start {
+				edges = append(edges, start)
+			}
+		}
+		g.succs[b.End-1] = edges[lo:len(edges):len(edges)]
+	}
+	npred := make([]int, n)
+	for _, s := range edges {
+		npred[s]++
+	}
+	back := make([]int, len(edges))
+	for i, c := range npred {
+		g.preds[i], back = back[:0:c], back[c:]
+	}
+	for i, ss := range g.succs {
+		for _, s := range ss {
+			g.preds[s] = append(g.preds[s], i)
+		}
+	}
 }
 
 // BlockOf returns the block ID containing instruction index i.
 func (g *Graph) BlockOf(i int) int { return g.blockOf[i] }
 
-// IDom returns the immediate dominator of block b, or -1 for the entry.
-func (g *Graph) IDom(b int) int { return g.idom[b] }
+// InstrSuccs returns the instructions that can execute right after
+// instruction i: none after exit, the target of an unguarded branch, the
+// target and the fall-through of a guarded one, and the fall-through
+// otherwise. The slice is shared; do not modify it.
+func (g *Graph) InstrSuccs(i int) []int { return g.succs[i] }
 
-// Dominates reports whether block a dominates block b.
-func (g *Graph) Dominates(a, b int) bool {
-	for b != -1 {
-		if a == b {
-			return true
-		}
-		b = g.idom[b]
-	}
-	return false
-}
+// InstrPreds returns the instructions that InstrSuccs leads to i, in
+// increasing order. The slice is shared; do not modify it.
+func (g *Graph) InstrPreds(i int) []int { return g.preds[i] }
 
 // IPDomBlock returns the immediate post-dominator block of b, or -1 when
 // the only post-dominator is the virtual exit.
@@ -181,67 +220,17 @@ func (g *Graph) RegionBlocks(b int) []int {
 	return out
 }
 
-// computeDominators runs the classic iterative bit-vector algorithm.
-// Graphs here are tiny (tens of blocks), so simplicity wins.
-func (g *Graph) computeDominators() {
-	n := len(g.Blocks)
-	full := make([]uint64, (n+63)/64)
-	for i := range full {
-		full[i] = ^uint64(0)
-	}
-	dom := make([][]uint64, n)
-	for b := range dom {
-		dom[b] = append([]uint64(nil), full...)
-	}
-	setOnly := func(v []uint64, b int) {
-		for i := range v {
-			v[i] = 0
-		}
-		v[b/64] |= 1 << uint(b%64)
-	}
-	setOnly(dom[0], 0)
-	changed := true
-	for changed {
-		changed = false
-		for b := 1; b < n; b++ {
-			nv := append([]uint64(nil), full...)
-			if len(g.Blocks[b].Preds) == 0 {
-				// unreachable block: dominate-by-all keeps it inert
-				continue
-			}
-			for _, p := range g.Blocks[b].Preds {
-				for i := range nv {
-					nv[i] &= dom[p][i]
-				}
-			}
-			nv[b/64] |= 1 << uint(b%64)
-			for i := range nv {
-				if nv[i] != dom[b][i] {
-					dom[b] = nv
-					changed = true
-					break
-				}
-			}
-		}
-	}
-	g.idom = idomFromSets(dom, 0)
-}
-
-// computePostDominators runs the same algorithm on the reversed graph with
-// the virtual exit as root.
+// computePostDominators runs the classic iterative bit-vector dominator
+// algorithm on the reversed graph with the virtual exit as root. Graphs
+// here are tiny (tens of blocks), so simplicity wins.
 func (g *Graph) computePostDominators() {
 	n := len(g.Blocks) + 1 // + virtual exit
 	exit := n - 1
 	succs := make([][]int, n)
-	preds := make([][]int, n)
 	for b := range g.Blocks {
-		ss := g.Blocks[b].Succs
-		if len(ss) == 0 {
-			ss = []int{exit}
-		}
-		succs[b] = ss
-		for _, s := range ss {
-			preds[s] = append(preds[s], b)
+		succs[b] = g.Blocks[b].Succs
+		if len(succs[b]) == 0 {
+			succs[b] = []int{exit}
 		}
 	}
 	full := make([]uint64, (n+63)/64)
@@ -261,9 +250,6 @@ func (g *Graph) computePostDominators() {
 		changed = false
 		for b := n - 2; b >= 0; b-- {
 			nv := append([]uint64(nil), full...)
-			if len(succs[b]) == 0 {
-				continue
-			}
 			for _, s := range succs[b] {
 				for i := range nv {
 					nv[i] &= pdom[s][i]

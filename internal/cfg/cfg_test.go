@@ -59,26 +59,6 @@ func TestBuildDiamond(t *testing.T) {
 	}
 }
 
-func TestDominatorsDiamond(t *testing.T) {
-	k := diamond(t)
-	g, err := Build(k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	join := g.BlockOf(5)
-	if g.IDom(0) != -1 {
-		t.Errorf("entry idom = %d", g.IDom(0))
-	}
-	for b := 1; b < len(g.Blocks); b++ {
-		if !g.Dominates(0, b) {
-			t.Errorf("entry should dominate block %d", b)
-		}
-	}
-	if g.IDom(join) != 0 {
-		t.Errorf("join idom = %d, want 0 (neither arm dominates the join)", g.IDom(join))
-	}
-}
-
 func TestIPDomDiamond(t *testing.T) {
 	k := diamond(t)
 	g, err := Build(k)

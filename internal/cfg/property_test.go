@@ -2,6 +2,7 @@ package cfg
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -11,7 +12,7 @@ import (
 // randomKernel builds a random but well-formed kernel: a straight spine
 // of ALU instructions with random forward/backward guarded branches, ending
 // in exit. All CFGs it produces are reducible or irreducible alike — the
-// iterative dominator algorithm must handle both.
+// iterative post-dominator algorithm must handle both.
 func randomKernel(seed int64) *isa.Kernel {
 	rng := rand.New(rand.NewSource(seed))
 	n := 8 + rng.Intn(24)
@@ -46,44 +47,84 @@ func labelName(i int) string {
 	return "L" + string(rune('A'+i/26)) + string(rune('a'+i%26))
 }
 
-// Property: dominance is reflexive, anti-symmetric (except self), and the
-// entry dominates every reachable block; the idom chain always terminates
-// at the entry.
-func TestDominatorProperties(t *testing.T) {
-	f := func(seed int64) bool {
-		k := randomKernel(seed)
-		g, err := Build(k)
-		if err != nil {
-			return false
-		}
-		reachable := reachableBlocks(g)
-		for b := range g.Blocks {
-			if !g.Dominates(b, b) {
-				return false // reflexive
-			}
-			if !reachable[b] {
-				continue
-			}
-			if b != 0 && !g.Dominates(0, b) {
-				return false // entry dominates all reachable blocks
-			}
-			// idom chain terminates at entry without cycles.
-			seen := map[int]bool{}
-			for x := b; x != -1; x = g.IDom(x) {
-				if seen[x] {
-					return false
-				}
-				seen[x] = true
-			}
-			if b != 0 && !seen[0] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+// Property: the graph's instruction successors follow the ISA — none
+// after exit, the target of an unguarded branch, the target and the
+// fall-through of a guarded one, the fall-through otherwise — the
+// predecessors are their exact inverse in increasing order, and the
+// successors agree with the block edges: inside a block control falls
+// through, and a block's last instruction enters exactly its successor
+// blocks, each at its start. randomKernel's branches are all guarded, so
+// the diamond's unguarded branch is checked too.
+func TestInstrEdgesMatchISAProperty(t *testing.T) {
+	f := func(seed int64) bool { return instrEdgesMatchISA(randomKernel(seed)) }
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
+	for _, k := range []*isa.Kernel{diamond(t), loop(t)} {
+		if !instrEdgesMatchISA(k) {
+			t.Errorf("%s: instruction edges disagree with the ISA or the block edges", k.Name)
+		}
+	}
+}
+
+func instrEdgesMatchISA(k *isa.Kernel) bool {
+	g, err := Build(k)
+	if err != nil {
+		return false
+	}
+	n := len(k.Instrs)
+	inverse := make([][]int, n)
+	for i := range k.Instrs {
+		var want []int
+		switch in := &k.Instrs[i]; {
+		case in.Op == isa.OpExit:
+		case in.Op == isa.OpBra:
+			want = append(want, in.Target)
+			if !in.Guard.Unguarded() && i+1 < n {
+				want = append(want, i+1)
+			}
+		default:
+			want = append(want, i+1)
+		}
+		got := g.InstrSuccs(i)
+		if !sameSet(got, want) {
+			return false
+		}
+		b := g.Blocks[g.BlockOf(i)]
+		var entered []int
+		for _, s := range got {
+			inverse[s] = append(inverse[s], i)
+			if i < b.End-1 && s != i+1 {
+				return false
+			}
+			if i == b.End-1 {
+				if g.Blocks[g.BlockOf(s)].Start != s {
+					return false
+				}
+				entered = append(entered, g.BlockOf(s))
+			}
+		}
+		if i == b.End-1 && !sameSet(entered, b.Succs) {
+			return false
+		}
+	}
+	for i := range k.Instrs {
+		if !slices.Equal(g.InstrPreds(i), inverse[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameSet reports whether a and b hold the same elements, ignoring order
+// and repeats.
+func sameSet(a, b []int) bool {
+	norm := func(xs []int) []int {
+		xs = slices.Clone(xs)
+		slices.Sort(xs)
+		return slices.Compact(xs)
+	}
+	return slices.Equal(norm(a), norm(b))
 }
 
 // Property: a branch's reconvergence point (when it exists) post-dominates

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"regmutex/internal/cfg"
 	"regmutex/internal/isa"
 	"regmutex/internal/liveness"
 )
@@ -21,55 +20,52 @@ import (
 // CTA barriers, where holding is forbidden by the deadlock-avoidance
 // rules — failure to compact a barrier-straddling value is an error.
 //
-// Returns the number of MOV instructions inserted.
-func Compact(k *isa.Kernel, bs int) (int, error) {
+// inf is the analysis of k as given (or of an unedited copy of it).
+// Compact re-analyses k after each relocation, the only edit, and returns
+// the number of MOV instructions inserted with the analysis of k as it
+// leaves.
+func Compact(k *isa.Kernel, inf *liveness.Info, bs int) (int, *liveness.Info, error) {
 	moves := 0
 	var failed isa.RegSet // registers we could not relocate; skip retries
 	maxIter := 4 * (len(k.Instrs) + int(isa.MaxRegs))
 	for iter := 0; ; iter++ {
 		if iter > maxIter {
-			return moves, fmt.Errorf("core: kernel %s: compaction did not converge (Bs=%d)", k.Name, bs)
+			return moves, nil, fmt.Errorf("core: kernel %s: compaction did not converge (Bs=%d)", k.Name, bs)
 		}
-		g, err := cfg.Build(k)
-		if err != nil {
-			return moves, err
-		}
-		inf := liveness.Analyze(k, g)
 		target, entry := findCompactionTarget(k, inf, bs, failed)
 		if target == isa.NoReg {
 			break
 		}
-		ok := relocate(k, inf, target, entry, bs)
-		if !ok {
-			// Could not relocate: the injection pass will keep the
-			// extended set held across this value instead. Tolerated
-			// everywhere except at barriers, checked below.
+		if !relocate(k, inf, target, entry, bs) {
+			// Could not relocate, and k is unchanged: the injection
+			// pass will keep the extended set held across this value
+			// instead. Tolerated everywhere except at barriers,
+			// checked below.
 			failed = failed.Add(target)
 			continue
 		}
 		moves++
+		var err error
+		if inf, err = liveness.Compute(k); err != nil {
+			return moves, nil, err
+		}
 	}
 	// Deadlock rule: no high register may be live at a barrier, and the
 	// live count there must fit the base set.
-	g, err := cfg.Build(k)
-	if err != nil {
-		return moves, err
-	}
-	inf := liveness.Analyze(k, g)
 	for i := range k.Instrs {
 		if k.Instrs[i].Op != isa.OpBarSync {
 			continue
 		}
 		if hi := inf.LiveAt(i).AtOrAbove(bs); !hi.Empty() {
-			return moves, fmt.Errorf("core: kernel %s: extended registers %s live at barrier (instr %d) with Bs=%d",
+			return moves, nil, fmt.Errorf("core: kernel %s: extended registers %s live at barrier (instr %d) with Bs=%d",
 				k.Name, hi, i, bs)
 		}
 		if c := inf.CountAt(i); c > bs {
-			return moves, fmt.Errorf("core: kernel %s: %d live registers at barrier (instr %d) exceed Bs=%d",
+			return moves, nil, fmt.Errorf("core: kernel %s: %d live registers at barrier (instr %d) exceed Bs=%d",
 				k.Name, c, i, bs)
 		}
 	}
-	return moves, nil
+	return moves, inf, nil
 }
 
 // findCompactionTarget locates a high register that is live at an
@@ -103,7 +99,7 @@ func findCompactionTarget(k *isa.Kernel, inf *liveness.Info, bs int, failed isa.
 // relocate moves register r (>= bs) into a free base register starting at
 // instruction entry: inserts "mov f, r" before entry and renames all uses
 // of r's current value from entry onward. Returns false when the value's
-// flow makes single-point relocation unsafe.
+// flow makes single-point relocation unsafe, and then leaves k unchanged.
 func relocate(k *isa.Kernel, inf *liveness.Info, r isa.Reg, entry, bs int) bool {
 	set, ok := renameSet(k, inf, r, entry)
 	if !ok {
@@ -139,13 +135,13 @@ func relocate(k *isa.Kernel, inf *liveness.Info, r isa.Reg, entry, bs int) bool 
 // renaming cannot express).
 func renameSet(k *isa.Kernel, inf *liveness.Info, r isa.Reg, entry int) ([]bool, bool) {
 	n := len(k.Instrs)
-	preds := instrPreds(k)
+	g := inf.Graph
 	set := make([]bool, n)
 	stack := []int{entry}
 	for len(stack) > 0 {
 		i := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if i >= n || set[i] || !inf.LiveIn[i].Has(r) {
+		if set[i] || !inf.LiveIn[i].Has(r) {
 			continue
 		}
 		set[i] = true
@@ -159,9 +155,7 @@ func renameSet(k *isa.Kernel, inf *liveness.Info, r isa.Reg, entry int) ([]bool,
 		if !inf.LiveOut[i].Has(r) {
 			continue // value dies at i
 		}
-		for _, s := range instrSuccs(k, i) {
-			stack = append(stack, s)
-		}
+		stack = append(stack, g.InstrSuccs(i)...)
 	}
 	// Single-entry check: the value may only flow into the set through
 	// entry (whose carrying predecessors are the "hot" side that still
@@ -170,7 +164,7 @@ func renameSet(k *isa.Kernel, inf *liveness.Info, r isa.Reg, entry int) ([]bool,
 		if !set[i] || i == entry {
 			continue
 		}
-		for _, p := range preds[i] {
+		for _, p := range g.InstrPreds(i) {
 			if inf.LiveOut[p].Has(r) && !set[p] {
 				return nil, false
 			}
@@ -178,7 +172,7 @@ func renameSet(k *isa.Kernel, inf *liveness.Info, r isa.Reg, entry int) ([]bool,
 	}
 	// Entry itself must not be re-entered from inside the set: the MOV
 	// would re-read r after the set was (possibly) released.
-	for _, p := range preds[entry] {
+	for _, p := range g.InstrPreds(entry) {
 		if inf.LiveOut[p].Has(r) && set[p] {
 			return nil, false
 		}
@@ -209,39 +203,6 @@ func pickFreeBase(k *isa.Kernel, inf *liveness.Info, set []bool, entry, bs int) 
 		}
 	}
 	return isa.NoReg, false
-}
-
-// instrSuccs returns instruction-level successor indices.
-func instrSuccs(k *isa.Kernel, i int) []int {
-	in := &k.Instrs[i]
-	switch in.Op {
-	case isa.OpExit:
-		return nil
-	case isa.OpBra:
-		if in.Guard.Unguarded() {
-			return []int{in.Target}
-		}
-		if i+1 < len(k.Instrs) {
-			return []int{in.Target, i + 1}
-		}
-		return []int{in.Target}
-	default:
-		if i+1 < len(k.Instrs) {
-			return []int{i + 1}
-		}
-		return nil
-	}
-}
-
-// instrPreds returns instruction-level predecessor lists.
-func instrPreds(k *isa.Kernel) [][]int {
-	preds := make([][]int, len(k.Instrs))
-	for i := range k.Instrs {
-		for _, s := range instrSuccs(k, i) {
-			preds[s] = append(preds[s], i)
-		}
-	}
-	return preds
 }
 
 // InsertInstr inserts in before position pos, remapping branch targets and

@@ -3,9 +3,7 @@ package core
 import (
 	"testing"
 
-	"regmutex/internal/cfg"
 	"regmutex/internal/isa"
-	"regmutex/internal/liveness"
 )
 
 // paperScenario reproduces the compaction example of section III-A4: base
@@ -42,7 +40,7 @@ func paperScenario(t *testing.T) *isa.Kernel {
 
 func TestCompactPaperScenario(t *testing.T) {
 	k := paperScenario(t)
-	moves, err := Compact(k, 6)
+	moves, _, err := Compact(k, mustAnalyze(t, k), 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,11 +51,7 @@ func TestCompactPaperScenario(t *testing.T) {
 	// AND the instruction touches no extended register (i.e. the acquire
 	// region could actually end there), no extended-set register carries
 	// a live value through the instruction.
-	g, err := cfg.Build(k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inf := liveness.Analyze(k, g)
+	inf := mustAnalyze(t, k)
 	for i := range k.Instrs {
 		if inf.CountAt(i) > 6 || !k.Instrs[i].Touches().AtOrAbove(6).Empty() {
 			continue
@@ -92,7 +86,7 @@ func TestCompactPaperScenario(t *testing.T) {
 // integration tests.
 func TestCompactRenamesUses(t *testing.T) {
 	k := paperScenario(t)
-	if _, err := Compact(k, 6); err != nil {
+	if _, _, err := Compact(k, mustAnalyze(t, k), 6); err != nil {
 		t.Fatal(err)
 	}
 	movIdx := -1
@@ -128,12 +122,12 @@ func TestCompactFailsOnBarrierStraddle(t *testing.T) {
 	b.StGlobal(isa.R(0), 0, isa.R(acc))
 	b.Exit()
 	k := b.MustKernel()
-	if _, err := Compact(k, 6); err == nil {
+	if _, _, err := Compact(k, mustAnalyze(t, k), 6); err == nil {
 		t.Error("expected barrier-straddle error with Bs=6")
 	}
 	// With Bs=8 everything below the bound: fine.
 	k2 := b.MustKernel()
-	if _, err := Compact(k2, 8); err != nil {
+	if _, _, err := Compact(k2, mustAnalyze(t, k2), 8); err != nil {
 		t.Errorf("Bs=8 should be feasible: %v", err)
 	}
 }
@@ -142,18 +136,14 @@ func TestCompactConvergesOnPeakKernel(t *testing.T) {
 	// The fold-down chain leaves r18 briefly live-through at the peak
 	// edge; compaction relocates it (exactly once) and converges.
 	k := peakKernel(t, "compact-peak", 24, 256)
-	moves, err := Compact(k, 18)
+	moves, _, err := Compact(k, mustAnalyze(t, k), 18)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if moves > 2 {
 		t.Errorf("moves = %d, expected at most 2", moves)
 	}
-	g, err := cfg.Build(k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inf := liveness.Analyze(k, g)
+	inf := mustAnalyze(t, k)
 	for i := range k.Instrs {
 		in := &k.Instrs[i]
 		if inf.CountAt(i) > 18 || !in.Touches().AtOrAbove(18).Empty() {
@@ -196,7 +186,7 @@ func TestInsertInstrRemapsTargets(t *testing.T) {
 
 func TestInjectPlacesAcqRel(t *testing.T) {
 	k := peakKernel(t, "inject", 24, 256)
-	acq, rel, err := Inject(k, 18)
+	acq, rel, err := Inject(k, mustAnalyze(t, k), 18)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +215,7 @@ func TestInjectPlacesAcqRel(t *testing.T) {
 	if !(acqIdx < firstTouch && lastTouch < relIdx) {
 		t.Errorf("ordering acq=%d first=%d last=%d rel=%d", acqIdx, firstTouch, lastTouch, relIdx)
 	}
-	if err := CheckHolding(k, 18); err != nil {
+	if err := CheckHolding(mustAnalyze(t, k).Graph, 18); err != nil {
 		t.Error(err)
 	}
 }
@@ -248,14 +238,14 @@ func TestInjectDivergentRegion(t *testing.T) {
 	b.StGlobal(isa.R(0), 0, isa.R(1))
 	b.Exit()
 	k := b.MustKernel()
-	acq, rel, err := Inject(k, 18)
+	acq, rel, err := Inject(k, mustAnalyze(t, k), 18)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if acq < 1 || rel < 1 {
 		t.Errorf("acq/rel = %d/%d", acq, rel)
 	}
-	if err := CheckHolding(k, 18); err != nil {
+	if err := CheckHolding(mustAnalyze(t, k).Graph, 18); err != nil {
 		t.Error(err)
 	}
 }
@@ -267,7 +257,7 @@ func TestCheckHoldingCatchesViolations(t *testing.T) {
 	b.StGlobal(isa.R(20), 0, isa.R(20))
 	b.Exit()
 	k := b.MustKernel()
-	if err := CheckHolding(k, 18); err == nil {
+	if err := CheckHolding(mustAnalyze(t, k).Graph, 18); err == nil {
 		t.Error("missing acquire not caught")
 	}
 	// Exiting while holding must be rejected.
@@ -276,7 +266,7 @@ func TestCheckHoldingCatchesViolations(t *testing.T) {
 	b2.Mov(20, isa.Imm(1))
 	b2.Exit()
 	k2 := b2.MustKernel()
-	if err := CheckHolding(k2, 18); err == nil {
+	if err := CheckHolding(mustAnalyze(t, k2).Graph, 18); err == nil {
 		t.Error("held exit not caught")
 	}
 }

@@ -3,9 +3,7 @@ package core
 import (
 	"testing"
 
-	"regmutex/internal/cfg"
 	"regmutex/internal/isa"
-	"regmutex/internal/liveness"
 	"regmutex/internal/occupancy"
 )
 
@@ -61,11 +59,7 @@ func occKernel(regs, threads, smem int) *isa.Kernel {
 
 func selectFor(t *testing.T, c occupancy.Config, k *isa.Kernel) Split {
 	t.Helper()
-	g, err := cfg.Build(k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return SelectSplit(c, k, liveness.Analyze(k, g), nil)
+	return SelectSplit(c, k, mustAnalyze(t, k), nil)
 }
 
 func TestSelectSplitScenarios(t *testing.T) {
@@ -111,11 +105,7 @@ func TestSelectSplitScenarios(t *testing.T) {
 
 func TestSelectSplitFeasibilityVeto(t *testing.T) {
 	k := occKernel(24, 512, 0)
-	g, err := cfg.Build(k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inf := liveness.Analyze(k, g)
+	inf := mustAnalyze(t, k)
 	// Veto everything: the heuristic must disable rather than pick an
 	// unvetted candidate.
 	s := SelectSplit(occupancy.GTX480(), k, inf, func(bs, es int) bool { return false })
@@ -164,11 +154,7 @@ func TestSelectSplitBarrierRule(t *testing.T) {
 	k.SharedMemWords = 256
 	k.GridCTAs = 2
 
-	g, err := cfg.Build(k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inf := liveness.Analyze(k, g)
+	inf := mustAnalyze(t, k)
 	if inf.MaxLiveAtBarrier < 21 {
 		t.Fatalf("test setup: only %d live at barrier", inf.MaxLiveAtBarrier)
 	}

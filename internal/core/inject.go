@@ -17,14 +17,11 @@ import (
 // it. Redundant primitives on joining paths are architectural no-ops, so
 // insertion is conservative.
 //
-// Returns the number of ACQ and REL instructions inserted.
-func Inject(k *isa.Kernel, bs int) (acq, rel int, err error) {
-	g, err := cfg.Build(k)
-	if err != nil {
-		return 0, 0, err
-	}
-	inf := liveness.Analyze(k, g)
-
+// inf is the analysis of k as given (or of an unedited copy of it); the
+// insertions make it stale, so the caller re-analyses k and proves the
+// result with CheckHolding. Returns the number of ACQ and REL
+// instructions inserted.
+func Inject(k *isa.Kernel, inf *liveness.Info, bs int) (acq, rel int, err error) {
 	n := len(k.Instrs)
 	ext := make([]bool, n)
 	for i := 0; i < n; i++ {
@@ -38,7 +35,6 @@ func Inject(k *isa.Kernel, bs int) (acq, rel int, err error) {
 		}
 	}
 
-	preds := instrPreds(k)
 	// Decide insertion points against the *original* indices, then apply
 	// from the back so positions stay valid.
 	type insertion struct {
@@ -48,7 +44,7 @@ func Inject(k *isa.Kernel, bs int) (acq, rel int, err error) {
 	var plan []insertion
 	for i := 0; i < n; i++ {
 		fromExt, fromNon := false, false
-		for _, p := range preds[i] {
+		for _, p := range inf.Graph.InstrPreds(i) {
 			if ext[p] {
 				fromExt = true
 			} else {
@@ -73,9 +69,6 @@ func Inject(k *isa.Kernel, bs int) (acq, rel int, err error) {
 			rel++
 		}
 	}
-	if err := CheckHolding(k, bs); err != nil {
-		return acq, rel, err
-	}
 	return acq, rel, nil
 }
 
@@ -87,7 +80,10 @@ func Inject(k *isa.Kernel, bs int) (acq, rel int, err error) {
 //   - no barrier executes while holding (deadlock freedom, given the
 //     heuristic guarantees at least one SRP section);
 //   - the warp never exits while holding (the section would leak).
-func CheckHolding(k *isa.Kernel, bs int) error {
+//
+// g is the graph of the injected kernel, g.Kernel.
+func CheckHolding(g *cfg.Graph, bs int) error {
+	k := g.Kernel
 	const (
 		unknown = 0
 		held    = 1
@@ -111,7 +107,7 @@ func CheckHolding(k *isa.Kernel, bs int) error {
 			case isa.OpRel:
 				out = free
 			}
-			for _, s := range instrSuccs(k, i) {
+			for _, s := range g.InstrSuccs(i) {
 				if state[s]|out != state[s] {
 					state[s] |= out
 					changed = true

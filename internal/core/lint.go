@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"regmutex/internal/cfg"
 	"regmutex/internal/isa"
 	"regmutex/internal/liveness"
 )
@@ -31,11 +30,11 @@ func (l LintIssue) String() string {
 //   - unreachable instructions;
 //   - registers allocated but never touched (wasted occupancy).
 func Lint(k *isa.Kernel) ([]LintIssue, error) {
-	g, err := cfg.Build(k)
+	inf, err := liveness.Compute(k)
 	if err != nil {
 		return nil, err
 	}
-	inf := liveness.Analyze(k, g)
+	g := inf.Graph
 	var issues []LintIssue
 
 	if u := inf.UndefinedAtEntry(); !u.Empty() {
@@ -72,11 +71,11 @@ func Lint(k *isa.Kernel) ([]LintIssue, error) {
 	for len(stack) > 0 {
 		i := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if i < 0 || i >= len(k.Instrs) || reachable[i] {
+		if reachable[i] {
 			continue
 		}
 		reachable[i] = true
-		stack = append(stack, instrSuccs(k, i)...)
+		stack = append(stack, g.InstrSuccs(i)...)
 	}
 	for i := range k.Instrs {
 		if !reachable[i] {

@@ -48,20 +48,28 @@ func (r *Result) Disabled() bool { return r.Split.Disabled || r.Split.Es == 0 }
 // branch reconvergence points (IPDOMs) and conservative dead-value
 // metadata. Baseline, OWF, and RFV runs use Prepare'd kernels directly.
 func Prepare(k *isa.Kernel) (*isa.Kernel, error) {
+	nk, _, err := prepare(k)
+	return nk, err
+}
+
+// prepare is Prepare that also returns its analysis of the prepared
+// kernel. The annotations it fills change neither the graph nor the
+// liveness, so the analysis holds for the result and for any unedited
+// clone of it.
+func prepare(k *isa.Kernel) (*isa.Kernel, *liveness.Info, error) {
 	nk := k.Clone()
-	g, err := cfg.Build(nk)
+	inf, err := liveness.Compute(nk)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	cfg.AnnotateReconvergence(nk, g)
-	inf := liveness.Analyze(nk, g)
+	cfg.AnnotateReconvergence(nk, inf.Graph)
 	inf.AnnotateDeadAfter(nk)
 	if u := inf.UndefinedAtEntry(); !u.Empty() {
-		return nil, fmt.Errorf("core: kernel %s reads %s before definition", k.Name, u)
+		return nil, nil, fmt.Errorf("core: kernel %s reads %s before definition", k.Name, u)
 	}
 	nk.BaseSet = nk.AllocRegs()
 	nk.ExtSet = 0
-	return nk, nil
+	return nk, inf, nil
 }
 
 // Transform runs the full RegMutex compiler pipeline of section III-A on
@@ -69,41 +77,40 @@ func Prepare(k *isa.Kernel) (*isa.Kernel, error) {
 // index compaction, and acquire/release injection. k itself is not
 // modified.
 func Transform(k *isa.Kernel, opt Options) (*Result, error) {
-	pre, err := Prepare(k)
+	pre, inf, err := prepare(k)
 	if err != nil {
 		return nil, err
 	}
-	g, err := cfg.Build(pre)
-	if err != nil {
-		return nil, err
-	}
-	inf := liveness.Analyze(pre, g)
 
 	res := &Result{
 		BaselineOcc: occupancy.Baseline(opt.Config, k),
 	}
 
 	attempt := func(bs, es int) (*isa.Kernel, int, int, int, error) {
-		nk := pre.Clone()
+		// pre's analysis describes the clone until the first edit.
+		nk, an := pre.Clone(), inf
 		moves := 0
 		if !opt.NoCompaction {
 			var err error
-			moves, err = Compact(nk, bs)
-			if err != nil {
+			if moves, an, err = Compact(nk, an, bs); err != nil {
 				return nil, 0, 0, 0, err
 			}
 		}
-		acq, rel, err := Inject(nk, bs)
+		acq, rel, err := Inject(nk, an, bs)
 		if err != nil {
 			return nil, 0, 0, 0, err
 		}
-		// Re-derive annotations after structural edits.
-		ng, err := cfg.Build(nk)
+		// One analysis of the injected kernel serves the holding check
+		// and both annotations.
+		post, err := liveness.Compute(nk)
 		if err != nil {
 			return nil, 0, 0, 0, err
 		}
-		cfg.AnnotateReconvergence(nk, ng)
-		liveness.Analyze(nk, ng).AnnotateDeadAfter(nk)
+		if err := CheckHolding(post.Graph, bs); err != nil {
+			return nil, 0, 0, 0, err
+		}
+		cfg.AnnotateReconvergence(nk, post.Graph)
+		post.AnnotateDeadAfter(nk)
 		nk.BaseSet, nk.ExtSet = bs, es
 		if err := nk.Validate(); err != nil {
 			return nil, 0, 0, 0, err

@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"regmutex/internal/cfg"
 	"regmutex/internal/isa"
 	"regmutex/internal/liveness"
 	"regmutex/internal/occupancy"
@@ -37,6 +36,17 @@ func TestCandidatesProperties(t *testing.T) {
 // Layout: threads compute on a few low registers, then a "peak" section
 // defines and consumes all high registers, then a cool-down uses low
 // registers again.
+// mustAnalyze returns k's graph and liveness, the analysis the passes
+// take.
+func mustAnalyze(t testing.TB, k *isa.Kernel) *liveness.Info {
+	t.Helper()
+	inf, err := liveness.Compute(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return inf
+}
+
 func peakKernel(t testing.TB, name string, numRegs, threads int) *isa.Kernel {
 	b := isa.NewBuilder(name, numRegs, 2, threads)
 	b.MovSpecial(0, isa.SpecTID)
@@ -82,7 +92,7 @@ func TestTransformInjectsPrimitives(t *testing.T) {
 	if err := res.Kernel.Validate(); err != nil {
 		t.Errorf("transformed kernel invalid: %v", err)
 	}
-	if err := CheckHolding(res.Kernel, res.Split.Bs); err != nil {
+	if err := CheckHolding(mustAnalyze(t, res.Kernel).Graph, res.Split.Bs); err != nil {
 		t.Errorf("holding invariant: %v", err)
 	}
 	// Occupancy must not decrease.
@@ -119,7 +129,7 @@ func TestTransformForceEs(t *testing.T) {
 		if res.Split.Es != es || res.Split.Bs != k.AllocRegs()-es {
 			t.Errorf("ForceEs=%d: split %+v", es, res.Split)
 		}
-		if err := CheckHolding(res.Kernel, res.Split.Bs); err != nil {
+		if err := CheckHolding(mustAnalyze(t, res.Kernel).Graph, res.Split.Bs); err != nil {
 			t.Errorf("ForceEs=%d: %v", es, err)
 		}
 	}
@@ -130,11 +140,7 @@ func TestHeuristicPicksPaperSplit(t *testing.T) {
 	// GTX480. The heuristic should land on Es=6 / Bs=18 with 26
 	// sections (section III-A2).
 	k := peakKernel(t, "worked", 24, 512)
-	g, err := cfg.Build(k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inf := liveness.Analyze(k, g)
+	inf := mustAnalyze(t, k)
 	split := SelectSplit(occupancy.GTX480(), k, inf, nil)
 	if split.Disabled {
 		t.Fatalf("disabled: %s", split.Reason)
@@ -170,11 +176,7 @@ func TestHeuristicRespectsBarrierRule(t *testing.T) {
 	k.GridCTAs = 4
 	k.GlobalMemWords = 1 << 12
 
-	g, err := cfg.Build(k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inf := liveness.Analyze(k, g)
+	inf := mustAnalyze(t, k)
 	split := SelectSplit(occupancy.GTX480(), k, inf, nil)
 	if !split.Disabled && split.Bs < inf.MaxLiveAtBarrier {
 		t.Errorf("Bs=%d below live-at-barrier %d", split.Bs, inf.MaxLiveAtBarrier)

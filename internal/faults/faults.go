@@ -153,7 +153,7 @@ func (f *faultState) OnIssued(w *sim.Warp, in *isa.Instr, now int64) {
 	switch f.plan.Class {
 	case LostWriteback:
 		if f.trigger() {
-			w.DelayWriteback(now + 1_000_000) // far past any latency bound
+			w.DelayWriteback(now, now+1_000_000) // far past any latency bound
 		}
 	case CorruptRFVRows:
 		if f.trigger() {

@@ -7,7 +7,6 @@ import (
 	"slices"
 	"strings"
 
-	"regmutex/internal/cfg"
 	"regmutex/internal/isa"
 	"regmutex/internal/liveness"
 	"regmutex/internal/occupancy"
@@ -49,11 +48,10 @@ func Fig1(o Options) ([]Fig1Row, error) {
 		}
 		w := set[j]
 		k := w.Build(o.Scale)
-		g, err := cfg.Build(k)
+		inf, err := liveness.Compute(k)
 		if err != nil {
 			return nil, err
 		}
-		inf := liveness.Analyze(k, g)
 		alloc := float64(k.AllocRegs())
 		row := &out[i]
 		row.Name = name
@@ -237,11 +235,10 @@ func PrintFig3(wr io.Writer) error {
 		return err
 	}
 	k := w.Build(8)
-	g, err := cfg.Build(k)
+	inf, err := liveness.Compute(k)
 	if err != nil {
 		return err
 	}
-	inf := liveness.Analyze(k, g)
 	section(wr, "Figure 3: DWT2D code sample with static register liveness")
 	limit := 34
 	if len(k.Instrs) < limit {

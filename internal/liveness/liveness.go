@@ -35,6 +35,16 @@ type Info struct {
 	MaxLiveAtBarrier int
 }
 
+// Compute builds k's CFG and computes its widened liveness over it: the
+// one analysis of a kernel version that the compiler passes read.
+func Compute(k *isa.Kernel) (*Info, error) {
+	g, err := cfg.Build(k)
+	if err != nil {
+		return nil, err
+	}
+	return Analyze(k, g), nil
+}
+
 // Analyze computes widened liveness for k over its CFG g.
 func Analyze(k *isa.Kernel, g *cfg.Graph) *Info {
 	n := len(k.Instrs)
@@ -44,15 +54,14 @@ func Analyze(k *isa.Kernel, g *cfg.Graph) *Info {
 		LiveIn:  make([]isa.RegSet, n),
 		LiveOut: make([]isa.RegSet, n),
 	}
-	base := inf.dataflow(nil)
+	base := inf.dataflow()
 	overlay := make([]isa.RegSet, n)
 	// Widen divergent regions to a fixpoint. Each round recomputes the
 	// effective live sets (dataflow ∪ overlay) and grows the overlay;
 	// the overlay only ever grows, so this terminates.
-	for {
-		changed := false
-		liveIn := make([]isa.RegSet, n)
-		liveOut := make([]isa.RegSet, n)
+	liveIn, liveOut := inf.LiveIn, inf.LiveOut
+	for changed := true; changed; {
+		changed = false
 		for i := 0; i < n; i++ {
 			liveIn[i] = base.in[i] | overlay[i]
 			liveOut[i] = base.out[i] | overlay[i]
@@ -95,13 +104,6 @@ func Analyze(k *isa.Kernel, g *cfg.Graph) *Info {
 				}
 			}
 		}
-		if !changed {
-			for i := 0; i < n; i++ {
-				inf.LiveIn[i] = liveIn[i]
-				inf.LiveOut[i] = liveOut[i]
-			}
-			break
-		}
 	}
 	for i := 0; i < n; i++ {
 		if c := inf.LiveIn[i].Count(); c > inf.MaxLive {
@@ -121,40 +123,19 @@ type flowSets struct {
 }
 
 // dataflow runs the classic backward may-liveness iteration at instruction
-// granularity. extra, when non-nil, is OR-ed into every live-in (unused
-// today; kept for the widening recomputation path).
-func (inf *Info) dataflow(extra []isa.RegSet) flowSets {
-	k := inf.Kernel
+// granularity over the graph's instruction successors.
+func (inf *Info) dataflow() flowSets {
+	k, g := inf.Kernel, inf.Graph
 	n := len(k.Instrs)
 	in := make([]isa.RegSet, n)
 	out := make([]isa.RegSet, n)
-	succs := make([][2]int, n) // -1 terminated successor list
-	for i := 0; i < n; i++ {
-		succs[i] = [2]int{-1, -1}
-		instr := &k.Instrs[i]
-		switch instr.Op {
-		case isa.OpExit:
-			// no successors
-		case isa.OpBra:
-			succs[i][0] = instr.Target
-			if !instr.Guard.Unguarded() && i+1 < n {
-				succs[i][1] = i + 1
-			}
-		default:
-			if i+1 < n {
-				succs[i][0] = i + 1
-			}
-		}
-	}
 	changed := true
 	for changed {
 		changed = false
 		for i := n - 1; i >= 0; i-- {
 			var o isa.RegSet
-			for _, s := range succs[i] {
-				if s >= 0 {
-					o |= in[s]
-				}
+			for _, s := range g.InstrSuccs(i) {
+				o |= in[s]
 			}
 			instr := &k.Instrs[i]
 			kill := isa.RegSet(0)
@@ -166,9 +147,6 @@ func (inf *Info) dataflow(extra []isa.RegSet) flowSets {
 				kill = instr.Defs()
 			}
 			ni := instr.Uses() | (o &^ kill)
-			if extra != nil {
-				ni |= extra[i]
-			}
 			if ni != in[i] || o != out[i] {
 				in[i], out[i] = ni, o
 				changed = true

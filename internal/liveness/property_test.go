@@ -134,7 +134,7 @@ func TestWideningIsSupersetProperty(t *testing.T) {
 			return false
 		}
 		inf := Analyze(k, g)
-		plain := inf.dataflow(nil)
+		plain := inf.dataflow()
 		for i := range k.Instrs {
 			if !plain.in[i].Diff(inf.LiveIn[i]).Empty() {
 				return false

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"regmutex/internal/cfg"
 	"regmutex/internal/isa"
 	"regmutex/internal/liveness"
 	"regmutex/internal/occupancy"
@@ -54,11 +53,10 @@ func (p *RFVPolicy) CTAsPerSM(k *isa.Kernel) int {
 // counts plus burst slack rather than the plain mean (which the ramp-up
 // and ramp-down code would bias low).
 func (p *RFVPolicy) avgLiveDemand(k *isa.Kernel) int {
-	g, err := cfg.Build(k)
+	inf, err := liveness.Compute(k)
 	if err != nil {
 		return k.AllocRegs()
 	}
-	inf := liveness.Analyze(k, g)
 	counts := make([]int, len(k.Instrs))
 	for i := range k.Instrs {
 		counts[i] = inf.CountAt(i)

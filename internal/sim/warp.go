@@ -264,21 +264,27 @@ func (w *Warp) MaxPendingWriteback() int64 {
 	return m
 }
 
-// DelayWriteback pushes every pending scoreboard write to land at the
-// given absolute cycle. FAULT INJECTION ONLY (internal/faults): it models
-// a memory response delayed past any architectural bound, which must be
-// caught by the scoreboard audit or the forward-progress watchdog.
+// DelayWriteback pushes every write still in flight at cycle now (its
+// ready cycle is after now) to land at the given absolute cycle;
+// registers and predicates with no pending write keep their ready
+// cycles. FAULT INJECTION ONLY (internal/faults): it models a memory
+// response delayed past any architectural bound, which must be caught by
+// the scoreboard audit or the forward-progress watchdog.
 //
 // Besides the issue's own writeback it is the only scoreboard writer, so
 // it raises the warp's exact bound to match. Call it from a policy's
 // OnIssued hook: the issue that runs the hook then copies the raised
 // bound into its scheduler's walk state.
-func (w *Warp) DelayWriteback(until int64) {
-	for i := range w.regReady {
-		w.regReady[i] = until
+func (w *Warp) DelayWriteback(now, until int64) {
+	for i, t := range w.regReady {
+		if t > now {
+			w.regReady[i] = until
+		}
 	}
-	for i := range w.predReady {
-		w.predReady[i] = until
+	for i, t := range w.predReady {
+		if t > now {
+			w.predReady[i] = until
+		}
 	}
 	w.refreshBound()
 }

@@ -172,6 +172,35 @@ func TestScoreboard(t *testing.T) {
 	}
 }
 
+// TestDelayWritebackMovesOnlyInFlight injects the lost-writeback fault
+// into a warp with one register write in flight: only that write moves,
+// the idle registers and predicates keep their ready cycles, and the
+// next instruction, which reads only idle registers, keeps its bound.
+func TestDelayWritebackMovesOnlyInFlight(t *testing.T) {
+	next := isa.NewInstr(isa.OpMov) // reads r1, writes r4: both idle
+	next.Dst = 4
+	next.Srcs[0] = isa.R(1)
+	k := &isa.Kernel{NumRegs: 8, NumPRegs: 2, Instrs: []isa.Instr{next}}
+	w := newWarp(k, 0, 0, &CTAState{code: decodeKernel(k, DefaultTiming())}, 0, 32)
+	const now = 10
+	w.regReady[1] = 5       // landed before now
+	w.regReady[3] = now + 4 // in flight
+	w.predReady[1] = now    // lands this cycle: not in flight
+	w.refreshBound()
+	w.DelayWriteback(now, now+1_000_000)
+	for r, want := range []int64{0, 5, 0, now + 1_000_000, 0, 0, 0, 0} {
+		if w.regReady[r] != want {
+			t.Errorf("r%d ready at %d, want %d", r, w.regReady[r], want)
+		}
+	}
+	if w.predReady[0] != 0 || w.predReady[1] != now {
+		t.Errorf("predicate ready cycles %v, want [0 %d]", w.predReady, now)
+	}
+	if w.blockedUntil != 5 {
+		t.Errorf("bound of an instruction reading only idle registers = %d, want 5", w.blockedUntil)
+	}
+}
+
 func TestScoreboardPredicates(t *testing.T) {
 	w := testWarp(32)
 	setp := isa.NewInstr(isa.OpSetp)

@@ -3,7 +3,6 @@ package workloads
 import (
 	"testing"
 
-	"regmutex/internal/cfg"
 	"regmutex/internal/isa"
 	"regmutex/internal/liveness"
 )
@@ -108,11 +107,10 @@ func TestBarrierKernelsKeepBaseSetHeadroom(t *testing.T) {
 		if !hasOp(k, isa.OpBarSync) {
 			continue
 		}
-		g, err := cfg.Build(k)
+		inf, err := liveness.Compute(k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		inf := liveness.Analyze(k, g)
 		if inf.MaxLiveAtBarrier > w.PaperBs {
 			t.Errorf("%s: %d live at barrier exceeds paper Bs %d — the paper's split would deadlock",
 				w.Name, inf.MaxLiveAtBarrier, w.PaperBs)

@@ -3,7 +3,6 @@ package workloads
 import (
 	"testing"
 
-	"regmutex/internal/cfg"
 	"regmutex/internal/core"
 	"regmutex/internal/isa"
 	"regmutex/internal/liveness"
@@ -49,11 +48,10 @@ func TestKernelsValidateAndMatchTableI(t *testing.T) {
 func TestNoReadBeforeWrite(t *testing.T) {
 	for _, w := range All() {
 		k := w.Build(4)
-		g, err := cfg.Build(k)
+		inf, err := liveness.Compute(k)
 		if err != nil {
 			t.Fatalf("%s: %v", w.Name, err)
 		}
-		inf := liveness.Analyze(k, g)
 		if u := inf.UndefinedAtEntry(); !u.Empty() {
 			t.Errorf("%s: reads %s before definition", w.Name, u)
 		}
@@ -196,11 +194,10 @@ func TestLivenessProfilesFluctuate(t *testing.T) {
 			t.Fatal(err)
 		}
 		k := w.Build(4)
-		g, err := cfg.Build(k)
+		inf, err := liveness.Compute(k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		inf := liveness.Analyze(k, g)
 		lo, hi := k.NumRegs, 0
 		for i := range k.Instrs {
 			c := inf.CountAt(i)
