@@ -133,11 +133,7 @@ func printLiveness(k *isa.Kernel) error {
 	}
 	fmt.Printf("; %s: max live %d of %d allocated; live at barriers %d\n",
 		k.Name, inf.MaxLive, k.AllocRegs(), inf.MaxLiveAtBarrier)
-	for i := range k.Instrs {
-		live := inf.LiveAt(i)
-		fmt.Printf("%4d: %-36s ; live %2d %s\n", i, k.Instrs[i].String(), live.Count(), live)
-	}
-	return nil
+	return inf.WriteListing(os.Stdout, len(k.Instrs))
 }
 
 func printCFG(k *isa.Kernel) error {

@@ -1,8 +1,24 @@
-// Package asm provides a textual assembly format for ISA kernels: a
-// printer (Format) and a parser (Parse) that round-trip losslessly. The
-// format plays the role PTXPlus plays for GPGPU-Sim — a human-readable,
-// editable form of the kernel that the compiler passes and the simulator
-// agree on.
+// Package asm provides the textual assembly format for ISA kernels
+// (.kasm): a printer (Format) and a parser (Parse) that round-trip
+// losslessly. The format plays the role PTXPlus plays for GPGPU-Sim — a
+// human-readable, editable form of the kernel that the compiler passes
+// and the simulator agree on.
+//
+// The instruction syntax belongs to isa: Format prints each instruction
+// with isa.Instr.Format, and Parse reads mnemonics, comparisons and
+// special registers from isa's name tables and emits through an
+// isa.Builder, which resolves labels. This package adds the directives,
+// labels, comments and the scalar grammar. A scalar must be the whole
+// token, or its line is refused:
+//
+//	register   r<digits>            r0 .. r63
+//	predicate  p<digits>            p0 .. p7 (a guard is @p1 or @!p1)
+//	immediate  [+|-]<digits>        a decimal int64: 12, -5, +3
+//	address    [rN]  [rN+k]  [rN-k] k an immediate, so [r2+-3] is [r2-3]
+//	directive  .regs <immediate>    and .pregs .threads .grid .shared
+//	                                .global .baseset .extset
+//
+// Hex, exponents and trailing text (0x10, 1e3, r5x, 12abc) are errors.
 //
 // Example:
 //
@@ -24,14 +40,16 @@
 package asm
 
 import (
+	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"regmutex/internal/isa"
 )
 
-// Format renders the kernel as assembly text. Branch targets receive
-// generated labels (existing labels are preserved).
+// Format renders the kernel as assembly text. Branch targets keep their
+// labels; a target without one is named L<index>.
 func Format(k *isa.Kernel) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, ".kernel %s\n", k.Name)
@@ -53,247 +71,158 @@ func Format(k *isa.Kernel) string {
 	}
 	b.WriteByte('\n')
 
-	labels := map[int]string{}
+	isTarget := make([]bool, len(k.Instrs))
 	for i := range k.Instrs {
-		in := &k.Instrs[i]
-		if in.Op == isa.OpBra {
-			if _, ok := labels[in.Target]; !ok {
-				name := k.Instrs[in.Target].Label
-				if name == "" {
-					name = fmt.Sprintf("L%d", in.Target)
-				}
-				labels[in.Target] = name
-			}
+		if in := &k.Instrs[i]; in.Op == isa.OpBra {
+			isTarget[in.Target] = true
 		}
 	}
-	for i := range k.Instrs {
-		if l, ok := labels[i]; ok {
-			fmt.Fprintf(&b, "%s:\n", l)
+	label := func(pc int) string {
+		if l := k.Instrs[pc].Label; l != "" {
+			return l
 		}
-		fmt.Fprintf(&b, "    %s\n", formatInstr(&k.Instrs[i], labels))
+		return "L" + strconv.Itoa(pc)
+	}
+	for i := range k.Instrs {
+		if isTarget[i] {
+			fmt.Fprintf(&b, "%s:\n", label(i))
+		}
+		fmt.Fprintf(&b, "    %s\n", k.Instrs[i].Format(label))
 	}
 	return b.String()
 }
 
-func formatInstr(in *isa.Instr, labels map[int]string) string {
-	var b strings.Builder
-	b.WriteString(in.Guard.String())
-	switch in.Op {
-	case isa.OpSetp, isa.OpSetpF:
-		fmt.Fprintf(&b, "%s.%s %s, %s, %s", in.Op, in.Cmp, in.PDst, opnd(in.Srcs[0]), opnd(in.Srcs[1]))
-	case isa.OpSelp:
-		fmt.Fprintf(&b, "selp %s, %s, %s", in.Dst, opnd(in.Srcs[0]), opnd(in.Srcs[1]))
-	case isa.OpBra:
-		fmt.Fprintf(&b, "bra %s", labels[in.Target])
-	case isa.OpMovSpecial:
-		fmt.Fprintf(&b, "mov.special %s, %s", in.Dst, in.Spec)
-	case isa.OpLdGlobal, isa.OpLdShared:
-		fmt.Fprintf(&b, "%s %s, [%s%+d]", in.Op, in.Dst, opnd(in.Srcs[0]), in.Off)
-	case isa.OpStGlobal, isa.OpStShared:
-		fmt.Fprintf(&b, "%s [%s%+d], %s", in.Op, opnd(in.Srcs[0]), in.Off, opnd(in.Srcs[1]))
-	case isa.OpExit, isa.OpNop, isa.OpBarSync, isa.OpAcq, isa.OpRel:
-		b.WriteString(in.Op.String())
-	default:
-		fmt.Fprintf(&b, "%s %s", in.Op, in.Dst)
-		for s := 0; s < isa.NumSrcs(in.Op); s++ {
-			fmt.Fprintf(&b, ", %s", opnd(in.Srcs[s]))
-		}
-	}
-	return b.String()
-}
-
-func opnd(o isa.Operand) string {
-	if o.Kind == isa.OpndReg {
-		return o.Reg.String()
-	}
-	return fmt.Sprintf("%d", o.Imm)
-}
-
-// Parse assembles the textual form back into a kernel.
+// Parse assembles the textual form back into a kernel. Errors name the
+// source line, except a branch to an undefined label, which is found
+// only at the end.
 func Parse(src string) (*isa.Kernel, error) {
-	p := &parser{
-		k:      &isa.Kernel{NumPRegs: 0},
-		labels: map[string]int{},
-	}
+	b := isa.NewBuilder("", 0, 0, 0).SetGrid(0) // the text must give .grid
 	for ln, raw := range strings.Split(src, "\n") {
-		line := strings.TrimSpace(raw)
-		if i := strings.IndexByte(line, ';'); i >= 0 {
-			line = strings.TrimSpace(line[:i])
-		}
-		if line == "" {
+		line, _, _ := strings.Cut(raw, ";")
+		if line = strings.TrimSpace(line); line == "" {
 			continue
 		}
-		if err := p.line(line); err != nil {
+		err := parseLine(b, line)
+		if err == nil {
+			err = b.Err()
+		}
+		if err != nil {
 			return nil, fmt.Errorf("asm: line %d: %w", ln+1, err)
 		}
 	}
-	for idx, label := range p.fixups {
-		tgt, ok := p.labels[label]
-		if !ok {
-			return nil, fmt.Errorf("asm: undefined label %q", label)
-		}
-		p.k.Instrs[idx].Target = tgt
-	}
-	if err := p.k.Validate(); err != nil {
-		return nil, err
-	}
-	return p.k, nil
+	return b.Kernel()
 }
 
-type parser struct {
-	k       *isa.Kernel
-	labels  map[string]int
-	fixups  map[int]string
-	pending []string
-}
-
-func (p *parser) line(line string) error {
+func parseLine(b *isa.Builder, line string) error {
 	if strings.HasPrefix(line, ".") {
-		return p.directive(line)
+		return directive(b.Header(), line)
 	}
-	if strings.HasSuffix(line, ":") {
-		name := strings.TrimSuffix(line, ":")
+	if name, ok := strings.CutSuffix(line, ":"); ok {
 		if name == "" {
-			return fmt.Errorf("empty label")
+			return errors.New("empty label")
 		}
-		if _, dup := p.labels[name]; dup {
-			return fmt.Errorf("duplicate label %q", name)
-		}
-		p.labels[name] = -1
-		p.pending = append(p.pending, name)
+		b.Label(name)
 		return nil
 	}
-	return p.instr(line)
+	return instr(b, line)
 }
 
-func (p *parser) directive(line string) error {
-	var name string
-	var rest string
-	if i := strings.IndexAny(line, " \t"); i >= 0 {
-		name, rest = line[:i], strings.TrimSpace(line[i+1:])
-	} else {
-		name = line
-	}
+func directive(k *isa.Kernel, line string) error {
+	name, rest, _ := cutSpace(line)
+	var field *int
 	switch name {
 	case ".kernel":
-		p.k.Name = rest
+		k.Name = rest
 		return nil
-	}
-	var v int
-	if _, err := fmt.Sscanf(rest, "%d", &v); err != nil {
-		return fmt.Errorf("directive %s needs an integer: %v", name, err)
-	}
-	switch name {
 	case ".regs":
-		p.k.NumRegs = v
+		field = &k.NumRegs
 	case ".pregs":
-		p.k.NumPRegs = v
+		field = &k.NumPRegs
 	case ".threads":
-		p.k.ThreadsPerCTA = v
+		field = &k.ThreadsPerCTA
 	case ".grid":
-		p.k.GridCTAs = v
+		field = &k.GridCTAs
 	case ".shared":
-		p.k.SharedMemWords = v
+		field = &k.SharedMemWords
 	case ".global":
-		p.k.GlobalMemWords = v
+		field = &k.GlobalMemWords
 	case ".baseset":
-		p.k.BaseSet = v
+		field = &k.BaseSet
 	case ".extset":
-		p.k.ExtSet = v
+		field = &k.ExtSet
 	default:
 		return fmt.Errorf("unknown directive %s", name)
 	}
+	v, err := strconv.Atoi(rest)
+	if err != nil {
+		return fmt.Errorf("directive %s needs a decimal integer, have %q", name, rest)
+	}
+	*field = v
 	return nil
 }
 
-// opcodeNames maps mnemonics (without setp comparison suffixes) back to
-// opcodes.
-var opcodeNames = func() map[string]isa.Opcode {
-	m := map[string]isa.Opcode{}
-	for op := isa.Opcode(0); op < isa.Opcode(isa.NumOpcodes); op++ {
-		m[op.String()] = op
+// cutSpace splits s at its first space or tab and trims the tail.
+func cutSpace(s string) (head, tail string, found bool) {
+	if i := strings.IndexAny(s, " \t"); i >= 0 {
+		return s[:i], strings.TrimSpace(s[i+1:]), true
 	}
-	return m
-}()
-
-var cmpNames = map[string]isa.CmpOp{
-	"eq": isa.CmpEQ, "ne": isa.CmpNE, "lt": isa.CmpLT,
-	"le": isa.CmpLE, "gt": isa.CmpGT, "ge": isa.CmpGE,
+	return s, "", false
 }
 
-var specialNames = map[string]isa.SpecialReg{
-	"%tid": isa.SpecTID, "%ntid": isa.SpecNTID, "%ctaid": isa.SpecCTAID,
-	"%nctaid": isa.SpecNCTAID, "%laneid": isa.SpecLaneID, "%warpid": isa.SpecWarpID,
-}
-
-func (p *parser) instr(line string) error {
-	in := isa.NewInstr(isa.OpNop)
-
-	// Guard prefix.
-	if strings.HasPrefix(line, "@") {
-		sp := strings.IndexAny(line, " \t")
-		if sp < 0 {
-			return fmt.Errorf("guard without instruction")
+func instr(b *isa.Builder, line string) error {
+	if g, ok := strings.CutPrefix(line, "@"); ok {
+		g, rest, found := cutSpace(g)
+		if !found {
+			return errors.New("guard without instruction")
 		}
-		g := line[1:sp]
-		line = strings.TrimSpace(line[sp+1:])
-		if strings.HasPrefix(g, "!") {
-			in.Guard.Neg = true
-			g = g[1:]
-		}
-		pr, err := parsePReg(g)
+		neg := strings.HasPrefix(g, "!")
+		p, err := pred(strings.TrimPrefix(g, "!"))
 		if err != nil {
 			return err
 		}
-		in.Guard.Pred = pr
-	}
-
-	mnemonic := line
-	var operands string
-	if i := strings.IndexAny(line, " \t"); i >= 0 {
-		mnemonic, operands = line[:i], strings.TrimSpace(line[i+1:])
-	}
-
-	// setp.<cmp> and setp.f.<cmp> carry the comparison in the mnemonic.
-	var cmp isa.CmpOp
-	hasCmp := false
-	if strings.HasPrefix(mnemonic, "setp.") {
-		base := "setp"
-		suffix := strings.TrimPrefix(mnemonic, "setp.")
-		if strings.HasPrefix(suffix, "f.") {
-			base = "setp.f"
-			suffix = strings.TrimPrefix(suffix, "f.")
+		if neg {
+			b.IfNot(p)
+		} else {
+			b.If(p)
 		}
-		c, ok := cmpNames[suffix]
-		if !ok {
-			return fmt.Errorf("unknown comparison %q", suffix)
-		}
-		cmp, hasCmp = c, true
-		mnemonic = base
+		line = rest
 	}
-	op, ok := opcodeNames[mnemonic]
-	if !ok {
-		return fmt.Errorf("unknown opcode %q", mnemonic)
+	mnemonic, rest, _ := cutSpace(line)
+	op, cmp, err := opcode(mnemonic)
+	if err != nil {
+		return err
 	}
-	in.Op = op
+	in := isa.NewInstr(op)
 	in.Cmp = cmp
-	_ = hasCmp
-
-	args := splitOperands(operands)
-	if err := p.operands(&in, args); err != nil {
+	args := splitOperands(rest)
+	if err := operands(&in, args); err != nil {
 		return fmt.Errorf("%s: %w", mnemonic, err)
 	}
+	if op == isa.OpBra {
+		b.Bra(args[0])
+	} else {
+		b.Emit(in)
+	}
+	return nil
+}
 
-	idx := len(p.k.Instrs)
-	for _, l := range p.pending {
-		p.labels[l] = idx
-		if in.Label == "" {
-			in.Label = l
+// opcode reads a mnemonic. setp and setp.f carry their comparison as a
+// last suffix, "setp.f.lt".
+func opcode(mnemonic string) (isa.Opcode, isa.CmpOp, error) {
+	if i := strings.LastIndexByte(mnemonic, '.'); i > 0 {
+		if op, ok := isa.OpcodeNamed(mnemonic[:i]); ok && (op == isa.OpSetp || op == isa.OpSetpF) {
+			cmp, ok := isa.CmpNamed(mnemonic[i+1:])
+			if !ok {
+				return 0, 0, fmt.Errorf("unknown comparison %q", mnemonic[i+1:])
+			}
+			return op, cmp, nil
 		}
 	}
-	p.pending = p.pending[:0]
-	p.k.Instrs = append(p.k.Instrs, in)
-	return nil
+	op, ok := isa.OpcodeNamed(mnemonic)
+	if !ok {
+		return 0, 0, fmt.Errorf("unknown opcode %q", mnemonic)
+	}
+	return op, 0, nil
 }
 
 func splitOperands(s string) []string {
@@ -307,155 +236,137 @@ func splitOperands(s string) []string {
 	return parts
 }
 
-func (p *parser) operands(in *isa.Instr, args []string) error {
+// operands fills in's operands from args; a branch's one argument is its
+// label, which the caller hands to the Builder.
+func operands(in *isa.Instr, args []string) error {
 	need := func(n int) error {
 		if len(args) != n {
 			return fmt.Errorf("want %d operands, have %d", n, len(args))
 		}
 		return nil
 	}
+	var err error
 	switch in.Op {
 	case isa.OpNop, isa.OpExit, isa.OpBarSync, isa.OpAcq, isa.OpRel:
 		return need(0)
 	case isa.OpBra:
-		if err := need(1); err != nil {
-			return err
-		}
-		if p.fixups == nil {
-			p.fixups = map[int]string{}
-		}
-		p.fixups[len(p.k.Instrs)] = args[0]
-		return nil
+		return need(1)
 	case isa.OpMovSpecial:
 		if err := need(2); err != nil {
 			return err
 		}
-		d, err := parseReg(args[0])
-		if err != nil {
+		if in.Dst, err = reg(args[0]); err != nil {
 			return err
 		}
-		sp, ok := specialNames[args[1]]
-		if !ok {
+		var ok bool
+		if in.Spec, ok = isa.SpecialNamed(args[1]); !ok {
 			return fmt.Errorf("unknown special register %q", args[1])
 		}
-		in.Dst, in.Spec = d, sp
 		return nil
 	case isa.OpSetp, isa.OpSetpF:
 		if err := need(3); err != nil {
 			return err
 		}
-		pd, err := parsePReg(args[0])
-		if err != nil {
+		if in.PDst, err = pred(args[0]); err != nil {
 			return err
 		}
-		in.PDst = pd
-		for i := 0; i < 2; i++ {
-			o, err := parseOperand(args[1+i])
-			if err != nil {
-				return err
-			}
-			in.Srcs[i] = o
-		}
-		return nil
+		return sources(in, args[1:])
 	case isa.OpLdGlobal, isa.OpLdShared:
 		if err := need(2); err != nil {
 			return err
 		}
-		d, err := parseReg(args[0])
-		if err != nil {
+		if in.Dst, err = reg(args[0]); err != nil {
 			return err
 		}
-		addr, off, err := parseMem(args[1])
-		if err != nil {
-			return err
-		}
-		in.Dst, in.Srcs[0], in.Off = d, addr, off
-		return nil
+		in.Srcs[0], in.Off, err = address(args[1])
+		return err
 	case isa.OpStGlobal, isa.OpStShared:
 		if err := need(2); err != nil {
 			return err
 		}
-		addr, off, err := parseMem(args[0])
-		if err != nil {
+		if in.Srcs[0], in.Off, err = address(args[0]); err != nil {
 			return err
 		}
-		v, err := parseOperand(args[1])
-		if err != nil {
-			return err
-		}
-		in.Srcs[0], in.Off, in.Srcs[1] = addr, off, v
-		return nil
+		in.Srcs[1], err = operand(args[1])
+		return err
 	default:
-		n := isa.NumSrcs(in.Op)
-		if err := need(1 + n); err != nil {
+		if err := need(1 + isa.NumSrcs(in.Op)); err != nil {
 			return err
 		}
-		d, err := parseReg(args[0])
-		if err != nil {
+		if in.Dst, err = reg(args[0]); err != nil {
 			return err
 		}
-		in.Dst = d
-		for i := 0; i < n; i++ {
-			o, err := parseOperand(args[1+i])
-			if err != nil {
-				return err
-			}
-			in.Srcs[i] = o
-		}
-		return nil
+		return sources(in, args[1:])
 	}
 }
 
-func parseReg(s string) (isa.Reg, error) {
-	var n int
-	if _, err := fmt.Sscanf(s, "r%d", &n); err != nil || n < 0 || n >= isa.MaxRegs {
+func sources(in *isa.Instr, args []string) error {
+	for i, a := range args {
+		o, err := operand(a)
+		if err != nil {
+			return err
+		}
+		in.Srcs[i] = o
+	}
+	return nil
+}
+
+// index parses prefix followed by decimal digits naming one of limit
+// slots, "r12".
+func index(s, prefix string, limit int) (int, bool) {
+	digits, ok := strings.CutPrefix(s, prefix)
+	if !ok || digits == "" || digits[0] < '0' || digits[0] > '9' {
+		return 0, false
+	}
+	n, err := strconv.Atoi(digits)
+	return n, err == nil && n < limit
+}
+
+func reg(s string) (isa.Reg, error) {
+	n, ok := index(s, "r", isa.MaxRegs)
+	if !ok {
 		return isa.NoReg, fmt.Errorf("bad register %q", s)
 	}
 	return isa.Reg(n), nil
 }
 
-func parsePReg(s string) (isa.PReg, error) {
-	var n int
-	if _, err := fmt.Sscanf(s, "p%d", &n); err != nil || n < 0 || n >= isa.MaxPRegs {
+func pred(s string) (isa.PReg, error) {
+	n, ok := index(s, "p", isa.MaxPRegs)
+	if !ok {
 		return isa.NoPReg, fmt.Errorf("bad predicate %q", s)
 	}
 	return isa.PReg(n), nil
 }
 
-func parseOperand(s string) (isa.Operand, error) {
+func operand(s string) (isa.Operand, error) {
 	if strings.HasPrefix(s, "r") {
-		r, err := parseReg(s)
-		if err != nil {
-			return isa.Operand{}, err
-		}
-		return isa.R(r), nil
+		r, err := reg(s)
+		return isa.R(r), err
 	}
-	var v int64
-	if _, err := fmt.Sscanf(s, "%d", &v); err != nil {
+	v, err := strconv.ParseInt(s, 10, 64)
+	if err != nil {
 		return isa.Operand{}, fmt.Errorf("bad operand %q", s)
 	}
 	return isa.Imm(v), nil
 }
 
-// parseMem parses "[rN+off]" / "[rN-off]" / "[rN]".
-func parseMem(s string) (isa.Operand, int64, error) {
-	if !strings.HasPrefix(s, "[") || !strings.HasSuffix(s, "]") {
+// address parses "[rN]", "[rN+k]" or "[rN-k]" into its base register and
+// word offset.
+func address(s string) (isa.Operand, int64, error) {
+	inner, open := strings.CutPrefix(s, "[")
+	inner, closed := strings.CutSuffix(inner, "]")
+	if !open || !closed {
 		return isa.Operand{}, 0, fmt.Errorf("bad address %q", s)
 	}
-	inner := s[1 : len(s)-1]
-	off := int64(0)
-	regPart := inner
-	if i := strings.IndexAny(inner[1:], "+-"); i >= 0 {
-		i++ // compensate the [1:] shift
-		regPart = inner[:i]
-		offPart := strings.TrimPrefix(inner[i:], "+") // tolerate "+-3"
-		if _, err := fmt.Sscanf(offPart, "%d", &off); err != nil {
+	var off int64
+	if i := strings.IndexAny(inner, "+-"); i >= 0 {
+		k := strings.TrimSpace(strings.TrimPrefix(inner[i:], "+"))
+		var err error
+		if off, err = strconv.ParseInt(k, 10, 64); err != nil {
 			return isa.Operand{}, 0, fmt.Errorf("bad offset in %q", s)
 		}
+		inner = inner[:i]
 	}
-	r, err := parseReg(strings.TrimSpace(regPart))
-	if err != nil {
-		return isa.Operand{}, 0, err
-	}
-	return isa.R(r), off, nil
+	r, err := reg(strings.TrimSpace(inner))
+	return isa.R(r), off, err
 }

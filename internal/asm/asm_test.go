@@ -94,6 +94,22 @@ func TestParseErrors(t *testing.T) {
 		"bad special":       ".kernel x\n.regs 4\n.pregs 0\n.threads 32\n.grid 1\nmov.special r0, %bogus\nexit",
 		"bad mem operand":   ".kernel x\n.regs 4\n.pregs 0\n.threads 32\n.grid 1\nld.global r0, r1\nexit",
 		"register overflow": ".kernel x\n.regs 4\n.pregs 0\n.threads 32\n.grid 1\nmov r7, 1\nexit",
+		// Each scalar must be the whole token: no hex, exponent or
+		// trailing text after the number.
+		"hex immediate":      ".kernel x\n.regs 4\n.pregs 0\n.threads 32\n.grid 1\niadd r1, r2, 0x10\nexit",
+		"exponent immediate": ".kernel x\n.regs 4\n.pregs 0\n.threads 32\n.grid 1\nmov r1, 1e3\nexit",
+		"register suffix":    ".kernel x\n.regs 8\n.pregs 0\n.threads 32\n.grid 1\nmov r5x, 1\nexit",
+		"immediate suffix":   ".kernel x\n.regs 8\n.pregs 0\n.threads 32\n.grid 1\nmov r5, 12abc\nexit",
+		"hex offset":         ".kernel x\n.regs 4\n.pregs 0\n.threads 32\n.grid 1\nld.global r1, [r2+0x8]\nexit",
+		"directive suffix":   ".kernel x\n.regs 8x\n.pregs 0\n.threads 32\n.grid 1\nexit",
+		"predicate suffix":   ".kernel x\n.regs 4\n.pregs 1\n.threads 32\n.grid 1\n@p0x mov r1, 1\nexit",
+		"signed register":    ".kernel x\n.regs 4\n.pregs 0\n.threads 32\n.grid 1\nmov r+1, 1\nexit",
+		"empty address":      ".kernel x\n.regs 4\n.pregs 0\n.threads 32\n.grid 1\nld.global r1, []\nexit",
+		"label at end":       ".kernel x\n.regs 4\n.pregs 0\n.threads 32\n.grid 1\nexit\nend:",
+		"grid missing":       ".kernel x\n.regs 4\n.pregs 0\n.threads 32\nexit",
+		"negative shared":    ".kernel x\n.regs 4\n.pregs 0\n.threads 32\n.grid 1\n.shared -4\nexit",
+		"negative global":    ".kernel x\n.regs 4\n.pregs 0\n.threads 32\n.grid 1\n.global -3\nexit",
+		"setp.f without cmp": ".kernel x\n.regs 4\n.pregs 1\n.threads 32\n.grid 1\nsetp.f p0, r0, 1\nexit",
 	}
 	for name, src := range cases {
 		if _, err := Parse(src); err == nil {
@@ -242,7 +258,8 @@ func TestFormatGeneratesLabelsForAnonymousTargets(t *testing.T) {
 }
 
 func TestParseAllSpecialRegisters(t *testing.T) {
-	for name := range specialNames {
+	for s := isa.SpecTID; s <= isa.SpecWarpID; s++ {
+		name := s.String()
 		src := ".kernel s\n.regs 2\n.pregs 0\n.threads 32\n.grid 1\nmov.special r0, " + name + "\nst.global [r0+0], r0\nexit"
 		if _, err := Parse(src); err != nil {
 			t.Errorf("special %s: %v", name, err)

@@ -322,14 +322,6 @@ func TestStoragePrint(t *testing.T) {
 	}
 }
 
-func TestCompactSetRendering(t *testing.T) {
-	// compactSet is used by the Figure 3 listing.
-	got := compactSet(0)
-	if got != "-" {
-		t.Errorf("empty set rendered %q", got)
-	}
-}
-
 func TestEnergyStudy(t *testing.T) {
 	rows, err := Energy(tiny())
 	if err != nil {

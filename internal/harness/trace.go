@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"strings"
 
 	"regmutex/internal/isa"
 	"regmutex/internal/liveness"
@@ -240,40 +239,5 @@ func PrintFig3(wr io.Writer) error {
 		return err
 	}
 	section(wr, "Figure 3: DWT2D code sample with static register liveness")
-	limit := 34
-	if len(k.Instrs) < limit {
-		limit = len(k.Instrs)
-	}
-	for i := 0; i < limit; i++ {
-		live := inf.LiveAt(i)
-		fmt.Fprintf(wr, "%3d: %-34s live(%2d): %s\n", i, k.Instrs[i].String(), live.Count(), compactSet(live))
-	}
-	return nil
-}
-
-// compactSet renders a RegSet as ranges, e.g. "r2-r4, r7".
-func compactSet(s isa.RegSet) string {
-	regs := s.Regs()
-	if len(regs) == 0 {
-		return "-"
-	}
-	var parts []string
-	start, prev := regs[0], regs[0]
-	flush := func() {
-		if start == prev {
-			parts = append(parts, fmt.Sprintf("r%d", start))
-		} else {
-			parts = append(parts, fmt.Sprintf("r%d-r%d", start, prev))
-		}
-	}
-	for _, r := range regs[1:] {
-		if r == prev+1 {
-			prev = r
-			continue
-		}
-		flush()
-		start, prev = r, r
-	}
-	flush()
-	return strings.Join(parts, ", ")
+	return inf.WriteListing(wr, min(34, len(k.Instrs)))
 }

@@ -2,6 +2,7 @@ package isa
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -175,32 +176,34 @@ func (in *Instr) Defs() RegSet {
 // the instruction needs the extended register set (paper section III-B2).
 func (in *Instr) Touches() RegSet { return in.Uses() | in.Defs() }
 
-// String renders the instruction in assembly syntax (without its index).
+// String renders the instruction in assembly syntax (without its index),
+// naming a branch target by its index, "@7".
 func (in *Instr) String() string {
+	return in.Format(func(pc int) string { return "@" + strconv.Itoa(pc) })
+}
+
+// Format renders the instruction in assembly syntax: the one printer of
+// the instruction text, which asm.Parse reads back. target names a
+// branch destination by instruction index.
+func (in *Instr) Format(target func(pc int) string) string {
 	var b strings.Builder
 	b.WriteString(in.Guard.String())
+	b.WriteString(in.Op.String())
 	switch in.Op {
 	case OpSetp, OpSetpF:
-		fmt.Fprintf(&b, "%s.%s %s, %s, %s", in.Op, in.Cmp, in.PDst, in.Srcs[0], in.Srcs[1])
-	case OpSelp:
-		fmt.Fprintf(&b, "selp %s, %s, %s", in.Dst, in.Srcs[0], in.Srcs[1])
+		fmt.Fprintf(&b, ".%s %s, %s, %s", in.Cmp, in.PDst, in.Srcs[0], in.Srcs[1])
 	case OpBra:
-		tgt := fmt.Sprintf("@%d", in.Target)
-		if in.Label != "" { // label names the *instruction itself*; target printed numerically
-			tgt = fmt.Sprintf("@%d", in.Target)
-		}
-		b.WriteString("bra ")
-		b.WriteString(tgt)
+		b.WriteString(" " + target(in.Target))
 	case OpMovSpecial:
-		fmt.Fprintf(&b, "mov.special %s, %s", in.Dst, in.Spec)
+		fmt.Fprintf(&b, " %s, %s", in.Dst, in.Spec)
 	case OpLdGlobal, OpLdShared:
-		fmt.Fprintf(&b, "%s %s, [%s+%d]", in.Op, in.Dst, in.Srcs[0], in.Off)
+		fmt.Fprintf(&b, " %s, [%s%+d]", in.Dst, in.Srcs[0], in.Off)
 	case OpStGlobal, OpStShared:
-		fmt.Fprintf(&b, "%s [%s+%d], %s", in.Op, in.Srcs[0], in.Off, in.Srcs[1])
-	case OpExit, OpNop, OpBarSync, OpAcq, OpRel:
-		b.WriteString(in.Op.String())
+		fmt.Fprintf(&b, " [%s%+d], %s", in.Srcs[0], in.Off, in.Srcs[1])
 	default:
-		fmt.Fprintf(&b, "%s %s", in.Op, in.Dst)
+		if HasDst(in.Op) { // nop, exit, bar.sync, acq and rel have no operands
+			fmt.Fprintf(&b, " %s", in.Dst)
+		}
 		for i := 0; i < NumSrcs(in.Op); i++ {
 			fmt.Fprintf(&b, ", %s", in.Srcs[i])
 		}

@@ -92,6 +92,10 @@ func (k *Kernel) Validate() error {
 	if k.GridCTAs <= 0 {
 		return fmt.Errorf("isa: kernel %s: GridCTAs %d must be positive", k.Name, k.GridCTAs)
 	}
+	if k.SharedMemWords < 0 || k.GlobalMemWords < 0 {
+		return fmt.Errorf("isa: kernel %s: memory sizes (shared %d, global %d words) must not be negative",
+			k.Name, k.SharedMemWords, k.GlobalMemWords)
+	}
 	if k.BaseSet != 0 || k.ExtSet != 0 {
 		if k.BaseSet <= 0 || k.ExtSet < 0 || k.BaseSet+k.ExtSet < k.NumRegs {
 			return fmt.Errorf("isa: kernel %s: invalid register split Bs=%d Es=%d for %d regs",

@@ -8,7 +8,10 @@
 // ACQ and REL that the compiler injects (section III-A3 of the paper).
 package isa
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // Opcode identifies an instruction's operation.
 type Opcode uint8
@@ -106,6 +109,20 @@ func (op Opcode) String() string {
 	return fmt.Sprintf("op(%d)", uint8(op))
 }
 
+// OpcodeNamed returns the opcode whose mnemonic is name, the inverse of
+// Opcode.String; a setp mnemonic is named without its comparison.
+func OpcodeNamed(name string) (Opcode, bool) { return named[Opcode](opNames[:], name) }
+
+// named returns the index of name in an assembly name table.
+func named[T ~uint8](names []string, name string) (T, bool) {
+	for i, n := range names {
+		if n == name {
+			return T(i), true
+		}
+	}
+	return 0, false
+}
+
 // Class groups opcodes by the functional unit that executes them.
 type Class uint8
 
@@ -186,6 +203,9 @@ func (c CmpOp) String() string {
 	return fmt.Sprintf("cmp(%d)", uint8(c))
 }
 
+// CmpNamed returns the comparison whose mnemonic suffix is name ("lt").
+func CmpNamed(name string) (CmpOp, bool) { return named[CmpOp](cmpNames[:], name) }
+
 // SpecialReg names a hardware-provided per-thread value readable with
 // mov.special.
 type SpecialReg uint8
@@ -208,4 +228,13 @@ func (s SpecialReg) String() string {
 		return "%" + specialNames[s]
 	}
 	return fmt.Sprintf("%%spec(%d)", uint8(s))
+}
+
+// SpecialNamed returns the special register whose assembly name is name
+// ("%tid").
+func SpecialNamed(name string) (SpecialReg, bool) {
+	if rest, ok := strings.CutPrefix(name, "%"); ok {
+		return named[SpecialReg](specialNames[:], rest)
+	}
+	return 0, false
 }

@@ -109,3 +109,26 @@ func (s RegSet) String() string {
 	b.WriteByte('}')
 	return b.String()
 }
+
+// Ranges renders the set as runs of consecutive registers, like
+// "r2-r4, r7"; the empty set is "-".
+func (s RegSet) Ranges() string {
+	regs := s.Regs()
+	if len(regs) == 0 {
+		return "-"
+	}
+	var parts []string
+	for i := 0; i < len(regs); {
+		j := i
+		for j+1 < len(regs) && regs[j+1] == regs[j]+1 {
+			j++
+		}
+		if i == j {
+			parts = append(parts, regs[i].String())
+		} else {
+			parts = append(parts, regs[i].String()+"-"+regs[j].String())
+		}
+		i = j + 1
+	}
+	return strings.Join(parts, ", ")
+}

@@ -128,3 +128,20 @@ func TestRegSetForEachProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestRegSetRanges(t *testing.T) {
+	// Ranges renders the live sets of the Figure 3 listing.
+	for _, c := range []struct {
+		set  RegSet
+		want string
+	}{
+		{0, "-"},
+		{NewRegSet(7), "r7"},
+		{NewRegSet(2, 3, 4, 7), "r2-r4, r7"},
+		{NewRegSet(0, 2, 5, 6, 63), "r0, r2, r5-r6, r63"},
+	} {
+		if got := c.set.Ranges(); got != c.want {
+			t.Errorf("%s.Ranges() = %q, want %q", c.set, got, c.want)
+		}
+	}
+}

@@ -10,6 +10,9 @@
 package liveness
 
 import (
+	"fmt"
+	"io"
+
 	"regmutex/internal/cfg"
 	"regmutex/internal/isa"
 )
@@ -33,6 +36,10 @@ type Info struct {
 	// instruction; the deadlock-avoidance rule requires |Bs| to be at
 	// least this (section III-A2).
 	MaxLiveAtBarrier int
+
+	// uses and defs are each instruction's Uses and Defs, computed once
+	// per analysis.
+	uses, defs []isa.RegSet
 }
 
 // Compute builds k's CFG and computes its widened liveness over it: the
@@ -48,11 +55,17 @@ func Compute(k *isa.Kernel) (*Info, error) {
 // Analyze computes widened liveness for k over its CFG g.
 func Analyze(k *isa.Kernel, g *cfg.Graph) *Info {
 	n := len(k.Instrs)
+	sets := make([]isa.RegSet, 4*n)
 	inf := &Info{
 		Kernel:  k,
 		Graph:   g,
-		LiveIn:  make([]isa.RegSet, n),
-		LiveOut: make([]isa.RegSet, n),
+		LiveIn:  sets[:n:n],
+		LiveOut: sets[n : 2*n : 2*n],
+		uses:    sets[2*n : 3*n : 3*n],
+		defs:    sets[3*n:],
+	}
+	for i := range k.Instrs {
+		inf.uses[i], inf.defs[i] = k.Instrs[i].Uses(), k.Instrs[i].Defs()
 	}
 	base := inf.dataflow()
 	overlay := make([]isa.RegSet, n)
@@ -81,7 +94,7 @@ func Analyze(k *isa.Kernel, g *cfg.Graph) *Info {
 			for _, rb := range region {
 				blk := g.Blocks[rb]
 				for t := blk.Start; t < blk.End; t++ {
-					regionDefs |= k.Instrs[t].Defs()
+					regionDefs |= inf.defs[t]
 				}
 			}
 			// Rule 1: live across the branch -> live throughout all arms.
@@ -129,6 +142,16 @@ func (inf *Info) dataflow() flowSets {
 	n := len(k.Instrs)
 	in := make([]isa.RegSet, n)
 	out := make([]isa.RegSet, n)
+	kill := make([]isa.RegSet, n)
+	for i := range kill {
+		// A guarded definition is conditional: it cannot kill the
+		// incoming value, because inactive lanes keep it. SELP is the
+		// exception — its "guard" is a selector and every lane writes
+		// the destination.
+		if instr := &k.Instrs[i]; instr.Guard.Unguarded() || instr.Op == isa.OpSelp {
+			kill[i] = inf.defs[i]
+		}
+	}
 	changed := true
 	for changed {
 		changed = false
@@ -137,16 +160,7 @@ func (inf *Info) dataflow() flowSets {
 			for _, s := range g.InstrSuccs(i) {
 				o |= in[s]
 			}
-			instr := &k.Instrs[i]
-			kill := isa.RegSet(0)
-			if instr.Guard.Unguarded() || instr.Op == isa.OpSelp {
-				// A guarded definition is conditional: it cannot kill
-				// the incoming value, because inactive lanes keep it.
-				// SELP is the exception — its "guard" is a selector
-				// and every lane writes the destination.
-				kill = instr.Defs()
-			}
-			ni := instr.Uses() | (o &^ kill)
+			ni := inf.uses[i] | (o &^ kill[i])
 			if ni != in[i] || o != out[i] {
 				in[i], out[i] = ni, o
 				changed = true
@@ -160,7 +174,21 @@ func (inf *Info) dataflow() flowSets {
 // instruction itself touches (a register being written is "in use" at
 // that point for allocation purposes).
 func (inf *Info) LiveAt(i int) isa.RegSet {
-	return inf.LiveIn[i] | inf.Kernel.Instrs[i].Touches()
+	return inf.LiveIn[i] | inf.uses[i] | inf.defs[i]
+}
+
+// WriteListing writes the first n instructions of the analysed kernel,
+// one row each with its index and its LiveAt set, the presentation of
+// Figure 3: "  5: iadd r3, r1, r2                    live( 3): r1-r3".
+func (inf *Info) WriteListing(w io.Writer, n int) error {
+	for i := 0; i < n; i++ {
+		live := inf.LiveAt(i)
+		if _, err := fmt.Fprintf(w, "%3d: %-34s live(%2d): %s\n",
+			i, &inf.Kernel.Instrs[i], live.Count(), live.Ranges()); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // CountAt returns the number of live registers at instruction i.
@@ -183,11 +211,10 @@ func (inf *Info) UndefinedAtEntry() isa.RegSet {
 // release physical registers early. Values that die on a CFG edge rather
 // than at an instruction (a loop counter on the loop-exit edge, say) are
 // not annotated anywhere; their physical rows are reclaimed at warp exit,
-// which is conservative.
+// which is conservative. k is the analysed kernel or an unedited copy.
 func (inf *Info) AnnotateDeadAfter(k *isa.Kernel) {
 	for i := range k.Instrs {
-		alive := inf.LiveIn[i] | k.Instrs[i].Touches()
-		dead := alive.Diff(inf.LiveOut[i])
+		dead := inf.LiveAt(i).Diff(inf.LiveOut[i])
 		if dead.Empty() {
 			k.Instrs[i].DeadAfter = nil
 			continue

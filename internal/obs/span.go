@@ -320,8 +320,8 @@ func Breakdown(spans []Span) []StageRow {
 				Class: c,
 				Stage: stage,
 				Count: len(ds),
-				P50:   quantileDur(ds, 0.50),
-				P99:   quantileDur(ds, 0.99),
+				P50:   NearestRank(ds, 0.50),
+				P99:   NearestRank(ds, 0.99),
 				Max:   ds[len(ds)-1],
 			})
 		}
@@ -329,21 +329,16 @@ func Breakdown(spans []Span) []StageRow {
 	return rows
 }
 
-// quantileDur returns the q-quantile of sorted durations by the
-// nearest-rank rule (exact sorted index — no interpolation, so results
-// are reproducible across platforms).
-func quantileDur(sorted []time.Duration, q float64) time.Duration {
+// NearestRank returns the q-quantile of sorted by the nearest-rank rule:
+// an exact sorted element, no interpolation, so results are reproducible
+// across platforms. An empty slice gives the zero value.
+func NearestRank[T any](sorted []T, q float64) T {
 	if len(sorted) == 0 {
-		return 0
+		var zero T
+		return zero
 	}
 	idx := int(q*float64(len(sorted))+0.5) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
+	return sorted[min(max(idx, 0), len(sorted)-1)]
 }
 
 // WriteBreakdown renders the breakdown rows as an aligned text table.

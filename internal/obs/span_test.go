@@ -210,16 +210,16 @@ func TestQuantileDurNearestRank(t *testing.T) {
 	for i := range ds {
 		ds[i] = time.Duration(i+1) * time.Millisecond
 	}
-	if got := quantileDur(ds, 0.50); got != 50*time.Millisecond {
+	if got := NearestRank(ds, 0.50); got != 50*time.Millisecond {
 		t.Fatalf("p50 = %v", got)
 	}
-	if got := quantileDur(ds, 0.99); got != 99*time.Millisecond {
+	if got := NearestRank(ds, 0.99); got != 99*time.Millisecond {
 		t.Fatalf("p99 = %v", got)
 	}
-	if got := quantileDur(ds[:1], 0.99); got != 1*time.Millisecond {
+	if got := NearestRank(ds[:1], 0.99); got != 1*time.Millisecond {
 		t.Fatalf("p99 of singleton = %v", got)
 	}
-	if got := quantileDur(nil, 0.5); got != 0 {
+	if got := NearestRank([]time.Duration(nil), 0.5); got != 0 {
 		t.Fatalf("empty quantile = %v", got)
 	}
 }

@@ -1,8 +1,9 @@
 package saturate
 
 import (
-	"sort"
+	"slices"
 
+	"regmutex/internal/obs"
 	"regmutex/internal/workspec"
 )
 
@@ -82,25 +83,18 @@ type ClassBreakdown struct {
 	Stream StageQ `json:"stream"`
 }
 
-// quantiles summarizes a sample set with nearest-rank quantiles (the
-// same rule obs.Breakdown uses, kept integer here).
+// quantiles summarizes a sample set with obs.NearestRank quantiles.
 func quantiles(vals []int64) StageQ {
 	if len(vals) == 0 {
 		return StageQ{}
 	}
 	sorted := append([]int64(nil), vals...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	rank := func(q float64) int64 {
-		idx := int(q*float64(len(sorted))+0.5) - 1
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= len(sorted) {
-			idx = len(sorted) - 1
-		}
-		return sorted[idx]
+	slices.Sort(sorted)
+	return StageQ{
+		P50Us: obs.NearestRank(sorted, 0.50),
+		P99Us: obs.NearestRank(sorted, 0.99),
+		MaxUs: sorted[len(sorted)-1],
 	}
-	return StageQ{P50Us: rank(0.50), P99Us: rank(0.99), MaxUs: sorted[len(sorted)-1]}
 }
 
 // summarize folds one step's simulated jobs into the step result:

@@ -183,6 +183,43 @@ func TestRejectsMalformedRequests(t *testing.T) {
 	}
 }
 
+// A kasm job whose scalar has trailing text is refused at submission:
+// "0x10" is not read as the immediate 0.
+func TestKasmMalformedScalarRefused(t *testing.T) {
+	s := newTestService(t, Config{Workers: 1})
+	ts := httptest.NewServer(Handler(s))
+	defer ts.Close()
+
+	const src = `
+.kernel strict
+.regs 4
+.pregs 0
+.threads 32
+.grid 1
+.global 64
+
+    mov r2, 7
+    iadd r1, r2, 0x10
+    st.global [r1+0], r1
+    exit
+`
+	body := fmt.Sprintf(`{"kasm":%q,"allow_lint":true,"policy":"static"}`, src)
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out struct {
+		Error *ErrorBody `json:"error"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || out.Error == nil || out.Error.Code != CodeParseError {
+		t.Fatalf("status %d, error %+v; want 400 %s", resp.StatusCode, out.Error, CodeParseError)
+	}
+}
+
 func TestLintRejectionOverridable(t *testing.T) {
 	s := newTestService(t, Config{Workers: 2, PoolWorkers: 2})
 	s.Start()
