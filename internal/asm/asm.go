@@ -175,8 +175,8 @@ func instr(b *isa.Builder, line string) error {
 		if !found {
 			return errors.New("guard without instruction")
 		}
-		neg := strings.HasPrefix(g, "!")
-		p, err := pred(strings.TrimPrefix(g, "!"))
+		g, neg := strings.CutPrefix(g, "!")
+		p, err := pred(g)
 		if err != nil {
 			return err
 		}
@@ -226,7 +226,7 @@ func opcode(mnemonic string) (isa.Opcode, isa.CmpOp, error) {
 }
 
 func splitOperands(s string) []string {
-	if strings.TrimSpace(s) == "" {
+	if s == "" {
 		return nil
 	}
 	parts := strings.Split(s, ",")
